@@ -1,22 +1,26 @@
 """Trainer family: replay buffer, exploration, targets, and network updates.
 
-One ``Trainer`` class covers the whole algorithm grid. ``AlgoKind`` reads as
-a set of switches:
+One ``Trainer`` class covers the whole algorithm grid, with one data layout
+and one update path: observations travel as one ``(batch, agent, features)``
+array from the replay buffer to the networks, and every critic family is
+read through one function that maps ``(obs, act)`` to per-agent Q values.
+``AlgoKind`` reads as three switches, one per real difference in the grid:
 
-  double Q        -- two critics, Bellman target takes their minimum
-  delayed         -- policy (and target) updates every Nth critic update
-  smoothing       -- clipped Gaussian noise on target actions
-  attention critic-- one shared per-type critic over the agent axis, with
-                     the per-agent Q values summed into a total Q that is
-                     regressed against the joint reward
-  attention actor -- one centralized policy mapping all observations to all
-                     actions (no decentralized execution)
-
-The baseline kinds (MADDPG, MATD3) keep per-agent MLP critics on the flat
-concat of everyone's observations and actions and update one policy at a
-time against its own critic (one-to-one). The attention kinds regenerate
-every agent's action from its current policy and update all policies from a
-single evaluation of the shared critic (one-to-all).
+  attention critic -- one shared critic over the agent axis; its per-agent Q
+                      values are summed into a total Q that is regressed
+                      against the joint reward, and every policy steps from
+                      one evaluation of it with every action regenerated
+                      (one-to-all). Otherwise each agent has an MLP critic on
+                      the flat concat of everyone's observations and actions,
+                      regressed against the reward, and each policy steps
+                      against its own critic with only its own action
+                      regenerated (one-to-one).
+  attention actor  -- one centralized policy mapping all observations to all
+                      actions (no decentralized execution), instead of one
+                      MLP policy per agent
+  double Q         -- two critics whose minimum forms the Bellman target,
+                      plus delayed policy (and target) updates and clipped
+                      Gaussian smoothing noise on target actions
 
 In the predator-prey scenario only the predator type trains; prey actions
 come from the scripted flee policy or a loaded prey actor checkpoint.
@@ -25,6 +29,7 @@ come from the scripted flee policy or a loaded prey actor checkpoint.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,22 +76,6 @@ class AlgoKind(enum.Enum):
     @property
     def double_q(self) -> bool:
         return self in (AlgoKind.MATD3, AlgoKind.SA_MATD3, AlgoKind.DSA_MATD3)
-
-    @property
-    def delayed(self) -> bool:
-        return self.double_q
-
-    @property
-    def smoothing(self) -> bool:
-        return self.double_q
-
-    @property
-    def one_to_all(self) -> bool:
-        return self.attention_critic
-
-    @property
-    def total_q(self) -> bool:
-        return self.attention_critic
 
 
 @dataclass
@@ -136,22 +125,30 @@ class TrainConfig:
 class Transition:
     """One environment step for the trainable agents."""
 
-    obs: list[np.ndarray]
+    obs: np.ndarray            # (n, obs_dim)
     act: np.ndarray            # (n, act_dim)
     rew: np.ndarray            # (n_types,)
-    next_obs: list[np.ndarray]
+    next_obs: np.ndarray       # (n, obs_dim)
     done: bool
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring with uniform, within-batch-unique sampling."""
+    """Fixed-capacity FIFO ring with uniform, within-batch-unique sampling.
+
+    The trainable agents share one observation width, so observations are
+    held as one ``(capacity, n, obs_dim)`` array.
+    """
 
     def __init__(self, capacity: int, obs_dims: Sequence[int], act_dim: int,
                  n_types: int, rng: np.random.Generator):
+        if len(set(obs_dims)) != 1:
+            raise ValueError(
+                f"trainable agents need one observation width, got {list(obs_dims)}")
         self.capacity = capacity
         self.rng = rng
-        self.obs = [np.zeros((capacity, d), dtype=np.float32) for d in obs_dims]
-        self.next_obs = [np.zeros((capacity, d), dtype=np.float32) for d in obs_dims]
+        obs_shape = (capacity, len(obs_dims), obs_dims[0])
+        self.obs = np.zeros(obs_shape, dtype=np.float32)
+        self.next_obs = np.zeros(obs_shape, dtype=np.float32)
         self.act = np.zeros((capacity, len(obs_dims), act_dim), dtype=np.float32)
         self.rew = np.zeros((capacity, n_types), dtype=np.float32)
         self.done = np.zeros(capacity, dtype=np.float32)
@@ -163,10 +160,8 @@ class ReplayBuffer:
 
     def push(self, tr: Transition) -> None:
         i = self.cursor
-        for k, o in enumerate(tr.obs):
-            self.obs[k][i] = o
-        for k, o in enumerate(tr.next_obs):
-            self.next_obs[k][i] = o
+        self.obs[i] = tr.obs
+        self.next_obs[i] = tr.next_obs
         self.act[i] = tr.act
         self.rew[i] = tr.rew
         self.done[i] = float(tr.done)
@@ -178,22 +173,17 @@ class ReplayBuffer:
             raise ValueError(
                 f"cannot sample {batch_size} transitions from a buffer of {self.size}")
         idx = self.rng.choice(self.size, size=batch_size, replace=False)
-        return Batch(
-            obs=[o[idx] for o in self.obs],
-            act=self.act[idx],
-            rew=self.rew[idx],
-            next_obs=[o[idx] for o in self.next_obs],
-            done=self.done[idx],
-        )
+        return Batch(obs=self.obs[idx], act=self.act[idx], rew=self.rew[idx],
+                     next_obs=self.next_obs[idx], done=self.done[idx])
 
 
 @dataclass
 class Batch:
-    obs: list[np.ndarray]
-    act: np.ndarray
-    rew: np.ndarray
-    next_obs: list[np.ndarray]
-    done: np.ndarray
+    obs: np.ndarray            # (B, n, obs_dim)
+    act: np.ndarray            # (B, n, act_dim)
+    rew: np.ndarray            # (B, n_types)
+    next_obs: np.ndarray       # (B, n, obs_dim)
+    done: np.ndarray           # (B,)
 
 
 def soft_update(target_params: Sequence[Tensor], main_params: Sequence[Tensor],
@@ -209,26 +199,6 @@ def soft_update(target_params: Sequence[Tensor], main_params: Sequence[Tensor],
         t.data += tau * m.data
 
 
-def explore_action(actor, obs: np.ndarray, noise_std: float,
-                   bounds: tuple[float, float], rng: np.random.Generator) -> np.ndarray:
-    """Deterministic policy output plus clipped Gaussian exploration noise."""
-    action = actor.act(obs)
-    if noise_std > 0:
-        action = action + rng.normal(0.0, noise_std, size=action.shape)
-    return np.clip(action, bounds[0], bounds[1])
-
-
-def smoothed_target_actions(target_actors, next_obs: Sequence[np.ndarray],
-                            noise_std: float, bounds: tuple[float, float],
-                            rng: np.random.Generator) -> np.ndarray:
-    """Target-policy actions with smoothing noise, stacked to (B, n, act)."""
-    cols = [actor.act(o) for actor, o in zip(target_actors, next_obs)]
-    acts = np.stack(cols, axis=1)
-    if noise_std > 0:
-        acts = acts + rng.normal(0.0, noise_std, size=acts.shape)
-    return np.clip(acts, bounds[0], bounds[1])
-
-
 def train_step_scheduler(episode: int, cfg: TrainConfig,
                          kind: AlgoKind) -> tuple[bool, bool]:
     """(do_critic_update, do_policy_update) for a just-finished episode index."""
@@ -236,7 +206,7 @@ def train_step_scheduler(episode: int, cfg: TrainConfig,
     do_critic = episode >= start and episode % freq == 0
     if not do_critic:
         return False, False
-    if not kind.delayed:
+    if not kind.double_q:  # TD3 delays policy updates
         return True, True
     first = ((start + freq - 1) // freq) * freq
     ordinal = (episode - first) // freq + 1   # 1-based critic-update count
@@ -270,13 +240,14 @@ class Trainer:
             self.n = scenario.n_agents
         else:
             self.n = scenario.n_predators
-        self.obs_dims = self.env.obs_dims[: self.n]
+        obs_dims = self.env.obs_dims[: self.n]
         self.act_dim = 2
         self.reward_type = 0  # trainable agents are always type 0
 
-        self.buffer = ReplayBuffer(self.cfg.replay_capacity, self.obs_dims,
+        self.buffer = ReplayBuffer(self.cfg.replay_capacity, obs_dims,
                                    self.act_dim, self.env.n_types,
                                    np.random.default_rng(buffer_ss))
+        self.obs_dim = obs_dims[0]
         self._build_networks()
         self._setup_prey(prey_policy)
         self.episodes_seen = 0
@@ -286,54 +257,42 @@ class Trainer:
     # -- construction ----------------------------------------------------------
 
     def _build_networks(self) -> None:
+        """Actors first, then critics (agent-major for MLP critics), all from
+        ``init_rng``. ``actors`` holds one ``AttentionActor`` or n
+        ``MlpActor``s; ``critic_banks[group][twin]`` holds one group for the
+        attention critic or one group per agent for MLP critics."""
         cfg, kind, rng = self.cfg, self.kind, self.init_rng
-        dt = cfg.np_dtype
-        n_critics = 2 if kind.double_q else 1
+        attention = dict(hidden_dim=cfg.hidden_dim, heads=cfg.attention_heads,
+                         blocks=cfg.attention_blocks, dtype=cfg.np_dtype)
+        mlp = dict(hidden_dim=cfg.hidden_dim, hidden_layers=cfg.hidden_layers,
+                   dtype=cfg.np_dtype)
+        twins = 2 if kind.double_q else 1
 
         if kind.attention_actor:
-            if len(set(self.obs_dims)) != 1:
-                raise ValueError("centralized attention actor needs one agent type")
-            self.attention_actor = nets.AttentionActor(
-                self.obs_dims[0], self.act_dim, rng, hidden_dim=cfg.hidden_dim,
-                heads=cfg.attention_heads, blocks=cfg.attention_blocks, dtype=dt)
-            self.target_attention_actor = nets.clone(self.attention_actor)
-            self.actor_optims = [Adam(nets.parameters(self.attention_actor),
-                                      cfg.attention_lr)]
-            self.actors = None
-            self.target_actors = None
+            self.actors = [nets.AttentionActor(self.obs_dim, self.act_dim, rng,
+                                               **attention)]
+            actor_lr = cfg.attention_lr
         else:
-            self.attention_actor = None
-            self.target_attention_actor = None
-            self.actors = [nets.MlpActor(d, self.act_dim, rng,
-                                         hidden_dim=cfg.hidden_dim,
-                                         hidden_layers=cfg.hidden_layers, dtype=dt)
-                           for d in self.obs_dims]
-            self.target_actors = [nets.clone(a) for a in self.actors]
-            self.actor_optims = [Adam(nets.parameters(a), cfg.mlp_lr)
-                                 for a in self.actors]
+            self.actors = [nets.MlpActor(self.obs_dim, self.act_dim, rng, **mlp)
+                           for _ in range(self.n)]
+            actor_lr = cfg.mlp_lr
+        self.target_actors = [nets.clone(a) for a in self.actors]
+        self.actor_optims = [Adam(nets.parameters(a), actor_lr) for a in self.actors]
 
         if kind.attention_critic:
-            if len(set(self.obs_dims)) != 1:
-                raise ValueError("shared attention critic needs one agent type")
-            bank = [nets.CriticNet(self.obs_dims[0], self.act_dim, rng,
-                                   hidden_dim=cfg.hidden_dim,
-                                   heads=cfg.attention_heads,
-                                   blocks=cfg.attention_blocks, dtype=dt)
-                    for _ in range(n_critics)]
-            self.critic_banks = [bank]
-            self.critic_lr = cfg.attention_lr
+            self.critic_banks = [[nets.CriticNet(self.obs_dim, self.act_dim, rng,
+                                                 **attention)
+                                  for _ in range(twins)]]
+            critic_lr = cfg.attention_lr
         else:
-            flat_dim = sum(self.obs_dims) + self.n * self.act_dim
-            self.critic_banks = [
-                [nets.MlpCritic(flat_dim, rng, hidden_dim=cfg.hidden_dim,
-                                hidden_layers=cfg.hidden_layers, dtype=dt)
-                 for _ in range(n_critics)]
-                for _ in range(self.n)]
-            self.critic_lr = cfg.mlp_lr
+            flat_dim = self.n * (self.obs_dim + self.act_dim)
+            self.critic_banks = [[nets.MlpCritic(flat_dim, rng, **mlp)
+                                  for _ in range(twins)]
+                                 for _ in range(self.n)]
+            critic_lr = cfg.mlp_lr
         self.target_critic_banks = [[nets.clone(c) for c in bank]
                                     for bank in self.critic_banks]
-        self.critic_optims = [[Adam(nets.parameters(c), self.critic_lr)
-                               for c in bank]
+        self.critic_optims = [[Adam(nets.parameters(c), critic_lr) for c in bank]
                               for bank in self.critic_banks]
 
     def _setup_prey(self, prey_policy) -> None:
@@ -355,18 +314,16 @@ class Trainer:
 
     # -- rollout ---------------------------------------------------------------
 
-    def _trainable_actions(self, obs: list[np.ndarray], noise_std: float) -> np.ndarray:
-        bounds = (self.cfg.action_low, self.cfg.action_high)
-        if self.attention_actor is not None:
-            joint = self.attention_actor.act(
-                np.stack(obs[: self.n]).astype(self.cfg.np_dtype))
-            if noise_std > 0:
-                joint = joint + self.explore_rng.normal(0.0, noise_std, joint.shape)
-            return np.clip(joint, bounds[0], bounds[1])
-        return np.stack([
-            explore_action(actor, o.astype(self.cfg.np_dtype), noise_std, bounds,
-                           self.explore_rng)
-            for actor, o in zip(self.actors, obs[: self.n])])
+    def _trainable_actions(self, obs: np.ndarray, noise_std: float) -> np.ndarray:
+        """Joint action (n, act_dim) for one world state, plus clipped noise."""
+        obs = obs.astype(self.cfg.np_dtype)
+        if self.kind.attention_actor:
+            acts = self.actors[0].act(obs)
+        else:
+            acts = np.stack([actor.act(o) for actor, o in zip(self.actors, obs)])
+        if noise_std > 0:
+            acts = acts + self.explore_rng.normal(0.0, noise_std, acts.shape)
+        return np.clip(acts, self.cfg.action_low, self.cfg.action_high)
 
     def _prey_actions(self, env: ParticleWorld, obs: list[np.ndarray]) -> np.ndarray:
         cfg = self.scenario
@@ -392,210 +349,161 @@ class Trainer:
             store = explore
         noise = self.cfg.action_noise_std if explore else 0.0
         obs = env.reset()
+        own = np.stack(obs[: self.n])
         totals = np.zeros(env.n_types)
         for _ in range(self.scenario.episode_length):
-            acts = self._trainable_actions(obs, noise)
+            acts = self._trainable_actions(own, noise)
             if self.scenario.kind == PREDATOR_PREY:
                 full = np.concatenate([acts, self._prey_actions(env, obs)], axis=0)
             else:
                 full = acts
-            next_obs, rewards, done, _ = env.step(full)
+            obs, rewards, done, _ = env.step(full)
+            next_own = np.stack(obs[: self.n])
             if store:
-                self.buffer.push(Transition(
-                    obs=obs[: self.n], act=acts, rew=rewards,
-                    next_obs=next_obs[: self.n], done=done))
+                self.buffer.push(Transition(obs=own, act=acts, rew=rewards,
+                                            next_obs=next_own, done=done))
             totals += rewards
-            obs = next_obs
+            own = next_own
         return totals
 
     # -- updates ---------------------------------------------------------------
 
-    def _stack_obs(self, cols: list[np.ndarray]) -> np.ndarray:
-        return np.stack(cols, axis=1).astype(self.cfg.np_dtype)
+    def _joint_action(self, actors, obs: Tensor) -> Tensor:
+        """Actions (B, n, act_dim) of ``actors`` for observations (B, n, d)."""
+        if self.kind.attention_actor:
+            return actors[0].forward(obs)
+        return nd.stack([actor.forward(nd.select(obs, i, axis=1))
+                         for i, actor in enumerate(actors)], axis=1)
 
-    def _target_actions(self, batch: Batch) -> np.ndarray:
-        noise = self.cfg.critic_noise_std if self.kind.smoothing else 0.0
-        bounds = (self.cfg.action_low, self.cfg.action_high)
+    def _q(self, banks, twin: int, obs: Tensor, act: Tensor) -> Tensor:
+        """Per-agent Q values from twin ``twin`` of every critic group in ``banks``.
+
+        The shared attention critic maps (B, n, d) observations and (B, n, a)
+        actions to Q (B, n) itself. An MLP critic group sees the flat concat of
+        every observation and action and gives one column, so ``banks`` of g
+        agent critics give Q (B, g).
+        """
+        if self.kind.attention_critic:
+            return banks[0][twin].forward(obs, act)
+        batch = obs.shape[0]
+        flat = nd.concat([nd.reshape(obs, (batch, -1)), nd.reshape(act, (batch, -1))],
+                         axis=-1)
+        return nd.stack([bank[twin].forward(flat) for bank in banks], axis=1)
+
+    def _regressed_q(self, banks, twin: int, obs: Tensor, act: Tensor) -> Tensor:
+        """What the critics regress: total Q (B,) for the attention critic,
+        per-agent Q (B, n) for MLP critics."""
+        q = self._q(banks, twin, obs, act)
+        return nets.total_q(q) if self.kind.attention_critic else q
+
+    def _target_actions(self, next_obs: Tensor) -> np.ndarray:
+        """Target-policy actions (B, n, act_dim); double-Q kinds add clipped
+        smoothing noise."""
         with no_grad():
-            if self.target_attention_actor is not None:
-                acts = self.target_attention_actor.forward(
-                    Tensor(self._stack_obs(batch.next_obs))).data
-                if noise > 0:
-                    acts = acts + self.smooth_rng.normal(0.0, noise, acts.shape)
-                return np.clip(acts, bounds[0], bounds[1])
-            return smoothed_target_actions(self.target_actors, batch.next_obs,
-                                           noise, bounds, self.smooth_rng)
+            acts = self._joint_action(self.target_actors, next_obs).data
+        if self.kind.double_q and self.cfg.critic_noise_std > 0:
+            acts = acts + self.smooth_rng.normal(0.0, self.cfg.critic_noise_std,
+                                                 acts.shape)
+        return np.clip(acts, self.cfg.action_low, self.cfg.action_high)
 
-    def compute_target_y(self, batch: Batch) -> np.ndarray | list[np.ndarray]:
+    def compute_target_y(self, batch: Batch) -> np.ndarray:
         """Bellman targets, detached from every main-network parameter.
 
-        Attention kinds return one (B,) array of total-Q targets; baseline
-        kinds return one (B,) array per agent.
+        Attention kinds return one (B,) array of total-Q targets; MLP kinds
+        return (B, n), column i for agent i's critic.
         """
         cfg = self.cfg
-        target_acts = self._target_actions(batch)
+        next_obs = Tensor(batch.next_obs, dtype=cfg.np_dtype)
+        act = Tensor(self._target_actions(next_obs), dtype=cfg.np_dtype)
+        with no_grad():
+            qs = [self._regressed_q(self.target_critic_banks, twin, next_obs, act).data
+                  for twin in range(len(self.target_critic_banks[0]))]
+        q = qs[0] if len(qs) == 1 else np.minimum(*qs)
         r = batch.rew[:, self.reward_type].astype(np.float64)
         cont = cfg.gamma * (1.0 - batch.done.astype(np.float64))
-
-        with no_grad():
-            if self.kind.attention_critic:
-                obs_t = Tensor(self._stack_obs(batch.next_obs))
-                act_t = Tensor(target_acts.astype(cfg.np_dtype))
-                totals = [nets.total_q(c.forward(obs_t, act_t)).data
-                          for c in self.target_critic_banks[0]]
-                q = totals[0] if len(totals) == 1 else np.minimum(*totals)
-                return (r + cont * q).astype(cfg.np_dtype)
-
-            flat = np.concatenate(
-                [o for o in batch.next_obs]
-                + [target_acts.reshape(len(r), -1)], axis=1).astype(cfg.np_dtype)
-            flat_t = Tensor(flat)
-            ys = []
-            for bank in self.target_critic_banks:
-                qs = [c.forward(flat_t).data for c in bank]
-                q = qs[0] if len(qs) == 1 else np.minimum(*qs)
-                ys.append((r + cont * q).astype(cfg.np_dtype))
-            return ys
+        if q.ndim == 2:
+            r, cont = r[:, None], cont[:, None]
+        return (r + cont * q).astype(cfg.np_dtype)
 
     def critic_update(self, batch: Batch, y=None) -> float:
-        """One Adam step on every critic toward the Bellman targets."""
+        """One Adam step on every critic toward the Bellman targets.
+
+        Each twin takes one backward pass over the summed MSE losses of its
+        members (the shared critic, or the n agent critics); each member is
+        then clipped and stepped on its own. Returns the mean member loss.
+        """
         cfg = self.cfg
         if y is None:
             y = self.compute_target_y(batch)
-        losses = []
-
-        if self.kind.attention_critic:
-            obs_t = Tensor(self._stack_obs(batch.obs))
-            act_t = Tensor(batch.act.astype(cfg.np_dtype))
-            y_t = Tensor(np.asarray(y), dtype=cfg.np_dtype)
-            for critic, opt in zip(self.critic_banks[0], self.critic_optims[0]):
-                diff = nets.total_q(critic.forward(obs_t, act_t)) - y_t
-                loss = nd.tmean(nd.mul(diff, diff))
-                losses.append(self._step_net(loss, critic, opt))
-        else:
-            flat = np.concatenate(
-                list(batch.obs) + [batch.act.reshape(batch.act.shape[0], -1)],
-                axis=1).astype(cfg.np_dtype)
-            flat_t = Tensor(flat)
-            for i, (bank, opts) in enumerate(zip(self.critic_banks,
-                                                 self.critic_optims)):
-                y_t = Tensor(np.asarray(y[i]), dtype=cfg.np_dtype)
-                for critic, opt in zip(bank, opts):
-                    diff = critic.forward(flat_t) - y_t
-                    loss = nd.tmean(nd.mul(diff, diff))
-                    losses.append(self._step_net(loss, critic, opt))
-
+        obs = Tensor(batch.obs, dtype=cfg.np_dtype)
+        act = Tensor(batch.act, dtype=cfg.np_dtype)
+        y_t = Tensor(np.asarray(y), dtype=cfg.np_dtype)
+        losses: list[float] = []
+        for twin in range(len(self.critic_banks[0])):
+            diff = self._regressed_q(self.critic_banks, twin, obs, act) - y_t
+            # one MSE per member; an agent critic's loss is taken over its
+            # own column, so it sums in the same order as a lone critic's
+            if diff.ndim == 1:
+                member_diffs = [diff]
+            else:
+                member_diffs = [nd.select(diff, i, axis=1) for i in range(diff.shape[1])]
+            member_losses = [nd.tmean(nd.mul(d, d)) for d in member_diffs]
+            loss = functools.reduce(nd.add, member_losses)
+            if not np.isfinite(loss.item()):
+                raise NonFiniteLossError(
+                    f"non-finite critic loss at update {self.critic_updates}: "
+                    f"{loss.item()}")
+            members = [bank[twin] for bank in self.critic_banks]
+            backward(loss, params=[p for c in members for p in nets.parameters(c)])
+            for critic, optims in zip(members, self.critic_optims):
+                clip_grad_norm([p.grad for p in nets.parameters(critic)], cfg.grad_clip)
+                optims[twin].step()
+            losses += [m.item() for m in member_losses]
         self.critic_updates += 1
         return float(np.mean(losses))
 
-    def _step_net(self, loss: Tensor, net, opt: Adam) -> float:
-        value = loss.item()
-        if not np.isfinite(value):
-            raise NonFiniteLossError(
-                f"non-finite critic loss at update {self.critic_updates}: {value}")
-        params = nets.parameters(net)
-        backward(loss, params=params)
-        clip_grad_norm([p.grad for p in params], self.cfg.grad_clip)
-        opt.step()
-        return value
+    def policy_update(self, batch: Batch) -> list[float]:
+        """Step every policy against critic #1; returns per-actor gradient norms.
 
-    def policy_update(self, batch: Batch, mode: str | None = None) -> list[float]:
-        """Update policies against critic #1; returns per-actor gradient norms.
-
-        ``mode`` defaults to the kind's native update style; it exists so the
-        two styles can be compared on an identical trainer.
+        One backward pass over minus the mean total Q. With the attention
+        critic every action is regenerated (one-to-all); with MLP critics
+        critic i sees agent i's regenerated action and everyone else's buffer
+        action (one-to-one), so actor i learns from critic i alone.
         """
-        if mode is None:
-            mode = "one_to_all" if self.kind.one_to_all else "one_to_one"
-        if mode == "one_to_all":
-            norms = self._policy_update_one_to_all(batch)
-        elif mode == "one_to_one":
-            norms = self._policy_update_one_to_one(batch)
-        else:
-            raise ValueError(f"unknown policy update mode '{mode}'")
-        self.policy_updates += 1
-        self._soft_update_all()
-        return norms
-
-    def _actor_params(self) -> list[list[Tensor]]:
-        if self.attention_actor is not None:
-            return [nets.parameters(self.attention_actor)]
-        return [nets.parameters(a) for a in self.actors]
-
-    def _policy_update_one_to_all(self, batch: Batch) -> list[float]:
         cfg = self.cfg
-        obs_t = Tensor(self._stack_obs(batch.obs))
-        if self.attention_actor is not None:
-            fresh = self.attention_actor.forward(obs_t)
-        else:
-            cols = [actor.forward(Tensor(o.astype(cfg.np_dtype)))
-                    for actor, o in zip(self.actors, batch.obs)]
-            fresh = nd.stack(cols, axis=1)
-
-        critic = self.critic_banks[0][0]
+        obs = Tensor(batch.obs, dtype=cfg.np_dtype)
         if self.kind.attention_critic:
-            q = nets.total_q(critic.forward(obs_t, fresh))
+            q = self._q(self.critic_banks, 0, obs, self._joint_action(self.actors, obs))
         else:
-            flat = nd.concat([Tensor(o.astype(cfg.np_dtype)) for o in batch.obs]
-                             + [nd.reshape(fresh, (fresh.shape[0], -1))], axis=-1)
-            q = critic.forward(flat)
-        loss = -nd.tmean(q)
+            stored = [Tensor(batch.act[:, j], dtype=cfg.np_dtype) for j in range(self.n)]
+            columns = []
+            for i, actor in enumerate(self.actors):
+                acts = stored.copy()
+                acts[i] = actor.forward(nd.select(obs, i, axis=1))
+                columns.append(self._q(self.critic_banks[i:i + 1], 0, obs,
+                                       nd.stack(acts, axis=1)))
+            q = nd.concat(columns, axis=-1)
+        loss = -nd.tmean(nets.total_q(q))
         if not np.isfinite(loss.item()):
             raise NonFiniteLossError(f"non-finite policy loss: {loss.item()}")
 
-        per_actor = self._actor_params()
-        backward(loss, params=[p for ps in per_actor for p in ps])
+        backward(loss, params=[p for a in self.actors for p in nets.parameters(a)])
         norms = []
-        for params, opt in zip(per_actor, self.actor_optims):
-            norms.append(clip_grad_norm([p.grad for p in params], cfg.grad_clip))
+        for actor, opt in zip(self.actors, self.actor_optims):
+            norms.append(clip_grad_norm([p.grad for p in nets.parameters(actor)],
+                                        cfg.grad_clip))
             opt.step()
+        self.policy_updates += 1
+        for tgt, main in self._target_pairs():
+            soft_update(nets.parameters(tgt), nets.parameters(main), cfg.tau)
         return norms
 
-    def _policy_update_one_to_one(self, batch: Batch) -> list[float]:
-        return [self.policy_update_agent(i, batch) for i in range(self.n)]
-
-    def policy_update_agent(self, i: int, batch: Batch) -> float:
-        """One-to-one update for agent ``i`` alone.
-
-        Only agent ``i``'s action is regenerated from its current policy;
-        every other action comes straight from the buffer, and only actor
-        ``i`` takes an optimizer step. Returns the pre-clip gradient norm.
-        """
-        cfg = self.cfg
-        if self.attention_actor is not None:
-            raise ValueError("one-to-one updates need per-agent actors")
-        actor, opt = self.actors[i], self.actor_optims[i]
-        fresh_i = actor.forward(Tensor(batch.obs[i].astype(cfg.np_dtype)))
-        cols = [fresh_i if j == i else Tensor(batch.act[:, j].astype(cfg.np_dtype))
-                for j in range(self.n)]
-        if self.kind.attention_critic:
-            obs_t = Tensor(self._stack_obs(batch.obs))
-            q = nd.select(self.critic_banks[0][0].forward(
-                obs_t, nd.stack(cols, axis=1)), i, axis=-1)
-        else:
-            flat = nd.concat([Tensor(o.astype(cfg.np_dtype)) for o in batch.obs]
-                             + cols, axis=-1)
-            q = self.critic_banks[i][0].forward(flat)
-        loss = -nd.tmean(q)
-        if not np.isfinite(loss.item()):
-            raise NonFiniteLossError(f"non-finite policy loss: {loss.item()}")
-        params = nets.parameters(actor)
-        backward(loss, params=params)
-        norm = clip_grad_norm([p.grad for p in params], cfg.grad_clip)
-        opt.step()
-        return norm
-
-    def _soft_update_all(self) -> None:
-        tau = self.cfg.tau
-        if self.attention_actor is not None:
-            soft_update(nets.parameters(self.target_attention_actor),
-                        nets.parameters(self.attention_actor), tau)
-        else:
-            for tgt, main in zip(self.target_actors, self.actors):
-                soft_update(nets.parameters(tgt), nets.parameters(main), tau)
+    def _target_pairs(self) -> list[tuple[object, object]]:
+        """(target, main) network pairs: every actor, then every critic."""
+        pairs = list(zip(self.target_actors, self.actors))
         for tbank, bank in zip(self.target_critic_banks, self.critic_banks):
-            for tc, c in zip(tbank, bank):
-                soft_update(nets.parameters(tc), nets.parameters(c), tau)
+            pairs += zip(tbank, bank)
+        return pairs
 
     def update_from_batch(self, batch: Batch, do_policy: bool) -> dict:
         stats = {"critic_loss": self.critic_update(batch)}
@@ -620,18 +528,14 @@ class Trainer:
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out: list[tuple[str, Tensor]] = []
-        if self.attention_actor is not None:
-            out += self.attention_actor.named_parameters("attention_actor.")
-        else:
-            for i, actor in enumerate(self.actors):
-                out += actor.named_parameters(f"actor.{i}.")
-        if self.kind.attention_critic:
-            for j, critic in enumerate(self.critic_banks[0]):
-                out += critic.named_parameters(f"shared_critic.{j + 1}.")
-        else:
-            for i, bank in enumerate(self.critic_banks):
-                for j, critic in enumerate(bank):
-                    out += critic.named_parameters(f"agent_critic.{i}.{j + 1}.")
+        for i, actor in enumerate(self.actors):
+            out += actor.named_parameters(
+                "attention_actor." if self.kind.attention_actor else f"actor.{i}.")
+        for i, bank in enumerate(self.critic_banks):
+            for j, critic in enumerate(bank):
+                out += critic.named_parameters(
+                    f"shared_critic.{j + 1}." if self.kind.attention_critic
+                    else f"agent_critic.{i}.{j + 1}.")
         return out
 
     def save(self, directory, episode: int):
@@ -657,11 +561,5 @@ class Trainer:
         return manifest.episode
 
     def _sync_targets(self) -> None:
-        if self.attention_actor is not None:
-            nets.copy_params(self.target_attention_actor, self.attention_actor)
-        else:
-            for tgt, main in zip(self.target_actors, self.actors):
-                nets.copy_params(tgt, main)
-        for tbank, bank in zip(self.target_critic_banks, self.critic_banks):
-            for tc, c in zip(tbank, bank):
-                nets.copy_params(tc, c)
+        for tgt, main in self._target_pairs():
+            nets.copy_params(tgt, main)

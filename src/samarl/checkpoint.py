@@ -1,10 +1,10 @@
-"""Checkpoint serialization: plain-text manifest plus one raw float32 blob.
+"""Checkpoint serialization: plain-text manifest plus one raw blob.
 
 A checkpoint is a directory holding ``manifest.txt`` and ``params.bin``. The
 manifest records run metadata and, per tensor, its name, shape, dtype, and
 byte offset into the blob. The blob is the concatenation of all tensors in
-manifest order as little-endian IEEE-754 single precision, C order. Saving
-and re-loading is bit-exact.
+manifest order, C order, each as little-endian IEEE-754 in its own precision:
+float32 or float64. Saving and re-loading is bit-exact.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import numpy as np
 MANIFEST_FILE = "manifest.txt"
 BLOB_FILE = "params.bin"
 FORMAT_VERSION = 1
+# manifest dtype name -> little-endian blob encoding
+BLOB_DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
 
 
 class CheckpointError(RuntimeError):
@@ -45,22 +47,23 @@ def _parse_shape(text: str) -> tuple[int, ...]:
 
 def save_checkpoint(directory, named_tensors, *, algo: str, scenario: str,
                     agents: int, episode: int) -> Path:
-    """Write ``named_tensors`` (iterable of (name, tensor-or-array)) to ``directory``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    """Write ``named_tensors`` (iterable of (name, tensor-or-array)) to ``directory``.
 
+    Every name and dtype is checked before the directory is created.
+    """
     entries = []
     chunks = []
     offset = 0
     for name, tensor in named_tensors:
         arr = np.asarray(getattr(tensor, "data", tensor))
-        if arr.dtype != np.float32:
+        if arr.dtype.name not in BLOB_DTYPES:
             raise CheckpointError(
-                f"checkpoint blob is single precision; tensor '{name}' has dtype {arr.dtype}")
+                f"checkpoint tensors are float32 or float64; '{name}' has dtype {arr.dtype}")
         if " " in name:
             raise CheckpointError(f"tensor name may not contain spaces: '{name}'")
-        raw = np.ascontiguousarray(arr).astype("<f4", copy=False).tobytes()
-        entries.append((name, arr.shape, "float32", offset))
+        raw = np.ascontiguousarray(arr).astype(BLOB_DTYPES[arr.dtype.name],
+                                              copy=False).tobytes()
+        entries.append((name, arr.shape, arr.dtype.name, offset))
         chunks.append(raw)
         offset += len(raw)
 
@@ -73,6 +76,8 @@ def save_checkpoint(directory, named_tensors, *, algo: str, scenario: str,
     ]
     for name, shape, dtype, off in entries:
         lines.append(f"tensor {name} {_shape_str(shape)} {dtype} {off}")
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     (directory / MANIFEST_FILE).write_text("\n".join(lines) + "\n")
     (directory / BLOB_FILE).write_bytes(b"".join(chunks))
     return directory
@@ -108,17 +113,18 @@ def load_checkpoint(directory) -> tuple[CheckpointManifest, dict[str, np.ndarray
     blob = blob_path.read_bytes()
     tensors: dict[str, np.ndarray] = {}
     for name, shape, dtype, off in entries:
-        if dtype != "float32":
+        if dtype not in BLOB_DTYPES:
             raise CheckpointError(f"tensor '{name}' has unsupported dtype {dtype}")
+        encoding = BLOB_DTYPES[dtype]
         count = int(np.prod(shape)) if shape else 1
-        end = off + 4 * count
+        end = off + encoding.itemsize * count
         if end > len(blob):
             raise CheckpointError(
                 f"tensor '{name}' extends past blob end ({end} > {len(blob)})")
         if name in tensors:
             raise CheckpointError(f"duplicate tensor name '{name}'")
-        flat = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-        tensors[name] = flat.reshape(shape).copy()
+        flat = np.frombuffer(blob, dtype=encoding, count=count, offset=off)
+        tensors[name] = flat.reshape(shape).astype(dtype)
 
     manifest = CheckpointManifest(
         version=version,

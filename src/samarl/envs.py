@@ -15,7 +15,7 @@ Physics is a semi-implicit Euler step: velocities are damped, accelerated by
 body's max speed, and integrated into positions. Everything is float64 and
 fully determined by (config, seed, actions).
 
-Observation layout (version 1), fixed per scenario and agent count:
+Observation layout, fixed per scenario and agent count:
   [own vx, own vy, own x, own y,
    relative position of each landmark/obstacle in index order,
    relative position of every other agent in index order,
@@ -24,34 +24,16 @@ Observation layout (version 1), fixed per scenario and agent count:
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 COOP_NAV = "coop_nav"
 PREDATOR_PREY = "predator_prey"
 
-OBSERVATION_LAYOUT_VERSION = 1
-
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class Body:
-    """One physical entity; agents are movable, landmarks/obstacles are not."""
-    pos: np.ndarray
-    vel: np.ndarray
-    radius: float
-    mass: float
-    max_speed: float
-    accel: float
-    movable: bool
-    collides: bool
-    role: str  # "agent" | "predator" | "prey" | "landmark" | "obstacle"
 
 
 @dataclass
@@ -132,25 +114,6 @@ def observation_dim(cfg: ScenarioConfig, agent: int) -> int:
     return base + 2 * opposite
 
 
-def observation_layout(cfg: ScenarioConfig, agent: int) -> list[str]:
-    """Component labels for agent ``agent``'s observation, in order."""
-    labels = ["own_vx", "own_vy", "own_x", "own_y"]
-    tag = "landmark" if cfg.kind == COOP_NAV else "obstacle"
-    for i in range(cfg.n_landmarks):
-        labels += [f"{tag}{i}_dx", f"{tag}{i}_dy"]
-    for j in range(cfg.n_agents):
-        if j != agent:
-            labels += [f"agent{j}_dx", f"agent{j}_dy"]
-    if cfg.kind == PREDATOR_PREY:
-        if agent < cfg.n_predators:
-            others = range(cfg.n_predators, cfg.n_agents)
-        else:
-            others = range(cfg.n_predators)
-        for j in others:
-            labels += [f"agent{j}_vx", f"agent{j}_vy"]
-    return labels
-
-
 class ParticleWorld:
     """One scenario instance; owns the body arrays and an RNG for resets."""
 
@@ -202,25 +165,10 @@ class ParticleWorld:
         self.collides = np.array(collides)
         self.pos = np.zeros((self.n_bodies, 2))
         self.vel = np.zeros((self.n_bodies, 2))
-        if cfg.kind == COOP_NAV:
-            self.agent_type = [0] * cfg.n_agents
-        else:
-            self.agent_type = [0] * cfg.n_predators + [1] * cfg.n_prey
 
     @property
     def n_types(self) -> int:
         return len(self.cfg.type_names)
-
-    def bodies(self) -> list[Body]:
-        """Snapshot of the current world as Body records."""
-        return [
-            Body(pos=self.pos[i].copy(), vel=self.vel[i].copy(),
-                 radius=float(self.radius[i]), mass=float(self.mass[i]),
-                 max_speed=float(self.max_speed[i]), accel=float(self.accel[i]),
-                 movable=bool(self.movable[i]), collides=bool(self.collides[i]),
-                 role=self.roles[i])
-            for i in range(self.n_bodies)
-        ]
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -402,37 +350,3 @@ def scripted_prey(world: ParticleWorld, prey_index: int) -> np.ndarray:
                 (cfg.prey_obstacle_range - d) / cfg.prey_obstacle_range)
 
     return np.clip(action, -1.0, 1.0)
-
-
-class TrajectoryWriter:
-    """Optional per-step CSV dump for offline rendering.
-
-    Columns: step, body, x, y, vx, vy, reward. The reward column carries the
-    body's type reward for agents and is empty for landmarks/obstacles.
-    """
-
-    HEADER = "step,body,x,y,vx,vy,reward"
-
-    def __init__(self, path):
-        self.path = Path(path)
-        self._fh = self.path.open("w")
-        self._fh.write(self.HEADER + "\n")
-
-    def record(self, world: ParticleWorld, rewards=None) -> None:
-        for i in range(world.n_bodies):
-            if i < world.n_agents and rewards is not None:
-                reward = f"{rewards[world.agent_type[i]]:.6f}"
-            else:
-                reward = ""
-            x, y = world.pos[i]
-            vx, vy = world.vel[i]
-            self._fh.write(f"{world.t},{i},{x:.9f},{y:.9f},{vx:.9f},{vy:.9f},{reward}\n")
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()

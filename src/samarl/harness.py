@@ -30,7 +30,7 @@ from .algo import (
     TrainConfig,
     Trainer,
 )
-from .checkpoint import save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .envs import COOP_NAV, PREDATOR_PREY, ParticleWorld, ScenarioConfig
 
 CSV_COLUMNS = ["episode", "env_steps", "wall_s", "reward_type0", "reward_type1",
@@ -273,14 +273,10 @@ def evaluate(checkpoint, episodes: int, seed: int, *,
              train_cfg: TrainConfig | None = None,
              prey: str = "scripted") -> dict:
     """Evaluate a saved checkpoint; statistics are per agent type."""
-    from .checkpoint import load_checkpoint
-
     manifest, _ = load_checkpoint(checkpoint)
     kind = AlgoKind.parse(manifest.algo)
-    if manifest.scenario == COOP_NAV:
-        scenario = ScenarioConfig.coop_nav(manifest.agents)
-    else:
-        scenario = ScenarioConfig.predator_prey(manifest.agents)
+    scenario = RunConfig(scenario=manifest.scenario,
+                         agents=manifest.agents).scenario_config()
     trainer = Trainer(scenario, kind, train_cfg or TrainConfig(), seed=seed,
                       prey_policy=prey)
     trainer.restore(checkpoint)

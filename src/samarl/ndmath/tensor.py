@@ -257,24 +257,6 @@ def neg(a: Tensor) -> Tensor:
     return _maybe((a,), -a.data, build)
 
 
-def minimum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise min; on ties the gradient routes to the first operand."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"minimum operands must match: {a.shape} vs {b.shape}")
-
-    take_a = a.data <= b.data
-
-    def build():
-        def vjp(g):
-            if a._tracked():
-                a._accum(np.where(take_a, g, 0.0), own=True)
-            if b._tracked():
-                b._accum(np.where(take_a, 0.0, g), own=True)
-        return vjp
-
-    return _maybe((a, b), np.where(take_a, a.data, b.data), build)
-
-
 # -- matrix product -----------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

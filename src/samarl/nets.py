@@ -16,8 +16,6 @@ optional dtype (float64 is used by the gradient-check suite).
 from __future__ import annotations
 
 import copy
-from typing import Sequence
-
 import numpy as np
 
 from . import ndmath as nd
@@ -175,15 +173,12 @@ class CriticNet:
 
     One embedding, one attention stack, and one position-wise Q head are
     shared across every agent slot, so the per-agent outputs are exactly
-    equivariant under agent permutations. ``positional_bias=True`` injects a
-    learned per-slot offset after the embedding; it exists purely as a
-    negative control for that property and is never used in training.
+    equivariant under agent permutations.
     """
 
     def __init__(self, obs_dim: int, act_dim: int, rng: np.random.Generator, *,
                  hidden_dim: int = 64, heads: int = 4, blocks: int = 2,
-                 dtype=np.float32, positional_bias: bool = False,
-                 n_agents: int | None = None):
+                 dtype=np.float32):
         self.obs_dim = obs_dim
         self.act_dim = act_dim
         self.embed = Linear(obs_dim + act_dim, hidden_dim, rng, dtype)
@@ -191,20 +186,12 @@ class CriticNet:
                        for _ in range(blocks)]
         self.q_hidden = Linear(hidden_dim, hidden_dim, rng, dtype)
         self.q_out = Linear(hidden_dim, 1, rng, dtype)
-        self.pos_bias: Tensor | None = None
-        if positional_bias:
-            if n_agents is None:
-                raise ValueError("positional_bias requires n_agents")
-            self.pos_bias = Tensor(rng.normal(size=(n_agents, hidden_dim)),
-                                   requires_grad=True, dtype=dtype)
 
     def forward(self, obs: Tensor, act: Tensor) -> Tensor:
         if obs.shape[:2] != act.shape[:2]:
             raise nd.ShapeError(
                 f"observation/action agent layouts disagree: {obs.shape} vs {act.shape}")
         x = nd.leaky_relu(self.embed(nd.concat([obs, act], axis=-1)))
-        if self.pos_bias is not None:
-            x = x + self.pos_bias
         for block in self.blocks:
             x = block.forward(x)
         q = self.q_out(nd.leaky_relu(self.q_hidden(x)))  # (B, n, 1)
@@ -216,33 +203,7 @@ class CriticNet:
             out += block.named_parameters(f"{prefix}blocks.{i}.")
         out += self.q_hidden.named_parameters(prefix + "q_hidden.")
         out += self.q_out.named_parameters(prefix + "q_out.")
-        if self.pos_bias is not None:
-            out.append((prefix + "pos_bias", self.pos_bias))
         return out
-
-
-class DoubleCritic:
-    """Two independent critics of identical architecture; never share weights."""
-
-    def __init__(self, first, second):
-        if first is second:
-            raise ValueError("double critic needs two distinct critic instances")
-        self.critics = [first, second]
-
-    def min_q(self, *inputs) -> Tensor:
-        return nd.minimum(self.critics[0].forward(*inputs),
-                          self.critics[1].forward(*inputs))
-
-    def named_parameters(self, prefix: str = ""):
-        out = []
-        for i, c in enumerate(self.critics):
-            out += c.named_parameters(f"{prefix}critic{i + 1}.")
-        return out
-
-
-def double_min(dc: DoubleCritic, *inputs) -> Tensor:
-    """Elementwise minimum of the two critics' outputs."""
-    return dc.min_q(*inputs)
 
 
 class AttentionActor:

@@ -21,6 +21,7 @@ from samarl.ndmath import Tensor, gradient_check
 
 from test_algo import TestBaselineRecovery, small_cfg
 from test_envs import scalar_physics_oracle
+from test_nets import SlotBiasedCritic
 
 CACHE = Path(__file__).resolve().parent.parent / ".acceptance_cache"
 
@@ -95,9 +96,8 @@ def test_criterion_2_permutation_suite():
             qp.sum(axis=-1) - q.sum(axis=-1)))))
 
     # negative control: an injected per-slot bias must break the property
-    biased = nets.CriticNet(5, 2, np.random.default_rng(7), hidden_dim=16,
-                            heads=2, dtype=np.float64, positional_bias=True,
-                            n_agents=4)
+    biased = SlotBiasedCritic(5, 2, np.random.default_rng(7), hidden_dim=16,
+                              heads=2, dtype=np.float64, n_agents=4)
     obs = rng.normal(size=(3, 4, 5))
     act = rng.normal(size=(3, 4, 2))
     perm = np.array([1, 0, 3, 2])

@@ -1,5 +1,7 @@
 """Trainer mechanics: buffer, scheduler, targets, updates, baseline oracle."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,6 @@ from samarl.algo import (
     TrainConfig,
     Trainer,
     Transition,
-    explore_action,
-    smoothed_target_actions,
     soft_update,
     train_step_scheduler,
 )
@@ -32,12 +32,13 @@ def small_cfg(**overrides):
 
 def fill_buffer(trainer, count, seed=0):
     rng = np.random.default_rng(seed)
+    shape = (trainer.n, trainer.obs_dim)
     for _ in range(count):
         trainer.buffer.push(Transition(
-            obs=[rng.normal(size=d).astype(np.float32) for d in trainer.obs_dims],
+            obs=rng.normal(size=shape).astype(np.float32),
             act=rng.uniform(-1, 1, size=(trainer.n, 2)).astype(np.float32),
             rew=rng.normal(size=trainer.env.n_types).astype(np.float32),
-            next_obs=[rng.normal(size=d).astype(np.float32) for d in trainer.obs_dims],
+            next_obs=rng.normal(size=shape).astype(np.float32),
             done=bool(rng.random() < 0.2),
         ))
 
@@ -47,13 +48,15 @@ def snapshot(named):
 
 
 class ConstantQCritic:
-    """Stub: fixed per-agent Q values regardless of input."""
+    """Stub: a fixed output regardless of input; per-agent Q values for the
+    shared critic (``forward(obs, act)``), or one scalar for an agent's MLP
+    critic (``forward(flat)``)."""
 
-    def __init__(self, per_agent_values):
-        self.values = np.asarray(per_agent_values, dtype=np.float32)
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float32)
 
-    def forward(self, obs_t, act_t):
-        return Tensor(np.tile(self.values, (obs_t.shape[0], 1)))
+    def forward(self, x, act=None):
+        return Tensor(np.repeat(self.values[None], x.shape[0], axis=0))
 
     def named_parameters(self, prefix=""):
         return []
@@ -69,19 +72,29 @@ class ActionSumCritic:
         return []
 
 
+class FlatSumCritic:
+    """Stub agent critic: Q = sum of its flat (observations, actions) input."""
+
+    def forward(self, flat):
+        return nd.tsum(flat, axis=-1)
+
+    def named_parameters(self, prefix=""):
+        return []
+
+
 class TestAlgoKind:
     def test_switch_matrix(self):
         k = AlgoKind
         assert not k.MADDPG.double_q and not k.MADDPG.attention_critic
-        assert k.MATD3.double_q and k.MATD3.delayed and k.MATD3.smoothing
-        assert not k.MATD3.attention_critic
-        assert k.SA_MADDPG.attention_critic and k.SA_MADDPG.one_to_all
+        assert k.MATD3.double_q and not k.MATD3.attention_critic
+        assert k.SA_MADDPG.attention_critic
         assert not k.SA_MADDPG.double_q and not k.SA_MADDPG.attention_actor
         assert k.SA_MATD3.attention_critic and k.SA_MATD3.double_q
         assert k.DSA_MADDPG.attention_actor and not k.DSA_MADDPG.double_q
         assert k.DSA_MATD3.attention_actor and k.DSA_MATD3.double_q
         for kind in k:
-            assert kind.one_to_all == kind.attention_critic == kind.total_q
+            # a centralized actor has no per-agent policy for one-to-one updates
+            assert kind.attention_critic or not kind.attention_actor
 
     def test_parse(self):
         assert AlgoKind.parse("SA-MATD3") is AlgoKind.SA_MATD3
@@ -121,10 +134,10 @@ class TestReplayBuffer:
                             rng=np.random.default_rng(seed))
 
     def _tr(self, tag):
-        return Transition(obs=[np.full(3, tag, dtype=np.float32)],
+        return Transition(obs=np.full((1, 3), tag, dtype=np.float32),
                           act=np.zeros((1, 2), dtype=np.float32),
                           rew=np.array([tag], dtype=np.float32),
-                          next_obs=[np.zeros(3, dtype=np.float32)],
+                          next_obs=np.zeros((1, 3), dtype=np.float32),
                           done=False)
 
     def test_fifo_eviction(self):
@@ -141,8 +154,9 @@ class TestReplayBuffer:
         for tag in range(7):
             buf.push(self._tr(float(tag)))
         batch = buf.sample(4)
-        assert batch.obs[0].shape == (4, 3)
+        assert batch.obs.shape == batch.next_obs.shape == (4, 1, 3)
         assert batch.act.shape == (4, 1, 2)
+        assert np.array_equal(batch.obs[:, 0, 0], batch.rew[:, 0])
         assert set(batch.rew[:, 0].tolist()) <= {float(t) for t in range(7)}
 
     def test_no_duplicates_within_batch(self):
@@ -153,6 +167,11 @@ class TestReplayBuffer:
             batch = buf.sample(10)
             tags = batch.rew[:, 0].tolist()
             assert len(set(tags)) == len(tags)
+
+    def test_mixed_observation_widths_rejected(self):
+        with pytest.raises(ValueError, match="one observation width"):
+            ReplayBuffer(5, obs_dims=[3, 4], act_dim=2, n_types=1,
+                         rng=np.random.default_rng(0))
 
     def test_underfilled_sampling_rejected(self):
         buf = self._buffer()
@@ -233,50 +252,75 @@ class TestScheduler:
 
 
 class TestExploration:
-    def _actor(self):
-        return nets.MlpActor(4, 2, np.random.default_rng(0), hidden_dim=8)
+    """Rollout noise (``_trainable_actions``) and target smoothing
+    (``_target_actions``) on the trainer."""
+
+    def _trainer(self, kind=AlgoKind.MATD3, n=2, **cfg):
+        return make_trainer(kind, n=n, **cfg)
+
+    def _obs(self, trainer, seed=0):
+        return np.random.default_rng(seed).normal(size=(trainer.n, trainer.obs_dim))
 
     def test_zero_noise_is_exact(self):
-        actor = self._actor()
-        obs = np.ones(4, dtype=np.float32)
-        rng = np.random.default_rng(1)
-        out = explore_action(actor, obs, 0.0, (-1, 1), rng)
-        assert np.array_equal(out, actor.act(obs))
+        for kind in (AlgoKind.MATD3, AlgoKind.DSA_MATD3):
+            trainer = self._trainer(kind)
+            obs = self._obs(trainer)
+            out = trainer._trainable_actions(obs, 0.0)
+            if kind.attention_actor:
+                expected = trainer.actors[0].act(obs.astype(np.float32))
+            else:
+                expected = np.stack([a.act(o.astype(np.float32))
+                                     for a, o in zip(trainer.actors, obs)])
+            assert np.array_equal(out, expected), kind
 
     def test_always_within_bounds(self):
-        actor = self._actor()
+        trainer = self._trainer()
         rng = np.random.default_rng(2)
         for _ in range(50):
-            out = explore_action(actor, rng.normal(size=4).astype(np.float32),
-                                 5.0, (-1, 1), rng)
+            out = trainer._trainable_actions(rng.normal(size=(2, trainer.obs_dim)), 5.0)
             assert np.all(out >= -1) and np.all(out <= 1)
 
+    def test_noise_is_one_joint_draw(self):
+        # one (n, act_dim) draw per step, so the exploration stream advances
+        # by the same amount whatever the actor kind
+        for kind in (AlgoKind.MATD3, AlgoKind.DSA_MATD3):
+            trainer = self._trainer(kind, n=3)
+            obs = self._obs(trainer, seed=1)
+            clean = trainer._trainable_actions(obs, 0.0)
+            mirror = copy.deepcopy(trainer.explore_rng)
+            noisy = trainer._trainable_actions(obs, 0.1)
+            assert np.array_equal(noisy, np.clip(clean + mirror.normal(0.0, 0.1, (3, 2)),
+                                                 -1.0, 1.0)), kind
+            assert trainer.explore_rng.random() == mirror.random()
+
     def test_noise_std_matches_request(self):
-        actor = self._actor()
-        obs = np.tile(0.1 * np.ones(4, dtype=np.float32), (50_000, 1))
-        clean = actor.act(obs)
-        rng = np.random.default_rng(3)
-        noisy = explore_action(actor, obs, 0.002, (-1, 1), rng)
+        trainer = self._trainer(n=8)
+        obs = np.full((8, trainer.obs_dim), 0.1)
+        clean = trainer._trainable_actions(obs, 0.0)
+        noisy = np.stack([trainer._trainable_actions(obs, 0.002) for _ in range(500)])
         measured = float(np.std(noisy - clean))
         assert abs(measured - 0.002) / 0.002 < 0.05
 
     def test_smoothed_targets_zero_noise(self):
-        actors = [self._actor(), self._actor()]
-        obs = [np.ones((6, 4), dtype=np.float32)] * 2
-        rng = np.random.default_rng(4)
-        acts = smoothed_target_actions(actors, obs, 0.0, (-1, 1), rng)
+        trainer = self._trainer(critic_noise_std=0.0)
+        next_obs = np.ones((6, 2, trainer.obs_dim), dtype=np.float32)
+        acts = trainer._target_actions(Tensor(next_obs))
         assert acts.shape == (6, 2, 2)
-        for i, actor in enumerate(actors):
-            assert np.array_equal(acts[:, i], actor.act(obs[i]))
+        for i, actor in enumerate(trainer.target_actors):
+            assert np.array_equal(acts[:, i],
+                                  actor.act(np.ascontiguousarray(next_obs[:, i])))
 
     def test_smoothed_targets_noise_std(self):
-        actors = [self._actor()]
-        obs = [np.tile(0.1 * np.ones(4, dtype=np.float32), (100_000, 1))]
-        clean = actors[0].act(obs[0])
-        rng = np.random.default_rng(5)
-        acts = smoothed_target_actions(actors, obs, 0.001, (-1, 1), rng)
+        trainer = self._trainer(n=1, critic_noise_std=0.001)
+        next_obs = np.full((100_000, 1, trainer.obs_dim), 0.1, dtype=np.float32)
+        clean = trainer.target_actors[0].act(next_obs[:, 0])
+        acts = trainer._target_actions(Tensor(next_obs))
         measured = float(np.std(acts[:, 0] - clean))
         assert abs(measured - 0.001) / 0.001 < 0.05
+        # single-critic kinds smooth nothing
+        plain = self._trainer(AlgoKind.MADDPG, n=1, critic_noise_std=0.001)
+        assert np.array_equal(plain._target_actions(Tensor(next_obs))[:, 0],
+                              plain.target_actors[0].act(next_obs[:, 0]))
 
 
 def make_trainer(kind=AlgoKind.SA_MATD3, n=2, seed=0, scenario="coop_nav", **cfg_over):
@@ -295,15 +339,13 @@ def manual_batch(trainer, batch_size=8, seed=11, reward=None, done=None):
     d = np.zeros(batch_size, dtype=np.float32)
     if done is not None:
         d[:] = done
-    return Batch(
-        obs=[rng.normal(size=(batch_size, dd)).astype(np.float32)
-             for dd in trainer.obs_dims],
-        act=rng.uniform(-1, 1, size=(batch_size, trainer.n, 2)).astype(np.float32),
-        rew=rew,
-        next_obs=[rng.normal(size=(batch_size, dd)).astype(np.float32)
-                  for dd in trainer.obs_dims],
-        done=d,
-    )
+    def observations():
+        return np.stack([rng.normal(size=(batch_size, trainer.obs_dim))
+                         for _ in range(trainer.n)], axis=1).astype(np.float32)
+
+    obs = observations()
+    act = rng.uniform(-1, 1, size=(batch_size, trainer.n, 2)).astype(np.float32)
+    return Batch(obs=obs, act=act, rew=rew, next_obs=observations(), done=d)
 
 
 class TestComputeTargetY:
@@ -327,12 +369,11 @@ class TestComputeTargetY:
         trainer = make_trainer(AlgoKind.SA_MATD3, critic_noise_std=0.0)
         batch = manual_batch(trainer)
         y = np.asarray(trainer.compute_target_y(batch))
-        target_acts = trainer._target_actions(batch)
+        obs_t = Tensor(batch.next_obs)
+        act_t = Tensor(trainer._target_actions(obs_t).astype(np.float32))
         r = batch.rew[:, 0].astype(np.float64)
         cont = trainer.cfg.gamma * (1.0 - batch.done.astype(np.float64))
         with nd.no_grad():
-            obs_t = Tensor(trainer._stack_obs(batch.next_obs))
-            act_t = Tensor(target_acts.astype(np.float32))
             for critic in trainer.target_critic_banks[0]:
                 y_single = r + cont * nets.total_q(critic.forward(obs_t, act_t)).data
                 assert np.all(y <= y_single + 1e-6)
@@ -345,7 +386,7 @@ class TestComputeTargetY:
     def test_baseline_returns_per_agent_targets(self):
         trainer = make_trainer(AlgoKind.MATD3)
         ys = trainer.compute_target_y(manual_batch(trainer))
-        assert isinstance(ys, list) and len(ys) == trainer.n
+        assert isinstance(ys, np.ndarray) and ys.shape == (8, trainer.n)
 
 
 class TestCriticUpdate:
@@ -353,8 +394,8 @@ class TestCriticUpdate:
         trainer = make_trainer(AlgoKind.SA_MATD3)
         batch = manual_batch(trainer)
         with nd.no_grad():
-            obs_t = Tensor(trainer._stack_obs(batch.obs))
-            act_t = Tensor(batch.act.astype(np.float32))
+            obs_t = Tensor(batch.obs)
+            act_t = Tensor(batch.act)
             y = nets.total_q(trainer.critic_banks[0][0].forward(obs_t, act_t)).data
         before = snapshot(trainer.critic_banks[0][0].named_parameters())
         # feed critic #1's own predictions back as the target
@@ -395,7 +436,7 @@ class TestCriticUpdate:
 class TestPolicyUpdateOneToAll:
     def test_every_actor_gets_gradient_from_one_critic_pass(self):
         trainer = make_trainer(AlgoKind.SA_MATD3, n=3)
-        norms = trainer.policy_update(manual_batch(trainer), mode="one_to_all")
+        norms = trainer.policy_update(manual_batch(trainer))
         assert len(norms) == 3
         assert all(n > 0 for n in norms)
 
@@ -404,10 +445,10 @@ class TestPolicyUpdateOneToAll:
         trainer = make_trainer(AlgoKind.SA_MATD3, n=2)
         trainer.critic_banks = [[ActionSumCritic(), ActionSumCritic()]]
         batch = manual_batch(trainer)
-        obs = [Tensor(o) for o in batch.obs]
+        obs = [Tensor(batch.obs[:, i]) for i in range(trainer.n)]
         before = [a.forward(o).data.copy() for a, o in zip(trainer.actors, obs)]
         for _ in range(30):
-            trainer.policy_update(batch, mode="one_to_all")
+            trainer.policy_update(batch)
         after = [a.forward(o).data for a, o in zip(trainer.actors, obs)]
         for b, a in zip(before, after):
             assert np.all(a.mean(axis=0) > b.mean(axis=0))
@@ -415,7 +456,7 @@ class TestPolicyUpdateOneToAll:
     def test_critic_parameters_frozen(self):
         trainer = make_trainer(AlgoKind.SA_MATD3)
         before = snapshot(trainer.critic_banks[0][0].named_parameters())
-        trainer.policy_update(manual_batch(trainer), mode="one_to_all")
+        trainer.policy_update(manual_batch(trainer))
         after = snapshot(trainer.critic_banks[0][0].named_parameters())
         for name in before:
             assert np.array_equal(before[name], after[name])
@@ -428,41 +469,51 @@ class TestPolicyUpdateOneToAll:
 
 class TestPolicyUpdateOneToOne:
     def test_only_agent_i_steps(self):
+        # actor i learns from critic i alone: with critic 1 blind to its
+        # input, actor 1 gets no gradient and only actor 0 steps
         trainer = make_trainer(AlgoKind.MADDPG, n=2)
+        trainer.critic_banks[1][0].out.w.data[...] = 0.0
         batch = manual_batch(trainer)
         before = [snapshot(a.named_parameters()) for a in trainer.actors]
-        trainer.policy_update_agent(0, batch)
+        norms = trainer.policy_update(batch)
         after = [snapshot(a.named_parameters()) for a in trainer.actors]
+        assert norms[0] > 0 and norms[1] == 0
         assert any(not np.array_equal(before[0][k], after[0][k]) for k in before[0])
         for k in before[1]:
             assert np.array_equal(before[1][k], after[1][k])
 
     def test_stub_critic_moves_only_agent_i(self):
-        trainer = make_trainer(AlgoKind.SA_MADDPG, n=2)
-        trainer.critic_banks = [[ActionSumCritic()]]
+        # critic 0 rises with every input, critic 1 ignores its input; critic i
+        # sees agent i's fresh action and the buffer action of everyone else
+        trainer = make_trainer(AlgoKind.MADDPG, n=2)
+        trainer.critic_banks = [[FlatSumCritic()], [ConstantQCritic(0.0)]]
         batch = manual_batch(trainer)
-        obs = [Tensor(o) for o in batch.obs]
+        obs = [Tensor(batch.obs[:, i]) for i in range(trainer.n)]
         before = [a.forward(o).data.copy() for a, o in zip(trainer.actors, obs)]
         for _ in range(30):
-            trainer.policy_update_agent(0, batch)
+            trainer.policy_update(batch)
         after = [a.forward(o).data for a, o in zip(trainer.actors, obs)]
         assert np.all(after[0].mean(axis=0) > before[0].mean(axis=0))
         assert np.array_equal(after[1], before[1])
 
     def test_single_agent_equivalence_of_modes(self):
-        batches = []
-        trainers = []
-        for _ in range(2):
-            trainer = make_trainer(AlgoKind.SA_MADDPG, n=1, seed=7)
-            fill_buffer(trainer, 32, seed=9)
-            batches.append(trainer.buffer.sample(16))
-            trainers.append(trainer)
-        trainers[0].policy_update(batches[0], mode="one_to_all")
-        trainers[1].policy_update(batches[1], mode="one_to_one")
-        p0 = snapshot(trainers[0].actors[0].named_parameters())
-        p1 = snapshot(trainers[1].actors[0].named_parameters())
-        for name in p0:
-            assert np.allclose(p0[name], p1[name], atol=1e-12), name
+        # with one agent no buffer action is held fixed, so the one-to-one
+        # step must equal a one-to-all step on -mean Q(obs, pi(obs)) by hand
+        trainer = make_trainer(AlgoKind.MADDPG, n=1, seed=7, dtype="float64")
+        fill_buffer(trainer, 32, seed=9)
+        batch = trainer.buffer.sample(16)
+        actor = nets.clone(trainer.actors[0])
+        params = nets.parameters(actor)
+        obs = Tensor(batch.obs[:, 0], dtype=np.float64)
+        flat = nd.concat([obs, actor.forward(obs)], axis=-1)
+        nd.backward(-nd.tmean(trainer.critic_banks[0][0].forward(flat)), params=params)
+        nd.clip_grad_norm([p.grad for p in params], trainer.cfg.grad_clip)
+        nd.Adam(params, trainer.cfg.mlp_lr).step()
+
+        trainer.policy_update(batch)
+        for (name, p), (_, q) in zip(actor.named_parameters(),
+                                     trainer.actors[0].named_parameters()):
+            assert np.allclose(p.data, q.data, atol=1e-12), name
 
 
 class TestTrainerInvariants:
@@ -506,25 +557,24 @@ class TestTrainerInvariants:
 
         def critic_loss(order):
             with nd.no_grad():
-                tacts = [trainer.target_actors[i].act(batch.next_obs[i])
+                tacts = [trainer.target_actors[i].act(batch.next_obs[:, i])
                          for i in order]
-                obs_next = Tensor(trainer._stack_obs(
-                    [batch.next_obs[i] for i in order]))
+                obs_next = Tensor(batch.next_obs[:, order])
                 act_next = Tensor(np.stack(tacts, axis=1).astype(np.float32))
                 totals = [nets.total_q(c.forward(obs_next, act_next)).data
                           for c in trainer.target_critic_banks[0]]
                 y = batch.rew[:, 0] + trainer.cfg.gamma * (1 - batch.done) \
                     * np.minimum(*totals)
-                obs_t = Tensor(trainer._stack_obs([batch.obs[i] for i in order]))
-                act_t = Tensor(batch.act[:, order].astype(np.float32))
+                obs_t = Tensor(batch.obs[:, order])
+                act_t = Tensor(batch.act[:, order])
                 q = nets.total_q(trainer.critic_banks[0][0].forward(obs_t, act_t)).data
             return float(np.mean((q - y) ** 2))
 
         def policy_loss(order):
             with nd.no_grad():
-                fresh = [trainer.actors[i].forward(Tensor(batch.obs[i])).data
+                fresh = [trainer.actors[i].forward(Tensor(batch.obs[:, i])).data
                          for i in order]
-                obs_t = Tensor(trainer._stack_obs([batch.obs[i] for i in order]))
+                obs_t = Tensor(batch.obs[:, order])
                 act_t = Tensor(np.stack(fresh, axis=1))
                 return -float(np.mean(
                     nets.total_q(trainer.critic_banks[0][0].forward(obs_t, act_t)).data))
@@ -535,7 +585,7 @@ class TestTrainerInvariants:
     def test_predator_prey_trains_predators_only(self):
         trainer = make_trainer(AlgoKind.SA_MATD3, n=6, scenario="predator_prey")
         assert trainer.n == 4
-        assert len(trainer.obs_dims) == 4
+        assert trainer.buffer.obs.shape[1:] == (4, trainer.obs_dim)
         rewards = trainer.run_episode(explore=True)
         assert rewards.shape == (2,)
         assert len(trainer.buffer) == 20
@@ -579,16 +629,17 @@ class TestBaselineRecovery:
         bc = [bank[0].out.b.data.copy() for bank in trainer.critic_banks]
 
         # --- oracle: targets (target nets equal main nets before any update)
-        tgt_acts = np.stack([np.tanh(batch.next_obs[j] @ wa[j] + ba[j])
+        next_obs = [batch.next_obs[:, j] for j in range(n)]
+        obs = [batch.obs[:, j] for j in range(n)]
+        tgt_acts = np.stack([np.tanh(next_obs[j] @ wa[j] + ba[j])
                              for j in range(n)], axis=1)
-        x_next = np.concatenate(list(batch.next_obs) + [tgt_acts.reshape(B, -1)],
-                                axis=1)
+        x_next = np.concatenate(next_obs + [tgt_acts.reshape(B, -1)], axis=1)
         r = batch.rew[:, 0].astype(np.float64)
         cont = gamma * (1.0 - batch.done.astype(np.float64))
         ys = [(r + cont * (x_next @ wc[i] + bc[i]).reshape(-1)) for i in range(n)]
 
         # --- oracle: critic MSE step per agent
-        x = np.concatenate(list(batch.obs) + [batch.act.reshape(B, -1)], axis=1)
+        x = np.concatenate(obs + [batch.act.reshape(B, -1)], axis=1)
         x64 = x.astype(np.float64)
         wc_new, bc_new = [], []
         for i in range(n):
@@ -601,10 +652,10 @@ class TestBaselineRecovery:
             bc_new.append(self._adam(bc[i], db, cfg.mlp_lr))
 
         # --- oracle: one-to-one policy step per agent (uses updated critic)
-        obs_offset = sum(trainer.obs_dims)
+        obs_offset = n * trainer.obs_dim
         wa_new, ba_new = [], []
         for i in range(n):
-            o64 = batch.obs[i].astype(np.float64)
+            o64 = obs[i].astype(np.float64)
             a_i = np.tanh(o64 @ wa[i] + ba[i])
             col = slice(obs_offset + 2 * i, obs_offset + 2 * i + 2)
             dq = np.full(B, -1.0 / B)

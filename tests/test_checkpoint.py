@@ -66,11 +66,37 @@ def test_missing_checkpoint(tmp_path):
         load_checkpoint(tmp_path / "nowhere")
 
 
-def test_double_precision_rejected(tmp_path):
-    actor = nets.MlpActor(3, 2, np.random.default_rng(6), dtype=np.float64)
-    with pytest.raises(CheckpointError, match="single precision"):
-        save_checkpoint(tmp_path / "ck", actor.named_parameters(), algo="maddpg",
-                        scenario="coop_nav", agents=1, episode=0)
+def test_mixed_precision_round_trip_is_bit_exact(tmp_path):
+    single = nets.MlpActor(3, 2, np.random.default_rng(6), hidden_dim=4)
+    double = nets.MlpActor(3, 2, np.random.default_rng(6), hidden_dim=4,
+                           dtype=np.float64)
+    named = single.named_parameters("s.") + double.named_parameters("d.")
+    save_checkpoint(tmp_path / "ck", named, algo="maddpg", scenario="coop_nav",
+                    agents=1, episode=0)
+    manifest, tensors = load_checkpoint(tmp_path / "ck")
+    expected = 0
+    for (name, param), (entry, shape, dtype, offset) in zip(named, manifest.entries):
+        assert entry == name and dtype == param.data.dtype.name
+        assert offset == expected
+        expected += param.data.nbytes
+        assert tensors[name].dtype == param.data.dtype
+        assert tensors[name].tobytes() == param.data.tobytes()
+
+
+def test_unsupported_dtype_rejected(tmp_path):
+    actor = nets.MlpActor(3, 2, np.random.default_rng(6))
+    named = actor.named_parameters() + [("half", np.zeros(2, dtype=np.float16))]
+    with pytest.raises(CheckpointError, match="float32 or float64"):
+        save_checkpoint(tmp_path / "ck", named, algo="maddpg", scenario="coop_nav",
+                        agents=1, episode=0)
+    assert not (tmp_path / "ck").exists()  # checked before anything is written
+
+    path = save_checkpoint(tmp_path / "ok", actor.named_parameters(), algo="maddpg",
+                           scenario="coop_nav", agents=1, episode=0)
+    manifest = path / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace(" float32 ", " float16 ", 1))
+    with pytest.raises(CheckpointError, match="unsupported dtype float16"):
+        load_checkpoint(path)
 
 
 def test_truncated_blob_detected(tmp_path):

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from samarl.envs import (
+    PREDATOR_PREY,
     ConfigError,
     ParticleWorld,
     ScenarioConfig,
-    TrajectoryWriter,
     observation_dim,
-    observation_layout,
     reward_coop_nav,
     reward_predator_prey,
     scripted_prey,
@@ -104,14 +103,14 @@ class TestReset:
     def test_coop_nav_roster(self):
         world = ParticleWorld(ScenarioConfig.coop_nav(3), seed=0)
         world.reset()
-        roles = [b.role for b in world.bodies()]
+        roles = world.roles
         assert roles.count("agent") == 3
         assert roles.count("landmark") == 3
 
     def test_predator_prey_roster(self):
         world = ParticleWorld(ScenarioConfig.predator_prey(6), seed=0)
         world.reset()
-        roles = [b.role for b in world.bodies()]
+        roles = world.roles
         assert roles.count("predator") == 4
         assert roles.count("prey") == 2
         assert roles.count("obstacle") == 3
@@ -253,8 +252,13 @@ class TestObservations:
             world = ParticleWorld(cfg, seed=13)
             obs = world.reset()
             for i in range(cfg.n_agents):
-                labels = observation_layout(cfg, i)
-                assert len(labels) == observation_dim(cfg, i) == obs[i].shape[0]
+                # own velocity and position, landmarks, other agents, and in
+                # predator-prey the opposite type's velocities
+                opposite = 0
+                if cfg.kind == PREDATOR_PREY:
+                    opposite = cfg.n_prey if i < cfg.n_predators else cfg.n_predators
+                expected = 4 + 2 * cfg.n_landmarks + 2 * (cfg.n_agents - 1) + 2 * opposite
+                assert expected == observation_dim(cfg, i) == obs[i].shape[0]
 
     def test_joint_full_observability(self):
         # own velocity + position of every agent reconstructs the agent state,
@@ -352,18 +356,3 @@ class TestDeterminismAndOracle:
             speeds = np.linalg.norm(world.vel[: world.n_agents], axis=-1)
             assert np.all(speeds <= world.max_speed[: world.n_agents] + 1e-12)
 
-
-def test_trajectory_writer(tmp_path):
-    world = ParticleWorld(ScenarioConfig.coop_nav(2), seed=24)
-    world.reset()
-    path = tmp_path / "traj.csv"
-    with TrajectoryWriter(path) as writer:
-        for _ in range(3):
-            _, rewards, _, _ = world.step(np.zeros((2, 2)))
-            writer.record(world, rewards)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,body,x,y,vx,vy,reward"
-    assert len(lines) == 1 + 3 * world.n_bodies
-    # landmarks carry no reward value
-    last = lines[-1].split(",")
-    assert last[-1] == ""

@@ -1,0 +1,103 @@
+"""Golden runs: one short seeded ``harness.train`` per algorithm against a fixture.
+
+Each run is small enough that critic and policy updates fire within a few
+episodes. The fixture holds, per run, the reward columns and the logged
+``critic_loss`` and ``actor_grad_norm`` of ``metrics.csv``, and the sum and L2
+norm of every tensor in ``ckpt_final``. A refactor that claims to keep the
+numbers must pass this test unchanged. A change that moves them on purpose
+rewrites the fixture and says why in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+The fixture was written with float32 training on x86-64 with OpenBLAS; another
+BLAS may round differently in the last bits.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from samarl.algo import TrainConfig
+from samarl.checkpoint import load_checkpoint
+from samarl.harness import RunConfig, parse_metrics_csv, train
+
+FIXTURE = Path(__file__).resolve().parent / "golden_runs.json"
+# one tolerance for every stored number, relative and absolute alike
+GOLDEN_TOLERANCE = 1e-5
+
+CASES = [
+    ("maddpg", "coop_nav", 3),
+    ("matd3", "coop_nav", 3),
+    ("sa-maddpg", "coop_nav", 3),
+    ("sa-matd3", "coop_nav", 3),
+    ("dsa-maddpg", "predator_prey", 6),
+    ("dsa-matd3", "predator_prey", 6),
+]
+
+
+def golden_config(algo: str, scenario: str, agents: int, out) -> RunConfig:
+    # updates from episode 2 on, every episode: 6 critic updates, and 6 or
+    # (delayed kinds) 3 policy updates
+    train_cfg = TrainConfig(hidden_dim=8, hidden_layers=2, attention_heads=2,
+                            attention_blocks=1, batch_size=32, replay_capacity=200,
+                            train_start_episodes=2, train_frequency=1)
+    return RunConfig(scenario=scenario, algo=algo, agents=agents, episodes=8, seed=7,
+                     out=str(out), checkpoint_interval=0, smoothing_window=4,
+                     train=train_cfg)
+
+
+def summarize(run_dir: Path) -> dict:
+    records = parse_metrics_csv(run_dir / "metrics.csv")
+    _, tensors = load_checkpoint(run_dir / "ckpt_final")
+    return {
+        "rewards": [r.rewards for r in records],
+        "critic_loss": [r.critic_loss for r in records],
+        "actor_grad_norm": [r.actor_grad_norm for r in records],
+        "params": {name: [float(np.sum(t, dtype=np.float64)),
+                          float(np.sqrt(np.sum(np.square(t, dtype=np.float64))))]
+                   for name, t in tensors.items()},
+    }
+
+
+def run_case(algo: str, scenario: str, agents: int, out) -> dict:
+    return summarize(train(golden_config(algo, scenario, agents, out)))
+
+
+def _close(got, want) -> bool:
+    if want is None or got is None:
+        return got is None and want is None
+    return bool(np.allclose(got, want, rtol=GOLDEN_TOLERANCE, atol=GOLDEN_TOLERANCE))
+
+
+@pytest.mark.parametrize("algo,scenario,agents", CASES)
+def test_golden_run(algo, scenario, agents, tmp_path):
+    want = json.loads(FIXTURE.read_text())[algo]
+    got = run_case(algo, scenario, agents, tmp_path / algo)
+    for column in ("rewards", "critic_loss", "actor_grad_norm"):
+        assert len(got[column]) == len(want[column]), column
+        for episode, (g, w) in enumerate(zip(got[column], want[column])):
+            assert _close(g, w), f"{column} at episode {episode}: {g} vs {w}"
+    assert any(v is not None for v in got["critic_loss"])
+    assert any(v is not None for v in got["actor_grad_norm"])
+    assert list(got["params"]) == list(want["params"])
+    for name, values in want["params"].items():
+        assert _close(got["params"][name], values), f"{name}: {got['params'][name]} vs {values}"
+
+
+def write_fixture(scratch: Path) -> None:
+    runs = {algo: run_case(algo, scenario, agents, scratch / algo)
+            for algo, scenario, agents in CASES}
+    FIXTURE.write_text(json.dumps(runs, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    with tempfile.TemporaryDirectory() as scratch:
+        write_fixture(Path(scratch))
+    print(f"wrote {FIXTURE}")

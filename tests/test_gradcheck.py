@@ -30,7 +30,6 @@ PRIMITIVES = [
     ("add_broadcast", lambda rng: _binary_case(rng, nd.add, (4, 3), (3,))),
     ("sub", lambda rng: _binary_case(rng, nd.sub, (4, 3), (4, 3))),
     ("mul", lambda rng: _binary_case(rng, nd.mul, (4, 3), (4, 3))),
-    ("minimum", lambda rng: _binary_case(rng, nd.minimum, (4, 3), (4, 3))),
     ("softmax", lambda rng: _unary_case(rng, lambda t: nd.softmax(t, axis=-1), (4, 5))),
     ("leaky_relu", lambda rng: _unary_case(rng, nd.leaky_relu, (4, 5))),
     ("tanh", lambda rng: _unary_case(rng, nd.tanh, (4, 5))),

@@ -1,10 +1,13 @@
 """Harness behavior: runs, metrics, evaluation, plotting, comparison, CLI."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from samarl import cli, nets
+from samarl import cli, harness, nets
 from samarl.algo import AlgoKind, TrainConfig, Trainer
+from samarl.checkpoint import load_checkpoint, save_checkpoint
 from samarl.envs import ScenarioConfig
 from samarl.harness import (
     CSV_COLUMNS,
@@ -178,6 +181,19 @@ class TestTrainRun:
         out = train(cfg)
         assert len(parse_metrics_csv(out / "metrics.csv")) == 2
 
+    def test_float64_run_saves_and_restores_bit_exactly(self, tmp_path):
+        cfg = tiny_run_config(tmp_path, episodes=12, train=dataclasses.replace(
+            tiny_run_config(tmp_path).train, dtype="float64"))
+        out = train(cfg)
+        assert any(r.critic_loss is not None for r in parse_metrics_csv(out / "metrics.csv"))
+        trainer = Trainer(cfg.scenario_config(), AlgoKind.parse(cfg.algo), cfg.train,
+                          seed=1)
+        assert trainer.restore(out / "ckpt_final") == cfg.episodes
+        _, tensors = load_checkpoint(out / "ckpt_final")
+        for name, param in trainer.named_parameters():
+            assert param.data.dtype == np.float64
+            assert param.data.tobytes() == tensors[name].tobytes(), name
+
     def test_predator_prey_reward_columns(self, tmp_path):
         cfg = tiny_run_config(tmp_path, scenario="predator_prey", agents=3,
                               episodes=3)
@@ -215,6 +231,18 @@ class TestEvaluate:
         from_disk = evaluate(tmp_path / "ck", episodes=4, seed=77,
                              train_cfg=cfg.train)
         assert in_memory == from_disk
+
+    def test_unknown_scenario_rejected_before_building(self, tmp_path, monkeypatch):
+        actor = nets.MlpActor(4, 2, np.random.default_rng(0))
+        ck = save_checkpoint(tmp_path / "ck", actor.named_parameters("actor.0."),
+                             algo="maddpg", scenario="tag", agents=3, episode=0)
+
+        def no_trainer(*args, **kwargs):
+            raise AssertionError("a Trainer was built")
+
+        monkeypatch.setattr(harness, "Trainer", no_trainer)
+        with pytest.raises(ConfigFileError, match="unknown scenario 'tag'"):
+            evaluate(ck, episodes=1, seed=0)
 
     def test_no_training_side_effects(self, tmp_path):
         cfg = tiny_run_config(tmp_path)

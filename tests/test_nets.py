@@ -5,7 +5,11 @@ import pytest
 
 from samarl import ndmath as nd
 from samarl import nets
+from samarl.algo import AlgoKind, Batch, TrainConfig, Trainer
+from samarl.envs import ScenarioConfig, observation_dim
 from samarl.ndmath import Tensor, gradient_check
+
+from test_algo import ConstantQCritic
 
 
 def rng_for(seed=0):
@@ -15,6 +19,25 @@ def rng_for(seed=0):
 def zero_params(net):
     for _, p in net.named_parameters():
         p.data[...] = 0.0
+
+
+class SlotBiasedCritic(nets.CriticNet):
+    """Negative control for equivariance: a ``CriticNet`` with a learned
+    per-slot offset after the embedding, which ties outputs to agent slots."""
+
+    def __init__(self, obs_dim, act_dim, rng, *, n_agents, hidden_dim=64,
+                 dtype=np.float32, **kwargs):
+        super().__init__(obs_dim, act_dim, rng, hidden_dim=hidden_dim, dtype=dtype,
+                         **kwargs)
+        self.pos_bias = Tensor(rng.normal(size=(n_agents, hidden_dim)),
+                               requires_grad=True, dtype=dtype)
+
+    def forward(self, obs, act):
+        x = nd.leaky_relu(self.embed(nd.concat([obs, act], axis=-1))) + self.pos_bias
+        for block in self.blocks:
+            x = block.forward(x)
+        q = self.q_out(nd.leaky_relu(self.q_hidden(x)))
+        return nd.reshape(q, q.shape[:2])
 
 
 class TestMlpActor:
@@ -45,6 +68,17 @@ class TestMlpActor:
         fast = actor.act(obs)
         slow = actor.forward(nd.Tensor(obs[None, :])).data[0]
         assert np.allclose(fast, slow, atol=1e-6)
+
+    def test_act_bitwise_equals_forward(self):
+        # rollouts call act; target actions and policy steps call forward
+        obs_dim = observation_dim(ScenarioConfig.coop_nav(5), 0)
+        actor = nets.MlpActor(obs_dim, 2, rng_for(40))
+        rng = rng_for(41)
+        for batch in (1, 512):
+            obs = rng.normal(size=(batch, obs_dim)).astype(np.float32)
+            with nd.no_grad():
+                slow = actor.forward(nd.Tensor(obs)).data
+            assert np.array_equal(actor.act(obs), slow), batch
 
     def test_gradient_check(self):
         actor = nets.MlpActor(4, 2, rng_for(6), hidden_dim=6, dtype=np.float64)
@@ -128,7 +162,8 @@ class TestCriticNet:
 
     def test_positional_bias_breaks_equivariance(self):
         rng = rng_for(15)
-        critic = self._critic(dtype=np.float64, positional_bias=True, n_agents=4)
+        critic = SlotBiasedCritic(5, 2, rng_for(13), hidden_dim=16, heads=2,
+                                  dtype=np.float64, n_agents=4)
         obs = rng.normal(size=(2, 4, 5))
         act = rng.normal(size=(2, 4, 2))
         q = critic.forward(nd.Tensor(obs, dtype=np.float64),
@@ -188,41 +223,73 @@ class TestTotalQ:
 
 
 class TestDoubleCritic:
-    def _pair(self, seed=20):
-        first = nets.CriticNet(4, 2, rng_for(seed), hidden_dim=8, heads=2,
-                               dtype=np.float64)
-        second = nets.CriticNet(4, 2, rng_for(seed + 1), hidden_dim=8, heads=2,
-                                dtype=np.float64)
-        return nets.DoubleCritic(first, second)
+    """The twin critics of the double-Q kinds, as the trainer builds and reads
+    them: two independent networks whose minimum forms the Bellman target."""
+
+    def _trainer(self, kind, seed=20):
+        cfg = TrainConfig(hidden_dim=8, attention_heads=2, attention_blocks=1,
+                          critic_noise_std=0.0)
+        return Trainer(ScenarioConfig.coop_nav(2), kind, cfg, seed=seed)
+
+    def _batch(self, trainer, size=5, seed=21):
+        rng = rng_for(seed)
+        obs = (size, trainer.n, trainer.obs_dim)
+        return Batch(obs=rng.normal(size=obs).astype(np.float32),
+                     act=rng.uniform(-1, 1, size=(size, trainer.n, 2)).astype(np.float32),
+                     rew=rng.normal(size=(size, 1)).astype(np.float32),
+                     next_obs=rng.normal(size=obs).astype(np.float32),
+                     done=np.zeros(size, dtype=np.float32))
+
+    def _single_twin_targets(self, trainer, batch, twin):
+        banks = trainer.target_critic_banks
+        trainer.target_critic_banks = [[bank[twin]] for bank in banks]
+        try:
+            return trainer.compute_target_y(batch)
+        finally:
+            trainer.target_critic_banks = banks
 
     def test_identical_critics_min_is_either(self):
-        dc = self._pair()
-        nets.copy_params(dc.critics[1], dc.critics[0])
-        rng = rng_for(22)
-        obs = nd.Tensor(rng.normal(size=(3, 2, 4)), dtype=np.float64)
-        act = nd.Tensor(rng.normal(size=(3, 2, 2)), dtype=np.float64)
-        assert np.allclose(dc.min_q(obs, act).data,
-                           dc.critics[0].forward(obs, act).data)
+        for kind in (AlgoKind.MATD3, AlgoKind.SA_MATD3):
+            trainer = self._trainer(kind)
+            for bank in trainer.target_critic_banks:
+                nets.copy_params(bank[1], bank[0])
+            batch = self._batch(trainer)
+            assert np.array_equal(trainer.compute_target_y(batch),
+                                  self._single_twin_targets(trainer, batch, 0)), kind
 
     def test_elementwise_min(self):
-        a = nd.Tensor([[1.0, 4.0]])
-        b = nd.Tensor([[2.0, 3.0]])
-        assert np.array_equal(nd.minimum(a, b).data, [[1.0, 3.0]])
+        # agent critics: the minimum is taken per agent
+        trainer = self._trainer(AlgoKind.MATD3)
+        trainer.target_critic_banks = [[ConstantQCritic(1.0), ConstantQCritic(4.0)],
+                                       [ConstantQCritic(3.0), ConstantQCritic(2.0)]]
+        batch = self._batch(trainer)
+        r = batch.rew[:, :1].astype(np.float64)
+        assert np.allclose(trainer.compute_target_y(batch), r + 0.95 * np.array([1.0, 2.0]))
+        # shared critic: the minimum is taken over total Q (5 vs 4), not per agent
+        trainer = self._trainer(AlgoKind.SA_MATD3)
+        trainer.target_critic_banks = [[ConstantQCritic([1.0, 4.0]),
+                                        ConstantQCritic([2.0, 2.0])]]
+        assert np.allclose(trainer.compute_target_y(batch), r[:, 0] + 0.95 * 4.0)
 
     def test_min_bounded_by_both(self):
-        dc = self._pair(23)
-        rng = rng_for(24)
-        obs = nd.Tensor(rng.normal(size=(5, 2, 4)), dtype=np.float64)
-        act = nd.Tensor(rng.normal(size=(5, 2, 2)), dtype=np.float64)
-        m = nets.double_min(dc, obs, act).data
-        q1 = dc.critics[0].forward(obs, act).data
-        q2 = dc.critics[1].forward(obs, act).data
-        assert np.all(m <= q1 + 1e-12) and np.all(m <= q2 + 1e-12)
+        for kind in (AlgoKind.MATD3, AlgoKind.SA_MATD3, AlgoKind.DSA_MATD3):
+            trainer = self._trainer(kind, seed=23)
+            batch = self._batch(trainer, seed=24)
+            y = trainer.compute_target_y(batch)
+            for twin in (0, 1):
+                assert np.all(y <= self._single_twin_targets(trainer, batch, twin)), kind
 
     def test_rejects_shared_instance(self):
-        c = nets.CriticNet(4, 2, rng_for(25), hidden_dim=8, heads=2)
-        with pytest.raises(ValueError):
-            nets.DoubleCritic(c, c)
+        # the twins never share weights, optimizer state or targets
+        for kind in (AlgoKind.MATD3, AlgoKind.SA_MATD3, AlgoKind.DSA_MATD3):
+            trainer = self._trainer(kind)
+            for banks in (trainer.critic_banks, trainer.target_critic_banks,
+                          trainer.critic_optims):
+                for first, second in banks:
+                    assert first is not second, kind
+            for first, second in trainer.critic_banks:
+                assert not np.array_equal(nets.parameters(first)[0].data,
+                                          nets.parameters(second)[0].data), kind
 
 
 class TestAttentionActor:

@@ -213,20 +213,6 @@ class TestShapeOps:
         assert np.allclose(x.grad, 2.0 * x.data)
 
 
-class TestMinimum:
-    def test_elementwise(self):
-        a = nd.Tensor([1.0, 4.0])
-        b = nd.Tensor([2.0, 3.0])
-        assert np.array_equal(nd.minimum(a, b).data, [1.0, 3.0])
-
-    def test_gradient_routes_to_smaller(self):
-        a = nd.Tensor([1.0, 4.0], requires_grad=True, dtype=np.float64)
-        b = nd.Tensor([2.0, 3.0], requires_grad=True, dtype=np.float64)
-        nd.backward(nd.tsum(nd.minimum(a, b)))
-        assert np.array_equal(a.grad, [1.0, 0.0])
-        assert np.array_equal(b.grad, [0.0, 1.0])
-
-
 class TestInvariants:
     def test_tanh_bound_and_grad(self):
         x = nd.Tensor(np.linspace(-5, 5, 11), requires_grad=True, dtype=np.float64)
