@@ -37,7 +37,7 @@ import numpy as np
 
 from . import ndmath as nd
 from . import nets
-from .checkpoint import load_checkpoint, restore_into, save_checkpoint
+from .checkpoint import check_dtype, load_checkpoint, restore_into, save_checkpoint
 from .envs import COOP_NAV, PREDATOR_PREY, ParticleWorld, ScenarioConfig, scripted_prey
 from .ndmath import Adam, Tensor, backward, clip_grad_norm, no_grad
 
@@ -306,9 +306,11 @@ class Trainer:
             return
         _, tensors = load_checkpoint(prey_policy)
         prey_obs_dim = self.env.obs_dims[self.n]
+        # the prey actor runs in the precision it was saved in
         actor = nets.MlpActor(prey_obs_dim, self.act_dim, self.init_rng,
                               hidden_dim=self.cfg.hidden_dim,
-                              hidden_layers=self.cfg.hidden_layers)
+                              hidden_layers=self.cfg.hidden_layers,
+                              dtype=next((t.dtype for t in tensors.values()), np.float32))
         restore_into(actor, tensors, prefix=PREY_ACTOR_PREFIX)
         self.prey_actor = actor
 
@@ -556,7 +558,8 @@ class Trainer:
         for name, param in self.named_parameters():
             if name not in tensors:
                 raise ValueError(f"checkpoint is missing tensor '{name}'")
-            param.data[...] = tensors[name].astype(param.data.dtype)
+            check_dtype(name, tensors[name], param)
+            param.data[...] = tensors[name]
         self._sync_targets()
         return manifest.episode
 

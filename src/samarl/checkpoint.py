@@ -137,6 +137,14 @@ def load_checkpoint(directory) -> tuple[CheckpointManifest, dict[str, np.ndarray
     return manifest, tensors
 
 
+def check_dtype(key: str, arr: np.ndarray, param) -> None:
+    """Refuse to copy a checkpoint tensor into a parameter of another dtype,
+    which would silently change the precision a restored network runs in."""
+    if arr.dtype != param.data.dtype:
+        raise ValueError(f"checkpoint tensor '{key}' is {arr.dtype.name}, the "
+                         f"network's parameter is {param.data.dtype.name}")
+
+
 def restore_into(net, tensors: dict[str, np.ndarray], prefix: str = "") -> None:
     """Copy checkpoint arrays into a network's parameters by name."""
     for name, param in net.named_parameters():
@@ -148,4 +156,5 @@ def restore_into(net, tensors: dict[str, np.ndarray], prefix: str = "") -> None:
             raise CheckpointError(
                 f"tensor '{key}' shape {arr.shape} does not match parameter "
                 f"shape {param.data.shape}")
-        param.data[...] = arr.astype(param.data.dtype)
+        check_dtype(key, arr, param)
+        param.data[...] = arr

@@ -272,13 +272,19 @@ def evaluate_trainer(trainer: Trainer, episodes: int, seed: int) -> dict:
 def evaluate(checkpoint, episodes: int, seed: int, *,
              train_cfg: TrainConfig | None = None,
              prey: str = "scripted") -> dict:
-    """Evaluate a saved checkpoint; statistics are per agent type."""
+    """Evaluate a saved checkpoint; statistics are per agent type.
+
+    Without ``train_cfg`` the networks take the default sizes and the dtype
+    of the checkpoint's tensors.
+    """
     manifest, _ = load_checkpoint(checkpoint)
     kind = AlgoKind.parse(manifest.algo)
     scenario = RunConfig(scenario=manifest.scenario,
                          agents=manifest.agents).scenario_config()
-    trainer = Trainer(scenario, kind, train_cfg or TrainConfig(), seed=seed,
-                      prey_policy=prey)
+    if train_cfg is None:
+        train_cfg = TrainConfig(dtype=next((dtype for _, _, dtype, _ in manifest.entries),
+                                           TrainConfig.dtype))
+    trainer = Trainer(scenario, kind, train_cfg, seed=seed, prey_policy=prey)
     trainer.restore(checkpoint)
     return evaluate_trainer(trainer, episodes, seed)
 

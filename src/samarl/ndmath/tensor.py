@@ -5,7 +5,9 @@ bookkeeping needed for reverse-mode differentiation: every differentiable
 operation records its input tensors and a vector-Jacobian callback on the
 tensor it produces. :func:`backward` collects the records reachable from a
 scalar loss, orders them by creation index (execution order is a valid
-topological order under define-by-run), and replays them in reverse.
+topological order under define-by-run), and replays them in reverse. Given
+the parameters it is asked for, it replays only the records on a path from
+the loss to one of them.
 
 The graph is rebuilt on every forward pass, so delayed or alternating update
 schemes never see stale records. Wrap rollout / target-value code in
@@ -29,6 +31,10 @@ class ShapeError(ValueError):
 
 _grad_enabled = True
 _counter = itertools.count()
+# While a backward pass limited to some parameters runs: the ids of the
+# tensors on a path from its loss to one of them. vjps route gradient only to
+# these; None means every tracked tensor.
+_need: set[int] | None = None
 
 
 @contextlib.contextmanager
@@ -118,6 +124,8 @@ class Tensor:
     # -- gradient plumbing ----------------------------------------------------
 
     def _tracked(self) -> bool:
+        if _need is not None:
+            return id(self) in _need
         return self.requires_grad or self._vjp is not None
 
     def _accum(self, g: np.ndarray, own: bool = False) -> None:
@@ -191,6 +199,15 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
+
+
+def _rows(x: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """``x @ col`` over the last axis, kept as a length-1 axis.
+
+    One GEMM against a ``(d, 1)`` column (ones for a sum, ``1/d`` for a mean)
+    costs several times less than a numpy reduction over a short last axis.
+    """
+    return (x.reshape(-1, x.shape[-1]) @ col).reshape(x.shape[:-1] + (1,))
 
 
 def _maybe(parents: Sequence[Tensor], data: np.ndarray,
@@ -324,10 +341,14 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 # -- shape manipulation -------------------------------------------------------
 
+# The backward of reshape and swapaxes hands a view of ``g`` to the parent
+# without copying it. That is safe because ``g`` is the op output's own
+# gradient, which ``backward`` drops right after this vjp returns.
+
 def reshape(a: Tensor, shape) -> Tensor:
     def build():
         def vjp(g):
-            a._accum(g.reshape(a.data.shape))
+            a._accum(g.reshape(a.data.shape), own=True)
         return vjp
 
     return _maybe((a,), a.data.reshape(shape), build)
@@ -336,7 +357,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
     def build():
         def vjp(g):
-            a._accum(g.swapaxes(ax1, ax2))
+            a._accum(g.swapaxes(ax1, ax2), own=True)
         return vjp
 
     return _maybe((a,), a.data.swapaxes(ax1, ax2), build)
@@ -411,38 +432,68 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Stabilized softmax along ``axis``; each slice sums to one."""
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
+    """Stabilized softmax along the last axis; each row sums to one.
+
+    Only the last axis is accepted. The row sums are one GEMM against a ones
+    column. numpy's max over a short last axis costs about 80 ns a row, so
+    past a few rows per column the row max is taken by in-place maxima over
+    the columns instead (under 1 us each); both give the same bits.
+    """
+    x = a.data
+    if x.ndim == 0 or axis not in (-1, x.ndim - 1):
+        raise ShapeError(f"softmax runs over the last axis only, got axis {axis} "
+                         f"for shape {a.shape}")
+    n = x.shape[-1]
+    ones = np.ones((n, 1), dtype=x.dtype)
+    flat = x.reshape(-1, n)
+    if flat.shape[0] > 8 * n:
+        row_max = flat[:, 0].copy()
+        for j in range(1, n):
+            np.maximum(row_max, flat[:, j], out=row_max)
+    else:
+        row_max = flat.max(axis=1)
+    out = np.subtract(flat, row_max[:, None])
+    np.exp(out, out=out)
+    out /= out @ ones
+    out = out.reshape(x.shape)
 
     def build():
         def vjp(g):
-            dot = (g * out).sum(axis=axis, keepdims=True)
-            a._accum(out * (g - dot), own=True)
+            ga = g * out
+            np.subtract(g, _rows(ga, ones), out=ga)
+            ga *= out
+            a._accum(ga, own=True)
         return vjp
 
     return _maybe((a,), out, build)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    """Normalize the last axis to zero mean / unit variance, then scale+shift.
+
+    The means are GEMMs against a column of ``1/d`` (see ``_rows``).
+    """
+    col = np.full((a.data.shape[-1], 1), 1.0 / a.data.shape[-1], dtype=a.data.dtype)
+    xhat = a.data - _rows(a.data, col)
+    out = xhat * xhat
+    inv = _rows(out, col)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def build():
         def vjp(g):
             if a._tracked():
                 dxhat = g * gain.data
-                term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-                a._accum(inv * term, own=True)
+                term = dxhat * xhat
+                dxhat -= _rows(dxhat, col)
+                np.multiply(xhat, _rows(term, col), out=term)
+                dxhat -= term
+                dxhat *= inv
+                a._accum(dxhat, own=True)
             if gain._tracked():
                 gain._accum(_unbroadcast(g * xhat, gain.data.shape), own=True)
             if bias._tracked():
@@ -456,17 +507,20 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 # -- reverse pass -------------------------------------------------------------
 
 def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> None:
-    """Populate ``grad`` on every leaf reachable from a scalar ``loss``.
+    """Populate ``grad`` on the leaves reachable from a scalar ``loss``.
 
     Gradients are fresh per call (previous values on the touched leaves are
-    discarded, not accumulated). When ``params`` is given, any parameter the
-    loss does not reach ends up with an all-zero gradient, so optimizers can
-    consume the full parameter set unconditionally.
+    discarded, not accumulated). When ``params`` is given, only the vjps on a
+    path from the loss to one of them run, so only they get a gradient and
+    every other leaf keeps the one it had; each of them still receives every
+    contribution, in the same order, so its gradient is the same as without
+    ``params``. Any parameter the loss does not reach ends up with an
+    all-zero gradient, so optimizers can consume the full parameter set
+    unconditionally. The graph is left as it was.
     """
+    global _need
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
-
-    params = list(params) if params is not None else []
 
     # Gather the recorded subgraph; creation order is topological.
     tape: list[Tensor] = []
@@ -481,21 +535,34 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> None:
         stack.extend(t._parents)
     tape.sort(key=lambda t: t._order, reverse=True)
 
-    leaves: set[int] = set()
-    for t in tape:
-        for p in t._parents:
-            if p._vjp is None and p.requires_grad:
-                leaves.add(id(p))
-                p.grad = None
-    for p in params:
-        p.grad = None
+    need = None
+    if params is None:
+        params = []
+        for t in tape:
+            for p in t._parents:
+                if p._vjp is None and p.requires_grad:
+                    p.grad = None
+    else:
+        params = list(params)
+        for p in params:
+            p.grad = None
+        need = {id(p) for p in params if p._tracked()}
+        for t in reversed(tape):  # parents before children
+            if any(id(p) in need for p in t._parents):
+                need.add(id(t))
+        tape = [t for t in tape if id(t) in need]
 
-    loss.grad = np.ones_like(loss.data)
-    for t in tape:
-        if t.grad is None:
-            continue  # side branch not reached from the loss
-        t._vjp(t.grad)
-        t.grad = None  # free intermediate gradients as soon as they are used
+    if need is None or id(loss) in need:
+        loss.grad = np.ones_like(loss.data)
+    _need = need
+    try:
+        for t in tape:
+            if t.grad is None:
+                continue  # side branch not reached from the loss
+            t._vjp(t.grad)
+            t.grad = None  # free intermediate gradients as soon as they are used
+    finally:
+        _need = None
 
     for p in params:
         if p.grad is None:

@@ -6,6 +6,7 @@ from ``.acceptance_cache/`` when present and train from scratch otherwise.
 Everything else runs in the default suite.
 """
 
+import resource
 import time
 from pathlib import Path
 
@@ -270,12 +271,19 @@ def _timing_setup(n: int, kinds) -> tuple[dict, object]:
     return trainers, batch
 
 
-def _block_seconds_per_update(trainer: Trainer, batch) -> float:
-    # one delay period: a critic-only update, then a critic-and-policy update
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _block_per_update(trainer: Trainer, batch) -> tuple[float, float]:
+    """Seconds and minor page faults per update over one delay period: a
+    critic-only update, then a critic-and-policy update."""
+    faults = _minor_faults()
     started = time.perf_counter()
     trainer.update_from_batch(batch, do_policy=False)
     trainer.update_from_batch(batch, do_policy=True)
-    return (time.perf_counter() - started) / 2
+    seconds = (time.perf_counter() - started) / 2
+    return seconds, (_minor_faults() - faults) / 2
 
 
 def test_criterion_8_update_timing_trend():
@@ -284,23 +292,27 @@ def test_criterion_8_update_timing_trend():
     # timed in the same process state (the allocator's included)
     setups = {n: _timing_setup(n, kinds) for n in TREND_AGENTS}
     samples = {n: [] for n in TREND_AGENTS}
+    faults = {n: [] for n in TREND_AGENTS}
     # interleave the blocks, alternating which algorithm runs first, so that
     # machine speed drift falls on both algorithms
     for block in range(TREND_BLOCKS):
         for n, (trainers, batch) in setups.items():
-            timed = {kind: _block_seconds_per_update(trainers[kind], batch)
+            timed = {kind: _block_per_update(trainers[kind], batch)
                      for kind in kinds[::(-1) ** block]}
-            samples[n].append((timed[sa], timed[base]))
-    # per-update ms medians for the report; the ratio at each n is the median
-    # over blocks of the paired ratio, since the two blocks of a pair run
-    # back to back and see the same machine speed
+            samples[n].append((timed[sa][0], timed[base][0]))
+            faults[n].append((timed[sa][1], timed[base][1]))
+    # per-update ms and page-fault medians for the report; the ratio at each n
+    # is the median over blocks of the paired ratio, since the two blocks of a
+    # pair run back to back and see the same machine speed
     ms = {n: 1e3 * np.median(s, axis=0) for n, s in samples.items()}
+    flt = {n: np.median(f, axis=0) for n, f in faults.items()}
     ratios = [float(np.median([a / b for a, b in samples[n]])) for n in TREND_AGENTS]
     ok = all(a > b for a, b in zip(ratios, ratios[1:]))
     assert report(
         "criterion 8 (timing trend, n=" + "/".join(map(str, TREND_AGENTS)) + ")", ok,
         "; ".join(f"n={n}: {sa.value} {ms[n][0]:.1f} vs {base.value} "
-                  f"{ms[n][1]:.1f} ms/update, ratio {r:.2f}"
+                  f"{ms[n][1]:.1f} ms/update, ratio {r:.2f}, minor page faults "
+                  f"{flt[n][0]:.0f} vs {flt[n][1]:.0f} per update"
                   for n, r in zip(TREND_AGENTS, ratios))
         + " (ratio must fall strictly with n)")
 

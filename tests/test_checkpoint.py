@@ -61,6 +61,16 @@ def test_shape_mismatch_on_restore(tmp_path):
         restore_into(wrong, tensors)
 
 
+def test_dtype_mismatch_on_restore(tmp_path):
+    a = nets.MlpActor(5, 2, np.random.default_rng(4), dtype=np.float64)
+    save_checkpoint(tmp_path / "ck", a.named_parameters(), algo="maddpg",
+                    scenario="coop_nav", agents=1, episode=0)
+    _, tensors = load_checkpoint(tmp_path / "ck")
+    narrow = nets.MlpActor(5, 2, np.random.default_rng(5))
+    with pytest.raises(ValueError, match="float64.*float32"):
+        restore_into(narrow, tensors)
+
+
 def test_missing_checkpoint(tmp_path):
     with pytest.raises(CheckpointError, match="no checkpoint"):
         load_checkpoint(tmp_path / "nowhere")

@@ -232,6 +232,25 @@ class TestEvaluate:
                              train_cfg=cfg.train)
         assert in_memory == from_disk
 
+    def _float64_run(self, tmp_path):
+        # default network sizes, so that evaluate needs no train_cfg
+        cfg = tiny_run_config(tmp_path, algo="matd3", episodes=2,
+                              train=TrainConfig(dtype="float64"))
+        return cfg, train(cfg) / "ckpt_final"
+
+    def test_float64_checkpoint_evaluates_in_float64(self, tmp_path):
+        cfg, ck = self._float64_run(tmp_path)
+        trainer = Trainer(cfg.scenario_config(), AlgoKind.MATD3, cfg.train, seed=5)
+        trainer.restore(ck)
+        assert evaluate(ck, episodes=3, seed=5) == evaluate_trainer(trainer, episodes=3,
+                                                                    seed=5)
+
+    def test_float64_checkpoint_refused_by_float32_trainer(self, tmp_path):
+        cfg, ck = self._float64_run(tmp_path)
+        trainer = Trainer(cfg.scenario_config(), AlgoKind.MATD3, TrainConfig(), seed=5)
+        with pytest.raises(ValueError, match="float64.*float32"):
+            trainer.restore(ck)
+
     def test_unknown_scenario_rejected_before_building(self, tmp_path, monkeypatch):
         actor = nets.MlpActor(4, 2, np.random.default_rng(0))
         ck = save_checkpoint(tmp_path / "ck", actor.named_parameters("actor.0."),
@@ -270,6 +289,19 @@ class TestPreyDropIn:
         r_learned = learned.run_episode(explore=False, store=False)
         assert learned.prey_actor is not None
         assert not np.allclose(r_scripted, r_learned)
+
+    def test_float64_prey_checkpoint_loads_in_float64(self, tmp_path):
+        scenario = ScenarioConfig.predator_prey(3)
+        prey_obs_dim = 4 + 2 * 3 + 2 * 2 + 2 * 2
+        actor = nets.MlpActor(prey_obs_dim, 2, np.random.default_rng(5),
+                              hidden_dim=8, hidden_layers=3, dtype=np.float64)
+        ck = save_prey_actor(tmp_path / "prey", actor, scenario)
+        cfg = TrainConfig(hidden_dim=8, attention_heads=2, attention_blocks=1)
+        trainer = Trainer(scenario, AlgoKind.SA_MATD3, cfg, seed=2, prey_policy=ck)
+        for (_, saved), (_, loaded) in zip(actor.named_parameters(),
+                                           trainer.prey_actor.named_parameters()):
+            assert loaded.data.dtype == np.float64
+            assert np.array_equal(loaded.data, saved.data)
 
 
 class TestPlot:

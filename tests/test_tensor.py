@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from samarl import ndmath as nd
+from samarl import nets
 
 
 def matmul_oracle(a, b):
@@ -90,6 +91,17 @@ class TestSoftmax:
         shifted = nd.softmax(nd.Tensor(x + 123.456, dtype=np.float64), axis=-1).data
         assert np.allclose(s, shifted, atol=1e-9)
 
+    @pytest.mark.parametrize("rows", [3, 60])
+    def test_large_logits_against_stable_oracle(self, rows):
+        # a few rows take numpy's row max, many rows (over 8 per column) take
+        # it column by column; logits this large overflow exp unless every
+        # row's own max is subtracted
+        rng = np.random.default_rng(17)
+        x = rng.normal(scale=5000.0, size=(rows, 5))
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        out = nd.softmax(nd.Tensor(x, dtype=np.float64), axis=-1).data
+        assert np.allclose(out, e / e.sum(axis=-1, keepdims=True), rtol=1e-12, atol=1e-300)
+
     def test_invalid_axis(self):
         with pytest.raises(nd.ShapeError):
             nd.softmax(nd.Tensor([1.0, 2.0]), axis=2)
@@ -163,6 +175,42 @@ class TestBackward:
         first = p.grad.copy()
         nd.backward(nd.tsum(nd.mul(p, p)))
         assert np.array_equal(p.grad, first)  # overwritten, not doubled
+
+
+class TestNeedGradPruning:
+    """backward(loss, params=...) runs only the vjps that lead to ``params``."""
+
+    def _policy_loss(self):
+        # an actor feeding an attention critic, as in a policy step
+        rng = np.random.default_rng(0)
+        actor = nets.MlpActor(3, 2, rng, hidden_dim=8, hidden_layers=2)
+        critic = nets.CriticNet(3, 2, rng, hidden_dim=8, heads=2, blocks=2)
+        obs = nd.Tensor(rng.normal(size=(4, 5, 3)))
+        loss = -nd.tmean(nets.total_q(critic.forward(obs, actor.forward(obs))))
+        return nets.parameters(actor), nets.parameters(critic), loss
+
+    def test_requested_grads_equal_full_backward(self):
+        actor_params, critic_params, loss = self._policy_loss()
+        nd.backward(loss)
+        full = [p.grad for p in actor_params]
+        assert all(p.grad is not None for p in critic_params)
+        nd.backward(loss, params=actor_params)
+        for p, g in zip(actor_params, full):
+            assert p.grad is not g and np.array_equal(p.grad, g)
+
+    def test_unrequested_leaves_get_no_gradient(self):
+        actor_params, critic_params, loss = self._policy_loss()
+        nd.backward(loss, params=actor_params)
+        assert all(p.grad is not None for p in actor_params)
+        assert all(p.grad is None for p in critic_params)
+
+    def test_graph_is_left_as_it_was(self):
+        actor_params, _, loss = self._policy_loss()
+        nd.backward(loss, params=actor_params)
+        first = [p.grad for p in actor_params]
+        nd.backward(loss, params=actor_params)
+        for p, g in zip(actor_params, first):
+            assert p.grad is not g and np.array_equal(p.grad, g)
 
 
 class TestNoGrad:
