@@ -78,6 +78,9 @@ class AlgoKind(enum.Enum):
         return self in (AlgoKind.MATD3, AlgoKind.SA_MATD3, AlgoKind.DSA_MATD3)
 
 
+_DTYPES = {"float32": np.float32, "float64": np.float64}
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters; defaults follow the published training setup."""
@@ -115,10 +118,16 @@ class TrainConfig:
             raise ValueError("noise standard deviations must be non-negative")
         if self.action_low >= self.action_high:
             raise ValueError("action_low must be below action_high")
+        if self.batch_size > self.replay_capacity:
+            raise ValueError(
+                f"batch_size {self.batch_size} exceeds replay_capacity "
+                f"{self.replay_capacity}: no batch could ever be drawn")
+        if self.dtype not in _DTYPES:
+            raise ValueError(f"dtype must be one of {sorted(_DTYPES)}, got '{self.dtype}'")
 
     @property
     def np_dtype(self):
-        return {"float32": np.float32, "float64": np.float64}[self.dtype]
+        return _DTYPES[self.dtype]
 
 
 @dataclass

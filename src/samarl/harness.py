@@ -202,13 +202,13 @@ def rolling_mean(values: np.ndarray, window: int) -> np.ndarray:
 
 def train(cfg: RunConfig) -> Path:
     """Run the full training loop; returns the populated output directory."""
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(cfg.to_text())
-
+    # a bad scenario, algorithm or prey policy fails before the run directory exists
     scenario = cfg.scenario_config()
     trainer = Trainer(scenario, AlgoKind.parse(cfg.algo), cfg.train,
                       seed=cfg.seed, prey_policy=cfg.prey)
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.txt").write_text(cfg.to_text())
     n_types = trainer.env.n_types
     windows = [deque(maxlen=cfg.smoothing_window) for _ in range(n_types)]
 

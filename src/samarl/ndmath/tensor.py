@@ -12,12 +12,25 @@ the loss to one of them.
 The graph is rebuilt on every forward pass, so delayed or alternating update
 schemes never see stale records. Wrap rollout / target-value code in
 :func:`no_grad` to skip recording entirely.
+
+Large arrays are recycled. When an op has an operand of ``RECYCLE_BYTES``
+(256 KB) or more, each of its results and vjp temporaries of that size or
+more is written, through numpy's ``out=``, into a buffer from a module-level
+free list keyed by byte size (a concatenation judges by its result). A
+buffer is handed out again only when nothing outside the list references it:
+every array made from it, and every view of one of those, holds it as its
+base, so reuse never overwrites live data. The list never gives a buffer
+back, so a process keeps, for each byte size, as many buffers as its ops had
+in use at once. Ops whose operands are all smaller, and reductions, run
+numpy's plain expressions.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+import math
+import sys
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -135,7 +148,7 @@ class Tensor:
             if own and g.dtype == self.data.dtype:
                 self.grad = g
             else:
-                self.grad = np.array(g, dtype=self.data.dtype)
+                self.grad = _copy(g, self.data.dtype)
         else:
             self.grad += g
 
@@ -179,6 +192,83 @@ class Tensor:
 
     def swap_last_axes(self) -> "Tensor":
         return swapaxes(self, -1, -2)
+
+
+# -- recycled buffers ---------------------------------------------------------
+
+RECYCLE_BYTES = 256 * 1024
+# byte size -> every buffer of that size made so far, in use or free
+_buffers: dict[int, list[np.ndarray]] = {}
+
+
+def _unused(bufs: list[np.ndarray], free_refs: int) -> np.ndarray | None:
+    """The first buffer in ``bufs`` whose reference count is ``free_refs``."""
+    for buf in bufs:
+        if sys.getrefcount(buf) == free_refs:
+            return buf
+    return None
+
+
+# The count ``_unused`` reads for a buffer that only its list holds (3 on
+# CPython 3.11: the list, the loop variable and getrefcount's argument),
+# measured rather than assumed, because it depends on the interpreter.
+_FREE_REFS = next(r for r in range(1, 8) if _unused([np.empty(0, np.uint8)], r) is not None)
+
+
+def _buffer(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised C-contiguous array, carved from a free buffer of its
+    byte size or from a new one that joins the free list."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    bufs = _buffers.setdefault(nbytes, [])
+    buf = _unused(bufs, _FREE_REFS)
+    if buf is None:
+        buf = np.empty(nbytes, np.uint8)
+        bufs.append(buf)
+    return buf.view(dtype).reshape(shape)
+
+
+def _ew(f, *args):
+    """``f(*args)`` for a ufunc over arrays and scalars; when an array operand
+    is large, the result goes into a recycled buffer."""
+    for v in args:
+        if getattr(v, "nbytes", 0) >= RECYCLE_BYTES:
+            shape = np.broadcast_shapes(*(np.shape(u) for u in args))
+            return f(*args, out=_buffer(shape, np.result_type(*args)))
+    return f(*args)
+
+
+def _copy(g: np.ndarray, dtype) -> np.ndarray:
+    """A copy of ``g`` in ``dtype``; a large one is recycled (and C-ordered)."""
+    if g.nbytes < RECYCLE_BYTES:
+        return np.array(g, dtype=dtype)
+    out = _buffer(g.shape, dtype)
+    np.copyto(out, g)
+    return out
+
+
+def _gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w``; when an operand is large, a product that is large too goes
+    into a recycled buffer."""
+    if x.nbytes < RECYCLE_BYTES and w.nbytes < RECYCLE_BYTES:
+        return x @ w
+    shape = np.broadcast_shapes(x.shape[:-2], w.shape[:-2]) + (x.shape[-2], w.shape[-1])
+    dtype = np.result_type(x, w)
+    if math.prod(shape) * dtype.itemsize < RECYCLE_BYTES:
+        return x @ w
+    return np.matmul(x, w, out=_buffer(shape, dtype))
+
+
+def _reshaped(x: np.ndarray, shape) -> np.ndarray:
+    """``x.reshape(shape)``; a large ``x`` that is not C-contiguous is first
+    copied into a recycled buffer (numpy would copy it to reshape it)."""
+    if x.nbytes < RECYCLE_BYTES or x.flags.c_contiguous:
+        return x.reshape(shape)
+    return _copy(x, x.dtype).reshape(shape)
+
+
+# The forward ops that rollouts run on batch-1 arrays test the size inline
+# before calling these helpers: the call alone would add about 0.4 us an op.
 
 
 def _wrap(x, like: Tensor | None = None) -> Tensor:
@@ -233,7 +323,7 @@ def add(a, b) -> Tensor:
                 b._accum(gb, own=gb is not g)
         return vjp
 
-    return _maybe((a, b), a.data + b.data, build)
+    return _maybe((a, b), _ew(np.add, a.data, b.data), build)
 
 
 def sub(a, b) -> Tensor:
@@ -245,10 +335,10 @@ def sub(a, b) -> Tensor:
                 ga = _unbroadcast(g, a.data.shape)
                 a._accum(ga, own=ga is not g)
             if b._tracked():
-                b._accum(_unbroadcast(-g, b.data.shape), own=True)
+                b._accum(_unbroadcast(_ew(np.negative, g), b.data.shape), own=True)
         return vjp
 
-    return _maybe((a, b), a.data - b.data, build)
+    return _maybe((a, b), _ew(np.subtract, a.data, b.data), build)
 
 
 def mul(a, b) -> Tensor:
@@ -257,58 +347,64 @@ def mul(a, b) -> Tensor:
     def build():
         def vjp(g):
             if a._tracked():
-                a._accum(_unbroadcast(g * b.data, a.data.shape), own=True)
+                a._accum(_unbroadcast(_ew(np.multiply, g, b.data), a.data.shape),
+                         own=True)
             if b._tracked():
-                b._accum(_unbroadcast(g * a.data, b.data.shape), own=True)
+                b._accum(_unbroadcast(_ew(np.multiply, g, a.data), b.data.shape),
+                         own=True)
         return vjp
 
-    return _maybe((a, b), a.data * b.data, build)
+    return _maybe((a, b), _ew(np.multiply, a.data, b.data), build)
 
 
 def neg(a: Tensor) -> Tensor:
     def build():
         def vjp(g):
-            a._accum(-g, own=True)
+            a._accum(_ew(np.negative, g), own=True)
         return vjp
 
-    return _maybe((a,), -a.data, build)
+    return _maybe((a,), _ew(np.negative, a.data), build)
 
 
 # -- matrix product -----------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; last two axes multiply, leading axes broadcast."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
+    x, w = a.data, b.data
+    if x.ndim < 2 or w.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
+    if x.shape[-1] != w.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
 
     # (..., D) @ (D, K) folds into one flat GEMM instead of a per-slice loop
-    flat_rhs = b.data.ndim == 2 and a.data.ndim > 2
-    if flat_rhs:
-        k = b.data.shape[-1]
-        out = (a.data.reshape(-1, a.data.shape[-1]) @ b.data).reshape(
-            a.data.shape[:-1] + (k,))
+    flat_rhs = w.ndim == 2 and x.ndim > 2
+    lhs = x.reshape(-1, x.shape[-1]) if flat_rhs else x
+    if x.nbytes < RECYCLE_BYTES and w.nbytes < RECYCLE_BYTES:
+        out = lhs @ w
     else:
-        out = a.data @ b.data
+        out = _gemm(lhs, w)
+    if flat_rhs:
+        out = out.reshape(x.shape[:-1] + w.shape[-1:])
 
+    # the vjp reads a.data and b.data: capturing the locals would make them
+    # cells, built on every call, no_grad included
     def build():
         def vjp(g):
             if a._tracked():
                 if flat_rhs:
-                    ga = (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.data.shape)
-                    a._accum(ga, own=True)
+                    ga = _gemm(g.reshape(-1, g.shape[-1]), b.data.T)
+                    a._accum(ga.reshape(a.data.shape), own=True)
                 else:
-                    a._accum(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape),
-                             own=True)
+                    a._accum(_unbroadcast(_gemm(g, b.data.swapaxes(-1, -2)),
+                                          a.data.shape), own=True)
             if b._tracked():
                 if flat_rhs:
                     inner = a.data.shape[-1]
-                    gb = a.data.reshape(-1, inner).T @ g.reshape(-1, g.shape[-1])
+                    gb = _gemm(a.data.reshape(-1, inner).T, g.reshape(-1, g.shape[-1]))
                     b._accum(gb, own=True)
                 else:
-                    b._accum(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape),
-                             own=True)
+                    b._accum(_unbroadcast(_gemm(a.data.swapaxes(-1, -2), g),
+                                          b.data.shape), own=True)
         return vjp
 
     return _maybe((a, b), out, build)
@@ -348,10 +444,12 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     def build():
         def vjp(g):
-            a._accum(g.reshape(a.data.shape), own=True)
+            a._accum(_reshaped(g, a.data.shape), own=True)
         return vjp
 
-    return _maybe((a,), a.data.reshape(shape), build)
+    x = a.data
+    out = x.reshape(shape) if x.nbytes < RECYCLE_BYTES else _reshaped(x, shape)
+    return _maybe((a,), out, build)
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
@@ -376,7 +474,15 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
                     t._accum(piece)
         return vjp
 
-    return _maybe(tensors, np.concatenate([t.data for t in tensors], axis=axis), build)
+    arrays = [t.data for t in tensors]
+    shape = list(arrays[0].shape)
+    shape[axis] = int(stops[-1])
+    if math.prod(shape) * arrays[0].itemsize < RECYCLE_BYTES:
+        out = np.concatenate(arrays, axis=axis)
+    else:
+        out = np.concatenate(arrays, axis=axis,
+                             out=_buffer(tuple(shape), np.result_type(*arrays)))
+    return _maybe(tensors, out, build)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -392,7 +498,11 @@ def select(a: Tensor, index: int, axis: int = -1) -> Tensor:
 
     def build():
         def vjp(g):
-            full = np.zeros_like(a.data)
+            if a.data.nbytes < RECYCLE_BYTES:
+                full = np.zeros_like(a.data)
+            else:
+                full = _buffer(a.data.shape, a.data.dtype)
+                full.fill(0)
             idx = [slice(None)] * a.data.ndim
             idx[axis] = index
             full[tuple(idx)] = g
@@ -404,28 +514,85 @@ def select(a: Tensor, index: int, axis: int = -1) -> Tensor:
 
 # -- nonlinearities -----------------------------------------------------------
 
+def _leaky_grad(g: np.ndarray, sign: np.ndarray, slope: float) -> np.ndarray:
+    """``g`` times the leaky ReLU's derivative, 1 where ``sign >= 0`` and
+    ``slope`` elsewhere, computed in a fresh array."""
+    if sign.nbytes < RECYCLE_BYTES:
+        scale = (sign >= 0).astype(g.dtype)
+    else:
+        scale = np.greater_equal(sign, 0, out=_buffer(sign.shape, g.dtype))
+    scale *= 1.0 - slope
+    scale += slope
+    scale *= g
+    return scale
+
+
 def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
     """f(x) = x for x >= 0, slope * x otherwise."""
 
     def build():
         def vjp(g):
-            scale = (a.data >= 0).astype(g.dtype)
-            scale *= 1.0 - slope
-            scale += slope
-            scale *= g
-            a._accum(scale, own=True)
+            a._accum(_leaky_grad(g, a.data, slope), own=True)
         return vjp
 
     # max(x, slope*x) equals the two-branch form for any slope < 1
-    return _maybe((a,), np.maximum(a.data, slope * a.data), build)
+    out = _ew(np.multiply, a.data, slope)
+    return _maybe((a,), np.maximum(a.data, out, out=out), build)
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
+def linear(x: Tensor, w: Tensor, b: Tensor, slope: float | None = None) -> Tensor:
+    """``x @ w + b``, then a leaky ReLU of ``slope`` if one is given, as one op.
+
+    Every leading axis of ``x`` folds into one GEMM against the ``(D, K)``
+    weight, and the bias and the activation are applied in place, so the op
+    keeps only its output. The backward reads the activation's mask from the
+    sign of the output (an output of zero or more passes the gradient
+    unscaled, like an input of zero or more in :func:`leaky_relu`). Output
+    and gradients equal those of ``leaky_relu(matmul(x, w) + b, slope)`` bit
+    for bit.
+    """
+    xd, wd = x.data, w.data
+    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
+        raise ShapeError(f"linear needs (..., D) x (D, K), got {x.shape} x {w.shape}")
+    shape = xd.shape[:-1] + wd.shape[-1:]
+    lhs = xd.reshape(-1, xd.shape[-1])
+    if xd.nbytes < RECYCLE_BYTES and wd.nbytes < RECYCLE_BYTES:
+        out = lhs @ wd
+    else:
+        out = _gemm(lhs, wd)
+    out += b.data
+    if slope is not None:
+        small = out.nbytes < RECYCLE_BYTES
+        np.maximum(out, out * slope if small else _ew(np.multiply, out, slope), out=out)
+    out = out.reshape(shape)
 
     def build():
         def vjp(g):
-            a._accum(g * (1.0 - out * out), own=True)
+            gz = g if slope is None else _leaky_grad(g, out, slope)
+            if b._tracked():
+                gb = _unbroadcast(gz, b.data.shape)
+                b._accum(gb, own=gb is not gz)
+            if not gz.flags.c_contiguous:
+                gz = _copy(gz, gz.dtype)
+            g2 = gz.reshape(-1, out.shape[-1])
+            if x._tracked():
+                x._accum(_gemm(g2, w.data.T).reshape(x.data.shape), own=True)
+            if w._tracked():
+                w._accum(_gemm(x.data.reshape(-1, w.data.shape[0]).T, g2), own=True)
+        return vjp
+
+    return _maybe((x, w, b), out, build)
+
+
+def tanh(a: Tensor) -> Tensor:
+    out = np.tanh(a.data) if a.data.nbytes < RECYCLE_BYTES else _ew(np.tanh, a.data)
+
+    def build():
+        def vjp(g):
+            ga = _ew(np.multiply, out, out)
+            np.subtract(1.0, ga, out=ga)
+            ga *= g
+            a._accum(ga, own=True)
         return vjp
 
     return _maybe((a,), out, build)
@@ -452,14 +619,17 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
             np.maximum(row_max, flat[:, j], out=row_max)
     else:
         row_max = flat.max(axis=1)
-    out = np.subtract(flat, row_max[:, None])
+    if flat.nbytes < RECYCLE_BYTES:
+        out = flat - row_max[:, None]
+    else:
+        out = _ew(np.subtract, flat, row_max[:, None])
     np.exp(out, out=out)
     out /= out @ ones
     out = out.reshape(x.shape)
 
     def build():
         def vjp(g):
-            ga = g * out
+            ga = _ew(np.multiply, g, out)
             np.subtract(g, _rows(ga, ones), out=ga)
             ga *= out
             a._accum(ga, own=True)
@@ -473,9 +643,36 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     The means are GEMMs against a column of ``1/d`` (see ``_rows``).
     """
-    col = np.full((a.data.shape[-1], 1), 1.0 / a.data.shape[-1], dtype=a.data.dtype)
-    xhat = a.data - _rows(a.data, col)
-    out = xhat * xhat
+    x = a.data
+    col = np.full((x.shape[-1], 1), 1.0 / x.shape[-1], dtype=x.dtype)
+    if x.nbytes < RECYCLE_BYTES:
+        xhat = x - _rows(x, col)
+    else:
+        xhat = _ew(np.subtract, x, _rows(x, col))
+    return _normalized(xhat, col, (a,), gain, bias, eps)
+
+
+def residual_layer_norm(a: Tensor, residual: Tensor, gain: Tensor, bias: Tensor,
+                        eps: float = 1e-5) -> Tensor:
+    """``layer_norm(a + residual, gain, bias)`` as one op that keeps no sum.
+
+    The sum is centred in place, so the op keeps one array fewer than the two
+    ops it replaces, and both inputs take the normalization's input gradient
+    directly. Output and gradients equal the composition's bit for bit.
+    """
+    x, r = a.data, residual.data
+    xhat = x + r if x.nbytes < RECYCLE_BYTES else _ew(np.add, x, r)
+    col = np.full((x.shape[-1], 1), 1.0 / x.shape[-1], dtype=xhat.dtype)
+    np.subtract(xhat, _rows(xhat, col), out=xhat)
+    return _normalized(xhat, col, (a, residual), gain, bias, eps)
+
+
+def _normalized(xhat: np.ndarray, col: np.ndarray, inputs: tuple[Tensor, ...],
+                gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Finish a layer norm whose centred input is ``xhat`` (an array of its
+    own, normalized in place), routing the input gradient to each of
+    ``inputs``."""
+    out = xhat * xhat if xhat.nbytes < RECYCLE_BYTES else _ew(np.multiply, xhat, xhat)
     inv = _rows(out, col)
     inv += eps
     np.sqrt(inv, out=inv)
@@ -486,22 +683,26 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def build():
         def vjp(g):
-            if a._tracked():
-                dxhat = g * gain.data
-                term = dxhat * xhat
+            takers = [t for t in inputs if t._tracked()]
+            if takers:
+                dxhat = _ew(np.multiply, g, gain.data)
+                term = _ew(np.multiply, dxhat, xhat)
                 dxhat -= _rows(dxhat, col)
                 np.multiply(xhat, _rows(term, col), out=term)
                 dxhat -= term
+                del term
                 dxhat *= inv
-                a._accum(dxhat, own=True)
+                for i, t in enumerate(takers):
+                    t._accum(dxhat, own=i == len(takers) - 1)
             if gain._tracked():
-                gain._accum(_unbroadcast(g * xhat, gain.data.shape), own=True)
+                gain._accum(_unbroadcast(_ew(np.multiply, g, xhat), gain.data.shape),
+                            own=True)
             if bias._tracked():
                 gb = _unbroadcast(g, bias.data.shape)
                 bias._accum(gb, own=gb is not g)
         return vjp
 
-    return _maybe((a, gain, bias), out, build)
+    return _maybe((*inputs, gain, bias), out, build)
 
 
 # -- reverse pass -------------------------------------------------------------

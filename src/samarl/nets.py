@@ -35,17 +35,20 @@ def _uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype,
 # learned anything worth following.
 ACTION_HEAD_INIT = 1e-3
 
+# Negative-side slope of every hidden layer's leaky ReLU.
+LEAKY_SLOPE = 0.01
+
 
 class Linear:
-    """Affine map ``x @ w + b``."""
+    """Affine map ``x @ w + b``, optionally followed by a leaky ReLU."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
                  dtype=np.float32, init_bound: float | None = None):
         self.w = _uniform_init(rng, (in_dim, out_dim), in_dim, dtype, init_bound)
         self.b = _uniform_init(rng, (out_dim,), in_dim, dtype, init_bound)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return nd.matmul(x, self.w) + self.b
+    def __call__(self, x: Tensor, slope: float | None = None) -> Tensor:
+        return nd.linear(x, self.w, self.b, slope)
 
     def named_parameters(self, prefix: str = ""):
         return [(prefix + "w", self.w), (prefix + "b", self.b)]
@@ -67,7 +70,7 @@ class MlpActor:
     def forward(self, obs: Tensor) -> Tensor:
         x = obs
         for layer in self.hidden:
-            x = nd.leaky_relu(layer(x))
+            x = layer(x, LEAKY_SLOPE)
         return nd.tanh(self.out(x))
 
     def act(self, obs: np.ndarray) -> np.ndarray:
@@ -75,7 +78,7 @@ class MlpActor:
         x = obs
         for layer in self.hidden:
             x = x @ layer.w.data + layer.b.data
-            x = np.where(x >= 0, x, 0.01 * x)
+            x = np.where(x >= 0, x, LEAKY_SLOPE * x)
         return np.tanh(x @ self.out.w.data + self.out.b.data)
 
     def named_parameters(self, prefix: str = ""):
@@ -99,7 +102,7 @@ class MlpCritic:
 
     def forward(self, x: Tensor) -> Tensor:
         for layer in self.hidden:
-            x = nd.leaky_relu(layer(x))
+            x = layer(x, LEAKY_SLOPE)
         q = self.out(x)  # (B, 1)
         return nd.reshape(q, (q.shape[0],))
 
@@ -155,6 +158,8 @@ class SelfAttentionBlock:
         merged = nd.reshape(nd.swapaxes(attended, 1, 2),
                             (batch, n, self.heads * self.head_dim))
         out = nd.matmul(merged, self.wout)
+        if self.residual and self.normalize:
+            return nd.residual_layer_norm(out, x, self.ln_gain, self.ln_bias)
         if self.residual:
             out = out + x
         if self.normalize:
@@ -191,10 +196,10 @@ class CriticNet:
         if obs.shape[:2] != act.shape[:2]:
             raise nd.ShapeError(
                 f"observation/action agent layouts disagree: {obs.shape} vs {act.shape}")
-        x = nd.leaky_relu(self.embed(nd.concat([obs, act], axis=-1)))
+        x = self.embed(nd.concat([obs, act], axis=-1), LEAKY_SLOPE)
         for block in self.blocks:
             x = block.forward(x)
-        q = self.q_out(nd.leaky_relu(self.q_hidden(x)))  # (B, n, 1)
+        q = self.q_out(self.q_hidden(x, LEAKY_SLOPE))  # (B, n, 1)
         return nd.reshape(q, q.shape[:2])
 
     def named_parameters(self, prefix: str = ""):
@@ -227,10 +232,10 @@ class AttentionActor:
                                init_bound=ACTION_HEAD_INIT)
 
     def forward(self, obs: Tensor) -> Tensor:
-        x = nd.leaky_relu(self.embed(obs))
+        x = self.embed(obs, LEAKY_SLOPE)
         for block in self.blocks:
             x = block.forward(x)
-        return nd.tanh(self.head_out(nd.leaky_relu(self.head_hidden(x))))
+        return nd.tanh(self.head_out(self.head_hidden(x, LEAKY_SLOPE)))
 
     def act(self, obs_all: np.ndarray) -> np.ndarray:
         """Joint action for one world state, shape (n, act_dim)."""

@@ -127,6 +127,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**bad)
 
+    def test_batch_larger_than_buffer_rejected(self):
+        # such a run would never draw a batch, so it would never update
+        with pytest.raises(ValueError, match="batch_size 1024 exceeds replay_capacity 512"):
+            TrainConfig(batch_size=1024, replay_capacity=512)
+        TrainConfig(batch_size=512, replay_capacity=512)
+
+    def test_unsupported_dtype_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="float16"):
+            TrainConfig(dtype="float16")
+
 
 class TestReplayBuffer:
     def _buffer(self, capacity=5, seed=0):

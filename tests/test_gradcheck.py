@@ -43,6 +43,12 @@ PRIMITIVES = [
     ("tanh", lambda rng: _unary_case(rng, nd.tanh, (4, 5))),
     ("layer_norm", lambda rng: _layer_norm_case(rng, (3, 6))),
     ("layer_norm_tokens", lambda rng: _layer_norm_case(rng, (2, 4, 8))),
+    ("linear_2d", lambda rng: _linear_case(rng, (5, 6), None)),
+    ("linear_3d", lambda rng: _linear_case(rng, (2, 4, 6), None)),
+    ("linear_leaky_2d", lambda rng: _linear_case(rng, (5, 6), 0.01)),
+    ("linear_leaky_3d", lambda rng: _linear_case(rng, (2, 4, 6), 0.01)),
+    ("residual_layer_norm", lambda rng: _residual_layer_norm_case(rng, (2, 4, 8))),
+    ("residual_layer_norm_shared", lambda rng: _residual_shared_case(rng)),
     ("concat", lambda rng: _concat_case(rng)),
     ("select", lambda rng: _unary_case(rng, lambda t: nd.select(t, 1, axis=1), (4, 3))),
     ("reshape_swap", lambda rng: _unary_case(
@@ -81,6 +87,38 @@ def _layer_norm_case(rng, shape):
     g = _p(rng, shape[-1:])
     b = _p(rng, shape[-1:])
     return lambda: _reduce(nd.layer_norm(x, g, b)), [x, g, b]
+
+
+def _linear_case(rng, shape, slope):
+    x = _p(rng, shape)
+    w = _p(rng, (shape[-1], 3))
+    b = _p(rng, (3,))
+    return lambda: _reduce(nd.linear(x, w, b, slope)), [x, w, b]
+
+
+def _residual_layer_norm_case(rng, shape):
+    a, r = _p(rng, shape), _p(rng, shape)
+    g = _p(rng, shape[-1:])
+    b = _p(rng, shape[-1:])
+    return lambda: _reduce(nd.residual_layer_norm(a, r, g, b)), [a, r, g, b]
+
+
+def _residual_shared_case(rng):
+    # both norm inputs come from x, and the residual also feeds a later op;
+    # backward runs the norm, then that op (adding into the residual's
+    # gradient), then the other input's vjp: a gradient buffer the two
+    # inputs shared would show here
+    x = _p(rng, (2, 4, 8))
+    g = _p(rng, (8,))
+    b = _p(rng, (8,))
+
+    def f():
+        residual = nd.tanh(x)
+        a = nd.mul(x, x)
+        later = nd.tanh(residual)
+        return _reduce(nd.add(nd.residual_layer_norm(a, residual, g, b), later))
+
+    return f, [x, g, b]
 
 
 def _concat_case(rng):

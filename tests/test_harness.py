@@ -7,8 +7,8 @@ import pytest
 
 from samarl import cli, harness, nets
 from samarl.algo import AlgoKind, TrainConfig, Trainer
-from samarl.checkpoint import load_checkpoint, save_checkpoint
-from samarl.envs import ScenarioConfig
+from samarl.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from samarl.envs import ConfigError, ScenarioConfig
 from samarl.harness import (
     CSV_COLUMNS,
     ConfigFileError,
@@ -193,6 +193,19 @@ class TestTrainRun:
         for name, param in trainer.named_parameters():
             assert param.data.dtype == np.float64
             assert param.data.tobytes() == tensors[name].tobytes(), name
+
+    @pytest.mark.parametrize("bad,error", [
+        (dict(scenario="predator_prey", agents=4), ConfigError),
+        (dict(algo="qmix"), ValueError),
+        (dict(scenario="predator_prey", prey="no_such_checkpoint"), CheckpointError),
+    ], ids=["agents", "algo", "prey"])
+    def test_bad_run_leaves_no_directory(self, bad, error, tmp_path):
+        if "prey" in bad:
+            bad["prey"] = str(tmp_path / bad["prey"])
+        cfg = tiny_run_config(tmp_path, **bad)
+        with pytest.raises(error):
+            train(cfg)
+        assert not (tmp_path / "run").exists()
 
     def test_predator_prey_reward_columns(self, tmp_path):
         cfg = tiny_run_config(tmp_path, scenario="predator_prey", agents=3,

@@ -5,6 +5,9 @@ import pytest
 
 from samarl import ndmath as nd
 from samarl import nets
+from samarl.algo import AlgoKind, TrainConfig, Trainer
+from samarl.envs import ScenarioConfig
+from samarl.ndmath import tensor
 
 
 def matmul_oracle(a, b):
@@ -211,6 +214,110 @@ class TestNeedGradPruning:
         nd.backward(loss, params=actor_params)
         for p, g in zip(actor_params, first):
             assert p.grad is not g and np.array_equal(p.grad, g)
+
+
+class TestFusedOps:
+    """linear and residual_layer_norm equal the ops they fuse, bit for bit."""
+
+    @staticmethod
+    def _leaves(rng, *shapes):
+        return [nd.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+
+    @staticmethod
+    def _output_and_grads(f, leaves):
+        out = f(*leaves)
+        weights = nd.Tensor(np.random.default_rng(1).normal(size=out.shape))
+        nd.backward(nd.tsum(nd.mul(out, weights)), params=leaves)
+        return [out.data.copy()] + [p.grad.copy() for p in leaves]
+
+    @pytest.mark.parametrize("slope", [None, 0.01])
+    @pytest.mark.parametrize("shape", [(512, 8, 64), (1, 8, 64), (512, 64), (1, 64)])
+    def test_linear_equals_composition(self, shape, slope):
+        leaves = self._leaves(np.random.default_rng(5), shape, (shape[-1], 64), (64,))
+
+        def composed(x, w, b):
+            z = nd.matmul(x, w) + b
+            return z if slope is None else nd.leaky_relu(z, slope)
+
+        fused = self._output_and_grads(lambda x, w, b: nd.linear(x, w, b, slope), leaves)
+        for got, want in zip(fused, self._output_and_grads(composed, leaves)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(512, 8, 64), (1, 8, 64)])
+    def test_residual_layer_norm_equals_composition(self, shape):
+        leaves = self._leaves(np.random.default_rng(6), shape, shape,
+                              shape[-1:], shape[-1:])
+        fused = self._output_and_grads(nd.residual_layer_norm, leaves)
+        composed = self._output_and_grads(
+            lambda a, r, g, b: nd.layer_norm(nd.add(a, r), g, b), leaves)
+        for got, want in zip(fused, composed):
+            assert np.array_equal(got, want)
+
+    def test_linear_shape_mismatch_names_both_shapes(self):
+        with pytest.raises(nd.ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
+            nd.linear(nd.Tensor(np.zeros((2, 3))), nd.Tensor(np.zeros((4, 5))),
+                      nd.Tensor(np.zeros(5)))
+
+
+class TestRecycling:
+    """Large results come from recycled buffers, and never from live ones."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_free_list(self):
+        # forgetting the free list is safe: arrays in use keep their memory
+        tensor._buffers.clear()
+
+    @staticmethod
+    def _recycled_bytes():
+        return sum(buf.nbytes for bufs in tensor._buffers.values() for buf in bufs)
+
+    def test_held_output_and_view_keep_their_values(self):
+        rng = np.random.default_rng(0)
+        a = nd.Tensor(rng.normal(size=(512, 8, 64)), requires_grad=True)  # 1 MB
+        expected = np.tanh(a.data), (a.data * a.data)[:, 3]
+        held = nd.tanh(a)
+        view = nd.mul(a, a).data[:, 3]  # only a view of this output survives
+
+        dropped = nd.add(a, a)
+        spot = dropped.data.ctypes.data
+        del dropped
+        assert nd.add(a, a).data.ctypes.data == spot  # a dropped result is reused
+
+        for _ in range(3):
+            out = nd.layer_norm(nd.add(nd.mul(a, a), a), nd.Tensor(np.ones(64)),
+                                nd.Tensor(np.zeros(64)))
+            nd.backward(nd.tsum(nd.softmax(out)))
+        assert np.array_equal(held.data, expected[0])
+        assert np.array_equal(view, expected[1])
+
+    def test_update_cycles_reuse_what_the_first_made(self):
+        trainer = Trainer(ScenarioConfig.coop_nav(8), AlgoKind.SA_MATD3,
+                          TrainConfig(replay_capacity=512), seed=0)
+        while len(trainer.buffer) < trainer.cfg.batch_size:
+            trainer.run_episode()
+
+        def cycle():
+            for do_policy in (False, True):
+                trainer.update_from_batch(trainer.buffer.sample(512), do_policy)
+
+        cycle()
+        first = self._recycled_bytes()
+        assert first > 0
+        cycle()
+        cycle()
+        assert self._recycled_bytes() == first
+
+    def test_small_arrays_add_nothing(self):
+        rng = np.random.default_rng(0)
+        actor = nets.AttentionActor(10, 2, rng)
+        critic = nets.CriticNet(10, 2, rng)
+        obs = nd.Tensor(rng.normal(size=(1, 9, 10)))
+        actor.act(obs.data[0])
+        nd.backward(nd.tmean(nets.total_q(critic.forward(obs, actor.forward(obs)))))
+        # a batch-512 MLP step: its (512, 64) activations are 128 KB
+        mlp = nets.MlpCritic(20, rng)
+        nd.backward(nd.tmean(mlp.forward(nd.Tensor(rng.normal(size=(512, 20))))))
+        assert tensor._buffers == {}
 
 
 class TestNoGrad:
