@@ -13,16 +13,18 @@ The graph is rebuilt on every forward pass, so delayed or alternating update
 schemes never see stale records. Wrap rollout / target-value code in
 :func:`no_grad` to skip recording entirely.
 
-Large arrays are recycled. When an op has an operand of ``RECYCLE_BYTES``
-(256 KB) or more, each of its results and vjp temporaries of that size or
-more is written, through numpy's ``out=``, into a buffer from a module-level
-free list keyed by byte size (a concatenation judges by its result). A
-buffer is handed out again only when nothing outside the list references it:
-every array made from it, and every view of one of those, holds it as its
-base, so reuse never overwrites live data. The list never gives a buffer
-back, so a process keeps, for each byte size, as many buffers as its ops had
-in use at once. Ops whose operands are all smaller, and reductions, run
-numpy's plain expressions.
+Large arrays are recycled. When an op computes from an array of
+``RECYCLE_BYTES`` (256 KB) or more, each of its results and vjp temporaries
+of that size or more is written, through numpy's ``out=``, into a buffer from
+a module-level list keyed by byte size. A buffer is handed out again only
+when nothing outside the list references it: every array made from it, and
+every view of one of those, holds it as its base, so reuse never overwrites
+live data. The list forgets a byte size once no op has asked for it during
+``KEEP_PASSES`` (32) backward passes in a row. So a process keeps, for each
+size its recent updates use, as many buffers as its ops had in use at once,
+and one that moves on to another agent count or batch size frees the sizes
+it no longer uses. Ops on smaller arrays, and reductions, run numpy's plain
+expressions.
 """
 
 from __future__ import annotations
@@ -197,8 +199,17 @@ class Tensor:
 # -- recycled buffers ---------------------------------------------------------
 
 RECYCLE_BYTES = 256 * 1024
-# byte size -> every buffer of that size made so far, in use or free
+# Backward passes a byte size may go unasked before the list forgets it. An
+# update cycle of the TD3 kinds (two critic updates of two twins, then one
+# policy update) runs five; processes that alternate trainers a few cycles at
+# a time, like the nav8-update benchmark and acceptance criterion 8, come back
+# to each size within 25.
+KEEP_PASSES = 32
+# byte size -> every buffer of that size made and not forgotten, in use or free
 _buffers: dict[int, list[np.ndarray]] = {}
+# byte size -> the number of finished backward passes when an op last asked for it
+_asked: dict[int, int] = {}
+_passes = 0
 
 
 def _unused(bufs: list[np.ndarray], free_refs: int) -> np.ndarray | None:
@@ -221,11 +232,22 @@ def _buffer(shape: tuple[int, ...], dtype) -> np.ndarray:
     dtype = np.dtype(dtype)
     nbytes = math.prod(shape) * dtype.itemsize
     bufs = _buffers.setdefault(nbytes, [])
+    _asked[nbytes] = _passes
     buf = _unused(bufs, _FREE_REFS)
     if buf is None:
         buf = np.empty(nbytes, np.uint8)
         bufs.append(buf)
     return buf.view(dtype).reshape(shape)
+
+
+def _forget_idle() -> None:
+    """Count a finished backward pass and forget every byte size that no op
+    asked for during the last ``KEEP_PASSES``. A forgotten buffer still in use
+    lives on in its holders and is freed with them."""
+    global _passes
+    _passes += 1
+    for nbytes in [n for n, asked in _asked.items() if _passes - asked > KEEP_PASSES]:
+        del _buffers[nbytes], _asked[nbytes]
 
 
 def _ew(f, *args):
@@ -265,10 +287,6 @@ def _reshaped(x: np.ndarray, shape) -> np.ndarray:
     if x.nbytes < RECYCLE_BYTES or x.flags.c_contiguous:
         return x.reshape(shape)
     return _copy(x, x.dtype).reshape(shape)
-
-
-# The forward ops that rollouts run on batch-1 arrays test the size inline
-# before calling these helpers: the call alone would add about 0.4 us an op.
 
 
 def _wrap(x, like: Tensor | None = None) -> Tensor:
@@ -378,11 +396,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     # (..., D) @ (D, K) folds into one flat GEMM instead of a per-slice loop
     flat_rhs = w.ndim == 2 and x.ndim > 2
-    lhs = x.reshape(-1, x.shape[-1]) if flat_rhs else x
-    if x.nbytes < RECYCLE_BYTES and w.nbytes < RECYCLE_BYTES:
-        out = lhs @ w
-    else:
-        out = _gemm(lhs, w)
+    out = _gemm(x.reshape(-1, x.shape[-1]) if flat_rhs else x, w)
     if flat_rhs:
         out = out.reshape(x.shape[:-1] + w.shape[-1:])
 
@@ -447,9 +461,7 @@ def reshape(a: Tensor, shape) -> Tensor:
             a._accum(_reshaped(g, a.data.shape), own=True)
         return vjp
 
-    x = a.data
-    out = x.reshape(shape) if x.nbytes < RECYCLE_BYTES else _reshaped(x, shape)
-    return _maybe((a,), out, build)
+    return _maybe((a,), _reshaped(a.data, shape), build)
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
@@ -475,11 +487,11 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         return vjp
 
     arrays = [t.data for t in tensors]
-    shape = list(arrays[0].shape)
-    shape[axis] = int(stops[-1])
-    if math.prod(shape) * arrays[0].itemsize < RECYCLE_BYTES:
+    if all(x.nbytes < RECYCLE_BYTES for x in arrays):
         out = np.concatenate(arrays, axis=axis)
     else:
+        shape = list(arrays[0].shape)
+        shape[axis] = int(stops[-1])
         out = np.concatenate(arrays, axis=axis,
                              out=_buffer(tuple(shape), np.result_type(*arrays)))
     return _maybe(tensors, out, build)
@@ -498,11 +510,7 @@ def select(a: Tensor, index: int, axis: int = -1) -> Tensor:
 
     def build():
         def vjp(g):
-            if a.data.nbytes < RECYCLE_BYTES:
-                full = np.zeros_like(a.data)
-            else:
-                full = _buffer(a.data.shape, a.data.dtype)
-                full.fill(0)
+            full = np.zeros_like(a.data)
             idx = [slice(None)] * a.data.ndim
             idx[axis] = index
             full[tuple(idx)] = g
@@ -513,6 +521,10 @@ def select(a: Tensor, index: int, axis: int = -1) -> Tensor:
 
 
 # -- nonlinearities -----------------------------------------------------------
+
+# Negative-side slope of every hidden layer's leaky ReLU.
+LEAKY_SLOPE = 0.01
+
 
 def _leaky_grad(g: np.ndarray, sign: np.ndarray, slope: float) -> np.ndarray:
     """``g`` times the leaky ReLU's derivative, 1 where ``sign >= 0`` and
@@ -527,7 +539,7 @@ def _leaky_grad(g: np.ndarray, sign: np.ndarray, slope: float) -> np.ndarray:
     return scale
 
 
-def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
+def leaky_relu(a: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
     """f(x) = x for x >= 0, slope * x otherwise."""
 
     def build():
@@ -540,35 +552,31 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
     return _maybe((a,), np.maximum(a.data, out, out=out), build)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, slope: float | None = None) -> Tensor:
-    """``x @ w + b``, then a leaky ReLU of ``slope`` if one is given, as one op.
+def linear(x: Tensor, w: Tensor, b: Tensor, leaky: bool = False) -> Tensor:
+    """``x @ w + b``, then, if ``leaky``, a leaky ReLU of ``LEAKY_SLOPE``, as
+    one op.
 
     Every leading axis of ``x`` folds into one GEMM against the ``(D, K)``
     weight, and the bias and the activation are applied in place, so the op
     keeps only its output. The backward reads the activation's mask from the
-    sign of the output (an output of zero or more passes the gradient
-    unscaled, like an input of zero or more in :func:`leaky_relu`). Output
-    and gradients equal those of ``leaky_relu(matmul(x, w) + b, slope)`` bit
-    for bit.
+    sign of the output: with a slope between 0 and 1 an output of zero or
+    more comes from an input of zero or more, which :func:`leaky_relu` passes
+    unscaled. Output and gradients equal those of ``leaky_relu(matmul(x, w) +
+    b)`` bit for bit, except for a negative input so small that its scaled
+    value underflows to zero.
     """
     xd, wd = x.data, w.data
     if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
         raise ShapeError(f"linear needs (..., D) x (D, K), got {x.shape} x {w.shape}")
-    shape = xd.shape[:-1] + wd.shape[-1:]
-    lhs = xd.reshape(-1, xd.shape[-1])
-    if xd.nbytes < RECYCLE_BYTES and wd.nbytes < RECYCLE_BYTES:
-        out = lhs @ wd
-    else:
-        out = _gemm(lhs, wd)
+    out = _gemm(xd.reshape(-1, xd.shape[-1]), wd)
     out += b.data
-    if slope is not None:
-        small = out.nbytes < RECYCLE_BYTES
-        np.maximum(out, out * slope if small else _ew(np.multiply, out, slope), out=out)
-    out = out.reshape(shape)
+    if leaky:
+        np.maximum(out, _ew(np.multiply, out, LEAKY_SLOPE), out=out)
+    out = out.reshape(xd.shape[:-1] + wd.shape[-1:])
 
     def build():
         def vjp(g):
-            gz = g if slope is None else _leaky_grad(g, out, slope)
+            gz = _leaky_grad(g, out, LEAKY_SLOPE) if leaky else g
             if b._tracked():
                 gb = _unbroadcast(gz, b.data.shape)
                 b._accum(gb, own=gb is not gz)
@@ -585,7 +593,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, slope: float | None = None) -> Tenso
 
 
 def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data) if a.data.nbytes < RECYCLE_BYTES else _ew(np.tanh, a.data)
+    out = _ew(np.tanh, a.data)
 
     def build():
         def vjp(g):
@@ -619,10 +627,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
             np.maximum(row_max, flat[:, j], out=row_max)
     else:
         row_max = flat.max(axis=1)
-    if flat.nbytes < RECYCLE_BYTES:
-        out = flat - row_max[:, None]
-    else:
-        out = _ew(np.subtract, flat, row_max[:, None])
+    out = _ew(np.subtract, flat, row_max[:, None])
     np.exp(out, out=out)
     out /= out @ ones
     out = out.reshape(x.shape)
@@ -645,10 +650,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """
     x = a.data
     col = np.full((x.shape[-1], 1), 1.0 / x.shape[-1], dtype=x.dtype)
-    if x.nbytes < RECYCLE_BYTES:
-        xhat = x - _rows(x, col)
-    else:
-        xhat = _ew(np.subtract, x, _rows(x, col))
+    xhat = _ew(np.subtract, x, _rows(x, col))
     return _normalized(xhat, col, (a,), gain, bias, eps)
 
 
@@ -661,7 +663,10 @@ def residual_layer_norm(a: Tensor, residual: Tensor, gain: Tensor, bias: Tensor,
     directly. Output and gradients equal the composition's bit for bit.
     """
     x, r = a.data, residual.data
-    xhat = x + r if x.nbytes < RECYCLE_BYTES else _ew(np.add, x, r)
+    if x.shape != r.shape:
+        raise ShapeError(f"residual_layer_norm needs inputs of one shape, got "
+                         f"{a.shape} and {residual.shape}")
+    xhat = _ew(np.add, x, r)
     col = np.full((x.shape[-1], 1), 1.0 / x.shape[-1], dtype=xhat.dtype)
     np.subtract(xhat, _rows(xhat, col), out=xhat)
     return _normalized(xhat, col, (a, residual), gain, bias, eps)
@@ -672,7 +677,7 @@ def _normalized(xhat: np.ndarray, col: np.ndarray, inputs: tuple[Tensor, ...],
     """Finish a layer norm whose centred input is ``xhat`` (an array of its
     own, normalized in place), routing the input gradient to each of
     ``inputs``."""
-    out = xhat * xhat if xhat.nbytes < RECYCLE_BYTES else _ew(np.multiply, xhat, xhat)
+    out = _ew(np.multiply, xhat, xhat)
     inv = _rows(out, col)
     inv += eps
     np.sqrt(inv, out=inv)
@@ -764,6 +769,7 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> None:
             t.grad = None  # free intermediate gradients as soon as they are used
     finally:
         _need = None
+    _forget_idle()
 
     for p in params:
         if p.grad is None:

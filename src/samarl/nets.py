@@ -35,20 +35,17 @@ def _uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype,
 # learned anything worth following.
 ACTION_HEAD_INIT = 1e-3
 
-# Negative-side slope of every hidden layer's leaky ReLU.
-LEAKY_SLOPE = 0.01
-
-
 class Linear:
-    """Affine map ``x @ w + b``, optionally followed by a leaky ReLU."""
+    """Affine map ``x @ w + b``, optionally followed by a leaky ReLU of slope
+    ``ndmath.LEAKY_SLOPE``."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
                  dtype=np.float32, init_bound: float | None = None):
         self.w = _uniform_init(rng, (in_dim, out_dim), in_dim, dtype, init_bound)
         self.b = _uniform_init(rng, (out_dim,), in_dim, dtype, init_bound)
 
-    def __call__(self, x: Tensor, slope: float | None = None) -> Tensor:
-        return nd.linear(x, self.w, self.b, slope)
+    def __call__(self, x: Tensor, leaky: bool = False) -> Tensor:
+        return nd.linear(x, self.w, self.b, leaky)
 
     def named_parameters(self, prefix: str = ""):
         return [(prefix + "w", self.w), (prefix + "b", self.b)]
@@ -70,7 +67,7 @@ class MlpActor:
     def forward(self, obs: Tensor) -> Tensor:
         x = obs
         for layer in self.hidden:
-            x = layer(x, LEAKY_SLOPE)
+            x = layer(x, leaky=True)
         return nd.tanh(self.out(x))
 
     def act(self, obs: np.ndarray) -> np.ndarray:
@@ -78,7 +75,7 @@ class MlpActor:
         x = obs
         for layer in self.hidden:
             x = x @ layer.w.data + layer.b.data
-            x = np.where(x >= 0, x, LEAKY_SLOPE * x)
+            x = np.where(x >= 0, x, nd.LEAKY_SLOPE * x)
         return np.tanh(x @ self.out.w.data + self.out.b.data)
 
     def named_parameters(self, prefix: str = ""):
@@ -102,7 +99,7 @@ class MlpCritic:
 
     def forward(self, x: Tensor) -> Tensor:
         for layer in self.hidden:
-            x = layer(x, LEAKY_SLOPE)
+            x = layer(x, leaky=True)
         q = self.out(x)  # (B, 1)
         return nd.reshape(q, (q.shape[0],))
 
@@ -119,14 +116,14 @@ class SelfAttentionBlock:
 
     Scores are the raw bilinear products of queries and keys (no scaling
     term), heads are concatenated and mixed by an output projection, then a
-    residual connection and layer normalization are applied. There is no
-    positional encoding: the block commutes with any permutation of the
-    agent axis.
+    residual connection and layer normalization are applied, unless
+    ``residual_norm`` is off. There is no positional encoding: the block
+    commutes with any permutation of the agent axis.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator, *, heads: int = 4,
                  head_dim: int | None = None, dtype=np.float32,
-                 residual: bool = True, normalize: bool = True):
+                 residual_norm: bool = True):
         if head_dim is None:
             if dim % heads:
                 raise ValueError(f"dim {dim} not divisible by heads {heads}")
@@ -134,8 +131,7 @@ class SelfAttentionBlock:
         self.dim = dim
         self.heads = heads
         self.head_dim = head_dim
-        self.residual = residual
-        self.normalize = normalize
+        self.residual_norm = residual_norm
         self.wq = _uniform_init(rng, (dim, heads * head_dim), dim, dtype)
         self.wk = _uniform_init(rng, (dim, heads * head_dim), dim, dtype)
         self.wv = _uniform_init(rng, (dim, heads * head_dim), dim, dtype)
@@ -158,13 +154,9 @@ class SelfAttentionBlock:
         merged = nd.reshape(nd.swapaxes(attended, 1, 2),
                             (batch, n, self.heads * self.head_dim))
         out = nd.matmul(merged, self.wout)
-        if self.residual and self.normalize:
-            return nd.residual_layer_norm(out, x, self.ln_gain, self.ln_bias)
-        if self.residual:
-            out = out + x
-        if self.normalize:
-            out = nd.layer_norm(out, self.ln_gain, self.ln_bias)
-        return out
+        if not self.residual_norm:
+            return out
+        return nd.residual_layer_norm(out, x, self.ln_gain, self.ln_bias)
 
     def named_parameters(self, prefix: str = ""):
         pairs = [("wq", self.wq), ("wk", self.wk), ("wv", self.wv),
@@ -196,10 +188,10 @@ class CriticNet:
         if obs.shape[:2] != act.shape[:2]:
             raise nd.ShapeError(
                 f"observation/action agent layouts disagree: {obs.shape} vs {act.shape}")
-        x = self.embed(nd.concat([obs, act], axis=-1), LEAKY_SLOPE)
+        x = self.embed(nd.concat([obs, act], axis=-1), leaky=True)
         for block in self.blocks:
             x = block.forward(x)
-        q = self.q_out(self.q_hidden(x, LEAKY_SLOPE))  # (B, n, 1)
+        q = self.q_out(self.q_hidden(x, leaky=True))  # (B, n, 1)
         return nd.reshape(q, q.shape[:2])
 
     def named_parameters(self, prefix: str = ""):
@@ -232,10 +224,10 @@ class AttentionActor:
                                init_bound=ACTION_HEAD_INIT)
 
     def forward(self, obs: Tensor) -> Tensor:
-        x = self.embed(obs, LEAKY_SLOPE)
+        x = self.embed(obs, leaky=True)
         for block in self.blocks:
             x = block.forward(x)
-        return nd.tanh(self.head_out(self.head_hidden(x, LEAKY_SLOPE)))
+        return nd.tanh(self.head_out(self.head_hidden(x, leaky=True)))
 
     def act(self, obs_all: np.ndarray) -> np.ndarray:
         """Joint action for one world state, shape (n, act_dim)."""

@@ -43,10 +43,10 @@ PRIMITIVES = [
     ("tanh", lambda rng: _unary_case(rng, nd.tanh, (4, 5))),
     ("layer_norm", lambda rng: _layer_norm_case(rng, (3, 6))),
     ("layer_norm_tokens", lambda rng: _layer_norm_case(rng, (2, 4, 8))),
-    ("linear_2d", lambda rng: _linear_case(rng, (5, 6), None)),
-    ("linear_3d", lambda rng: _linear_case(rng, (2, 4, 6), None)),
-    ("linear_leaky_2d", lambda rng: _linear_case(rng, (5, 6), 0.01)),
-    ("linear_leaky_3d", lambda rng: _linear_case(rng, (2, 4, 6), 0.01)),
+    ("linear_2d", lambda rng: _linear_case(rng, (5, 6), False)),
+    ("linear_3d", lambda rng: _linear_case(rng, (2, 4, 6), False)),
+    ("linear_leaky_2d", lambda rng: _linear_case(rng, (5, 6), True)),
+    ("linear_leaky_3d", lambda rng: _linear_case(rng, (2, 4, 6), True)),
     ("residual_layer_norm", lambda rng: _residual_layer_norm_case(rng, (2, 4, 8))),
     ("residual_layer_norm_shared", lambda rng: _residual_shared_case(rng)),
     ("concat", lambda rng: _concat_case(rng)),
@@ -89,11 +89,11 @@ def _layer_norm_case(rng, shape):
     return lambda: _reduce(nd.layer_norm(x, g, b)), [x, g, b]
 
 
-def _linear_case(rng, shape, slope):
+def _linear_case(rng, shape, leaky):
     x = _p(rng, shape)
     w = _p(rng, (shape[-1], 3))
     b = _p(rng, (3,))
-    return lambda: _reduce(nd.linear(x, w, b, slope)), [x, w, b]
+    return lambda: _reduce(nd.linear(x, w, b, leaky)), [x, w, b]
 
 
 def _residual_layer_norm_case(rng, shape):

@@ -93,8 +93,8 @@ class TestAttentionBlock:
     def test_single_agent_reduces_to_value_projection(self):
         # with one row the softmax weight is exactly 1, so att(X) = X @ Wv
         rng = rng_for(8)
-        block = nets.SelfAttentionBlock(4, rng, heads=1, residual=False,
-                                        normalize=False, dtype=np.float64)
+        block = nets.SelfAttentionBlock(4, rng, heads=1, residual_norm=False,
+                                        dtype=np.float64)
         block.wout.data[...] = np.eye(4)
         x = nd.Tensor(rng.normal(size=(2, 1, 4)), dtype=np.float64)
         out = block.forward(x)
@@ -113,8 +113,8 @@ class TestAttentionBlock:
     def test_two_agent_identity_projection_oracle(self):
         # D=2, identity projections, no residual/norm:
         # A = X X^T = I, softmax rows [e/(e+1), 1/(e+1)], att = softmax(A) X
-        block = nets.SelfAttentionBlock(2, rng_for(10), heads=1, residual=False,
-                                        normalize=False, dtype=np.float64)
+        block = nets.SelfAttentionBlock(2, rng_for(10), heads=1, residual_norm=False,
+                                        dtype=np.float64)
         for w in (block.wq, block.wk, block.wv, block.wout):
             w.data[...] = np.eye(2)
         x = nd.Tensor(np.eye(2)[None, :, :], dtype=np.float64)

@@ -230,16 +230,16 @@ class TestFusedOps:
         nd.backward(nd.tsum(nd.mul(out, weights)), params=leaves)
         return [out.data.copy()] + [p.grad.copy() for p in leaves]
 
-    @pytest.mark.parametrize("slope", [None, 0.01])
+    @pytest.mark.parametrize("leaky", [False, True])
     @pytest.mark.parametrize("shape", [(512, 8, 64), (1, 8, 64), (512, 64), (1, 64)])
-    def test_linear_equals_composition(self, shape, slope):
+    def test_linear_equals_composition(self, shape, leaky):
         leaves = self._leaves(np.random.default_rng(5), shape, (shape[-1], 64), (64,))
 
         def composed(x, w, b):
             z = nd.matmul(x, w) + b
-            return z if slope is None else nd.leaky_relu(z, slope)
+            return nd.leaky_relu(z) if leaky else z
 
-        fused = self._output_and_grads(lambda x, w, b: nd.linear(x, w, b, slope), leaves)
+        fused = self._output_and_grads(lambda x, w, b: nd.linear(x, w, b, leaky), leaves)
         for got, want in zip(fused, self._output_and_grads(composed, leaves)):
             assert np.array_equal(got, want)
 
@@ -258,6 +258,12 @@ class TestFusedOps:
             nd.linear(nd.Tensor(np.zeros((2, 3))), nd.Tensor(np.zeros((4, 5))),
                       nd.Tensor(np.zeros(5)))
 
+    def test_residual_layer_norm_rejects_a_broadcast_residual(self):
+        # the gradient would come back in the full shape, not the residual's
+        a, gain, bias = (nd.Tensor(np.zeros(s)) for s in ((2, 3, 4), (4,), (4,)))
+        with pytest.raises(nd.ShapeError, match=r"\(2, 3, 4\).*\(4,\)"):
+            nd.residual_layer_norm(a, nd.Tensor(np.zeros(4)), gain, bias)
+
 
 class TestRecycling:
     """Large results come from recycled buffers, and never from live ones."""
@@ -266,6 +272,7 @@ class TestRecycling:
     def fresh_free_list(self):
         # forgetting the free list is safe: arrays in use keep their memory
         tensor._buffers.clear()
+        tensor._asked.clear()
 
     @staticmethod
     def _recycled_bytes():
@@ -290,22 +297,67 @@ class TestRecycling:
         assert np.array_equal(held.data, expected[0])
         assert np.array_equal(view, expected[1])
 
-    def test_update_cycles_reuse_what_the_first_made(self):
-        trainer = Trainer(ScenarioConfig.coop_nav(8), AlgoKind.SA_MATD3,
+    @staticmethod
+    def _filled_trainer(n: int) -> Trainer:
+        trainer = Trainer(ScenarioConfig.coop_nav(n), AlgoKind.SA_MATD3,
                           TrainConfig(replay_capacity=512), seed=0)
         while len(trainer.buffer) < trainer.cfg.batch_size:
             trainer.run_episode()
+        return trainer
 
-        def cycle():
-            for do_policy in (False, True):
-                trainer.update_from_batch(trainer.buffer.sample(512), do_policy)
+    @staticmethod
+    def _cycle(trainer: Trainer) -> None:
+        """Five backward passes: two critic updates of two twins, one policy
+        update."""
+        for do_policy in (False, True):
+            trainer.update_from_batch(trainer.buffer.sample(512), do_policy)
 
-        cycle()
+    def test_update_cycles_reuse_what_the_first_made(self):
+        trainer = self._filled_trainer(8)
+        self._cycle(trainer)
         first = self._recycled_bytes()
         assert first > 0
-        cycle()
-        cycle()
+        self._cycle(trainer)
+        self._cycle(trainer)
         assert self._recycled_bytes() == first
+
+    def test_agent_count_sweep_keeps_only_the_current_count(self, monkeypatch):
+        # a window of one cycle, so that two cycles per count pass it
+        monkeypatch.setattr(tensor, "KEEP_PASSES", 5)
+        trainers = {n: self._filled_trainer(n) for n in (3, 8, 16)}
+        alone = {}
+        for n, trainer in trainers.items():
+            tensor._buffers.clear()
+            tensor._asked.clear()
+            self._cycle(trainer)
+            self._cycle(trainer)
+            alone[n] = self._recycled_bytes()
+        assert 0 < alone[3] < alone[8] < alone[16]
+
+        tensor._buffers.clear()
+        tensor._asked.clear()
+        for n, trainer in trainers.items():
+            # the previous count's sizes go idle at the switch and are
+            # forgotten by the end of the cycle
+            self._cycle(trainer)
+            assert self._recycled_bytes() == alone[n]
+
+    def test_size_is_forgotten_after_keep_passes(self):
+        a = nd.Tensor(np.ones((512, 256)), requires_grad=True)  # 512 KB
+
+        def pass_without_large_ops():
+            p = nd.Tensor([1.0], requires_grad=True)
+            nd.backward(nd.tsum(nd.mul(p, p)))
+
+        held = nd.mul(a, a)  # in use across the passes: its holder keeps it
+        nd.backward(nd.tsum(nd.tanh(a)))
+        assert set(tensor._buffers) == {a.data.nbytes}
+        for _ in range(tensor.KEEP_PASSES - 1):
+            pass_without_large_ops()
+        assert set(tensor._buffers) == {a.data.nbytes}
+        pass_without_large_ops()  # the KEEP_PASSES-th pass in a row without it
+        assert tensor._buffers == {}
+        assert np.array_equal(held.data, a.data * a.data)
 
     def test_small_arrays_add_nothing(self):
         rng = np.random.default_rng(0)
