@@ -23,8 +23,8 @@ live data. The list forgets a byte size once no op has asked for it during
 ``KEEP_PASSES`` (32) backward passes in a row. So a process keeps, for each
 size its recent updates use, as many buffers as its ops had in use at once,
 and one that moves on to another agent count or batch size frees the sizes
-it no longer uses. Ops on smaller arrays, and reductions, run numpy's plain
-expressions.
+it no longer uses. Ops on smaller arrays, reductions and the scatter in
+``select``'s backward run numpy's plain expressions.
 """
 
 from __future__ import annotations
