@@ -29,7 +29,6 @@ come from the scripted flee policy or a loaded prey actor checkpoint.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,11 +36,14 @@ import numpy as np
 
 from . import ndmath as nd
 from . import nets
-from .checkpoint import check_dtype, load_checkpoint, restore_into, save_checkpoint
+from .checkpoint import load_checkpoint, restore_into, save_checkpoint
 from .envs import COOP_NAV, PREDATOR_PREY, ParticleWorld, ScenarioConfig, scripted_prey
 from .ndmath import Adam, Tensor, backward, clip_grad_norm, no_grad
 
 PREY_ACTOR_PREFIX = "prey_actor."
+# TrainConfig fields that fix the networks' shapes and precision; checkpoints
+# record them as ``train.<key>``
+ARCH_KEYS = ("hidden_dim", "hidden_layers", "attention_heads", "attention_blocks", "dtype")
 
 
 class NonFiniteLossError(RuntimeError):
@@ -204,8 +206,9 @@ def soft_update(target_params: Sequence[Tensor], main_params: Sequence[Tensor],
         if t.data.shape != m.data.shape:
             raise nd.ShapeError(
                 f"target/main shapes disagree: {t.data.shape} vs {m.data.shape}")
-        t.data *= 1.0 - tau
-        t.data += tau * m.data
+        for tc, mc in nd.chunks(t.data, m.data):
+            tc *= 1.0 - tau
+            tc += tau * mc
 
 
 def train_step_scheduler(episode: int, cfg: TrainConfig,
@@ -232,7 +235,7 @@ class Trainer:
 
     def __init__(self, scenario: ScenarioConfig, kind: AlgoKind,
                  cfg: TrainConfig | None = None, seed: int = 0,
-                 prey_policy: str | object = "scripted"):
+                 prey_policy: str = "scripted"):
         self.kind = kind
         self.cfg = cfg or TrainConfig()
         self.scenario = scenario
@@ -266,10 +269,12 @@ class Trainer:
     # -- construction ----------------------------------------------------------
 
     def _build_networks(self) -> None:
-        """Actors first, then critics (agent-major for MLP critics), all from
-        ``init_rng``. ``actors`` holds one ``AttentionActor`` or n
-        ``MlpActor``s; ``critic_banks[group][twin]`` holds one group for the
-        attention critic or one group per agent for MLP critics."""
+        """Actors first, then critics, all from ``init_rng`` and in the order
+        that separate per-agent networks would draw them: actor by actor, then
+        critics agent-major and twin-minor. ``actor`` is one
+        ``AttentionActor`` or a bank of n ``MlpActor``s; ``critics[twin]`` is
+        the shared ``CriticNet`` or a bank of n ``MlpCritic``s. Every network
+        or bank has one Adam."""
         cfg, kind, rng = self.cfg, self.kind, self.init_rng
         attention = dict(hidden_dim=cfg.hidden_dim, heads=cfg.attention_heads,
                          blocks=cfg.attention_blocks, dtype=cfg.np_dtype)
@@ -278,40 +283,38 @@ class Trainer:
         twins = 2 if kind.double_q else 1
 
         if kind.attention_actor:
-            self.actors = [nets.AttentionActor(self.obs_dim, self.act_dim, rng,
-                                               **attention)]
+            self.actor = nets.AttentionActor(self.obs_dim, self.act_dim, rng, **attention)
             actor_lr = cfg.attention_lr
         else:
-            self.actors = [nets.MlpActor(self.obs_dim, self.act_dim, rng, **mlp)
-                           for _ in range(self.n)]
+            self.actor = nets.stack([nets.MlpActor(self.obs_dim, self.act_dim, rng, **mlp)
+                                     for _ in range(self.n)])
             actor_lr = cfg.mlp_lr
-        self.target_actors = [nets.clone(a) for a in self.actors]
-        self.actor_optims = [Adam(nets.parameters(a), actor_lr) for a in self.actors]
+        self.target_actor = nets.clone(self.actor)
+        self.actor_optim = Adam(nets.parameters(self.actor), actor_lr)
 
         if kind.attention_critic:
-            self.critic_banks = [[nets.CriticNet(self.obs_dim, self.act_dim, rng,
-                                                 **attention)
-                                  for _ in range(twins)]]
+            self.critics = [nets.CriticNet(self.obs_dim, self.act_dim, rng, **attention)
+                            for _ in range(twins)]
             critic_lr = cfg.attention_lr
         else:
             flat_dim = self.n * (self.obs_dim + self.act_dim)
-            self.critic_banks = [[nets.MlpCritic(flat_dim, rng, **mlp)
-                                  for _ in range(twins)]
-                                 for _ in range(self.n)]
+            members = [nets.MlpCritic(flat_dim, rng, **mlp) for _ in range(self.n * twins)]
+            self.critics = [nets.stack(members[twin::twins]) for twin in range(twins)]
             critic_lr = cfg.mlp_lr
-        self.target_critic_banks = [[nets.clone(c) for c in bank]
-                                    for bank in self.critic_banks]
-        self.critic_optims = [[Adam(nets.parameters(c), critic_lr) for c in bank]
-                              for bank in self.critic_banks]
+        self.target_critics = [nets.clone(c) for c in self.critics]
+        self.critic_optims = [Adam(nets.parameters(c), critic_lr) for c in self.critics]
+
+    @property
+    def critic_banks(self) -> list[list]:
+        """``[critics]``: ``critic_banks[0][0]`` is critic #1, where the
+        benchmark's permutation check reads the shared attention critic."""
+        return [self.critics]
 
     def _setup_prey(self, prey_policy) -> None:
         self.prey_actor = None
         if self.scenario.kind != PREDATOR_PREY:
             return
         if prey_policy == "scripted" or prey_policy is None:
-            return
-        if hasattr(prey_policy, "act"):
-            self.prey_actor = prey_policy
             return
         _, tensors = load_checkpoint(prey_policy)
         prey_obs_dim = self.env.obs_dims[self.n]
@@ -320,32 +323,26 @@ class Trainer:
                               hidden_dim=self.cfg.hidden_dim,
                               hidden_layers=self.cfg.hidden_layers,
                               dtype=next((t.dtype for t in tensors.values()), np.float32))
-        restore_into(actor, tensors, prefix=PREY_ACTOR_PREFIX)
+        restore_into(actor.member(0), tensors, prefix=PREY_ACTOR_PREFIX)
         self.prey_actor = actor
 
     # -- rollout ---------------------------------------------------------------
 
     def _trainable_actions(self, obs: np.ndarray, noise_std: float) -> np.ndarray:
         """Joint action (n, act_dim) for one world state, plus clipped noise."""
-        obs = obs.astype(self.cfg.np_dtype)
-        if self.kind.attention_actor:
-            acts = self.actors[0].act(obs)
-        else:
-            acts = np.stack([actor.act(o) for actor, o in zip(self.actors, obs)])
+        acts = self.actor.act(obs.astype(self.cfg.np_dtype))
         if noise_std > 0:
             acts = acts + self.explore_rng.normal(0.0, noise_std, acts.shape)
         return np.clip(acts, self.cfg.action_low, self.cfg.action_high)
 
     def _prey_actions(self, env: ParticleWorld, obs: list[np.ndarray]) -> np.ndarray:
-        cfg = self.scenario
-        rows = []
-        for j in range(cfg.n_predators, cfg.n_agents):
-            if self.prey_actor is not None:
-                rows.append(np.clip(self.prey_actor.act(
-                    obs[j].astype(np.float32)), -1.0, 1.0))
-            else:
-                rows.append(scripted_prey(env, j))
-        return np.stack(rows)
+        """Prey actions (prey, act_dim): the scripted flee policy, or one call
+        of the prey actor on every prey observation."""
+        prey = range(self.scenario.n_predators, self.scenario.n_agents)
+        if self.prey_actor is None:
+            return np.stack([scripted_prey(env, j) for j in prey])
+        rows = np.stack([obs[j] for j in prey]).astype(np.float32)
+        return np.clip(self.prey_actor.act(rows), -1.0, 1.0)
 
     def run_episode(self, explore: bool = True, store: bool | None = None,
                     env: ParticleWorld | None = None) -> np.ndarray:
@@ -379,39 +376,29 @@ class Trainer:
 
     # -- updates ---------------------------------------------------------------
 
-    def _joint_action(self, actors, obs: Tensor) -> Tensor:
-        """Actions (B, n, act_dim) of ``actors`` for observations (B, n, d)."""
+    def _joint_action(self, actor, obs: Tensor) -> Tensor:
+        """Actions (B, n, act_dim) of ``actor`` for observations (B, n, d).
+        An MLP bank reads agent i's observations with member i."""
         if self.kind.attention_actor:
-            return actors[0].forward(obs)
-        return nd.stack([actor.forward(nd.select(obs, i, axis=1))
-                         for i, actor in enumerate(actors)], axis=1)
+            return actor.forward(obs)
+        return nd.swapaxes(actor.forward(nd.swapaxes(obs, 0, 1)), 0, 1)
 
-    def _q(self, banks, twin: int, obs: Tensor, act: Tensor) -> Tensor:
-        """Per-agent Q values from twin ``twin`` of every critic group in ``banks``.
-
-        The shared attention critic maps (B, n, d) observations and (B, n, a)
-        actions to Q (B, n) itself. An MLP critic group sees the flat concat of
-        every observation and action and gives one column, so ``banks`` of g
-        agent critics give Q (B, g).
-        """
-        if self.kind.attention_critic:
-            return banks[0][twin].forward(obs, act)
+    def _regressed_q(self, critic, obs: Tensor, act: Tensor) -> Tensor:
+        """What critic twin ``critic`` regresses, one row per member: total Q
+        (1, B) for the shared attention critic, per-agent Q (n, B) for a bank
+        of MLP critics, which all read the flat concat of every observation
+        and action."""
         batch = obs.shape[0]
-        flat = nd.concat([nd.reshape(obs, (batch, -1)), nd.reshape(act, (batch, -1))],
-                         axis=-1)
-        return nd.stack([bank[twin].forward(flat) for bank in banks], axis=1)
-
-    def _regressed_q(self, banks, twin: int, obs: Tensor, act: Tensor) -> Tensor:
-        """What the critics regress: total Q (B,) for the attention critic,
-        per-agent Q (B, n) for MLP critics."""
-        q = self._q(banks, twin, obs, act)
-        return nets.total_q(q) if self.kind.attention_critic else q
+        if self.kind.attention_critic:
+            return nd.reshape(nets.total_q(critic.forward(obs, act)), (1, batch))
+        return critic.forward(nd.concat([nd.reshape(obs, (batch, -1)),
+                                         nd.reshape(act, (batch, -1))], axis=-1))
 
     def _target_actions(self, next_obs: Tensor) -> np.ndarray:
         """Target-policy actions (B, n, act_dim); double-Q kinds add clipped
         smoothing noise."""
         with no_grad():
-            acts = self._joint_action(self.target_actors, next_obs).data
+            acts = self._joint_action(self.target_actor, next_obs).data
         if self.kind.double_q and self.cfg.critic_noise_std > 0:
             acts = acts + self.smooth_rng.normal(0.0, self.cfg.critic_noise_std,
                                                  acts.shape)
@@ -427,51 +414,60 @@ class Trainer:
         next_obs = Tensor(batch.next_obs, dtype=cfg.np_dtype)
         act = Tensor(self._target_actions(next_obs), dtype=cfg.np_dtype)
         with no_grad():
-            qs = [self._regressed_q(self.target_critic_banks, twin, next_obs, act).data
-                  for twin in range(len(self.target_critic_banks[0]))]
+            qs = [self._regressed_q(critic, next_obs, act).data
+                  for critic in self.target_critics]
         q = qs[0] if len(qs) == 1 else np.minimum(*qs)
         r = batch.rew[:, self.reward_type].astype(np.float64)
         cont = cfg.gamma * (1.0 - batch.done.astype(np.float64))
-        if q.ndim == 2:
-            r, cont = r[:, None], cont[:, None]
-        return (r + cont * q).astype(cfg.np_dtype)
+        y = (r + cont * q).astype(cfg.np_dtype)
+        return y[0] if self.kind.attention_critic else y.T
 
     def critic_update(self, batch: Batch, y=None) -> float:
         """One Adam step on every critic toward the Bellman targets.
 
         Each twin takes one backward pass over the summed MSE losses of its
-        members (the shared critic, or the n agent critics); each member is
-        then clipped and stepped on its own. Returns the mean member loss.
+        members (the shared critic, or the n agent critics of a bank), each
+        taken over the member's own row of Q; each member is then clipped on
+        its own, and the twin takes one Adam step. Returns the mean member
+        loss.
         """
         cfg = self.cfg
         if y is None:
             y = self.compute_target_y(batch)
         obs = Tensor(batch.obs, dtype=cfg.np_dtype)
         act = Tensor(batch.act, dtype=cfg.np_dtype)
-        y_t = Tensor(np.asarray(y), dtype=cfg.np_dtype)
+        y_rows = Tensor(np.atleast_2d(np.asarray(y).T), dtype=cfg.np_dtype)
         losses: list[float] = []
-        for twin in range(len(self.critic_banks[0])):
-            diff = self._regressed_q(self.critic_banks, twin, obs, act) - y_t
-            # one MSE per member; an agent critic's loss is taken over its
-            # own column, so it sums in the same order as a lone critic's
-            if diff.ndim == 1:
-                member_diffs = [diff]
-            else:
-                member_diffs = [nd.select(diff, i, axis=1) for i in range(diff.shape[1])]
-            member_losses = [nd.tmean(nd.mul(d, d)) for d in member_diffs]
-            loss = functools.reduce(nd.add, member_losses)
+        for critic, optim in zip(self.critics, self.critic_optims):
+            diff = self._regressed_q(critic, obs, act) - y_rows
+            member_losses = nd.tmean(nd.mul(diff, diff), axis=-1)
+            loss = nd.tsum(member_losses)
             if not np.isfinite(loss.item()):
                 raise NonFiniteLossError(
                     f"non-finite critic loss at update {self.critic_updates}: "
                     f"{loss.item()}")
-            members = [bank[twin] for bank in self.critic_banks]
-            backward(loss, params=[p for c in members for p in nets.parameters(c)])
-            for critic, optims in zip(members, self.critic_optims):
-                clip_grad_norm([p.grad for p in nets.parameters(critic)], cfg.grad_clip)
-                optims[twin].step()
-            losses += [m.item() for m in member_losses]
+            backward(loss, params=nets.parameters(critic))
+            self._clip_and_step(critic, optim)
+            losses += member_losses.data.tolist()
         self.critic_updates += 1
         return float(np.mean(losses))
+
+    def _one_to_one_inputs(self, obs: Tensor, stored: np.ndarray) -> Tensor:
+        """Critic inputs (n, B, flat) of the one-to-one policy step: row block
+        i holds every observation, agent i's fresh action and every other
+        agent's buffer action, mixed by an identity mask (exact, since the
+        masked-out term adds a zero)."""
+        batch, n, act_dim = stored.shape
+        fresh = nd.reshape(self._joint_action(self.actor, obs), (1, batch, n, act_dim))
+        # full-size (broadcast) masks, so that the mixed actions are recycled
+        full = (n, batch, n, act_dim)
+        eye = np.eye(n, dtype=stored.dtype)[:, None, :, None]
+        acts = nd.add(nd.mul(fresh, np.broadcast_to(eye, full)),
+                      nd.mul(Tensor(stored[None]), np.broadcast_to(1 - eye, full)))
+        seen = obs.data.reshape(batch, -1)
+        seen = np.broadcast_to(seen, (n,) + seen.shape)
+        return nd.concat([Tensor(seen, dtype=seen.dtype),
+                          nd.reshape(acts, (n, batch, n * act_dim))], axis=-1)
 
     def policy_update(self, batch: Batch) -> list[float]:
         """Step every policy against critic #1; returns per-actor gradient norms.
@@ -483,38 +479,35 @@ class Trainer:
         """
         cfg = self.cfg
         obs = Tensor(batch.obs, dtype=cfg.np_dtype)
+        critic = self.critics[0]
         if self.kind.attention_critic:
-            q = self._q(self.critic_banks, 0, obs, self._joint_action(self.actors, obs))
+            total = nets.total_q(critic.forward(obs, self._joint_action(self.actor, obs)))
         else:
-            stored = [Tensor(batch.act[:, j], dtype=cfg.np_dtype) for j in range(self.n)]
-            columns = []
-            for i, actor in enumerate(self.actors):
-                acts = stored.copy()
-                acts[i] = actor.forward(nd.select(obs, i, axis=1))
-                columns.append(self._q(self.critic_banks[i:i + 1], 0, obs,
-                                       nd.stack(acts, axis=1)))
-            q = nd.concat(columns, axis=-1)
-        loss = -nd.tmean(nets.total_q(q))
+            stored = batch.act.astype(cfg.np_dtype)
+            total = nd.tsum(critic.forward(self._one_to_one_inputs(obs, stored)), axis=0)
+        loss = -nd.tmean(total)
         if not np.isfinite(loss.item()):
             raise NonFiniteLossError(f"non-finite policy loss: {loss.item()}")
 
-        backward(loss, params=[p for a in self.actors for p in nets.parameters(a)])
-        norms = []
-        for actor, opt in zip(self.actors, self.actor_optims):
-            norms.append(clip_grad_norm([p.grad for p in nets.parameters(actor)],
-                                        cfg.grad_clip))
-            opt.step()
+        backward(loss, params=nets.parameters(self.actor))
+        norms = self._clip_and_step(self.actor, self.actor_optim)
         self.policy_updates += 1
         for tgt, main in self._target_pairs():
             soft_update(nets.parameters(tgt), nets.parameters(main), cfg.tau)
+        return np.atleast_1d(norms).tolist()
+
+    def _clip_and_step(self, net, optim: Adam):
+        """Clip the gradient of ``net``, or of each member of a bank on its
+        own, then take one Adam step; returns the pre-clip norm(s)."""
+        norms = clip_grad_norm([p.grad for p in nets.parameters(net)], self.cfg.grad_clip,
+                               grouped=isinstance(net, nets.MlpBank))
+        optim.step()
         return norms
 
     def _target_pairs(self) -> list[tuple[object, object]]:
-        """(target, main) network pairs: every actor, then every critic."""
-        pairs = list(zip(self.target_actors, self.actors))
-        for tbank, bank in zip(self.target_critic_banks, self.critic_banks):
-            pairs += zip(tbank, bank)
-        return pairs
+        """(target, main) network pairs: the actor, then every critic twin."""
+        return [(self.target_actor, self.actor)] + list(zip(self.target_critics,
+                                                            self.critics))
 
     def update_from_batch(self, batch: Batch, do_policy: bool) -> dict:
         stats = {"critic_loss": self.critic_update(batch)}
@@ -538,21 +531,27 @@ class Trainer:
     # -- persistence -----------------------------------------------------------
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = []
-        for i, actor in enumerate(self.actors):
-            out += actor.named_parameters(
-                "attention_actor." if self.kind.attention_actor else f"actor.{i}.")
-        for i, bank in enumerate(self.critic_banks):
-            for j, critic in enumerate(bank):
-                out += critic.named_parameters(
-                    f"shared_critic.{j + 1}." if self.kind.attention_critic
-                    else f"agent_critic.{i}.{j + 1}.")
+        """Every main-network parameter under its checkpoint name. A bank's
+        members are listed one by one, as views of their slices, named and
+        shaped as when every agent had a network of its own."""
+        if self.kind.attention_actor:
+            out = self.actor.named_parameters("attention_actor.")
+        else:
+            out = [pair for i in range(self.n)
+                   for pair in self.actor.member(i, f"actor.{i}.")]
+        if self.kind.attention_critic:
+            for j, critic in enumerate(self.critics):
+                out += critic.named_parameters(f"shared_critic.{j + 1}.")
+        else:
+            out += [pair for i in range(self.n) for j, critic in enumerate(self.critics)
+                    for pair in critic.member(i, f"agent_critic.{i}.{j + 1}.")]
         return out
 
     def save(self, directory, episode: int):
         return save_checkpoint(directory, self.named_parameters(),
                                algo=self.kind.value, scenario=self.scenario.kind,
-                               agents=self.scenario.n_agents, episode=episode)
+                               agents=self.scenario.n_agents, episode=episode,
+                               train={key: getattr(self.cfg, key) for key in ARCH_KEYS})
 
     def restore(self, directory) -> int:
         manifest, tensors = load_checkpoint(directory)
@@ -564,11 +563,12 @@ class Trainer:
             raise ValueError(
                 f"checkpoint has {manifest.agents} agents, scenario has "
                 f"{self.scenario.n_agents}")
-        for name, param in self.named_parameters():
-            if name not in tensors:
-                raise ValueError(f"checkpoint is missing tensor '{name}'")
-            check_dtype(name, tensors[name], param)
-            param.data[...] = tensors[name]
+        for key, value in manifest.train.items():
+            if value != str(getattr(self.cfg, key)):
+                raise ValueError(
+                    f"checkpoint was trained with train.{key} = {value}, this "
+                    f"trainer has {getattr(self.cfg, key)}")
+        restore_into(self.named_parameters(), tensors)
         self._sync_targets()
         return manifest.episode
 

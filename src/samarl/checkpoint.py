@@ -33,6 +33,9 @@ class CheckpointManifest:
     agents: int
     episode: int
     entries: list[tuple[str, tuple[int, ...], str, int]]
+    # the run's ``train.<key>`` architecture values, as written; empty for
+    # checkpoints saved before they were recorded
+    train: dict[str, str]
 
 
 def _shape_str(shape: tuple[int, ...]) -> str:
@@ -46,10 +49,12 @@ def _parse_shape(text: str) -> tuple[int, ...]:
 
 
 def save_checkpoint(directory, named_tensors, *, algo: str, scenario: str,
-                    agents: int, episode: int) -> Path:
+                    agents: int, episode: int, train: dict | None = None) -> Path:
     """Write ``named_tensors`` (iterable of (name, tensor-or-array)) to ``directory``.
 
-    Every name and dtype is checked before the directory is created.
+    ``train`` maps architecture keys to the values the header records as
+    ``train.<key>``. Every name and dtype is checked before the directory is
+    created.
     """
     entries = []
     chunks = []
@@ -74,6 +79,7 @@ def save_checkpoint(directory, named_tensors, *, algo: str, scenario: str,
         f"agents {agents}",
         f"episode {episode}",
     ]
+    lines += [f"train.{key} {value}" for key, value in (train or {}).items()]
     for name, shape, dtype, off in entries:
         lines.append(f"tensor {name} {_shape_str(shape)} {dtype} {off}")
     directory = Path(directory)
@@ -133,21 +139,20 @@ def load_checkpoint(directory) -> tuple[CheckpointManifest, dict[str, np.ndarray
         agents=int(header.get("agents", "0")),
         episode=int(header.get("episode", "0")),
         entries=entries,
+        train={key[len("train."):]: value for key, value in header.items()
+               if key.startswith("train.")},
     )
     return manifest, tensors
 
 
-def check_dtype(key: str, arr: np.ndarray, param) -> None:
-    """Refuse to copy a checkpoint tensor into a parameter of another dtype,
-    which would silently change the precision a restored network runs in."""
-    if arr.dtype != param.data.dtype:
-        raise ValueError(f"checkpoint tensor '{key}' is {arr.dtype.name}, the "
-                         f"network's parameter is {param.data.dtype.name}")
+def restore_into(named_params, tensors: dict[str, np.ndarray], prefix: str = "") -> None:
+    """Copy checkpoint arrays into (name, parameter) pairs by name.
 
-
-def restore_into(net, tensors: dict[str, np.ndarray], prefix: str = "") -> None:
-    """Copy checkpoint arrays into a network's parameters by name."""
-    for name, param in net.named_parameters():
+    Every name must be present with the parameter's shape and dtype: a
+    different dtype would silently change the precision a restored network
+    runs in.
+    """
+    for name, param in named_params:
         key = prefix + name
         if key not in tensors:
             raise CheckpointError(f"checkpoint is missing tensor '{key}'")
@@ -156,5 +161,7 @@ def restore_into(net, tensors: dict[str, np.ndarray], prefix: str = "") -> None:
             raise CheckpointError(
                 f"tensor '{key}' shape {arr.shape} does not match parameter "
                 f"shape {param.data.shape}")
-        check_dtype(key, arr, param)
+        if arr.dtype != param.data.dtype:
+            raise ValueError(f"checkpoint tensor '{key}' is {arr.dtype.name}, the "
+                             f"network's parameter is {param.data.dtype.name}")
         param.data[...] = arr

@@ -43,8 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--episodes", type=int, default=100)
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--prey", default="scripted")
-    ev.add_argument("--config", help="config file (needed for non-default "
-                                     "network sizes)")
+    ev.add_argument("--config", help="config file; the network sizes and dtype "
+                                     "default to those the checkpoint records")
 
     pl = sub.add_parser("plot", help="render learning curves from metrics CSVs")
     pl.add_argument("csvs", nargs="+", help="metrics.csv paths")

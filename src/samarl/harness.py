@@ -274,24 +274,28 @@ def evaluate(checkpoint, episodes: int, seed: int, *,
              prey: str = "scripted") -> dict:
     """Evaluate a saved checkpoint; statistics are per agent type.
 
-    Without ``train_cfg`` the networks take the default sizes and the dtype
-    of the checkpoint's tensors.
+    Without ``train_cfg`` the networks take the architecture the checkpoint
+    records. A checkpoint that records none takes the default sizes and the
+    dtype of its tensors.
     """
     manifest, _ = load_checkpoint(checkpoint)
     kind = AlgoKind.parse(manifest.algo)
     scenario = RunConfig(scenario=manifest.scenario,
                          agents=manifest.agents).scenario_config()
     if train_cfg is None:
-        train_cfg = TrainConfig(dtype=next((dtype for _, _, dtype, _ in manifest.entries),
-                                           TrainConfig.dtype))
+        mapping = {"train.dtype": next((dtype for _, _, dtype, _ in manifest.entries),
+                                       TrainConfig.dtype)}
+        mapping.update({f"train.{key}": value for key, value in manifest.train.items()})
+        train_cfg = apply_config_mapping(RunConfig(), mapping).train
     trainer = Trainer(scenario, kind, train_cfg, seed=seed, prey_policy=prey)
     trainer.restore(checkpoint)
     return evaluate_trainer(trainer, episodes, seed)
 
 
 def save_prey_actor(directory, actor, scenario: ScenarioConfig) -> Path:
-    """Write an actor as a prey-policy checkpoint usable via ``prey=<path>``."""
-    return save_checkpoint(directory, actor.named_parameters(PREY_ACTOR_PREFIX),
+    """Write member 0 of an ``MlpActor`` as a prey-policy checkpoint usable
+    via ``prey=<path>``."""
+    return save_checkpoint(directory, actor.member(0, PREY_ACTOR_PREFIX),
                            algo="prey-actor", scenario=scenario.kind,
                            agents=scenario.n_agents, episode=0)
 

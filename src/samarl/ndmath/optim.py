@@ -13,12 +13,31 @@ class NonFiniteGradError(RuntimeError):
     """A gradient contained NaN/inf; the optimizer step was aborted."""
 
 
+# Elements per slice of an elementwise parameter pass: a slice's temporaries
+# stay in cache and below the allocator's mmap threshold, so stepping a large
+# stacked parameter faults no fresh pages.
+CHUNK = 1 << 14
+
+
+def chunks(*arrays: np.ndarray):
+    """Matching flat slices of same-shape ``arrays``, CHUNK elements at most;
+    views, so in-place writes land in the arrays. Small arrays, and arrays
+    that are not all C-contiguous, come back whole."""
+    if arrays[0].size <= CHUNK or not all(a.flags.c_contiguous for a in arrays):
+        yield arrays
+        return
+    flats = [a.reshape(-1) for a in arrays]
+    for start in range(0, flats[0].size, CHUNK):
+        yield tuple(f[start:start + CHUNK] for f in flats)
+
+
 class Adam:
     """Standard Adam with bias correction over a fixed parameter list.
 
     Missing gradients (parameter untouched by the last backward pass) are
     treated as zeros, so a step with no gradient leaves the parameter value
-    unchanged while still advancing the moment estimates.
+    unchanged while still advancing the moment estimates. The step runs
+    slice by slice (see ``chunks``).
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float,
@@ -38,7 +57,8 @@ class Adam:
         grads = []
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
+            # a NaN or an infinity shows in the minimum or the maximum
+            if g.size and not (np.isfinite(g.min()) and np.isfinite(g.max())):
                 raise NonFiniteGradError(
                     f"non-finite gradient in parameter {i} (shape {p.data.shape}): "
                     f"nan={int(np.isnan(g).sum())}, inf={int(np.isinf(g).sum())}")
@@ -48,26 +68,36 @@ class Adam:
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         for p, m, v, g in zip(self.params, self.m, self.v, grads):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            for pc, mc, vc, gc in chunks(p.data, m, v, g):
+                mc *= self.beta1
+                mc += (1.0 - self.beta1) * gc
+                vc *= self.beta2
+                vc += (1.0 - self.beta2) * (gc * gc)
+                pc -= self.lr * (mc / c1) / (np.sqrt(vc / c2) + self.eps)
 
 
-def clip_grad_norm(grads: Sequence[np.ndarray], max_norm: float) -> float:
+def clip_grad_norm(grads: Sequence[np.ndarray], max_norm: float,
+                   grouped: bool = False) -> float | np.ndarray:
     """Scale ``grads`` in place so their global L2 norm is at most ``max_norm``.
 
-    Returns the pre-clip global norm (useful as a training diagnostic).
+    Returns the pre-clip global norm (useful as a training diagnostic). With
+    ``grouped``, the leading axis of every gradient indexes the members of a
+    bank: each member is clipped on its own slices, bit for bit as if alone,
+    and the (g,) array of their norms is returned.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    total = 0.0
+    groups = len(grads[0]) if grouped and grads else 1
+    total = np.zeros(groups)
     for g in grads:
-        total += float(np.dot(g.reshape(-1), g.reshape(-1)))
-    norm = float(np.sqrt(total))
-    if norm > max_norm:
-        scale = max_norm / norm
+        rows = g.reshape(groups, 1, -1)
+        total += (rows @ rows.swapaxes(-1, -2)).reshape(groups)
+    norms = np.sqrt(total)
+    if np.any(norms > max_norm):
+        # max_norm / norm above the bound and exactly 1 below it, in the
+        # gradients' precision
+        scale = max_norm / np.maximum(norms, max_norm)
         for g in grads:
-            g *= scale
-    return norm
+            factor = scale.astype(g.dtype)
+            g *= factor.reshape((groups,) + (1,) * (g.ndim - 1)) if grouped else factor[0]
+    return norms if grouped else float(norms[0])

@@ -14,17 +14,17 @@ schemes never see stale records. Wrap rollout / target-value code in
 :func:`no_grad` to skip recording entirely.
 
 Large arrays are recycled. When an op computes from an array of
-``RECYCLE_BYTES`` (256 KB) or more, each of its results and vjp temporaries
-of that size or more is written, through numpy's ``out=``, into a buffer from
-a module-level list keyed by byte size. A buffer is handed out again only
-when nothing outside the list references it: every array made from it, and
-every view of one of those, holds it as its base, so reuse never overwrites
-live data. The list forgets a byte size once no op has asked for it during
-``KEEP_PASSES`` (32) backward passes in a row. So a process keeps, for each
-size its recent updates use, as many buffers as its ops had in use at once,
-and one that moves on to another agent count or batch size frees the sizes
-it no longer uses. Ops on smaller arrays, reductions and the scatter in
-``select``'s backward run numpy's plain expressions.
+``RECYCLE_BYTES`` (256 KB) or more, or a matrix product is that large, each
+of its results and vjp temporaries of that size or more is written, through
+numpy's ``out=``, into a buffer from a module-level list keyed by byte size.
+A buffer is handed out again only when nothing outside the list references
+it: every array made from it, and every view of one of those, holds it as its
+base, so reuse never overwrites live data. The list forgets a byte size once
+no op has asked for it during ``KEEP_PASSES`` (32) backward passes in a row.
+So a process keeps, for each size its recent updates use, as many buffers as
+its ops had in use at once, and one that moves on to another agent count or
+batch size frees the sizes it no longer uses. Ops on smaller arrays and
+reductions run numpy's plain expressions.
 """
 
 from __future__ import annotations
@@ -115,10 +115,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
 
@@ -128,9 +124,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -164,36 +157,16 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not part of this substrate")
-        return mul(self, 1.0 / other)
-
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, *shape) -> "Tensor":
         return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def swap_last_axes(self) -> "Tensor":
-        return swapaxes(self, -1, -2)
 
 
 # -- recycled buffers ---------------------------------------------------------
@@ -270,15 +243,23 @@ def _copy(g: np.ndarray, dtype) -> np.ndarray:
 
 
 def _gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w``; when an operand is large, a product that is large too goes
-    into a recycled buffer."""
-    if x.nbytes < RECYCLE_BYTES and w.nbytes < RECYCLE_BYTES:
+    """``x @ w``; a large product goes into a recycled buffer.
+
+    A product outgrows ``x`` only when its inner axis is the shorter one or
+    ``w`` has more leading axes, as when a bank's output layer maps one
+    column per member back to its input width; only then are two small
+    operands sized up. The leading axes are taken from the operand with more
+    of them; under other broadcasts the size errs small, and the product is
+    not recycled.
+    """
+    if x.nbytes < RECYCLE_BYTES and w.nbytes < RECYCLE_BYTES and \
+            x.shape[-1] >= w.shape[-1] and x.ndim >= w.ndim:
+        return x @ w
+    lead = x.shape[:-2] if x.ndim >= w.ndim else w.shape[:-2]
+    if math.prod(lead) * x.shape[-2] * w.shape[-1] * x.itemsize < RECYCLE_BYTES:
         return x @ w
     shape = np.broadcast_shapes(x.shape[:-2], w.shape[:-2]) + (x.shape[-2], w.shape[-1])
-    dtype = np.result_type(x, w)
-    if math.prod(shape) * dtype.itemsize < RECYCLE_BYTES:
-        return x @ w
-    return np.matmul(x, w, out=_buffer(shape, dtype))
+    return np.matmul(x, w, out=_buffer(shape, np.result_type(x, w)))
 
 
 def _reshaped(x: np.ndarray, shape) -> np.ndarray:
@@ -497,29 +478,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _maybe(tensors, out, build)
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
-    """Stack same-shape tensors along a new axis (used for per-agent layouts)."""
-    expanded = [reshape(t, t.data.shape[:axis] + (1,) + t.data.shape[axis:])
-                for t in tensors]
-    return concat(expanded, axis=axis)
-
-
-def select(a: Tensor, index: int, axis: int = -1) -> Tensor:
-    """Take one slice along ``axis``, dropping that axis."""
-    out = np.take(a.data, index, axis=axis)
-
-    def build():
-        def vjp(g):
-            full = np.zeros_like(a.data)
-            idx = [slice(None)] * a.data.ndim
-            idx[axis] = index
-            full[tuple(idx)] = g
-            a._accum(full, own=True)
-        return vjp
-
-    return _maybe((a,), out, build)
-
-
 # -- nonlinearities -----------------------------------------------------------
 
 # Negative-side slope of every hidden layer's leaky ReLU.
@@ -556,23 +514,38 @@ def linear(x: Tensor, w: Tensor, b: Tensor, leaky: bool = False) -> Tensor:
     """``x @ w + b``, then, if ``leaky``, a leaky ReLU of ``LEAKY_SLOPE``, as
     one op.
 
-    Every leading axis of ``x`` folds into one GEMM against the ``(D, K)``
-    weight, and the bias and the activation are applied in place, so the op
-    keeps only its output. The backward reads the activation's mask from the
-    sign of the output: with a slope between 0 and 1 an output of zero or
-    more comes from an input of zero or more, which :func:`leaky_relu` passes
-    unscaled. Output and gradients equal those of ``leaky_relu(matmul(x, w) +
-    b)`` bit for bit, except for a negative input so small that its scaled
-    value underflows to zero.
+    A ``(D, K)`` weight takes a ``(K,)`` bias, and every leading axis of ``x``
+    folds into one GEMM. A grouped weight ``(g, D, K)`` takes a ``(g, 1, K)``
+    bias: ``x`` is then ``(g, B, D)``, one block of rows per group, or
+    ``(B, D)`` shared by every group, and the output is ``(g, B, K)``. numpy
+    runs one GEMM per group, so group i's output and gradients equal those of
+    a lone ``linear`` on slice i bit for bit; a shared ``x`` takes the sum of
+    the groups' gradients, added in group order.
+
+    The bias and the activation are applied in place, so the op keeps only
+    its output. The backward reads the activation's mask from the sign of the
+    output: with a slope between 0 and 1 an output of zero or more comes from
+    an input of zero or more, which :func:`leaky_relu` passes unscaled. Output
+    and gradients equal those of ``leaky_relu(matmul(x, w) + b)`` bit for bit,
+    except for a negative input so small that its scaled value underflows to
+    zero.
     """
     xd, wd = x.data, w.data
-    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
-        raise ShapeError(f"linear needs (..., D) x (D, K), got {x.shape} x {w.shape}")
-    out = _gemm(xd.reshape(-1, xd.shape[-1]), wd)
+    grouped = wd.ndim == 3
+    if grouped:
+        ok = (xd.ndim == 2 or (xd.ndim == 3 and len(xd) == len(wd))) \
+            and b.data.shape == (len(wd), 1, wd.shape[2])
+    else:
+        ok = xd.ndim >= 2 and wd.ndim == 2
+    if not ok or xd.shape[-1] != wd.shape[-2]:
+        raise ShapeError(f"linear needs (..., D) x (D, K), or (g, B, D) or (B, D) x "
+                         f"(g, D, K) + (g, 1, K), got {x.shape} x {w.shape} + {b.shape}")
+    out = _gemm(xd if grouped else xd.reshape(-1, xd.shape[-1]), wd)
     out += b.data
     if leaky:
         np.maximum(out, _ew(np.multiply, out, LEAKY_SLOPE), out=out)
-    out = out.reshape(xd.shape[:-1] + wd.shape[-1:])
+    if not grouped:
+        out = out.reshape(xd.shape[:-1] + wd.shape[-1:])
 
     def build():
         def vjp(g):
@@ -582,6 +555,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor, leaky: bool = False) -> Tensor:
                 b._accum(gb, own=gb is not gz)
             if not gz.flags.c_contiguous:
                 gz = _copy(gz, gz.dtype)
+            if w.data.ndim == 3:
+                if x._tracked():
+                    gx = _gemm(gz, w.data.swapaxes(-1, -2))
+                    x._accum(gx if x.data.ndim == 3 else gx.sum(axis=0), own=True)
+                if w._tracked():
+                    w._accum(_gemm(x.data.swapaxes(-1, -2), gz), own=True)
+                return
             g2 = gz.reshape(-1, out.shape[-1])
             if x._tracked():
                 x._accum(_gemm(g2, w.data.T).reshape(x.data.shape), own=True)

@@ -1,7 +1,9 @@
 """Actor and critic architectures.
 
 Two families live here. The MLP family (``MlpActor``, ``MlpCritic``) is the
-conventional per-agent setup: each network sees a flat vector. The attention
+conventional per-agent setup: each network sees a flat vector. Its n
+per-agent networks live in one bank, stacked on a leading group axis, and
+run as one grouped forward per layer. The attention
 family (``CriticNet``, ``AttentionActor``) consumes a ``[batch, agent,
 features]`` layout and shares one set of weights across the agent axis; with
 no positional encoding anywhere, permuting the agents permutes the outputs
@@ -37,12 +39,16 @@ ACTION_HEAD_INIT = 1e-3
 
 class Linear:
     """Affine map ``x @ w + b``, optionally followed by a leaky ReLU of slope
-    ``ndmath.LEAKY_SLOPE``."""
+    ``ndmath.LEAKY_SLOPE``. A ``grouped`` layer holds a ``(1, D, K)`` weight
+    and a ``(1, 1, K)`` bias, drawn as the ungrouped ones are."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 dtype=np.float32, init_bound: float | None = None):
-        self.w = _uniform_init(rng, (in_dim, out_dim), in_dim, dtype, init_bound)
-        self.b = _uniform_init(rng, (out_dim,), in_dim, dtype, init_bound)
+                 dtype=np.float32, init_bound: float | None = None,
+                 grouped: bool = False):
+        w_shape, b_shape = ((1, in_dim, out_dim), (1, 1, out_dim)) if grouped \
+            else ((in_dim, out_dim), (out_dim,))
+        self.w = _uniform_init(rng, w_shape, in_dim, dtype, init_bound)
+        self.b = _uniform_init(rng, b_shape, in_dim, dtype, init_bound)
 
     def __call__(self, x: Tensor, leaky: bool = False) -> Tensor:
         return nd.linear(x, self.w, self.b, leaky)
@@ -51,64 +57,96 @@ class Linear:
         return [(prefix + "w", self.w), (prefix + "b", self.b)]
 
 
-class MlpActor:
-    """Per-agent deterministic policy: observation vector -> tanh action."""
+class MlpBank:
+    """g MLPs of one shape on a leading group axis, leaky ReLU hidden layers.
+
+    Each layer is one grouped ``Linear``, a ``(g, D, K)`` weight and a
+    ``(g, 1, K)`` bias, so a forward runs one grouped ``linear`` per layer for
+    all g members. The constructor builds one member (g = 1), drawing as a
+    lone network does: layer by layer, weight then bias; ``stack`` joins
+    members.
+    """
+
+    def __init__(self, dims: list[int], rng: np.random.Generator, dtype,
+                 out_bound: float | None = None):
+        self.hidden = [Linear(dims[i], dims[i + 1], rng, dtype, grouped=True)
+                       for i in range(len(dims) - 2)]
+        self.out = Linear(dims[-2], dims[-1], rng, dtype, init_bound=out_bound,
+                          grouped=True)
+
+    def _trunk(self, x: Tensor) -> Tensor:
+        """Output-layer values (g, B, K) for inputs (g, B, D), member i on
+        block i, or for inputs (B, D) that every member reads."""
+        for layer in self.hidden:
+            x = layer(x, leaky=True)
+        return self.out(x)
+
+    def named_parameters(self, prefix: str = ""):
+        out = []
+        for i, layer in enumerate(self.hidden):
+            out += layer.named_parameters(f"{prefix}hidden.{i}.")
+        return out + self.out.named_parameters(prefix + "out.")
+
+    def member(self, i: int, prefix: str = ""):
+        """Member ``i`` as a lone network's parameters, the way checkpoints
+        store it: views of its slices under the same names, with ``(D, K)``
+        weights and ``(K,)`` biases."""
+        return [(name, Tensor(p.data[i, 0] if name.endswith("b") else p.data[i],
+                              dtype=p.dtype)) for name, p in self.named_parameters(prefix)]
+
+
+class MlpActor(MlpBank):
+    """Per-agent deterministic policies: observation vector -> tanh action,
+    one bank member per agent."""
 
     def __init__(self, obs_dim: int, act_dim: int, rng: np.random.Generator, *,
                  hidden_dim: int = 64, hidden_layers: int = 3, dtype=np.float32):
         self.obs_dim = obs_dim
         self.act_dim = act_dim
-        dims = [obs_dim] + [hidden_dim] * hidden_layers
-        self.hidden = [Linear(dims[i], dims[i + 1], rng, dtype)
-                       for i in range(hidden_layers)]
-        self.out = Linear(dims[-1], act_dim, rng, dtype,
-                          init_bound=ACTION_HEAD_INIT)
+        super().__init__([obs_dim] + [hidden_dim] * hidden_layers + [act_dim], rng,
+                         dtype, out_bound=ACTION_HEAD_INIT)
 
     def forward(self, obs: Tensor) -> Tensor:
-        x = obs
-        for layer in self.hidden:
-            x = layer(x, leaky=True)
-        return nd.tanh(self.out(x))
+        """Actions (g, B, act_dim) for observations (g, B, obs_dim) or (B, obs_dim)."""
+        return nd.tanh(self._trunk(obs))
 
     def act(self, obs: np.ndarray) -> np.ndarray:
-        """Inference path on raw numpy; used in the rollout hot loop."""
-        x = obs
+        """Inference path on raw numpy, used in the rollout hot loop.
+
+        The rows of ``obs`` (..., obs_dim) split evenly over the members in
+        order: one row per agent for the n-agent bank, every row for a lone
+        actor. Returns actions of shape (..., act_dim).
+        """
+        x = obs.reshape(len(self.out.w.data), -1, obs.shape[-1])
         for layer in self.hidden:
             x = x @ layer.w.data + layer.b.data
-            x = np.where(x >= 0, x, nd.LEAKY_SLOPE * x)
-        return np.tanh(x @ self.out.w.data + self.out.b.data)
-
-    def named_parameters(self, prefix: str = ""):
-        out = []
-        for i, layer in enumerate(self.hidden):
-            out += layer.named_parameters(f"{prefix}hidden.{i}.")
-        out += self.out.named_parameters(prefix + "out.")
-        return out
+            x = np.maximum(x, nd.LEAKY_SLOPE * x)
+        out = np.tanh(x @ self.out.w.data + self.out.b.data)
+        return out.reshape(obs.shape[:-1] + (self.act_dim,))
 
 
-class MlpCritic:
-    """Flat-input Q function: concat(observations, actions) -> scalar."""
+class MlpCritic(MlpBank):
+    """Flat-input Q functions: concat(observations, actions) -> scalar, one
+    bank member per agent."""
 
     def __init__(self, input_dim: int, rng: np.random.Generator, *,
                  hidden_dim: int = 64, hidden_layers: int = 3, dtype=np.float32):
         self.input_dim = input_dim
-        dims = [input_dim] + [hidden_dim] * hidden_layers
-        self.hidden = [Linear(dims[i], dims[i + 1], rng, dtype)
-                       for i in range(hidden_layers)]
-        self.out = Linear(dims[-1], 1, rng, dtype)
+        super().__init__([input_dim] + [hidden_dim] * hidden_layers + [1], rng, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        for layer in self.hidden:
-            x = layer(x, leaky=True)
-        q = self.out(x)  # (B, 1)
-        return nd.reshape(q, (q.shape[0],))
+        """Q (g, B) for inputs (g, B, input_dim) or (B, input_dim)."""
+        q = self._trunk(x)  # (g, B, 1)
+        return nd.reshape(q, q.shape[:2])
 
-    def named_parameters(self, prefix: str = ""):
-        out = []
-        for i, layer in enumerate(self.hidden):
-            out += layer.named_parameters(f"{prefix}hidden.{i}.")
-        out += self.out.named_parameters(prefix + "out.")
-        return out
+
+def stack(members: list):
+    """One bank holding ``members``, banks of one class and shape, in order
+    along the group axis."""
+    bank = clone(members[0])
+    for param, *column in zip(parameters(bank), *map(parameters, members)):
+        param.data = np.concatenate([p.data for p in column])
+    return bank
 
 
 class SelfAttentionBlock:

@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, backward
+from samarl.ndmath import Tensor, backward
 
 
 class GradientCheckError(RuntimeError):

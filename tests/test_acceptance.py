@@ -18,7 +18,9 @@ from samarl import nets
 from samarl.algo import AlgoKind, TrainConfig, Trainer, train_step_scheduler
 from samarl.envs import ParticleWorld, ScenarioConfig
 from samarl.harness import RunConfig, parse_metrics_csv, train
-from samarl.ndmath import Tensor, gradient_check
+from samarl.ndmath import Tensor
+
+from gradcheck import gradient_check
 
 from test_algo import TestBaselineRecovery, small_cfg
 from test_envs import scalar_physics_oracle

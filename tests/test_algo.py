@@ -18,6 +18,7 @@ from samarl.algo import (
     soft_update,
     train_step_scheduler,
 )
+from samarl.checkpoint import CheckpointError, load_checkpoint
 from samarl.envs import ScenarioConfig
 from samarl.ndmath import Tensor
 
@@ -48,14 +49,16 @@ def snapshot(named):
 
 
 class ConstantQCritic:
-    """Stub: a fixed output regardless of input; per-agent Q values for the
-    shared critic (``forward(obs, act)``), or one scalar for an agent's MLP
-    critic (``forward(flat)``)."""
+    """Stub: a fixed output regardless of input; per-agent Q values (B, n) for
+    the shared critic (``forward(obs, act)``), or one value per member (g, B)
+    for a bank of MLP critics (``forward(flat)``)."""
 
     def __init__(self, values):
-        self.values = np.asarray(values, dtype=np.float32)
+        self.values = np.atleast_1d(np.asarray(values, dtype=np.float32))
 
     def forward(self, x, act=None):
+        if act is None:
+            return Tensor(np.repeat(self.values[:, None], x.shape[-2], axis=1))
         return Tensor(np.repeat(self.values[None], x.shape[0], axis=0))
 
     def named_parameters(self, prefix=""):
@@ -72,11 +75,15 @@ class ActionSumCritic:
         return []
 
 
-class FlatSumCritic:
-    """Stub agent critic: Q = sum of its flat (observations, actions) input."""
+class FlatSumBank:
+    """Stub bank of agent critics: member i's Q is ``weights[i]`` times the
+    sum of its flat (observations, actions) input."""
+
+    def __init__(self, weights):
+        self.weights = np.asarray(weights, dtype=np.float32)[:, None]
 
     def forward(self, flat):
-        return nd.tsum(flat, axis=-1)
+        return nd.mul(nd.tsum(flat, axis=-1), self.weights)
 
     def named_parameters(self, prefix=""):
         return []
@@ -276,11 +283,7 @@ class TestExploration:
             trainer = self._trainer(kind)
             obs = self._obs(trainer)
             out = trainer._trainable_actions(obs, 0.0)
-            if kind.attention_actor:
-                expected = trainer.actors[0].act(obs.astype(np.float32))
-            else:
-                expected = np.stack([a.act(o.astype(np.float32))
-                                     for a, o in zip(trainer.actors, obs)])
+            expected = trainer.actor.act(obs.astype(np.float32))
             assert np.array_equal(out, expected), kind
 
     def test_always_within_bounds(self):
@@ -316,21 +319,20 @@ class TestExploration:
         next_obs = np.ones((6, 2, trainer.obs_dim), dtype=np.float32)
         acts = trainer._target_actions(Tensor(next_obs))
         assert acts.shape == (6, 2, 2)
-        for i, actor in enumerate(trainer.target_actors):
-            assert np.array_equal(acts[:, i],
-                                  actor.act(np.ascontiguousarray(next_obs[:, i])))
+        per_agent = trainer.target_actor.act(np.ascontiguousarray(next_obs.swapaxes(0, 1)))
+        assert np.array_equal(acts, per_agent.swapaxes(0, 1))
 
     def test_smoothed_targets_noise_std(self):
         trainer = self._trainer(n=1, critic_noise_std=0.001)
         next_obs = np.full((100_000, 1, trainer.obs_dim), 0.1, dtype=np.float32)
-        clean = trainer.target_actors[0].act(next_obs[:, 0])
+        clean = trainer.target_actor.act(next_obs[:, 0])
         acts = trainer._target_actions(Tensor(next_obs))
         measured = float(np.std(acts[:, 0] - clean))
         assert abs(measured - 0.001) / 0.001 < 0.05
         # single-critic kinds smooth nothing
         plain = self._trainer(AlgoKind.MADDPG, n=1, critic_noise_std=0.001)
         assert np.array_equal(plain._target_actions(Tensor(next_obs))[:, 0],
-                              plain.target_actors[0].act(next_obs[:, 0]))
+                              plain.target_actor.act(next_obs[:, 0]))
 
 
 def make_trainer(kind=AlgoKind.SA_MATD3, n=2, seed=0, scenario="coop_nav", **cfg_over):
@@ -361,16 +363,16 @@ def manual_batch(trainer, batch_size=8, seed=11, reward=None, done=None):
 class TestComputeTargetY:
     def test_arithmetic_with_stub_critics(self):
         trainer = make_trainer(AlgoKind.SA_MATD3)
-        trainer.target_critic_banks = [[ConstantQCritic([1.5, 0.5]),   # total 2.0
-                                        ConstantQCritic([2.0, 3.0])]]  # total 5.0
+        trainer.target_critics = [ConstantQCritic([1.5, 0.5]),   # total 2.0
+                                  ConstantQCritic([2.0, 3.0])]   # total 5.0
         batch = manual_batch(trainer, reward=1.0, done=0.0)
         y = trainer.compute_target_y(batch)
         assert np.allclose(y, 1.0 + 0.95 * 2.0)
 
     def test_terminal_ignores_q(self):
         trainer = make_trainer(AlgoKind.SA_MATD3)
-        trainer.target_critic_banks = [[ConstantQCritic([100.0, 100.0]),
-                                        ConstantQCritic([100.0, 100.0])]]
+        trainer.target_critics = [ConstantQCritic([100.0, 100.0]),
+                                  ConstantQCritic([100.0, 100.0])]
         batch = manual_batch(trainer, reward=-3.0, done=1.0)
         y = trainer.compute_target_y(batch)
         assert np.allclose(y, -3.0)
@@ -384,7 +386,7 @@ class TestComputeTargetY:
         r = batch.rew[:, 0].astype(np.float64)
         cont = trainer.cfg.gamma * (1.0 - batch.done.astype(np.float64))
         with nd.no_grad():
-            for critic in trainer.target_critic_banks[0]:
+            for critic in trainer.target_critics:
                 y_single = r + cont * nets.total_q(critic.forward(obs_t, act_t)).data
                 assert np.all(y <= y_single + 1e-6)
 
@@ -453,13 +455,13 @@ class TestPolicyUpdateOneToAll:
     def test_stub_critic_pushes_actions_toward_high_q(self):
         # ascending Q_i = sum(a_i) must move every action component up
         trainer = make_trainer(AlgoKind.SA_MATD3, n=2)
-        trainer.critic_banks = [[ActionSumCritic(), ActionSumCritic()]]
+        trainer.critics = [ActionSumCritic(), ActionSumCritic()]
         batch = manual_batch(trainer)
-        obs = [Tensor(batch.obs[:, i]) for i in range(trainer.n)]
-        before = [a.forward(o).data.copy() for a, o in zip(trainer.actors, obs)]
+        obs = Tensor(batch.obs.swapaxes(0, 1))  # agent i's observations in row block i
+        before = trainer.actor.forward(obs).data.copy()
         for _ in range(30):
             trainer.policy_update(batch)
-        after = [a.forward(o).data for a, o in zip(trainer.actors, obs)]
+        after = trainer.actor.forward(obs).data
         for b, a in zip(before, after):
             assert np.all(a.mean(axis=0) > b.mean(axis=0))
 
@@ -474,7 +476,7 @@ class TestPolicyUpdateOneToAll:
     def test_every_adam_counter_advances_once(self):
         trainer = make_trainer(AlgoKind.SA_MATD3, n=3)
         trainer.policy_update(manual_batch(trainer))
-        assert [opt.t for opt in trainer.actor_optims] == [1, 1, 1]
+        assert trainer.actor_optim.t == 1  # one Adam for the bank of 3 actors
 
 
 class TestPolicyUpdateOneToOne:
@@ -482,11 +484,11 @@ class TestPolicyUpdateOneToOne:
         # actor i learns from critic i alone: with critic 1 blind to its
         # input, actor 1 gets no gradient and only actor 0 steps
         trainer = make_trainer(AlgoKind.MADDPG, n=2)
-        trainer.critic_banks[1][0].out.w.data[...] = 0.0
+        trainer.critics[0].out.w.data[1] = 0.0
         batch = manual_batch(trainer)
-        before = [snapshot(a.named_parameters()) for a in trainer.actors]
+        before = [snapshot(trainer.actor.member(i)) for i in range(2)]
         norms = trainer.policy_update(batch)
-        after = [snapshot(a.named_parameters()) for a in trainer.actors]
+        after = [snapshot(trainer.actor.member(i)) for i in range(2)]
         assert norms[0] > 0 and norms[1] == 0
         assert any(not np.array_equal(before[0][k], after[0][k]) for k in before[0])
         for k in before[1]:
@@ -496,13 +498,13 @@ class TestPolicyUpdateOneToOne:
         # critic 0 rises with every input, critic 1 ignores its input; critic i
         # sees agent i's fresh action and the buffer action of everyone else
         trainer = make_trainer(AlgoKind.MADDPG, n=2)
-        trainer.critic_banks = [[FlatSumCritic()], [ConstantQCritic(0.0)]]
+        trainer.critics = [FlatSumBank([1.0, 0.0])]
         batch = manual_batch(trainer)
-        obs = [Tensor(batch.obs[:, i]) for i in range(trainer.n)]
-        before = [a.forward(o).data.copy() for a, o in zip(trainer.actors, obs)]
+        obs = Tensor(batch.obs.swapaxes(0, 1))
+        before = trainer.actor.forward(obs).data.copy()
         for _ in range(30):
             trainer.policy_update(batch)
-        after = [a.forward(o).data for a, o in zip(trainer.actors, obs)]
+        after = trainer.actor.forward(obs).data
         assert np.all(after[0].mean(axis=0) > before[0].mean(axis=0))
         assert np.array_equal(after[1], before[1])
 
@@ -512,17 +514,17 @@ class TestPolicyUpdateOneToOne:
         trainer = make_trainer(AlgoKind.MADDPG, n=1, seed=7, dtype="float64")
         fill_buffer(trainer, 32, seed=9)
         batch = trainer.buffer.sample(16)
-        actor = nets.clone(trainer.actors[0])
+        actor = nets.clone(trainer.actor)
         params = nets.parameters(actor)
         obs = Tensor(batch.obs[:, 0], dtype=np.float64)
-        flat = nd.concat([obs, actor.forward(obs)], axis=-1)
-        nd.backward(-nd.tmean(trainer.critic_banks[0][0].forward(flat)), params=params)
+        flat = nd.concat([obs, nd.reshape(actor.forward(obs), (16, 2))], axis=-1)
+        nd.backward(-nd.tmean(trainer.critics[0].forward(flat)), params=params)
         nd.clip_grad_norm([p.grad for p in params], trainer.cfg.grad_clip)
         nd.Adam(params, trainer.cfg.mlp_lr).step()
 
         trainer.policy_update(batch)
         for (name, p), (_, q) in zip(actor.named_parameters(),
-                                     trainer.actors[0].named_parameters()):
+                                     trainer.actor.named_parameters()):
             assert np.allclose(p.data, q.data, atol=1e-12), name
 
 
@@ -539,10 +541,10 @@ class TestTrainerInvariants:
                 np.minimum(lo[k], v.data, out=lo[k])
                 np.maximum(hi[k], v.data, out=hi[k])
         target_named = []
-        for j, critic in enumerate(trainer.target_critic_banks[0]):
+        for j, critic in enumerate(trainer.target_critics):
             target_named += critic.named_parameters(f"shared_critic.{j + 1}.")
-        for i, actor in enumerate(trainer.target_actors):
-            target_named += actor.named_parameters(f"actor.{i}.")
+        for i in range(trainer.n):
+            target_named += trainer.target_actor.member(i, f"actor.{i}.")
         for k, v in target_named:
             assert np.all(v.data >= lo[k] - 1e-6), k
             assert np.all(v.data <= hi[k] + 1e-6), k
@@ -551,11 +553,8 @@ class TestTrainerInvariants:
         trainer = make_trainer(AlgoKind.SA_MATD3)
         batch = manual_batch(trainer)
         trainer.critic_update(batch)
-        for critic in trainer.target_critic_banks[0]:
-            for _, p in critic.named_parameters():
-                assert p.grad is None
-        for actor in trainer.target_actors:
-            for _, p in actor.named_parameters():
+        for net in trainer.target_critics + [trainer.target_actor]:
+            for _, p in net.named_parameters():
                 assert p.grad is None
 
     def test_permutation_consistency_of_losses(self):
@@ -567,12 +566,12 @@ class TestTrainerInvariants:
 
         def critic_loss(order):
             with nd.no_grad():
-                tacts = [trainer.target_actors[i].act(batch.next_obs[:, i])
-                         for i in order]
+                tacts = trainer.target_actor.act(
+                    np.ascontiguousarray(batch.next_obs.swapaxes(0, 1)))
                 obs_next = Tensor(batch.next_obs[:, order])
-                act_next = Tensor(np.stack(tacts, axis=1).astype(np.float32))
+                act_next = Tensor(tacts[order].swapaxes(0, 1).astype(np.float32))
                 totals = [nets.total_q(c.forward(obs_next, act_next)).data
-                          for c in trainer.target_critic_banks[0]]
+                          for c in trainer.target_critics]
                 y = batch.rew[:, 0] + trainer.cfg.gamma * (1 - batch.done) \
                     * np.minimum(*totals)
                 obs_t = Tensor(batch.obs[:, order])
@@ -582,10 +581,9 @@ class TestTrainerInvariants:
 
         def policy_loss(order):
             with nd.no_grad():
-                fresh = [trainer.actors[i].forward(Tensor(batch.obs[:, i])).data
-                         for i in order]
+                fresh = trainer.actor.forward(Tensor(batch.obs.swapaxes(0, 1))).data
                 obs_t = Tensor(batch.obs[:, order])
-                act_t = Tensor(np.stack(fresh, axis=1))
+                act_t = Tensor(fresh[order].swapaxes(0, 1))
                 return -float(np.mean(
                     nets.total_q(trainer.critic_banks[0][0].forward(obs_t, act_t)).data))
 
@@ -633,10 +631,12 @@ class TestBaselineRecovery:
         n, B = trainer.n, 8
         gamma = cfg.gamma
 
-        wa = [a.out.w.data.copy() for a in trainer.actors]
-        ba = [a.out.b.data.copy() for a in trainer.actors]
-        wc = [bank[0].out.w.data.copy() for bank in trainer.critic_banks]
-        bc = [bank[0].out.b.data.copy() for bank in trainer.critic_banks]
+        # member i of each bank is agent i's network
+        actor, critic = trainer.actor, trainer.critics[0]
+        wa = list(actor.out.w.data.copy())
+        ba = list(actor.out.b.data[:, 0].copy())
+        wc = list(critic.out.w.data.copy())
+        bc = list(critic.out.b.data[:, 0].copy())
 
         # --- oracle: targets (target nets equal main nets before any update)
         next_obs = [batch.next_obs[:, j] for j in range(n)]
@@ -681,12 +681,10 @@ class TestBaselineRecovery:
         trainer.update_from_batch(batch, do_policy=True)
 
         for i in range(n):
-            assert np.max(np.abs(trainer.critic_banks[i][0].out.w.data
-                                 - wc_new[i])) < 1e-8
-            assert np.max(np.abs(trainer.critic_banks[i][0].out.b.data
-                                 - bc_new[i])) < 1e-8
-            assert np.max(np.abs(trainer.actors[i].out.w.data - wa_new[i])) < 1e-8
-            assert np.max(np.abs(trainer.actors[i].out.b.data - ba_new[i])) < 1e-8
+            assert np.max(np.abs(critic.out.w.data[i] - wc_new[i])) < 1e-8
+            assert np.max(np.abs(critic.out.b.data[i, 0] - bc_new[i])) < 1e-8
+            assert np.max(np.abs(actor.out.w.data[i] - wa_new[i])) < 1e-8
+            assert np.max(np.abs(actor.out.b.data[i, 0] - ba_new[i])) < 1e-8
 
 
 class TestCheckpointFlow:
@@ -700,6 +698,43 @@ class TestCheckpointFlow:
                                       other.named_parameters()):
             assert ka == kb
             assert np.array_equal(pa.data, pb.data)
+
+    @staticmethod
+    def _strip_architecture(path):
+        # a checkpoint saved before the manifest recorded the architecture
+        manifest = path / "manifest.txt"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(l for l in lines if not l.startswith("train.")))
+
+    def test_manifest_records_architecture(self, tmp_path):
+        trainer = make_trainer(AlgoKind.SA_MATD3, n=2)
+        path = trainer.save(tmp_path / "ck", episode=0)
+        manifest, _ = load_checkpoint(path)
+        assert manifest.train == {"hidden_dim": "8", "hidden_layers": "3",
+                                  "attention_heads": "2", "attention_blocks": "2",
+                                  "dtype": "float32"}
+        self._strip_architecture(path)
+        assert load_checkpoint(path)[0].train == {}
+        other = make_trainer(AlgoKind.SA_MATD3, n=2, seed=5)
+        other.restore(path)  # a manifest without the keys still restores
+        assert all(np.array_equal(a.data, b.data) for (_, a), (_, b) in
+                   zip(trainer.named_parameters(), other.named_parameters()))
+
+    def test_restore_refuses_another_architecture(self, tmp_path):
+        # 8 heads and 4 heads have the same tensor shapes at hidden width 8
+        path = make_trainer(AlgoKind.SA_MATD3, attention_heads=8).save(tmp_path / "ck", 0)
+        other = make_trainer(AlgoKind.SA_MATD3, attention_heads=4)
+        with pytest.raises(ValueError, match="train.attention_heads = 8"):
+            other.restore(path)
+
+    def test_restore_checks_tensor_shapes(self, tmp_path):
+        # per-agent names address slices of the banks: a tensor of the wrong
+        # shape is refused by name, not by a numpy broadcast error
+        path = make_trainer(AlgoKind.MATD3).save(tmp_path / "ck", 0)
+        self._strip_architecture(path)
+        default = Trainer(ScenarioConfig.coop_nav(2), AlgoKind.MATD3, seed=0)
+        with pytest.raises(CheckpointError, match="'actor.0.hidden.0.w' shape"):
+            default.restore(path)
 
     def test_scenario_mismatch_rejected(self, tmp_path):
         trainer = make_trainer(AlgoKind.SA_MATD3, n=2)

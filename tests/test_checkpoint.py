@@ -35,7 +35,7 @@ def test_restore_into(tmp_path):
                     scenario="coop_nav", agents=1, episode=0)
     _, tensors = load_checkpoint(tmp_path / "ck")
     b = nets.MlpActor(5, 2, np.random.default_rng(2))
-    restore_into(b, tensors)
+    restore_into(b.named_parameters(), tensors)
     for (_, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
         assert np.array_equal(pa.data, pb.data)
 
@@ -58,7 +58,7 @@ def test_shape_mismatch_on_restore(tmp_path):
     _, tensors = load_checkpoint(tmp_path / "ck")
     wrong = nets.MlpActor(6, 2, np.random.default_rng(5))
     with pytest.raises(CheckpointError, match="shape"):
-        restore_into(wrong, tensors)
+        restore_into(wrong.named_parameters(), tensors)
 
 
 def test_dtype_mismatch_on_restore(tmp_path):
@@ -68,7 +68,7 @@ def test_dtype_mismatch_on_restore(tmp_path):
     _, tensors = load_checkpoint(tmp_path / "ck")
     narrow = nets.MlpActor(5, 2, np.random.default_rng(5))
     with pytest.raises(ValueError, match="float64.*float32"):
-        restore_into(narrow, tensors)
+        restore_into(narrow.named_parameters(), tensors)
 
 
 def test_missing_checkpoint(tmp_path):

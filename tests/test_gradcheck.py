@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from samarl import ndmath as nd
-from samarl.ndmath import GradientCheckError, gradient_check
+
+from gradcheck import GradientCheckError, gradient_check
 
 
 def _p(rng, shape):
@@ -47,10 +48,14 @@ PRIMITIVES = [
     ("linear_3d", lambda rng: _linear_case(rng, (2, 4, 6), False)),
     ("linear_leaky_2d", lambda rng: _linear_case(rng, (5, 6), True)),
     ("linear_leaky_3d", lambda rng: _linear_case(rng, (2, 4, 6), True)),
+    # a bank of 3 groups: one row block per group, or rows every group reads
+    ("linear_grouped", lambda rng: _grouped_linear_case(rng, (3, 5, 6), False)),
+    ("linear_grouped_shared", lambda rng: _grouped_linear_case(rng, (5, 6), False)),
+    ("linear_leaky_grouped", lambda rng: _grouped_linear_case(rng, (3, 5, 6), True)),
+    ("linear_leaky_grouped_shared", lambda rng: _grouped_linear_case(rng, (5, 6), True)),
     ("residual_layer_norm", lambda rng: _residual_layer_norm_case(rng, (2, 4, 8))),
     ("residual_layer_norm_shared", lambda rng: _residual_shared_case(rng)),
     ("concat", lambda rng: _concat_case(rng)),
-    ("select", lambda rng: _unary_case(rng, lambda t: nd.select(t, 1, axis=1), (4, 3))),
     ("reshape_swap", lambda rng: _unary_case(
         rng, lambda t: nd.swapaxes(nd.reshape(t, (2, 2, 5)), -1, -2), (4, 5))),
     ("reshape_swap_shared", lambda rng: _shared_shape_case(rng)),
@@ -93,6 +98,13 @@ def _linear_case(rng, shape, leaky):
     x = _p(rng, shape)
     w = _p(rng, (shape[-1], 3))
     b = _p(rng, (3,))
+    return lambda: _reduce(nd.linear(x, w, b, leaky)), [x, w, b]
+
+
+def _grouped_linear_case(rng, x_shape, leaky):
+    x = _p(rng, x_shape)
+    w = _p(rng, (3, x_shape[-1], 4))
+    b = _p(rng, (3, 1, 4))
     return lambda: _reduce(nd.linear(x, w, b, leaky)), [x, w, b]
 
 

@@ -258,6 +258,16 @@ class TestEvaluate:
         assert evaluate(ck, episodes=3, seed=5) == evaluate_trainer(trainer, episodes=3,
                                                                     seed=5)
 
+    def test_architecture_comes_from_the_checkpoint(self, tmp_path):
+        # hidden width 8 and 8 heads, neither of them the default
+        cfg = tiny_run_config(tmp_path, algo="dsa-matd3", scenario="predator_prey",
+                              agents=6, episodes=2,
+                              train=dataclasses.replace(tiny_run_config(tmp_path).train,
+                                                        attention_heads=8))
+        ck = train(cfg) / "ckpt_final"
+        assert evaluate(ck, episodes=2, seed=3) == evaluate(ck, episodes=2, seed=3,
+                                                            train_cfg=cfg.train)
+
     def test_float64_checkpoint_refused_by_float32_trainer(self, tmp_path):
         cfg, ck = self._float64_run(tmp_path)
         trainer = Trainer(cfg.scenario_config(), AlgoKind.MATD3, TrainConfig(), seed=5)

@@ -7,8 +7,9 @@ from samarl import ndmath as nd
 from samarl import nets
 from samarl.algo import AlgoKind, Batch, TrainConfig, Trainer
 from samarl.envs import ScenarioConfig, observation_dim
-from samarl.ndmath import Tensor, gradient_check
+from samarl.ndmath import Tensor
 
+from gradcheck import gradient_check
 from test_algo import ConstantQCritic
 
 
@@ -45,7 +46,7 @@ class TestMlpActor:
         actor = nets.MlpActor(6, 2, rng_for())
         zero_params(actor)
         obs = nd.Tensor(np.ones((3, 6)))
-        assert np.array_equal(actor.forward(obs).data, np.zeros((3, 2)))
+        assert np.array_equal(actor.forward(obs).data, np.zeros((1, 3, 2)))
 
     def test_deterministic(self):
         actor = nets.MlpActor(6, 2, rng_for(1))
@@ -66,7 +67,7 @@ class TestMlpActor:
         actor = nets.MlpActor(7, 2, rng_for(4))
         obs = rng_for(5).normal(size=(7,)).astype(np.float32)
         fast = actor.act(obs)
-        slow = actor.forward(nd.Tensor(obs[None, :])).data[0]
+        slow = actor.forward(nd.Tensor(obs[None, :])).data[0, 0]
         assert np.allclose(fast, slow, atol=1e-6)
 
     def test_act_bitwise_equals_forward(self):
@@ -77,8 +78,39 @@ class TestMlpActor:
         for batch in (1, 512):
             obs = rng.normal(size=(batch, obs_dim)).astype(np.float32)
             with nd.no_grad():
-                slow = actor.forward(nd.Tensor(obs)).data
+                slow = actor.forward(nd.Tensor(obs)).data[0]
             assert np.array_equal(actor.act(obs), slow), batch
+
+    def test_bank_act_bitwise_equals_lone_actors(self):
+        # the rollout path: one bank call for n=5 agents against five lone
+        # actors drawn in the same order, each acting on its own row
+        obs_dim = observation_dim(ScenarioConfig.coop_nav(5), 0)
+        rng = rng_for(42)
+        lone = [nets.MlpActor(obs_dim, 2, rng) for _ in range(5)]
+        bank = nets.stack(lone)
+        obs = rng_for(43).normal(size=(5, obs_dim)).astype(np.float32)
+        acts = bank.act(obs)
+        assert acts.shape == (5, 2)
+        for i, actor in enumerate(lone):
+            assert np.array_equal(acts[i], actor.act(obs[i])), i
+        with nd.no_grad():
+            fresh = bank.forward(nd.Tensor(obs[:, None, :])).data[:, 0]
+        assert np.array_equal(acts, fresh)
+
+    def test_member_views_name_and_shape_a_lone_actor(self):
+        lone = [nets.MlpActor(6, 2, rng_for(44), hidden_dim=8) for _ in range(3)]
+        bank = nets.stack(lone)
+        for i, actor in enumerate(lone):
+            member = bank.member(i)
+            assert [(k, p.shape) for k, p in member] == \
+                [(k, p.shape[1:] if k.endswith("w") else p.shape[2:])
+                 for k, p in actor.named_parameters()]
+            for (_, view), (_, p) in zip(member, actor.named_parameters()):
+                assert np.array_equal(view.data, p.data.reshape(view.shape))
+        # writing through a view writes the bank
+        bank.member(1)[0][1].data[...] = 7.0
+        assert np.all(bank.hidden[0].w.data[1] == 7.0)
+        assert not np.any(bank.hidden[0].w.data[[0, 2]] == 7.0)
 
     def test_gradient_check(self):
         actor = nets.MlpActor(4, 2, rng_for(6), hidden_dim=6, dtype=np.float64)
@@ -241,18 +273,17 @@ class TestDoubleCritic:
                      done=np.zeros(size, dtype=np.float32))
 
     def _single_twin_targets(self, trainer, batch, twin):
-        banks = trainer.target_critic_banks
-        trainer.target_critic_banks = [[bank[twin]] for bank in banks]
+        critics = trainer.target_critics
+        trainer.target_critics = [critics[twin]]
         try:
             return trainer.compute_target_y(batch)
         finally:
-            trainer.target_critic_banks = banks
+            trainer.target_critics = critics
 
     def test_identical_critics_min_is_either(self):
         for kind in (AlgoKind.MATD3, AlgoKind.SA_MATD3):
             trainer = self._trainer(kind)
-            for bank in trainer.target_critic_banks:
-                nets.copy_params(bank[1], bank[0])
+            nets.copy_params(trainer.target_critics[1], trainer.target_critics[0])
             batch = self._batch(trainer)
             assert np.array_equal(trainer.compute_target_y(batch),
                                   self._single_twin_targets(trainer, batch, 0)), kind
@@ -260,15 +291,14 @@ class TestDoubleCritic:
     def test_elementwise_min(self):
         # agent critics: the minimum is taken per agent
         trainer = self._trainer(AlgoKind.MATD3)
-        trainer.target_critic_banks = [[ConstantQCritic(1.0), ConstantQCritic(4.0)],
-                                       [ConstantQCritic(3.0), ConstantQCritic(2.0)]]
+        # twin banks: agent 0's twins give 1 and 4, agent 1's give 3 and 2
+        trainer.target_critics = [ConstantQCritic([1.0, 3.0]), ConstantQCritic([4.0, 2.0])]
         batch = self._batch(trainer)
         r = batch.rew[:, :1].astype(np.float64)
         assert np.allclose(trainer.compute_target_y(batch), r + 0.95 * np.array([1.0, 2.0]))
         # shared critic: the minimum is taken over total Q (5 vs 4), not per agent
         trainer = self._trainer(AlgoKind.SA_MATD3)
-        trainer.target_critic_banks = [[ConstantQCritic([1.0, 4.0]),
-                                        ConstantQCritic([2.0, 2.0])]]
+        trainer.target_critics = [ConstantQCritic([1.0, 4.0]), ConstantQCritic([2.0, 2.0])]
         assert np.allclose(trainer.compute_target_y(batch), r[:, 0] + 0.95 * 4.0)
 
     def test_min_bounded_by_both(self):
@@ -283,13 +313,12 @@ class TestDoubleCritic:
         # the twins never share weights, optimizer state or targets
         for kind in (AlgoKind.MATD3, AlgoKind.SA_MATD3, AlgoKind.DSA_MATD3):
             trainer = self._trainer(kind)
-            for banks in (trainer.critic_banks, trainer.target_critic_banks,
-                          trainer.critic_optims):
-                for first, second in banks:
-                    assert first is not second, kind
-            for first, second in trainer.critic_banks:
-                assert not np.array_equal(nets.parameters(first)[0].data,
-                                          nets.parameters(second)[0].data), kind
+            for first, second in (trainer.critics, trainer.target_critics,
+                                  trainer.critic_optims):
+                assert first is not second, kind
+            first, second = trainer.critics
+            assert not np.array_equal(nets.parameters(first)[0].data,
+                                      nets.parameters(second)[0].data), kind
 
 
 class TestAttentionActor:

@@ -184,12 +184,14 @@ class TestNeedGradPruning:
     """backward(loss, params=...) runs only the vjps that lead to ``params``."""
 
     def _policy_loss(self):
-        # an actor feeding an attention critic, as in a policy step
+        # a bank of actors feeding an attention critic, as in a policy step
         rng = np.random.default_rng(0)
-        actor = nets.MlpActor(3, 2, rng, hidden_dim=8, hidden_layers=2)
+        actor = nets.stack([nets.MlpActor(3, 2, rng, hidden_dim=8, hidden_layers=2)
+                            for _ in range(5)])
         critic = nets.CriticNet(3, 2, rng, hidden_dim=8, heads=2, blocks=2)
         obs = nd.Tensor(rng.normal(size=(4, 5, 3)))
-        loss = -nd.tmean(nets.total_q(critic.forward(obs, actor.forward(obs))))
+        acts = nd.swapaxes(actor.forward(nd.swapaxes(obs, 0, 1)), 0, 1)
+        loss = -nd.tmean(nets.total_q(critic.forward(obs, acts)))
         return nets.parameters(actor), nets.parameters(critic), loss
 
     def test_requested_grads_equal_full_backward(self):
@@ -229,6 +231,42 @@ class TestFusedOps:
         weights = nd.Tensor(np.random.default_rng(1).normal(size=out.shape))
         nd.backward(nd.tsum(nd.mul(out, weights)), params=leaves)
         return [out.data.copy()] + [p.grad.copy() for p in leaves]
+
+    @pytest.mark.parametrize("leaky", [False, True])
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("batch", [512, 1])
+    def test_grouped_linear_equals_separate_calls(self, batch, shared, leaky):
+        # 5 groups at the coop_nav n=5 critic's first layer: group i's output
+        # and gradients are those of a lone linear on slice i, and rows that
+        # every group reads take the groups' gradients summed in group order
+        groups, d, k = 5, 30, 64
+        rng = np.random.default_rng(6)
+        x_shape = (batch, d) if shared else (groups, batch, d)
+        x, w, b = self._leaves(rng, x_shape, (groups, d, k), (groups, 1, k))
+        fold = rng.normal(size=(groups, batch, k))
+        out = nd.linear(x, w, b, leaky)
+        nd.backward(nd.tsum(nd.mul(out, fold)), params=[x, w, b])
+        x_grads = []
+        for i in range(groups):
+            xi, wi, bi = (nd.Tensor(a, requires_grad=True) for a in (
+                x.data if shared else x.data[i], w.data[i], b.data[i, 0]))
+            lone = nd.linear(xi, wi, bi, leaky)
+            nd.backward(nd.tsum(nd.mul(lone, fold[i])), params=[xi, wi, bi])
+            assert np.array_equal(out.data[i], lone.data), i
+            assert np.array_equal(w.grad[i], wi.grad), i
+            assert np.array_equal(b.grad[i, 0], bi.grad), i
+            x_grads.append(xi.grad)
+        if shared:
+            assert np.array_equal(x.grad, np.add.reduce(x_grads))
+        else:
+            assert np.array_equal(x.grad, np.stack(x_grads))
+
+    def test_grouped_linear_rejects_mismatched_groups(self):
+        w = nd.Tensor(np.zeros((3, 4, 2)))
+        with pytest.raises(nd.ShapeError):
+            nd.linear(nd.Tensor(np.zeros((2, 5, 4))), w, nd.Tensor(np.zeros((3, 1, 2))))
+        with pytest.raises(nd.ShapeError):
+            nd.linear(nd.Tensor(np.zeros((5, 4))), w, nd.Tensor(np.zeros((3, 2))))
 
     @pytest.mark.parametrize("leaky", [False, True])
     @pytest.mark.parametrize("shape", [(512, 8, 64), (1, 8, 64), (512, 64), (1, 64)])
@@ -298,8 +336,12 @@ class TestRecycling:
         assert np.array_equal(view, expected[1])
 
     @staticmethod
-    def _filled_trainer(n: int) -> Trainer:
-        trainer = Trainer(ScenarioConfig.coop_nav(n), AlgoKind.SA_MATD3,
+    def _recycled_sizes():
+        return {nbytes: len(bufs) for nbytes, bufs in tensor._buffers.items()}
+
+    @staticmethod
+    def _filled_trainer(n: int, kind=AlgoKind.SA_MATD3) -> Trainer:
+        trainer = Trainer(ScenarioConfig.coop_nav(n), kind,
                           TrainConfig(replay_capacity=512), seed=0)
         while len(trainer.buffer) < trainer.cfg.batch_size:
             trainer.run_episode()
@@ -320,6 +362,16 @@ class TestRecycling:
         self._cycle(trainer)
         self._cycle(trainer)
         assert self._recycled_bytes() == first
+
+    def test_matd3_update_cycles_reuse_what_the_first_made(self):
+        # the MLP banks: one grouped GEMM per layer for all 8 agent critics
+        trainer = self._filled_trainer(8, AlgoKind.MATD3)
+        self._cycle(trainer)
+        first = self._recycled_sizes()
+        assert first
+        self._cycle(trainer)
+        self._cycle(trainer)
+        assert self._recycled_sizes() == first
 
     def test_agent_count_sweep_keeps_only_the_current_count(self, monkeypatch):
         # a window of one cycle, so that two cycles per count pass it
@@ -399,18 +451,6 @@ class TestShapeOps:
         nd.backward(nd.tsum(nd.mul(out, weights)))
         assert np.array_equal(a.grad, [[0, 1], [5, 6]])
         assert np.array_equal(b.grad, [[2, 3, 4], [7, 8, 9]])
-
-    def test_stack(self):
-        parts = [nd.Tensor(np.full((4, 3), float(i))) for i in range(5)]
-        out = nd.stack(parts, axis=1)
-        assert out.shape == (4, 5, 3)
-        assert np.allclose(out.data[:, 2, :], 2.0)
-
-    def test_select_gradient_scatter(self):
-        x = nd.Tensor(np.arange(6, dtype=np.float64).reshape(2, 3),
-                      requires_grad=True, dtype=np.float64)
-        nd.backward(nd.tsum(nd.select(x, 1, axis=-1)))
-        assert np.array_equal(x.grad, [[0, 1, 0], [0, 1, 0]])
 
     def test_reshape_swapaxes_roundtrip(self):
         x = nd.Tensor(np.arange(24, dtype=np.float64).reshape(2, 3, 4),
