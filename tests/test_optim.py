@@ -97,6 +97,22 @@ class TestClipGradNorm:
             assert after <= before + 1e-12
             assert after <= 1.0 + 1e-9
 
+    def test_grouped_clips_each_member_as_if_alone(self):
+        # member 0 is over the bound, member 1 under it, member 2 all zeros
+        rng = np.random.default_rng(22)
+        grads = [rng.normal(size=(3, 5, 4)).astype(np.float32),
+                 rng.normal(size=(3, 1, 4)).astype(np.float32)]
+        grads[0][1] *= 0.01
+        grads[1][1] *= 0.01
+        grads[0][2] = grads[1][2] = 0.0
+        alone = [[g[i].copy() for g in grads] for i in range(3)]
+        norms = clip_grad_norm(grads, 1.0, grouped=True)
+        assert norms.shape == (3,) and norms[0] > 1.0 > norms[1] and norms[2] == 0.0
+        for i, member in enumerate(alone):
+            assert norms[i] == clip_grad_norm(member, 1.0)
+            for g, want in zip(grads, member):
+                assert np.array_equal(g[i], want)
+
     def test_rejects_bad_max_norm(self):
         with pytest.raises(ValueError):
             clip_grad_norm([np.ones(3)], 0.0)
