@@ -316,62 +316,71 @@ class Trainer:
             return
         if prey_policy == "scripted" or prey_policy is None:
             return
-        _, tensors = load_checkpoint(prey_policy)
-        prey_obs_dim = self.env.obs_dims[self.n]
-        # the prey actor runs in the precision it was saved in
-        actor = nets.MlpActor(prey_obs_dim, self.act_dim, self.init_rng,
-                              hidden_dim=self.cfg.hidden_dim,
-                              hidden_layers=self.cfg.hidden_layers,
-                              dtype=next((t.dtype for t in tensors.values()), np.float32))
+        manifest, tensors = load_checkpoint(prey_policy)
+        # the prey actor runs in the architecture and precision it was saved
+        # in; a checkpoint that records no architecture takes this trainer's
+        # sizes and the dtype of its tensors
+        arch = manifest.train
+        dtype = arch.get("dtype") or next((t.dtype for t in tensors.values()), np.float32)
+        actor = nets.MlpActor(self.env.obs_dims[self.n], self.act_dim, self.init_rng,
+                              hidden_dim=int(arch.get("hidden_dim", self.cfg.hidden_dim)),
+                              hidden_layers=int(arch.get("hidden_layers",
+                                                         self.cfg.hidden_layers)),
+                              dtype=np.dtype(dtype))
         restore_into(actor.member(0), tensors, prefix=PREY_ACTOR_PREFIX)
         self.prey_actor = actor
 
     # -- rollout ---------------------------------------------------------------
 
     def _trainable_actions(self, obs: np.ndarray, noise_std: float) -> np.ndarray:
-        """Joint action (n, act_dim) for one world state, plus clipped noise."""
+        """Joint actions (..., n, act_dim) for observations (..., n, obs_dim),
+        one world state or one per episode of a lockstep batch, plus clipped
+        noise."""
         acts = self.actor.act(obs.astype(self.cfg.np_dtype))
         if noise_std > 0:
             acts = acts + self.explore_rng.normal(0.0, noise_std, acts.shape)
         return np.clip(acts, self.cfg.action_low, self.cfg.action_high)
 
-    def _prey_actions(self, env: ParticleWorld, obs: list[np.ndarray]) -> np.ndarray:
-        """Prey actions (prey, act_dim): the scripted flee policy, or one call
-        of the prey actor on every prey observation."""
-        prey = range(self.scenario.n_predators, self.scenario.n_agents)
+    def _prey_actions(self, env: ParticleWorld, prey_obs: np.ndarray) -> np.ndarray:
+        """Prey actions (..., prey, act_dim): the scripted flee policy, or one
+        call of the prey actor on every prey observation of every episode."""
         if self.prey_actor is None:
-            return np.stack([scripted_prey(env, j) for j in prey])
-        rows = np.stack([obs[j] for j in prey]).astype(np.float32)
-        return np.clip(self.prey_actor.act(rows), -1.0, 1.0)
+            return scripted_prey(env)
+        return np.clip(self.prey_actor.act(prey_obs.astype(np.float32)), -1.0, 1.0)
 
     def run_episode(self, explore: bool = True, store: bool | None = None,
                     env: ParticleWorld | None = None) -> np.ndarray:
         """Roll one full episode; returns the per-type summed reward.
 
         Pass a dedicated ``env`` for evaluation so the training environment's
-        RNG stream is left untouched.
+        RNG stream is left untouched. A batched ``env`` of E episodes steps
+        them in lockstep, one actor call per step for all of them, and
+        returns (E, n_types); it cannot store, since the replay buffer takes
+        one episode at a time.
         """
         if env is None:
             env = self.env
         if store is None:
             store = explore
+        if store and env.batch:
+            raise ValueError(
+                f"a lockstep batch of {env.batch[0]} episodes cannot fill the "
+                f"replay buffer; step one episode at a time to store")
         noise = self.cfg.action_noise_std if explore else 0.0
         obs = env.reset()
-        own = np.stack(obs[: self.n])
-        totals = np.zeros(env.n_types)
+        totals = np.zeros(env.batch + (env.n_types,))
         for _ in range(self.scenario.episode_length):
-            acts = self._trainable_actions(own, noise)
+            acts = self._trainable_actions(obs[0], noise)
             if self.scenario.kind == PREDATOR_PREY:
-                full = np.concatenate([acts, self._prey_actions(env, obs)], axis=0)
+                full = np.concatenate([acts, self._prey_actions(env, obs[1])], axis=-2)
             else:
                 full = acts
-            obs, rewards, done, _ = env.step(full)
-            next_own = np.stack(obs[: self.n])
+            next_obs, rewards, done, _ = env.step(full)
             if store:
-                self.buffer.push(Transition(obs=own, act=acts, rew=rewards,
-                                            next_obs=next_own, done=done))
+                self.buffer.push(Transition(obs=obs[0], act=acts, rew=rewards,
+                                            next_obs=next_obs[0], done=done))
             totals += rewards
-            own = next_own
+            obs = next_obs
         return totals
 
     # -- updates ---------------------------------------------------------------

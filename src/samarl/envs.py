@@ -15,7 +15,13 @@ Physics is a semi-implicit Euler step: velocities are damped, accelerated by
 body's max speed, and integrated into positions. Everything is float64 and
 fully determined by (config, seed, actions).
 
-Observation layout, fixed per scenario and agent count:
+A world holds one episode, with body arrays of shape ``(bodies, 2)``, or E
+episodes stepped in lockstep, with ``(E, bodies, 2)``. One code path serves
+both: every array carries the episode axis, if any, in front, and every
+episode steps bit-identically to an unbatched world given the same actions.
+
+Observations come as one array ``(..., agents of the type, obs dim)`` per
+agent type. The layout of one agent's row, fixed per scenario and agent count:
   [own vx, own vy, own x, own y,
    relative position of each landmark/obstacle in index order,
    relative position of every other agent in index order,
@@ -115,13 +121,18 @@ def observation_dim(cfg: ScenarioConfig, agent: int) -> int:
 
 
 class ParticleWorld:
-    """One scenario instance; owns the body arrays and an RNG for resets."""
+    """One scenario instance, or ``episodes`` of them in lockstep; owns the
+    body arrays and an RNG for resets."""
 
-    def __init__(self, cfg: ScenarioConfig, seed: int | None = None):
+    def __init__(self, cfg: ScenarioConfig, seed: int | None = None,
+                 episodes: int | None = None):
+        if episodes is not None and episodes < 1:
+            raise ConfigError(f"a lockstep world needs at least one episode, got {episodes}")
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed if seed is None else seed)
+        self.batch = () if episodes is None else (episodes,)
         self.t = 0
-        self.clip_events = 0  # out-of-range action components seen so far
+        self.clip_events = 0  # out-of-range action components seen so far, all episodes
         self._build_roster()
 
     def _build_roster(self) -> None:
@@ -144,6 +155,8 @@ class ParticleWorld:
                      True, True)
             for _ in range(cfg.n_landmarks):
                 push("landmark", cfg.landmark_radius, 0.0, 0.0, False, False)
+            # per agent type: its agents, and the agents whose velocities it sees
+            types = [(0, cfg.n_agents, None)]
         else:
             for _ in range(cfg.n_predators):
                 push("predator", cfg.predator_radius, cfg.predator_max_speed,
@@ -153,6 +166,8 @@ class ParticleWorld:
                      True, True)
             for _ in range(cfg.n_landmarks):
                 push("obstacle", cfg.obstacle_radius, 0.0, 0.0, False, True)
+            predators, prey = (0, cfg.n_predators), (cfg.n_predators, cfg.n_agents)
+            types = [(*predators, slice(*prey)), (*prey, slice(*predators))]
 
         self.roles = roles
         self.n_bodies = len(roles)
@@ -163,8 +178,14 @@ class ParticleWorld:
         self.accel = np.array(accel)
         self.movable = np.array(movable)
         self.collides = np.array(collides)
-        self.pos = np.zeros((self.n_bodies, 2))
-        self.vel = np.zeros((self.n_bodies, 2))
+        self._colliders = np.flatnonzero(self.collides)
+        self.pos = np.zeros(self.batch + (self.n_bodies, 2))
+        self.vel = np.zeros(self.batch + (self.n_bodies, 2))
+        # every other agent, one row per agent of the type, in index order
+        agents = np.arange(self.n_agents)
+        self._type_gathers = [
+            (slice(lo, hi), np.array([np.delete(agents, i) for i in range(lo, hi)]), seen)
+            for lo, hi, seen in types]
 
     @property
     def n_types(self) -> int:
@@ -173,88 +194,90 @@ class ParticleWorld:
     # -- lifecycle -------------------------------------------------------------
 
     def reset(self, seed: int | None = None) -> list[np.ndarray]:
-        """Place bodies uniformly at random and return per-agent observations."""
+        """Place bodies uniformly at random and return the observations.
+
+        Episode by episode, each draws its agents' positions, then its static
+        bodies', so E episodes of a batch draw what E resets of one world do.
+        """
         if seed is not None:
             self.rng = np.random.default_rng(seed)
         whw = self.cfg.world_half_width
-        self.pos[: self.n_agents] = self.rng.uniform(-whw, whw, size=(self.n_agents, 2))
         n_static = self.n_bodies - self.n_agents
-        # landmarks and obstacles stay clear of the walls
-        self.pos[self.n_agents:] = self.rng.uniform(-0.9 * whw, 0.9 * whw,
-                                                    size=(n_static, 2))
+        for episode in np.ndindex(self.batch):
+            pos = self.pos[episode]
+            pos[: self.n_agents] = self.rng.uniform(-whw, whw, size=(self.n_agents, 2))
+            # landmarks and obstacles stay clear of the walls
+            pos[self.n_agents:] = self.rng.uniform(-0.9 * whw, 0.9 * whw,
+                                                   size=(n_static, 2))
         self.vel[:] = 0.0
         self.t = 0
-        return [self.observe(i) for i in range(self.n_agents)]
+        return self.observe()
 
     def step(self, actions) -> tuple[list[np.ndarray], np.ndarray, bool, dict]:
-        """Advance one tick under the given per-agent force commands."""
+        """Advance one tick under the given per-agent force commands,
+        ``(..., agents, 2)``; rewards come as ``(..., types)``."""
         cfg = self.cfg
         acts = np.asarray(actions, dtype=np.float64)
-        if acts.shape != (self.n_agents, 2):
+        if acts.shape != self.batch + (self.n_agents, 2):
             raise ValueError(
-                f"expected {self.n_agents} force vectors, got shape {acts.shape}")
+                f"expected {self.n_agents} force vectors per episode, shape "
+                f"{self.batch + (self.n_agents, 2)}, got shape {acts.shape}")
         clipped = np.clip(acts, -1.0, 1.0)
         n_clipped = int(np.sum(clipped != acts))
         self.clip_events += n_clipped
 
-        forces = np.zeros((self.n_bodies, 2))
-        forces[: self.n_agents] = clipped * self.accel[: self.n_agents, None]
+        forces = np.zeros(self.pos.shape)
+        forces[..., : self.n_agents, :] = clipped * self.accel[: self.n_agents, None]
         forces += self._contact_forces()
 
         mov = self.movable
-        self.vel[mov] *= 1.0 - cfg.damping
-        self.vel[mov] += forces[mov] / self.mass[mov, None] * cfg.dt
-        speed = np.linalg.norm(self.vel[mov], axis=-1)
-        over = speed > self.max_speed[mov]
-        if np.any(over):
-            scale = np.ones_like(speed)
-            scale[over] = self.max_speed[mov][over] / speed[over]
-            self.vel[mov] *= scale[:, None]
-        self.pos[mov] += self.vel[mov] * cfg.dt
+        vel = self.vel[..., mov, :] * (1.0 - cfg.damping) \
+            + forces[..., mov, :] / self.mass[mov, None] * cfg.dt
+        speed = np.linalg.norm(vel, axis=-1)
+        cap = self.max_speed[mov]
+        vel *= np.divide(cap, speed, out=np.ones_like(speed), where=speed > cap)[..., None]
+        self.vel[..., mov, :] = vel
+        self.pos[..., mov, :] += vel * cfg.dt
 
         self.t += 1
         done = self.t >= cfg.episode_length
-        rewards = self._rewards()
-        obs = [self.observe(i) for i in range(self.n_agents)]
-        return obs, rewards, done, {"clipped_components": n_clipped}
+        return self.observe(), self._rewards(), done, {"clipped_components": n_clipped}
 
     def _contact_forces(self) -> np.ndarray:
         """Soft-spring repulsion with a logistic penetration ramp."""
         cfg = self.cfg
-        idx = np.where(self.collides)[0]
-        out = np.zeros((self.n_bodies, 2))
+        idx = self._colliders
+        out = np.zeros(self.pos.shape)
         if idx.size < 2:
             return out
-        p = self.pos[idx]
-        delta = p[:, None, :] - p[None, :, :]
+        p = self.pos[..., idx, :]
+        delta = p[..., :, None, :] - p[..., None, :, :]
         dist = np.maximum(np.linalg.norm(delta, axis=-1), 1e-9)
-        np.fill_diagonal(dist, np.inf)
+        diagonal = np.arange(idx.size)
+        dist[..., diagonal, diagonal] = np.inf
         dmin = self.radius[idx][:, None] + self.radius[idx][None, :]
         penetration = cfg.contact_margin * np.logaddexp(
             0.0, -(dist - dmin) / cfg.contact_margin)
         magnitude = cfg.contact_stiffness * penetration / dist
-        out[idx] = (delta * magnitude[..., None]).sum(axis=1)
+        out[..., idx, :] = (delta * magnitude[..., None]).sum(axis=-2)
         return out
 
     # -- observations ----------------------------------------------------------
 
-    def observe(self, agent: int) -> np.ndarray:
-        """Fixed-layout observation vector for one agent (see module docstring)."""
-        if not 0 <= agent < self.n_agents:
-            raise ValueError(f"agent index {agent} out of range")
-        cfg = self.cfg
-        me = self.pos[agent]
-        parts = [self.vel[agent], me]
-        parts.append((self.pos[self.n_agents:] - me).reshape(-1))
-        others = [j for j in range(self.n_agents) if j != agent]
-        parts.append((self.pos[others] - me).reshape(-1))
-        if cfg.kind == PREDATOR_PREY:
-            if agent < cfg.n_predators:
-                opp = list(range(cfg.n_predators, cfg.n_agents))
-            else:
-                opp = list(range(cfg.n_predators))
-            parts.append(self.vel[opp].reshape(-1))
-        return np.concatenate(parts)
+    def observe(self) -> list[np.ndarray]:
+        """Observations, one ``(..., agents of the type, obs dim)`` array per
+        agent type, gathered for the whole type at once (see module docstring)."""
+        out = []
+        for own, others, opposite in self._type_gathers:
+            me = self.pos[..., own, None, :]
+            parts = [self.vel[..., own, :], self.pos[..., own, :],
+                     _flat(self.pos[..., None, self.n_agents:, :] - me),
+                     _flat(self.pos[..., others, :] - me)]
+            if opposite is not None:
+                seen = _flat(self.vel[..., None, opposite, :])
+                parts.append(np.broadcast_to(seen, parts[0].shape[:-1] + seen.shape[-1:]))
+            out.append(np.concatenate(parts, axis=-1))
+        return out
 
     @property
     def obs_dims(self) -> list[int]:
@@ -264,56 +287,60 @@ class ParticleWorld:
 
     def _rewards(self) -> np.ndarray:
         if self.cfg.kind == COOP_NAV:
-            return np.array([reward_coop_nav(self)])
-        return np.array(reward_predator_prey(self))
+            return reward_coop_nav(self)[..., None]
+        return reward_predator_prey(self)
 
 
-def reward_coop_nav(world: ParticleWorld) -> float:
-    """Joint navigation reward: coverage distance plus collision penalties."""
+def _flat(x: np.ndarray) -> np.ndarray:
+    """Join the last two axes: (..., k, 2) -> (..., 2k)."""
+    return x.reshape(x.shape[:-2] + (-1,))
+
+
+def reward_coop_nav(world: ParticleWorld) -> np.ndarray:
+    """Joint navigation reward ``(...)``: coverage distance plus collision penalties."""
     cfg = world.cfg
     n = world.n_agents
-    agents = world.pos[:n]
-    landmarks = world.pos[n:]
-    dists = np.linalg.norm(agents[:, None, :] - landmarks[None, :, :], axis=-1)
-    reward = -float(dists.min(axis=0).sum())
-    delta = np.linalg.norm(agents[:, None, :] - agents[None, :, :], axis=-1)
+    agents = world.pos[..., :n, :]
+    landmarks = world.pos[..., n:, :]
+    dists = np.linalg.norm(agents[..., :, None, :] - landmarks[..., None, :, :], axis=-1)
+    reward = -dists.min(axis=-2).sum(axis=-1)
+    delta = np.linalg.norm(agents[..., :, None, :] - agents[..., None, :, :], axis=-1)
     dmin = world.radius[:n][:, None] + world.radius[:n][None, :]
     hit = delta < dmin
-    np.fill_diagonal(hit, False)
-    reward -= cfg.coop_collision_penalty * float(hit.sum())  # counted per agent
-    return reward
+    diagonal = np.arange(n)
+    hit[..., diagonal, diagonal] = False
+    # counted per agent
+    return reward - cfg.coop_collision_penalty * hit.sum(axis=(-2, -1))
 
 
-def reward_predator_prey(world: ParticleWorld) -> tuple[float, float]:
-    """(predator joint reward, prey joint reward) for the current state."""
+def reward_predator_prey(world: ParticleWorld) -> np.ndarray:
+    """(predator joint reward, prey joint reward), ``(..., 2)``, for the
+    current state."""
     cfg = world.cfg
     np_, ny = cfg.n_predators, cfg.n_prey
-    preds = world.pos[:np_]
-    prey = world.pos[np_:np_ + ny]
-    delta = np.linalg.norm(preds[:, None, :] - prey[None, :, :], axis=-1)
+    preds = world.pos[..., :np_, :]
+    prey = world.pos[..., np_:np_ + ny, :]
+    delta = np.linalg.norm(preds[..., :, None, :] - prey[..., None, :, :], axis=-1)
     dmin = world.radius[:np_][:, None] + world.radius[np_:np_ + ny][None, :]
-    contacts = int((delta < dmin).sum())
+    contacts = (delta < dmin).sum(axis=(-2, -1))
     predator_reward = cfg.tag_reward * contacts
     prey_reward = -cfg.tag_reward * contacts
-    whw = cfg.world_half_width
-    for p in prey:
-        for coord in p:
-            prey_reward -= cfg.boundary_penalty_scale * _boundary_penalty(
-                abs(float(coord)) / whw)
-    return float(predator_reward), float(prey_reward)
+    penalties = _boundary_penalty(np.abs(prey) / cfg.world_half_width)
+    # added prey by prey and coordinate by coordinate, a fixed summation order
+    for penalty in np.moveaxis(_flat(penalties), -1, 0):
+        prey_reward = prey_reward - cfg.boundary_penalty_scale * penalty
+    return np.stack([predator_reward, prey_reward], axis=-1)
 
 
-def _boundary_penalty(v: float) -> float:
+def _boundary_penalty(v: np.ndarray) -> np.ndarray:
     """Soft ramp on |coordinate| in half-width units; zero inside 0.9."""
-    if v < 0.9:
-        return 0.0
-    if v < 1.0:
-        return (v - 0.9) * 10.0
-    return min(np.exp(2.0 * v - 2.0), 10.0)
+    ramp = np.where(v < 1.0, (v - 0.9) * 10.0, np.minimum(np.exp(2.0 * v - 2.0), 10.0))
+    return np.where(v < 0.9, 0.0, ramp)
 
 
-def scripted_prey(world: ParticleWorld, prey_index: int) -> np.ndarray:
-    """Deterministic flee policy standing in for a pre-trained prey.
+def scripted_prey(world: ParticleWorld) -> np.ndarray:
+    """Deterministic flee policy standing in for a pre-trained prey: actions
+    ``(..., prey, 2)`` for every prey.
 
     Runs away from the nearest predator inside the sensing range, blended
     with an inward push near walls and repulsion from nearby obstacles. With
@@ -322,31 +349,31 @@ def scripted_prey(world: ParticleWorld, prey_index: int) -> np.ndarray:
     cfg = world.cfg
     if cfg.kind != PREDATOR_PREY:
         raise ConfigError("scripted prey only exists in the predator-prey scenario")
-    if not cfg.n_predators <= prey_index < cfg.n_agents:
-        raise ValueError(f"body {prey_index} is not a prey agent")
 
-    me = world.pos[prey_index]
-    action = np.zeros(2)
+    me = world.pos[..., cfg.n_predators:cfg.n_agents, :]
+    action = np.zeros(me.shape)
 
-    preds = world.pos[: cfg.n_predators]
-    deltas = me - preds
+    deltas = me[..., :, None, :] - world.pos[..., None, : cfg.n_predators, :]
     dists = np.linalg.norm(deltas, axis=-1)
-    nearest = int(np.argmin(dists))
-    if dists[nearest] <= cfg.prey_sense_range and dists[nearest] > 0:
-        action += deltas[nearest] / dists[nearest]
+    nearest = np.argmin(dists, axis=-1)[..., None]
+    dist = np.take_along_axis(dists, nearest, axis=-1)
+    away = np.take_along_axis(deltas, nearest[..., None], axis=-2)[..., 0, :]
+    flee = (dist <= cfg.prey_sense_range) & (dist > 0)
+    action += np.divide(away, dist, out=np.zeros(me.shape), where=flee)
 
     margin = cfg.prey_boundary_margin * cfg.world_half_width
-    for axis in range(2):
-        excess = abs(me[axis]) - margin
-        if excess > 0:
-            action[axis] -= np.sign(me[axis]) * cfg.prey_boundary_gain * excess
+    excess = np.abs(me) - margin
+    action -= np.where(excess > 0, np.sign(me) * cfg.prey_boundary_gain * excess, 0.0)
 
-    obstacles = world.pos[world.n_agents:]
-    for obstacle in obstacles:
-        delta = me - obstacle
-        d = float(np.linalg.norm(delta))
-        if 0 < d < cfg.prey_obstacle_range:
-            action += (delta / d) * cfg.prey_obstacle_gain * (
-                (cfg.prey_obstacle_range - d) / cfg.prey_obstacle_range)
+    deltas = me[..., :, None, :] - world.pos[..., None, world.n_agents:, :]
+    # squared lengths as one dot product per 2-vector, which rounds as the
+    # norm of a lone vector does (BLAS may fuse its multiply-add)
+    dists = np.sqrt(deltas[..., None, :] @ deltas[..., :, None])[..., 0]
+    near = (dists > 0) & (dists < cfg.prey_obstacle_range)
+    push = np.divide(deltas, dists, out=np.zeros(deltas.shape), where=near) \
+        * cfg.prey_obstacle_gain \
+        * ((cfg.prey_obstacle_range - dists) / cfg.prey_obstacle_range)
+    for k in range(deltas.shape[-2]):  # obstacle by obstacle, in index order
+        action += np.where(near[..., k, :], push[..., k, :], 0.0)
 
     return np.clip(action, -1.0, 1.0)

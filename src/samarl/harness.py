@@ -256,12 +256,10 @@ def train(cfg: RunConfig) -> Path:
 # -- evaluation -----------------------------------------------------------------------
 
 def evaluate_trainer(trainer: Trainer, episodes: int, seed: int) -> dict:
-    """Noise-free rollouts on a dedicated environment; no buffer or net writes."""
-    env = ParticleWorld(trainer.scenario, seed=seed)
-    totals = []
-    for _ in range(episodes):
-        totals.append(trainer.run_episode(explore=False, store=False, env=env))
-    arr = np.stack(totals)
+    """Noise-free rollouts of ``episodes`` episodes, stepped in lockstep on a
+    dedicated world; no buffer or net writes."""
+    env = ParticleWorld(trainer.scenario, seed=seed, episodes=episodes)
+    arr = trainer.run_episode(explore=False, store=False, env=env)
     return {
         "episodes": episodes,
         "mean": [float(m) for m in arr.mean(axis=0)],
@@ -294,10 +292,13 @@ def evaluate(checkpoint, episodes: int, seed: int, *,
 
 def save_prey_actor(directory, actor, scenario: ScenarioConfig) -> Path:
     """Write member 0 of an ``MlpActor`` as a prey-policy checkpoint usable
-    via ``prey=<path>``."""
+    via ``prey=<path>``; the manifest records the actor's architecture."""
     return save_checkpoint(directory, actor.member(0, PREY_ACTOR_PREFIX),
                            algo="prey-actor", scenario=scenario.kind,
-                           agents=scenario.n_agents, episode=0)
+                           agents=scenario.n_agents, episode=0,
+                           train={"hidden_dim": actor.hidden_dim,
+                                  "hidden_layers": len(actor.hidden),
+                                  "dtype": np.dtype(actor.out.w.dtype).name})
 
 
 # -- plotting -----------------------------------------------------------------------

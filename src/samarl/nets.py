@@ -103,6 +103,7 @@ class MlpActor(MlpBank):
                  hidden_dim: int = 64, hidden_layers: int = 3, dtype=np.float32):
         self.obs_dim = obs_dim
         self.act_dim = act_dim
+        self.hidden_dim = hidden_dim
         super().__init__([obs_dim] + [hidden_dim] * hidden_layers + [act_dim], rng,
                          dtype, out_bound=ACTION_HEAD_INIT)
 
@@ -113,16 +114,18 @@ class MlpActor(MlpBank):
     def act(self, obs: np.ndarray) -> np.ndarray:
         """Inference path on raw numpy, used in the rollout hot loop.
 
-        The rows of ``obs`` (..., obs_dim) split evenly over the members in
-        order: one row per agent for the n-agent bank, every row for a lone
-        actor. Returns actions of shape (..., act_dim).
+        Member i of the n-agent bank reads agent i's row of ``obs``
+        (..., n, obs_dim), in every leading index (one per episode of a
+        lockstep batch); a lone actor reads every row of ``obs``
+        (..., obs_dim) in one product. Returns actions of shape
+        (..., act_dim).
         """
-        x = obs.reshape(len(self.out.w.data), -1, obs.shape[-1])
+        x = obs.reshape(-1, len(self.out.w.data), obs.shape[-1]).swapaxes(0, 1)
         for layer in self.hidden:
             x = x @ layer.w.data + layer.b.data
             x = np.maximum(x, nd.LEAKY_SLOPE * x)
         out = np.tanh(x @ self.out.w.data + self.out.b.data)
-        return out.reshape(obs.shape[:-1] + (self.act_dim,))
+        return out.swapaxes(0, 1).reshape(obs.shape[:-1] + (self.act_dim,))
 
 
 class MlpCritic(MlpBank):
@@ -267,11 +270,13 @@ class AttentionActor:
             x = block.forward(x)
         return nd.tanh(self.head_out(self.head_hidden(x, leaky=True)))
 
-    def act(self, obs_all: np.ndarray) -> np.ndarray:
-        """Joint action for one world state, shape (n, act_dim)."""
+    def act(self, obs: np.ndarray) -> np.ndarray:
+        """Joint actions (..., n, act_dim) for observations (..., n, obs_dim):
+        one world state, or one per episode of a lockstep batch."""
         with nd.no_grad():
-            out = self.forward(Tensor(obs_all[None, ...], dtype=self.embed.w.dtype))
-        return out.data[0]
+            out = self.forward(Tensor(obs.reshape((-1,) + obs.shape[-2:]),
+                                      dtype=self.embed.w.dtype))
+        return out.data.reshape(obs.shape[:-1] + (self.act_dim,))
 
     def named_parameters(self, prefix: str = ""):
         out = self.embed.named_parameters(prefix + "embed.")

@@ -319,8 +319,8 @@ class TestExploration:
         next_obs = np.ones((6, 2, trainer.obs_dim), dtype=np.float32)
         acts = trainer._target_actions(Tensor(next_obs))
         assert acts.shape == (6, 2, 2)
-        per_agent = trainer.target_actor.act(np.ascontiguousarray(next_obs.swapaxes(0, 1)))
-        assert np.array_equal(acts, per_agent.swapaxes(0, 1))
+        # act reads agent i's row of every batch entry with member i
+        assert np.array_equal(acts, trainer.target_actor.act(next_obs))
 
     def test_smoothed_targets_noise_std(self):
         trainer = self._trainer(n=1, critic_noise_std=0.001)

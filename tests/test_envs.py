@@ -243,14 +243,15 @@ class TestObservations:
         world.pos[0] = [0.0, 0.0]
         world.vel[0] = [0.0, 0.0]
         world.pos[1] = [1.0, 2.0]
-        obs = world.observe(0)
+        obs = world.observe()[0][0]
         assert obs[4] == pytest.approx(1.0)
         assert obs[5] == pytest.approx(2.0)
 
     def test_layout_matches_dim(self):
         for cfg in (ScenarioConfig.coop_nav(4), ScenarioConfig.predator_prey(6)):
             world = ParticleWorld(cfg, seed=13)
-            obs = world.reset()
+            # one array per agent type; their rows list the agents in index order
+            obs = [row for rows in world.reset() for row in rows]
             for i in range(cfg.n_agents):
                 # own velocity and position, landmarks, other agents, and in
                 # predator-prey the opposite type's velocities
@@ -265,7 +266,7 @@ class TestObservations:
         # and landmark positions follow from any agent's relative entries
         cfg = ScenarioConfig.coop_nav(3)
         world = ParticleWorld(cfg, seed=14)
-        observations = world.reset()
+        (observations,) = world.reset()
         for i, obs in enumerate(observations):
             assert np.allclose(obs[0:2], world.vel[i])
             assert np.allclose(obs[2:4], world.pos[i])
@@ -292,14 +293,14 @@ class TestScriptedPrey:
         world = self._world()
         world.pos[2] = [0.0, 0.0]
         world.pos[:2] = [[-0.5, 0.0], [-0.9, -0.9]]
-        action = scripted_prey(world, 2)
+        (action,) = scripted_prey(world)
         assert action == pytest.approx([1.0, 0.0], abs=1e-9)
 
     def test_boundary_repulsion_shrinks_push(self):
         world = self._world()
         world.pos[2] = [1.0, 0.0]
         world.pos[:2] = [[0.5, 0.0], [-0.9, -0.9]]
-        action = scripted_prey(world, 2)
+        (action,) = scripted_prey(world)
         assert action[0] < 1.0
         assert action[0] > 0.0  # still fleeing, just tempered
 
@@ -307,13 +308,14 @@ class TestScriptedPrey:
         world = self._world()
         world.pos[2] = [0.0, 0.0]
         world.pos[:2] = [[-0.9, -0.9], [0.9, -0.9]]  # > 1.0 away
-        action = scripted_prey(world, 2)
+        (action,) = scripted_prey(world)
         assert np.array_equal(action, [0.0, 0.0])
 
     def test_only_valid_for_prey(self):
-        world = self._world()
-        with pytest.raises(ValueError):
-            scripted_prey(world, 0)
+        world = ParticleWorld(ScenarioConfig.coop_nav(3), seed=16)
+        world.reset()
+        with pytest.raises(ConfigError, match="predator-prey"):
+            scripted_prey(world)
 
 
 class TestDeterminismAndOracle:
@@ -356,3 +358,70 @@ class TestDeterminismAndOracle:
             speeds = np.linalg.norm(world.vel[: world.n_agents], axis=-1)
             assert np.all(speeds <= world.max_speed[: world.n_agents] + 1e-12)
 
+
+
+class TestLockstep:
+    """A world of E episodes against E unbatched worlds: bitwise equal."""
+
+    EPISODES = 4
+
+    @pytest.mark.parametrize("cfg", [ScenarioConfig.coop_nav(3), ScenarioConfig.coop_nav(9),
+                                     ScenarioConfig.predator_prey(9)],
+                             ids=["coop_nav3", "coop_nav9", "predator_prey9"])
+    def test_batched_steps_equal_single_worlds(self, cfg):
+        batched = ParticleWorld(cfg, seed=31, episodes=self.EPISODES)
+        batched.reset()
+        singles = []
+        for e in range(self.EPISODES):
+            world = ParticleWorld(cfg, seed=e)
+            world.reset()
+            world.pos[:] = batched.pos[e]
+            singles.append(world)
+        rng = np.random.default_rng(32)
+        trainable = cfg.n_predators if cfg.kind == PREDATOR_PREY else cfg.n_agents
+        prey_rewards = []
+        for t in range(40):
+            # beyond [-1, 1], so that clipping is exercised too
+            acts = rng.uniform(-1.5, 1.5, size=(self.EPISODES, trainable, 2))
+            if cfg.kind == PREDATOR_PREY:
+                prey = scripted_prey(batched)
+                for e, world in enumerate(singles):
+                    assert prey[e].tobytes() == scripted_prey(world).tobytes(), (t, e)
+                acts = np.concatenate([acts, prey], axis=1)
+            obs, rewards, done, _ = batched.step(acts)
+            assert rewards.shape == (self.EPISODES, batched.n_types)
+            for e, world in enumerate(singles):
+                obs_e, rewards_e, done_e, _ = world.step(acts[e])
+                assert world.pos.tobytes() == batched.pos[e].tobytes(), (t, e)
+                assert world.vel.tobytes() == batched.vel[e].tobytes(), (t, e)
+                assert rewards_e.tobytes() == rewards[e].tobytes(), (t, e)
+                assert done_e == done
+                for per_type, single in zip(obs, obs_e):
+                    assert single.tobytes() == per_type[e].tobytes(), (t, e)
+            prey_rewards.append(rewards[..., -1])
+        assert batched.clip_events == sum(w.clip_events for w in singles) > 0
+        if cfg.kind == PREDATOR_PREY:
+            # some prey crossed the wall margin, so the boundary terms were compared
+            assert np.any(np.concatenate(prey_rewards) % cfg.tag_reward != 0)
+
+    @pytest.mark.parametrize("cfg", [ScenarioConfig.coop_nav(3),
+                                     ScenarioConfig.predator_prey(9)],
+                             ids=["coop_nav3", "predator_prey9"])
+    def test_batched_reset_equals_sequential_resets(self, cfg):
+        batched = ParticleWorld(cfg, seed=33, episodes=self.EPISODES)
+        obs = batched.reset()
+        single = ParticleWorld(cfg, seed=33)
+        for e in range(self.EPISODES):
+            obs_e = single.reset()
+            assert single.pos.tobytes() == batched.pos[e].tobytes(), e
+            for per_type, one in zip(obs, obs_e):
+                assert one.tobytes() == per_type[e].tobytes(), e
+        assert np.all(batched.vel == 0.0) and batched.t == 0
+
+    def test_batched_shapes_checked(self):
+        world = ParticleWorld(ScenarioConfig.coop_nav(3), seed=34, episodes=2)
+        world.reset()
+        with pytest.raises(ValueError, match="3 force vectors per episode"):
+            world.step(np.zeros((3, 2)))
+        with pytest.raises(ConfigError, match="at least one episode"):
+            ParticleWorld(ScenarioConfig.coop_nav(3), episodes=0)

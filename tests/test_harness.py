@@ -1,6 +1,8 @@
 """Harness behavior: runs, metrics, evaluation, plotting, comparison, CLI."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from samarl import cli, harness, nets
 from samarl.algo import AlgoKind, TrainConfig, Trainer
 from samarl.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from samarl.envs import ConfigError, ScenarioConfig
+from samarl.envs import ConfigError, ParticleWorld, ScenarioConfig
 from samarl.harness import (
     CSV_COLUMNS,
     ConfigFileError,
@@ -297,6 +299,75 @@ class TestEvaluate:
             assert np.array_equal(before[k], v.data)
 
 
+class TestLockstepEvaluation:
+    """``evaluate_trainer`` steps its episodes as one batched world."""
+
+    # Batched actor products round differently from batch-1 ones in the last
+    # float32 bits (about 1e-10 seen on reward sums of 20 steps); relative and
+    # absolute, on per-episode reward sums
+    TOLERANCE = 1e-6
+
+    def _per_episode(self, trainer, episodes, seed):
+        env = ParticleWorld(trainer.scenario, seed=seed)
+        return np.stack([trainer.run_episode(explore=False, store=False, env=env)
+                         for _ in range(episodes)])
+
+    @pytest.mark.parametrize("algo,scenario", [("dsa-matd3", ScenarioConfig.predator_prey(9)),
+                                               ("maddpg", ScenarioConfig.coop_nav(5))])
+    def test_matches_per_episode_loop(self, algo, scenario):
+        trainer = Trainer(scenario, AlgoKind.parse(algo), TrainConfig(replay_capacity=600),
+                          seed=3)
+        loop = self._per_episode(trainer, 5, seed=8)
+        lockstep = trainer.run_episode(explore=False, store=False,
+                                       env=ParticleWorld(scenario, seed=8, episodes=5))
+        assert lockstep.shape == loop.shape == (5, len(scenario.type_names))
+        assert np.allclose(lockstep, loop, rtol=self.TOLERANCE, atol=self.TOLERANCE)
+        stats = evaluate_trainer(trainer, episodes=5, seed=8)
+        assert stats["mean"] == [float(m) for m in lockstep.mean(axis=0)]
+        assert np.allclose(stats["mean"], loop.mean(axis=0), rtol=self.TOLERANCE,
+                           atol=self.TOLERANCE)
+        assert np.allclose(stats["std"], loop.std(axis=0), rtol=self.TOLERANCE,
+                           atol=self.TOLERANCE)
+
+    def test_prey_actor_acts_for_every_episode_at_once(self, tmp_path, monkeypatch):
+        scenario = ScenarioConfig.predator_prey(6)
+        actor = nets.MlpActor(4 + 2 * 3 + 2 * 5 + 2 * 4, 2, np.random.default_rng(5),
+                              hidden_dim=8, hidden_layers=2)
+        ck = save_prey_actor(tmp_path / "prey", actor, scenario)
+        trainer = Trainer(scenario, AlgoKind.MATD3, TrainConfig(hidden_dim=8),
+                          seed=2, prey_policy=ck)
+        loop = self._per_episode(trainer, 3, seed=4)
+        rows = []
+        act = trainer.prey_actor.act
+        monkeypatch.setattr(trainer.prey_actor, "act",
+                            lambda obs: rows.append(obs.shape) or act(obs))
+        stats = evaluate_trainer(trainer, episodes=3, seed=4)
+        assert rows == [(3, scenario.n_prey, actor.obs_dim)] * scenario.episode_length
+        assert np.allclose(stats["mean"], loop.mean(axis=0), rtol=self.TOLERANCE,
+                           atol=self.TOLERANCE)
+
+    def test_batched_world_refuses_to_store(self):
+        trainer = Trainer(ScenarioConfig.coop_nav(3), AlgoKind.SA_MATD3,
+                          TrainConfig(hidden_dim=8, attention_heads=2, batch_size=8,
+                                      replay_capacity=400), seed=0)
+        env = ParticleWorld(trainer.scenario, seed=1, episodes=2)
+        for kwargs in ({"store": True}, {"explore": True}):
+            with pytest.raises(ValueError, match="one episode at a time"):
+                trainer.run_episode(env=env, **kwargs)
+        assert len(trainer.buffer) == 0
+
+    def test_pp9_eval_matches_benchmark_reference(self):
+        # the benchmark's own reference, read and never written here, so that
+        # evaluation drift fails the fast suite and not only the benchmark
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+        ref = json.loads(path.read_text())["pp9-rollout"]["eval_reward_means"]
+        trainer = Trainer(ScenarioConfig.predator_prey(9), AlgoKind.DSA_MATD3,
+                          TrainConfig(replay_capacity=4_000), seed=0)
+        stats = evaluate_trainer(trainer, episodes=5, seed=0)
+        assert np.allclose(stats["mean"], ref["value"], rtol=ref["rel_tol"],
+                           atol=ref["abs_tol"]), (stats["mean"], ref["value"])
+
+
 class TestPreyDropIn:
     def test_loaded_prey_changes_behavior(self, tmp_path):
         scenario = ScenarioConfig.predator_prey(3)
@@ -324,6 +395,38 @@ class TestPreyDropIn:
         for (_, saved), (_, loaded) in zip(actor.named_parameters(),
                                            trainer.prey_actor.named_parameters()):
             assert loaded.data.dtype == np.float64
+            assert np.array_equal(loaded.data, saved.data)
+
+    def test_prey_architecture_comes_from_the_checkpoint(self, tmp_path):
+        scenario = ScenarioConfig.predator_prey(3)
+        prey_obs_dim = 4 + 2 * 3 + 2 * 2 + 2 * 2
+        actor = nets.MlpActor(prey_obs_dim, 2, np.random.default_rng(5),
+                              hidden_dim=16, hidden_layers=2)
+        ck = save_prey_actor(tmp_path / "prey", actor, scenario)
+        manifest, _ = load_checkpoint(ck)
+        assert manifest.train == {"hidden_dim": "16", "hidden_layers": "2",
+                                  "dtype": "float32"}
+        cfg = TrainConfig(hidden_dim=8, attention_heads=2, attention_blocks=1)
+        trainer = Trainer(scenario, AlgoKind.SA_MATD3, cfg, seed=2, prey_policy=ck)
+        for (_, saved), (_, loaded) in zip(actor.named_parameters(),
+                                           trainer.prey_actor.named_parameters()):
+            assert np.array_equal(loaded.data, saved.data)
+        assert np.all(np.isfinite(evaluate_trainer(trainer, episodes=2, seed=1)["mean"]))
+
+    def test_prey_checkpoint_without_architecture_takes_trainer_sizes(self, tmp_path):
+        # as written before prey checkpoints recorded their architecture
+        scenario = ScenarioConfig.predator_prey(3)
+        prey_obs_dim = 4 + 2 * 3 + 2 * 2 + 2 * 2
+        actor = nets.MlpActor(prey_obs_dim, 2, np.random.default_rng(5),
+                              hidden_dim=8, hidden_layers=2)
+        ck = save_checkpoint(tmp_path / "prey", actor.member(0, "prey_actor."),
+                             algo="prey-actor", scenario=scenario.kind,
+                             agents=scenario.n_agents, episode=0)
+        cfg = TrainConfig(hidden_dim=8, hidden_layers=2, attention_heads=2,
+                          attention_blocks=1)
+        trainer = Trainer(scenario, AlgoKind.SA_MATD3, cfg, seed=2, prey_policy=ck)
+        for (_, saved), (_, loaded) in zip(actor.named_parameters(),
+                                           trainer.prey_actor.named_parameters()):
             assert np.array_equal(loaded.data, saved.data)
 
 

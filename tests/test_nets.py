@@ -97,6 +97,18 @@ class TestMlpActor:
             fresh = bank.forward(nd.Tensor(obs[:, None, :])).data[:, 0]
         assert np.array_equal(acts, fresh)
 
+    def test_bank_act_reads_agent_rows_of_every_episode(self):
+        # a lockstep batch of 4 episodes: member i acts on agent i of each;
+        # an (E, d) product rounds apart from E one-row products in the
+        # last float32 bits
+        obs_dim = observation_dim(ScenarioConfig.coop_nav(5), 0)
+        bank = nets.stack([nets.MlpActor(obs_dim, 2, rng_for(44)) for _ in range(5)])
+        obs = rng_for(45).normal(size=(4, 5, obs_dim)).astype(np.float32)
+        acts = bank.act(obs)
+        assert acts.shape == (4, 5, 2)
+        for e in range(4):
+            assert np.allclose(acts[e], bank.act(obs[e]), rtol=1e-5, atol=1e-7), e
+
     def test_member_views_name_and_shape_a_lone_actor(self):
         lone = [nets.MlpActor(6, 2, rng_for(44), hidden_dim=8) for _ in range(3)]
         bank = nets.stack(lone)
@@ -346,6 +358,14 @@ class TestAttentionActor:
         acts = actor.act(obs)
         assert acts.shape == (n, 2)
         assert np.all(np.abs(acts) <= 1.0)
+
+    def test_act_takes_a_leading_episode_axis(self):
+        actor = nets.AttentionActor(4, 2, rng_for(31), hidden_dim=8, heads=2)
+        obs = rng_for(32).normal(size=(3, 5, 4)).astype(np.float32)
+        acts = actor.act(obs)
+        assert acts.shape == (3, 5, 2)
+        for e in range(3):
+            assert np.allclose(acts[e], actor.act(obs[e]), rtol=1e-5, atol=1e-7), e
 
     def test_gradient_check(self):
         actor = nets.AttentionActor(3, 2, rng_for(31), hidden_dim=8, heads=2,
