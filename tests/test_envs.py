@@ -69,6 +69,47 @@ def scalar_physics_oracle(cfg, world, actions):
     return pos, vel
 
 
+def loop_scripted_prey(cfg, pos, prey_index):
+    """The flee policy for one prey and one state, term by term in a loop;
+    the reference the vectorized ``scripted_prey`` must equal bitwise."""
+    me = pos[prey_index]
+    action = np.zeros(2)
+    deltas = me - pos[: cfg.n_predators]
+    dists = np.linalg.norm(deltas, axis=-1)
+    nearest = int(np.argmin(dists))
+    if dists[nearest] <= cfg.prey_sense_range and dists[nearest] > 0:
+        action += deltas[nearest] / dists[nearest]
+    margin = cfg.prey_boundary_margin * cfg.world_half_width
+    for axis in range(2):
+        excess = abs(me[axis]) - margin
+        if excess > 0:
+            action[axis] -= np.sign(me[axis]) * cfg.prey_boundary_gain * excess
+    for obstacle in pos[cfg.n_agents:]:
+        delta = me - obstacle
+        d = float(np.linalg.norm(delta))
+        if 0 < d < cfg.prey_obstacle_range:
+            action += (delta / d) * cfg.prey_obstacle_gain * (
+                (cfg.prey_obstacle_range - d) / cfg.prey_obstacle_range)
+    return np.clip(action, -1.0, 1.0)
+
+
+def loop_prey_reward(cfg, radius, pos):
+    """The prey's joint reward for one state, boundary penalties added prey
+    by prey and coordinate by coordinate; reference for
+    ``reward_predator_prey``."""
+    np_, ny = cfg.n_predators, cfg.n_prey
+    delta = np.linalg.norm(pos[:np_, None, :] - pos[None, np_:np_ + ny, :], axis=-1)
+    contacts = int((delta < radius[:np_][:, None] + radius[np_:np_ + ny][None, :]).sum())
+    reward = -cfg.tag_reward * contacts
+    for prey in pos[np_:np_ + ny]:
+        for coord in prey:
+            v = abs(float(coord)) / cfg.world_half_width
+            if v >= 0.9:
+                reward -= cfg.boundary_penalty_scale * (
+                    (v - 0.9) * 10.0 if v < 1.0 else min(np.exp(2.0 * v - 2.0), 10.0))
+    return reward
+
+
 class TestConfig:
     def test_coop_nav_requires_matching_landmarks(self):
         with pytest.raises(ConfigError):
@@ -359,7 +400,6 @@ class TestDeterminismAndOracle:
             assert np.all(speeds <= world.max_speed[: world.n_agents] + 1e-12)
 
 
-
 class TestLockstep:
     """A world of E episodes against E unbatched worlds: bitwise equal."""
 
@@ -417,6 +457,27 @@ class TestLockstep:
             for per_type, one in zip(obs, obs_e):
                 assert one.tobytes() == per_type[e].tobytes(), e
         assert np.all(batched.vel == 0.0) and batched.t == 0
+
+    def test_prey_policy_and_reward_equal_loop_references(self):
+        # crowded states: prey near walls, predators and several obstacles
+        cfg = ScenarioConfig.predator_prey(9)
+        world = ParticleWorld(cfg, seed=35, episodes=500)
+        world.reset()
+        rng = np.random.default_rng(36)
+        world.pos[...] = rng.uniform(-1.2, 1.2, size=world.pos.shape)
+        world.pos[:, cfg.n_agents:] = world.pos[:, cfg.n_predators:cfg.n_agents] \
+            + rng.uniform(-0.3, 0.3, size=(500, cfg.n_landmarks, 2))
+        actions = scripted_prey(world)
+        rewards = reward_predator_prey(world)
+        crowded = 0
+        for e, pos in enumerate(world.pos):
+            for j, prey in enumerate(range(cfg.n_predators, cfg.n_agents)):
+                expected = loop_scripted_prey(cfg, pos, prey)
+                assert actions[e, j].tobytes() == expected.tobytes(), (e, j)
+                near = np.linalg.norm(pos[cfg.n_agents:] - pos[prey], axis=-1)
+                crowded += np.sum(near < cfg.prey_obstacle_range) > 1
+            assert rewards[e, 1] == loop_prey_reward(cfg, world.radius, pos), e
+        assert crowded > 0  # the order of the obstacle terms was compared
 
     def test_batched_shapes_checked(self):
         world = ParticleWorld(ScenarioConfig.coop_nav(3), seed=34, episodes=2)

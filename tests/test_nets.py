@@ -102,7 +102,8 @@ class TestMlpActor:
         # an (E, d) product rounds apart from E one-row products in the
         # last float32 bits
         obs_dim = observation_dim(ScenarioConfig.coop_nav(5), 0)
-        bank = nets.stack([nets.MlpActor(obs_dim, 2, rng_for(44)) for _ in range(5)])
+        rng = rng_for(44)
+        bank = nets.stack([nets.MlpActor(obs_dim, 2, rng) for _ in range(5)])
         obs = rng_for(45).normal(size=(4, 5, obs_dim)).astype(np.float32)
         acts = bank.act(obs)
         assert acts.shape == (4, 5, 2)
