@@ -57,6 +57,26 @@ class RunConfig:
     smoothing_window: int = 1000
     train: TrainConfig = field(default_factory=TrainConfig)
 
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        """Reject values that would fail mid-run, or quietly write garbage,
+        before any run directory exists. 0 disables either interval."""
+        if self.episodes < 1:
+            raise ConfigFileError(f"episodes must be at least 1, got {self.episodes}")
+        for name in ("eval_interval", "checkpoint_interval"):
+            if getattr(self, name) < 0:
+                raise ConfigFileError(
+                    f"{name} must be 0 (disabled) or positive, got {getattr(self, name)}")
+        if self.smoothing_window < 1:
+            raise ConfigFileError(
+                f"smoothing_window must be at least 1, got {self.smoothing_window}")
+        if self.eval_interval and self.eval_episodes < 1:
+            raise ConfigFileError(
+                f"eval_interval {self.eval_interval} needs eval_episodes of at least 1, "
+                f"got {self.eval_episodes}")
+
     def scenario_config(self) -> ScenarioConfig:
         if self.scenario == COOP_NAV:
             return ScenarioConfig.coop_nav(self.agents)
@@ -202,7 +222,9 @@ def rolling_mean(values: np.ndarray, window: int) -> np.ndarray:
 
 def train(cfg: RunConfig) -> Path:
     """Run the full training loop; returns the populated output directory."""
-    # a bad scenario, algorithm or prey policy fails before the run directory exists
+    # a bad setting, scenario, algorithm or prey policy fails before the run
+    # directory exists
+    cfg.validate()
     scenario = cfg.scenario_config()
     trainer = Trainer(scenario, AlgoKind.parse(cfg.algo), cfg.train,
                       seed=cfg.seed, prey_policy=cfg.prey)

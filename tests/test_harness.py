@@ -82,6 +82,39 @@ class TestConfigFile:
             parse_config_file(path)
 
 
+class TestRunConfigValidation:
+    """Settings that would fail partway through a run, or write nan columns,
+    are refused before the run directory exists."""
+
+    @pytest.mark.parametrize("text,match", [
+        ("eval_interval = 5\neval_episodes = 0", "eval_episodes"),
+        ("smoothing_window = 0", "smoothing_window"),
+        ("episodes = 0", "episodes"),
+        ("checkpoint_interval = -10", "checkpoint_interval"),
+        ("eval_interval = -5", "eval_interval"),
+    ], ids=["eval_without_episodes", "smoothing_window", "episodes",
+            "checkpoint_interval", "eval_interval"])
+    def test_mistake_fails_before_the_run_directory(self, text, match, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text(text + "\n")
+        out = tmp_path / "run"
+        with pytest.raises(ConfigFileError, match=match):
+            cli.main(["train", "--config", str(path), "--out", str(out)])
+        assert not out.exists()
+
+    def test_zero_still_disables_both_intervals(self, tmp_path):
+        cfg = tiny_run_config(tmp_path, eval_interval=0, eval_episodes=0,
+                              checkpoint_interval=0)
+        assert cfg.eval_interval == cfg.checkpoint_interval == 0
+
+    def test_setting_changed_after_construction_fails_in_train(self, tmp_path):
+        cfg = tiny_run_config(tmp_path)
+        cfg.smoothing_window = 0
+        with pytest.raises(ConfigFileError, match="smoothing_window"):
+            train(cfg)
+        assert not (tmp_path / "run").exists()
+
+
 class TestMetricsCsv:
     def _records(self):
         return [

@@ -9,6 +9,7 @@ from samarl.algo import AlgoKind, Batch, TrainConfig, Trainer
 from samarl.envs import ScenarioConfig, observation_dim
 from samarl.ndmath import Tensor
 
+import reference_ops as ref
 from gradcheck import gradient_check
 from test_algo import ConstantQCritic
 
@@ -34,10 +35,10 @@ class SlotBiasedCritic(nets.CriticNet):
                                requires_grad=True, dtype=dtype)
 
     def forward(self, obs, act):
-        x = nd.leaky_relu(self.embed(nd.concat([obs, act], axis=-1))) + self.pos_bias
+        x = ref.leaky_relu(self.embed(nd.concat([obs, act], axis=-1))) + self.pos_bias
         for block in self.blocks:
             x = block.forward(x)
-        q = self.q_out(nd.leaky_relu(self.q_hidden(x)))
+        q = self.q_out(ref.leaky_relu(self.q_hidden(x)))
         return nd.reshape(q, q.shape[:2])
 
 
