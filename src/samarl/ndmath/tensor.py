@@ -548,6 +548,10 @@ def tanh(a: Tensor) -> Tensor:
 
 # -- self-attention -----------------------------------------------------------
 
+# Added to the variance before a layer norm's square root.
+LN_EPS = 1e-5
+
+
 def _softmax_rows(s: np.ndarray) -> np.ndarray:
     """Stabilized softmax of each row of ``s`` (last axis), in place.
 
@@ -571,11 +575,11 @@ def _softmax_rows(s: np.ndarray) -> np.ndarray:
 
 
 def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wout: Tensor,
-                    ln_gain: Tensor | None = None, ln_bias: Tensor | None = None,
-                    heads: int = 1, eps: float = 1e-5) -> Tensor:
+                    ln_gain: Tensor | None = None, ln_bias: Tensor | None = None, *,
+                    heads: int) -> Tensor:
     """Multi-head self-attention over the middle axis of ``x`` (B, n, D), as
     one op; then, given ``ln_gain`` and ``ln_bias``, a residual connection and
-    a layer norm over the last axis.
+    a layer norm over the last axis (epsilon ``LN_EPS``).
 
     ``wq``, ``wk`` and ``wv`` are (D, h*dk) projections whose column blocks
     are the ``heads`` heads, and ``wout`` (h*dk, D) mixes the merged heads.
@@ -593,8 +597,8 @@ def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wout: Tensor,
     merge heads.
 
     The output equals that of the separate ops (projections, head reshapes,
-    softmax, products, residual layer norm) bit for bit; the gradients match
-    theirs within float rounding. Under ``no_grad`` the op keeps nothing and
+    softmax, products, residual layer norm) bit for bit, wherever the tests
+    have checked it; the gradients match theirs within float rounding. Under ``no_grad`` the op keeps nothing and
     builds no closure.
     """
     xd, wqd, wod = x.data, wq.data, wout.data
@@ -631,7 +635,7 @@ def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wout: Tensor,
         out -= out @ col
         xhat, out = out, _ew(np.multiply, out, out)
         inv = out @ col
-        inv += eps
+        inv += LN_EPS
         np.sqrt(inv, out=inv)
         np.reciprocal(inv, out=inv)
         xhat *= inv
