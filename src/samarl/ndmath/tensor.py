@@ -243,6 +243,9 @@ def _copy(g: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
+_outer = functools.partial(np.multiply, order="C")
+
+
 def _gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``x @ w``; a large product goes into a recycled buffer.
 
@@ -256,9 +259,12 @@ def _gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     With an inner axis of length one every element is a single product, so
     the product is a broadcast multiply, in a fraction of numpy's time. It
     gives numpy's bits, except that a zero product keeps its sign where
-    numpy's loop, which adds the product to zero, makes it +0.
+    numpy's loop, which adds the product to zero, makes it +0. The multiply
+    is asked for C order, the order numpy's product returns: left to itself
+    it would follow the operands' strides, and callers reshape the product
+    in place.
     """
-    f = np.multiply if x.shape[-1] == 1 else np.matmul
+    f = _outer if x.shape[-1] == 1 else np.matmul
     if x.nbytes < RECYCLE_BYTES and w.nbytes < RECYCLE_BYTES and \
             x.shape[-1] >= w.shape[-1] and x.ndim >= w.ndim:
         return f(x, w)
@@ -553,7 +559,8 @@ LN_EPS = 1e-5
 
 
 def _softmax_rows(s: np.ndarray) -> np.ndarray:
-    """Stabilized softmax of each row of ``s`` (last axis), in place.
+    """Stabilized softmax of each row of ``s`` (last axis), in place when
+    ``s`` is C-contiguous (otherwise in a copy, which is returned).
 
     The row sums are one GEMM against a ones column. numpy's max over a short
     last axis costs about 80 ns a row, so past a few rows per column the row
@@ -571,7 +578,7 @@ def _softmax_rows(s: np.ndarray) -> np.ndarray:
     np.subtract(flat, row_max[:, None], out=flat)
     np.exp(flat, out=flat)
     flat /= flat @ _column(n, 1.0, s.dtype)
-    return s
+    return flat.reshape(s.shape)
 
 
 def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wout: Tensor,
@@ -590,16 +597,18 @@ def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wout: Tensor,
     a transposed right one, the pairing numpy's BLAS calls run slowest (about
     twice the time at n = 8). So the keys come from their own GEMM already
     transposed, (h*dk, B*n), and the backward keeps the score gradient
-    transposed. The heads' outputs are written straight into the (B*n, h*dk)
-    input of the output projection, and the query, value and key gradients
-    side by side into one (B*n, 3*h*dk) array, so that one GEMM gives the
-    input's gradient and one the three weights'. Nothing is copied to split or
-    merge heads.
+    transposed. Queries and values come from one GEMM each: one GEMM against
+    their joined weights would need the join on every call, which at batch 1
+    costs more than the call it saves. The heads' outputs are written straight
+    into the (B*n, h*dk) input of the output projection, and the query, value
+    and key gradients side by side into one (B*n, 3*h*dk) array, so that one
+    GEMM gives the input's gradient and one the three weights'. Nothing is
+    copied to split or merge heads.
 
     The output equals that of the separate ops (projections, head reshapes,
     softmax, products, residual layer norm) bit for bit, wherever the tests
-    have checked it; the gradients match theirs within float rounding. Under ``no_grad`` the op keeps nothing and
-    builds no closure.
+    have checked it; the gradients match theirs within float rounding. Under
+    ``no_grad`` the op keeps nothing and builds no closure.
     """
     xd, wqd, wod = x.data, wq.data, wout.data
     dim, hd = wqd.shape

@@ -164,7 +164,7 @@ def test_primitive_gradients(name, case):
 
 
 @pytest.mark.parametrize("batch", [1, 7])
-@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])     # 8 heads of width 1
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_attention_block_gradients(n, heads, batch):
     rng = np.random.default_rng(zlib.crc32(f"attention_block-{n}-{heads}-{batch}".encode()))

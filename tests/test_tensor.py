@@ -332,10 +332,13 @@ class TestAttentionBlockOp:
         return out.data.copy(), [p.grad.copy() for p in leaves]
 
     @pytest.mark.parametrize("norm", [True, False])
-    @pytest.mark.parametrize("batch,n", [(1, 9), (1, 3), (512, 8), (512, 3)])
-    def test_equals_composition(self, batch, n, norm):
+    @pytest.mark.parametrize("batch,n,heads", [
+        (1, 9, 4), (1, 3, 4), (512, 8, 4), (512, 3, 4),
+        (1, 9, 64), (5, 3, 64), (512, 8, 64),           # heads of width 1
+    ])
+    def test_equals_composition(self, batch, n, heads, norm):
         rng = np.random.default_rng(20)
-        block = self._block(rng)
+        block = self._block(rng, heads=heads)
         x = nd.Tensor(rng.normal(size=(batch, n, 64)), requires_grad=True)
         weights = [block.wq, block.wk, block.wv, block.wout]
         norm_params = [block.ln_gain, block.ln_bias] if norm else []
@@ -343,10 +346,10 @@ class TestAttentionBlockOp:
         fold = nd.Tensor(rng.normal(size=(batch, n, 64)))
 
         def fused(x, wq, wk, wv, wout, *ln):
-            return nd.attention_block(x, wq, wk, wv, wout, *ln, heads=4)
+            return nd.attention_block(x, wq, wk, wv, wout, *ln, heads=heads)
 
         def composed(x, wq, wk, wv, wout, *ln):
-            return ref.attention_block(x, wq, wk, wv, wout, *ln, heads=4)
+            return ref.attention_block(x, wq, wk, wv, wout, *ln, heads=heads)
 
         out, grads = self._run(fused, leaves, fold)
         want_out, want_grads = self._run(composed, leaves, fold)
@@ -406,6 +409,15 @@ class TestGemm:
         got = tensor._gemm(a, b)
         want = np.matmul(a, b)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_inner_dimension_one_is_c_ordered_like_numpys(self):
+        # operands whose smallest stride is not on their last axis, as the
+        # head-split queries and keys of width-1 attention heads are
+        rng = np.random.default_rng(24)
+        a = rng.normal(size=(1, 9, 4, 1)).transpose(0, 2, 1, 3)
+        b = rng.normal(size=(4, 1, 1, 9)).transpose(2, 0, 1, 3)
+        got = tensor._gemm(a, b)
+        assert got.flags.c_contiguous and got.tobytes() == np.matmul(a, b).tobytes()
 
 
 class TestRecycling:
