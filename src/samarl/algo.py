@@ -29,6 +29,7 @@ come from the scripted flee policy or a loaded prey actor checkpoint.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -265,6 +266,8 @@ class Trainer:
         self.episodes_seen = 0
         self.critic_updates = 0
         self.policy_updates = 0
+        # the recycled buffers this trainer's updates fill go with it
+        weakref.finalize(self, nd.release_buffers)
 
     # -- construction ----------------------------------------------------------
 

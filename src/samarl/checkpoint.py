@@ -42,10 +42,17 @@ def _shape_str(shape: tuple[int, ...]) -> str:
     return "x".join(str(d) for d in shape) if shape else "scalar"
 
 
-def _parse_shape(text: str) -> tuple[int, ...]:
-    if text == "scalar":
-        return ()
-    return tuple(int(d) for d in text.split("x"))
+def _natural(text: str, lineno: int, line: str) -> int:
+    """``text`` as a non-negative integer, or a CheckpointError naming the
+    manifest line it came from."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise CheckpointError(
+            f"manifest line {lineno}: '{text}' is not a non-negative integer: '{line}'")
+    return value
 
 
 def save_checkpoint(directory, named_tensors, *, algo: str, scenario: str,
@@ -97,6 +104,7 @@ def load_checkpoint(directory) -> tuple[CheckpointManifest, dict[str, np.ndarray
         raise CheckpointError(f"no checkpoint at {directory}")
 
     header: dict[str, str] = {}
+    numbers: dict[str, int] = {}
     entries: list[tuple[str, tuple[int, ...], str, int]] = []
     for lineno, line in enumerate(manifest_path.read_text().splitlines(), start=1):
         line = line.strip()
@@ -106,13 +114,17 @@ def load_checkpoint(directory) -> tuple[CheckpointManifest, dict[str, np.ndarray
         if parts[0] == "tensor":
             if len(parts) != 5:
                 raise CheckpointError(f"malformed tensor line {lineno}: '{line}'")
-            entries.append((parts[1], _parse_shape(parts[2]), parts[3], int(parts[4])))
+            dims = () if parts[2] == "scalar" else parts[2].split("x")
+            shape = tuple(_natural(d, lineno, line) for d in dims)
+            entries.append((parts[1], shape, parts[3], _natural(parts[4], lineno, line)))
+        elif parts[0] in ("format-version", "agents", "episode") and len(parts) == 2:
+            numbers[parts[0]] = _natural(parts[1], lineno, line)
         elif len(parts) == 2:
             header[parts[0]] = parts[1]
         else:
             raise CheckpointError(f"malformed manifest line {lineno}: '{line}'")
 
-    version = int(header.get("format-version", "-1"))
+    version = numbers.get("format-version", -1)
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format version {version}")
 
@@ -136,8 +148,8 @@ def load_checkpoint(directory) -> tuple[CheckpointManifest, dict[str, np.ndarray
         version=version,
         algo=header.get("algo", ""),
         scenario=header.get("scenario", ""),
-        agents=int(header.get("agents", "0")),
-        episode=int(header.get("episode", "0")),
+        agents=numbers.get("agents", 0),
+        episode=numbers.get("episode", 0),
         entries=entries,
         train={key[len("train."):]: value for key, value in header.items()
                if key.startswith("train.")},

@@ -13,18 +13,18 @@ The graph is rebuilt on every forward pass, so delayed or alternating update
 schemes never see stale records. Wrap rollout / target-value code in
 :func:`no_grad` to skip recording entirely.
 
-Large arrays are recycled. When an op computes from an array of
-``RECYCLE_BYTES`` (256 KB) or more, or a matrix product is that large, each
-of its results and vjp temporaries of that size or more is written, through
-numpy's ``out=``, into a buffer from a module-level list keyed by byte size.
+Large arrays are recycled. Each op result and vjp temporary of
+``RECYCLE_BYTES`` (256 KB) or more is written, through numpy's ``out=``, into
+a buffer from a module-level free list keyed by byte size.
 A buffer is handed out again only when nothing outside the list references
 it: every array made from it, and every view of one of those, holds it as its
-base, so reuse never overwrites live data. The list forgets a byte size once
-no op has asked for it during ``KEEP_PASSES`` (32) backward passes in a row.
-So a process keeps, for each size its recent updates use, as many buffers as
-its ops had in use at once, and one that moves on to another agent count or
-batch size frees the sizes it no longer uses. Ops on smaller arrays and
-reductions run numpy's plain expressions.
+base, so reuse never overwrites live data. So a process keeps, for each size
+its updates use, as many buffers as its ops had in use at once.
+:func:`release_buffers` empties the list; every ``Trainer`` calls it when it
+dies, so the list lives as long as the trainers whose updates fill it, and a
+process that moves on to another agent count or batch size keeps only the new
+one's buffers. Ops on smaller arrays and reductions run numpy's plain
+expressions.
 """
 
 from __future__ import annotations
@@ -173,17 +173,9 @@ class Tensor:
 # -- recycled buffers ---------------------------------------------------------
 
 RECYCLE_BYTES = 256 * 1024
-# Backward passes a byte size may go unasked before the list forgets it. An
-# update cycle of the TD3 kinds (two critic updates of two twins, then one
-# policy update) runs five; processes that alternate trainers a few cycles at
-# a time, like the nav8-update benchmark and acceptance criterion 8, come back
-# to each size within 25.
-KEEP_PASSES = 32
-# byte size -> every buffer of that size made and not forgotten, in use or free
+# byte size -> every buffer of that size made since the list was last
+# emptied, in use or free
 _buffers: dict[int, list[np.ndarray]] = {}
-# byte size -> the number of finished backward passes when an op last asked for it
-_asked: dict[int, int] = {}
-_passes = 0
 
 
 def _unused(bufs: list[np.ndarray], free_refs: int) -> np.ndarray | None:
@@ -206,7 +198,6 @@ def _buffer(shape: tuple[int, ...], dtype) -> np.ndarray:
     dtype = np.dtype(dtype)
     nbytes = math.prod(shape) * dtype.itemsize
     bufs = _buffers.setdefault(nbytes, [])
-    _asked[nbytes] = _passes
     buf = _unused(bufs, _FREE_REFS)
     if buf is None:
         buf = np.empty(nbytes, np.uint8)
@@ -214,14 +205,10 @@ def _buffer(shape: tuple[int, ...], dtype) -> np.ndarray:
     return buf.view(dtype).reshape(shape)
 
 
-def _forget_idle() -> None:
-    """Count a finished backward pass and forget every byte size that no op
-    asked for during the last ``KEEP_PASSES``. A forgotten buffer still in use
-    lives on in its holders and is freed with them."""
-    global _passes
-    _passes += 1
-    for nbytes in [n for n, asked in _asked.items() if _passes - asked > KEEP_PASSES]:
-        del _buffers[nbytes], _asked[nbytes]
+def release_buffers() -> None:
+    """Empty the free list. A buffer still in use lives on in its holders and
+    is freed with them."""
+    _buffers.clear()
 
 
 def _ew(f, *args):
@@ -235,10 +222,8 @@ def _ew(f, *args):
 
 
 def _copy(g: np.ndarray, dtype) -> np.ndarray:
-    """A copy of ``g`` in ``dtype``; a large one is recycled (and C-ordered)."""
-    if g.nbytes < RECYCLE_BYTES:
-        return np.array(g, dtype=dtype)
-    out = _buffer(g.shape, dtype)
+    """A C-ordered copy of ``g`` in ``dtype``; a large one is recycled."""
+    out = _empty(g.shape, dtype)
     np.copyto(out, g)
     return out
 
@@ -283,9 +268,9 @@ def _empty(shape: tuple[int, ...], dtype) -> np.ndarray:
 
 
 def _reshaped(x: np.ndarray, shape) -> np.ndarray:
-    """``x.reshape(shape)``; a large ``x`` that is not C-contiguous is first
-    copied into a recycled buffer (numpy would copy it to reshape it)."""
-    if x.nbytes < RECYCLE_BYTES or x.flags.c_contiguous:
+    """``x.reshape(shape)``; an ``x`` that is not C-contiguous is first copied
+    by :func:`_copy`."""
+    if x.flags.c_contiguous:
         return x.reshape(shape)
     return _copy(x, x.dtype).reshape(shape)
 
@@ -447,13 +432,9 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         return vjp
 
     arrays = [t.data for t in tensors]
-    if all(x.nbytes < RECYCLE_BYTES for x in arrays):
-        out = np.concatenate(arrays, axis=axis)
-    else:
-        shape = list(arrays[0].shape)
-        shape[axis] = int(stops[-1])
-        out = np.concatenate(arrays, axis=axis,
-                             out=_buffer(tuple(shape), np.result_type(*arrays)))
+    shape = list(arrays[0].shape)
+    shape[axis] = int(stops[-1])
+    out = np.concatenate(arrays, axis=axis, out=_empty(tuple(shape), np.result_type(*arrays)))
     return _maybe(tensors, out, build)
 
 
@@ -466,10 +447,7 @@ LEAKY_SLOPE = 0.01
 def _leaky_grad(g: np.ndarray, sign: np.ndarray, slope: float) -> np.ndarray:
     """``g`` times the leaky ReLU's derivative, 1 where ``sign >= 0`` and
     ``slope`` elsewhere, computed in a fresh array."""
-    if sign.nbytes < RECYCLE_BYTES:
-        scale = (sign >= 0).astype(g.dtype)
-    else:
-        scale = np.greater_equal(sign, 0, out=_buffer(sign.shape, g.dtype))
+    scale = np.greater_equal(sign, 0, out=_empty(sign.shape, g.dtype))
     scale *= 1.0 - slope
     scale += slope
     scale *= g
@@ -776,7 +754,6 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> None:
             t.grad = None  # free intermediate gradients as soon as they are used
     finally:
         _need = None
-    _forget_idle()
 
     for p in params:
         if p.grad is None:

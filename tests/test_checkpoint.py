@@ -117,3 +117,23 @@ def test_truncated_blob_detected(tmp_path):
     blob.write_bytes(blob.read_bytes()[:-8])
     with pytest.raises(CheckpointError, match="past blob end"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("format-version 1", "format-version 1.0"),
+    ("agents 1", "agents one"),
+    (" 1x3x4 float32 ", " 1x3.5x4 float32 "),
+    (" float32 0\n", " float32 0x10\n"),
+    (" float32 0\n", " float32 -8\n"),
+], ids=["version", "agents", "shape", "offset", "negative-offset"])
+def test_bad_manifest_integer_names_its_line(tmp_path, old, new):
+    actor = nets.MlpActor(3, 2, np.random.default_rng(8), hidden_dim=4)
+    path = save_checkpoint(tmp_path / "ck", actor.named_parameters(), algo="maddpg",
+                           scenario="coop_nav", agents=1, episode=0)
+    manifest = path / "manifest.txt"
+    text = manifest.read_text()
+    assert old in text
+    manifest.write_text(text.replace(old, new, 1))
+    lineno = text[:text.index(old) + 1].count("\n") + 1
+    with pytest.raises(CheckpointError, match=f"manifest line {lineno}: "):
+        load_checkpoint(path)

@@ -1,5 +1,7 @@
 """Tests for the tensor substrate: forward semantics and reverse-mode grads."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -425,9 +427,9 @@ class TestRecycling:
 
     @pytest.fixture(autouse=True)
     def fresh_free_list(self):
-        # forgetting the free list is safe: arrays in use keep their memory
-        tensor._buffers.clear()
-        tensor._asked.clear()
+        gc.collect()  # a trainer of an earlier test dying mid-test would empty the list
+        # emptying the free list is safe: arrays in use keep their memory
+        nd.release_buffers()
 
     @staticmethod
     def _recycled_bytes():
@@ -490,43 +492,35 @@ class TestRecycling:
         self._cycle(trainer)
         assert self._recycled_sizes() == first
 
-    def test_agent_count_sweep_keeps_only_the_current_count(self, monkeypatch):
-        # a window of one cycle, so that two cycles per count pass it
-        monkeypatch.setattr(tensor, "KEEP_PASSES", 5)
-        trainers = {n: self._filled_trainer(n) for n in (3, 8, 16)}
-        alone = {}
-        for n, trainer in trainers.items():
-            tensor._buffers.clear()
-            tensor._asked.clear()
+    def test_agent_count_sweep_keeps_only_the_current_count(self):
+        totals = []
+        for n in (3, 8, 16):
+            trainer = self._filled_trainer(n)  # the previous count's trainer is gone
             self._cycle(trainer)
             self._cycle(trainer)
-            alone[n] = self._recycled_bytes()
-        assert 0 < alone[3] < alone[8] < alone[16]
-
-        tensor._buffers.clear()
-        tensor._asked.clear()
-        for n, trainer in trainers.items():
-            # the previous count's sizes go idle at the switch and are
-            # forgotten by the end of the cycle
+            swept = self._recycled_sizes()
+            nd.release_buffers()
             self._cycle(trainer)
-            assert self._recycled_bytes() == alone[n]
+            self._cycle(trainer)
+            assert swept == self._recycled_sizes()  # what this count makes alone
+            totals.append(self._recycled_bytes())
+            del trainer
+            assert tensor._buffers == {}
+        assert 0 < totals[0] < totals[1] < totals[2]
 
-    def test_size_is_forgotten_after_keep_passes(self):
-        a = nd.Tensor(np.ones((512, 256)), requires_grad=True)  # 512 KB
-
-        def pass_without_large_ops():
-            p = nd.Tensor([1.0], requires_grad=True)
-            nd.backward(nd.tsum(nd.mul(p, p)))
-
-        held = nd.mul(a, a)  # in use across the passes: its holder keeps it
-        nd.backward(nd.tsum(nd.tanh(a)))
-        assert set(tensor._buffers) == {a.data.nbytes}
-        for _ in range(tensor.KEEP_PASSES - 1):
-            pass_without_large_ops()
-        assert set(tensor._buffers) == {a.data.nbytes}
-        pass_without_large_ops()  # the KEEP_PASSES-th pass in a row without it
+    def test_dropping_a_trainer_empties_the_list(self):
+        trainer = self._filled_trainer(8)
+        self._cycle(trainer)
+        a = nd.Tensor(np.random.default_rng(0).normal(size=(512, 8, 64)))  # 1 MB
+        held = nd.tanh(a)  # recycled, and still in use when the trainer dies
+        expected = np.tanh(a.data)
+        assert self._recycled_bytes() > 0
+        del trainer
         assert tensor._buffers == {}
-        assert np.array_equal(held.data, a.data * a.data)
+        for _ in range(3):  # fills the list again, never with the held output
+            nd.tanh(nd.add(a, a))
+        assert set(tensor._buffers) == {a.data.nbytes}
+        assert np.array_equal(held.data, expected)
 
     def test_small_arrays_add_nothing(self):
         rng = np.random.default_rng(0)
