@@ -117,7 +117,7 @@ def load_checkpoint(directory) -> tuple[CheckpointManifest, dict[str, np.ndarray
             dims = () if parts[2] == "scalar" else parts[2].split("x")
             shape = tuple(_natural(d, lineno, line) for d in dims)
             entries.append((parts[1], shape, parts[3], _natural(parts[4], lineno, line)))
-        elif parts[0] in ("format-version", "agents", "episode") and len(parts) == 2:
+        elif len(parts) == 2 and parts[0] in ("format-version", "agents", "episode"):
             numbers[parts[0]] = _natural(parts[1], lineno, line)
         elif len(parts) == 2:
             header[parts[0]] = parts[1]

@@ -495,7 +495,7 @@ class TestRecycling:
     def test_agent_count_sweep_keeps_only_the_current_count(self):
         totals = []
         for n in (3, 8, 16):
-            trainer = self._filled_trainer(n)  # the previous count's trainer is gone
+            trainer = self._filled_trainer(n)
             self._cycle(trainer)
             self._cycle(trainer)
             swept = self._recycled_sizes()
