@@ -20,6 +20,18 @@ episodes stepped in lockstep, with ``(E, bodies, 2)``. One code path serves
 both: every array carries the episode axis, if any, in front, and every
 episode steps bit-identically to an unbatched world given the same actions.
 
+Bodies come in a fixed order: the trainable agents (coop agents, or
+predators), then prey, then static bodies (landmarks, or obstacles). So the
+movable bodies are the leading ``n_agents`` rows, and the colliders are a
+leading block that holds them; ``step`` reads and writes both as basic
+slices. Every Euclidean distance along the last axis goes through ``_norm``,
+which computes what ``np.linalg.norm(d, axis=-1)`` does, bit for bit,
+without its Python wrapper. The one exception is the prey's distance to an
+obstacle, a ``(..., 1, 2) @ (..., 2, 1)`` product: it reproduces how the
+norm of a lone 2-vector rounds (a BLAS dot, which may fuse its
+multiply-add), and that differs from ``_norm`` in the last bit for some
+vectors.
+
 Observations come as one array ``(..., agents of the type, obs dim)`` per
 agent type. The layout of one agent's row, fixed per scenario and agent count:
   [own vx, own vy, own x, own y,
@@ -178,13 +190,35 @@ class ParticleWorld:
         self.accel = np.array(accel)
         self.movable = np.array(movable)
         self.collides = np.array(collides)
-        self._colliders = np.flatnonzero(self.collides)
+        n, c = self.n_agents, int(self.collides.sum())
+        # step reads the movable bodies and the colliders as leading blocks
+        assert np.array_equal(self.movable, np.arange(self.n_bodies) < n) \
+            and c >= n and self.collides[:c].all(), "movable bodies first, then other colliders"
+        self._n_colliders = c
+        # per-world constants of the step. A body never touches itself: on the
+        # diagonal, the contact distance floor is infinite, and the coop hit
+        # threshold is zero, which no distance is below.
+        r = self.radius
+        self._accel = self.accel[:n, None]
+        self._mass = self.mass[:n, None]
+        self._max_speed = self.max_speed[:n]
+        self._contact_dmin = r[:c, None] + r[None, :c]
+        self._contact_floor = np.where(np.eye(c, dtype=bool), np.inf, 1e-9)
+        if cfg.kind == COOP_NAV:
+            self._hit_dmin = np.where(np.eye(n, dtype=bool), 0.0, r[:n, None] + r[None, :n])
+        else:
+            np_ = cfg.n_predators
+            self._hit_dmin = r[:np_, None] + r[None, np_:n]
+            # the prey rows, with every episode's, as an open index mesh
+            self._prey_rows = np.ix_(*(np.arange(k) for k in self.batch + (cfg.n_prey,)))
         self.pos = np.zeros(self.batch + (self.n_bodies, 2))
         self.vel = np.zeros(self.batch + (self.n_bodies, 2))
-        # every other agent, one row per agent of the type, in index order
-        agents = np.arange(self.n_agents)
+        # per agent type: every other agent, and the opposite type's agents
+        # whose velocities it sees, one row per agent of the type, in index order
+        agents = np.arange(n)
         self._type_gathers = [
-            (slice(lo, hi), np.array([np.delete(agents, i) for i in range(lo, hi)]), seen)
+            (slice(lo, hi), np.array([np.delete(agents, i) for i in range(lo, hi)]),
+             None if seen is None else np.tile(agents[seen], (hi - lo, 1)))
             for lo, hi, seen in types]
 
     @property
@@ -222,60 +256,49 @@ class ParticleWorld:
             raise ValueError(
                 f"expected {self.n_agents} force vectors per episode, shape "
                 f"{self.batch + (self.n_agents, 2)}, got shape {acts.shape}")
-        clipped = np.clip(acts, -1.0, 1.0)
-        n_clipped = int(np.sum(clipped != acts))
+        clipped = _clip_unit(acts)
+        n_clipped = np.count_nonzero(clipped != acts)
         self.clip_events += n_clipped
 
-        forces = np.zeros(self.pos.shape)
-        forces[..., : self.n_agents, :] = clipped * self.accel[: self.n_agents, None]
-        forces += self._contact_forces()
-
-        mov = self.movable
-        vel = self.vel[..., mov, :] * (1.0 - cfg.damping) \
-            + forces[..., mov, :] / self.mass[mov, None] * cfg.dt
-        speed = np.linalg.norm(vel, axis=-1)
-        cap = self.max_speed[mov]
+        n = self.n_agents
+        force = clipped * self._accel
+        force += self._contact_forces()[..., :n, :]
+        vel = self.vel[..., :n, :] * (1.0 - cfg.damping) + force / self._mass * cfg.dt
+        speed = _norm(vel)
+        cap = self._max_speed
         vel *= np.divide(cap, speed, out=np.ones_like(speed), where=speed > cap)[..., None]
-        self.vel[..., mov, :] = vel
-        self.pos[..., mov, :] += vel * cfg.dt
+        self.vel[..., :n, :] = vel
+        self.pos[..., :n, :] += vel * cfg.dt
 
         self.t += 1
         done = self.t >= cfg.episode_length
         return self.observe(), self._rewards(), done, {"clipped_components": n_clipped}
 
     def _contact_forces(self) -> np.ndarray:
-        """Soft-spring repulsion with a logistic penetration ramp."""
+        """Soft-spring repulsion with a logistic penetration ramp, on the
+        collider block: ``(..., colliders, 2)``."""
         cfg = self.cfg
-        idx = self._colliders
-        out = np.zeros(self.pos.shape)
-        if idx.size < 2:
-            return out
-        p = self.pos[..., idx, :]
+        p = self.pos[..., : self._n_colliders, :]
         delta = p[..., :, None, :] - p[..., None, :, :]
-        dist = np.maximum(np.linalg.norm(delta, axis=-1), 1e-9)
-        diagonal = np.arange(idx.size)
-        dist[..., diagonal, diagonal] = np.inf
-        dmin = self.radius[idx][:, None] + self.radius[idx][None, :]
+        dist = np.maximum(_norm(delta), self._contact_floor)
         penetration = cfg.contact_margin * np.logaddexp(
-            0.0, -(dist - dmin) / cfg.contact_margin)
+            0.0, -(dist - self._contact_dmin) / cfg.contact_margin)
         magnitude = cfg.contact_stiffness * penetration / dist
-        out[..., idx, :] = (delta * magnitude[..., None]).sum(axis=-2)
-        return out
+        return np.add.reduce(delta * magnitude[..., None], axis=-2)
 
     # -- observations ----------------------------------------------------------
 
     def observe(self) -> list[np.ndarray]:
         """Observations, one ``(..., agents of the type, obs dim)`` array per
         agent type, gathered for the whole type at once (see module docstring)."""
+        n, pos, vel = self.n_agents, self.pos, self.vel
         out = []
-        for own, others, opposite in self._type_gathers:
-            me = self.pos[..., own, None, :]
-            parts = [self.vel[..., own, :], self.pos[..., own, :],
-                     _flat(self.pos[..., None, self.n_agents:, :] - me),
-                     _flat(self.pos[..., others, :] - me)]
-            if opposite is not None:
-                seen = _flat(self.vel[..., None, opposite, :])
-                parts.append(np.broadcast_to(seen, parts[0].shape[:-1] + seen.shape[-1:]))
+        for own, others, seen in self._type_gathers:
+            me = pos[..., own, None, :]
+            parts = [vel[..., own, :], pos[..., own, :], _flat(pos[..., None, n:, :] - me),
+                     _flat(pos[..., others, :] - me)]
+            if seen is not None:
+                parts.append(_flat(vel[..., seen, :]))
             out.append(np.concatenate(parts, axis=-1))
         return out
 
@@ -296,21 +319,29 @@ def _flat(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[:-2] + (-1,))
 
 
+def _clip_unit(x: np.ndarray) -> np.ndarray:
+    """``np.clip(x, -1.0, 1.0)``, bit for bit, without its Python wrappers."""
+    return np.minimum(np.maximum(x, -1.0), 1.0)
+
+
+def _norm(d: np.ndarray) -> np.ndarray:
+    """Euclidean length along the last axis; ``np.linalg.norm(d, axis=-1)``,
+    bit for bit."""
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
+
+
 def reward_coop_nav(world: ParticleWorld) -> np.ndarray:
     """Joint navigation reward ``(...)``: coverage distance plus collision penalties."""
     cfg = world.cfg
     n = world.n_agents
     agents = world.pos[..., :n, :]
     landmarks = world.pos[..., n:, :]
-    dists = np.linalg.norm(agents[..., :, None, :] - landmarks[..., None, :, :], axis=-1)
-    reward = -dists.min(axis=-2).sum(axis=-1)
-    delta = np.linalg.norm(agents[..., :, None, :] - agents[..., None, :, :], axis=-1)
-    dmin = world.radius[:n][:, None] + world.radius[:n][None, :]
-    hit = delta < dmin
-    diagonal = np.arange(n)
-    hit[..., diagonal, diagonal] = False
+    dists = _norm(agents[..., :, None, :] - landmarks[..., None, :, :])
+    reward = -np.add.reduce(np.minimum.reduce(dists, axis=-2), axis=-1)
+    delta = _norm(agents[..., :, None, :] - agents[..., None, :, :])
     # counted per agent
-    return reward - cfg.coop_collision_penalty * hit.sum(axis=(-2, -1))
+    hits = np.add.reduce(delta < world._hit_dmin, axis=(-2, -1))
+    return reward - cfg.coop_collision_penalty * hits
 
 
 def reward_predator_prey(world: ParticleWorld) -> np.ndarray:
@@ -320,16 +351,15 @@ def reward_predator_prey(world: ParticleWorld) -> np.ndarray:
     np_, ny = cfg.n_predators, cfg.n_prey
     preds = world.pos[..., :np_, :]
     prey = world.pos[..., np_:np_ + ny, :]
-    delta = np.linalg.norm(preds[..., :, None, :] - prey[..., None, :, :], axis=-1)
-    dmin = world.radius[:np_][:, None] + world.radius[np_:np_ + ny][None, :]
-    contacts = (delta < dmin).sum(axis=(-2, -1))
-    predator_reward = cfg.tag_reward * contacts
-    prey_reward = -cfg.tag_reward * contacts
-    penalties = _boundary_penalty(np.abs(prey) / cfg.world_half_width)
-    # added prey by prey and coordinate by coordinate, a fixed summation order
-    for penalty in np.moveaxis(_flat(penalties), -1, 0):
-        prey_reward = prey_reward - cfg.boundary_penalty_scale * penalty
-    return np.stack([predator_reward, prey_reward], axis=-1)
+    contacts = np.add.reduce(_norm(preds[..., :, None, :] - prey[..., None, :, :])
+                             < world._hit_dmin, axis=(-2, -1))[..., None]
+    penalties = cfg.boundary_penalty_scale * _flat(
+        _boundary_penalty(np.abs(prey) / cfg.world_half_width))
+    # charged prey by prey and coordinate by coordinate: subtract.reduce is a
+    # left fold in index order
+    prey_reward = np.subtract.reduce(
+        np.concatenate([-cfg.tag_reward * contacts, penalties], axis=-1), axis=-1)
+    return np.concatenate([cfg.tag_reward * contacts, prey_reward[..., None]], axis=-1)
 
 
 def _boundary_penalty(v: np.ndarray) -> np.ndarray:
@@ -354,10 +384,10 @@ def scripted_prey(world: ParticleWorld) -> np.ndarray:
     action = np.zeros(me.shape)
 
     deltas = me[..., :, None, :] - world.pos[..., None, : cfg.n_predators, :]
-    dists = np.linalg.norm(deltas, axis=-1)
-    nearest = np.argmin(dists, axis=-1)[..., None]
-    dist = np.take_along_axis(dists, nearest, axis=-1)
-    away = np.take_along_axis(deltas, nearest[..., None], axis=-2)[..., 0, :]
+    dists = _norm(deltas)
+    nearest = world._prey_rows + (np.argmin(dists, axis=-1),)
+    dist = dists[nearest][..., None]
+    away = deltas[nearest]
     flee = (dist <= cfg.prey_sense_range) & (dist > 0)
     action += np.divide(away, dist, out=np.zeros(me.shape), where=flee)
 
@@ -373,7 +403,8 @@ def scripted_prey(world: ParticleWorld) -> np.ndarray:
     push = np.divide(deltas, dists, out=np.zeros(deltas.shape), where=near) \
         * cfg.prey_obstacle_gain \
         * ((cfg.prey_obstacle_range - dists) / cfg.prey_obstacle_range)
-    for k in range(deltas.shape[-2]):  # obstacle by obstacle, in index order
-        action += np.where(near[..., k, :], push[..., k, :], 0.0)
+    push = np.where(near, push, 0.0)
+    for k in range(push.shape[-2]):  # obstacle by obstacle, in index order
+        action += push[..., k, :]
 
-    return np.clip(action, -1.0, 1.0)
+    return _clip_unit(action)

@@ -1,5 +1,6 @@
 """Particle-world environment: physics, rewards, observations, determinism."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -405,9 +406,11 @@ class TestLockstep:
 
     EPISODES = 4
 
-    @pytest.mark.parametrize("cfg", [ScenarioConfig.coop_nav(3), ScenarioConfig.coop_nav(9),
+    @pytest.mark.parametrize("cfg", [ScenarioConfig.coop_nav(1), ScenarioConfig.coop_nav(3),
+                                     ScenarioConfig.coop_nav(9), ScenarioConfig.predator_prey(3),
                                      ScenarioConfig.predator_prey(9)],
-                             ids=["coop_nav3", "coop_nav9", "predator_prey9"])
+                             ids=["coop_nav1", "coop_nav3", "coop_nav9", "predator_prey3",
+                                  "predator_prey9"])
     def test_batched_steps_equal_single_worlds(self, cfg):
         batched = ParticleWorld(cfg, seed=31, episodes=self.EPISODES)
         batched.reset()
@@ -486,3 +489,63 @@ class TestLockstep:
             world.step(np.zeros((3, 2)))
         with pytest.raises(ConfigError, match="at least one episode"):
             ParticleWorld(ScenarioConfig.coop_nav(3), episodes=0)
+
+
+def trajectory_digest(cfg, episodes):
+    """SHA-256 over a seeded 60-step run: a reset every 20 steps, actions
+    uniform in [-1.5, 1.5] (so clipping is exercised), scripted prey. It
+    covers positions, velocities, every observation array, the rewards and
+    the final clip count, byte for byte."""
+    world = ParticleWorld(cfg, seed=41, episodes=episodes)
+    rng = np.random.default_rng(42)
+    trainable = cfg.n_predators if cfg.kind == PREDATOR_PREY else cfg.n_agents
+    digest = hashlib.sha256()
+    for t in range(60):
+        if t % 20 == 0:
+            for obs in world.reset():
+                digest.update(obs.tobytes())
+        acts = rng.uniform(-1.5, 1.5, size=world.batch + (trainable, 2))
+        if cfg.kind == PREDATOR_PREY:
+            acts = np.concatenate([acts, scripted_prey(world)], axis=-2)
+        observations, rewards, _, _ = world.step(acts)
+        for array in (world.pos, world.vel, *observations, rewards):
+            digest.update(array.tobytes())
+    digest.update(np.int64(world.clip_events).tobytes())
+    return digest.hexdigest()
+
+
+# Recorded on x86-64 with numpy 2.4.6 and OpenBLAS 0.3.31. Another numpy, BLAS
+# or CPU may round differently in the last bit (the prey's obstacle distance
+# is a BLAS product), and then these digests do not hold there. A change that
+# moves the world's numbers on purpose records new digests and says why in
+# CHANGES.md:
+#
+#     PYTHONPATH=src python tests/test_envs.py --digests
+TRAJECTORY_DIGESTS = {
+    "coop_nav5": "e91c671e60a1d3c2e7202eb5e3db71e34d0cfae91f960a06603c5fe20f049661",
+    "coop_nav5_x3": "d03f5786aa7804572043206ad7a5eeda7564008ea64c4897e8afd7ef511e7860",
+    "predator_prey9": "f90322a609510ad68b5d251a3f13601974ea2e8cb85efe75e38f7bfb9675e3a9",
+    "predator_prey9_x3": "af3a89e81bf9c5b7595323ebb45dedc24dca1634abc635661ce553e2b5cc4e64",
+}
+TRAJECTORY_CASES = {
+    "coop_nav5": (ScenarioConfig.coop_nav(5), None),
+    "coop_nav5_x3": (ScenarioConfig.coop_nav(5), 3),
+    "predator_prey9": (ScenarioConfig.predator_prey(9), None),
+    "predator_prey9_x3": (ScenarioConfig.predator_prey(9), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRAJECTORY_CASES))
+def test_trajectory_digest(case):
+    """Pins the world's bits across versions; the golden run allows 1e-5 and
+    the scalar oracle 1e-9."""
+    assert trajectory_digest(*TRAJECTORY_CASES[case]) == TRAJECTORY_DIGESTS[case]
+
+
+if __name__ == "__main__":
+    import sys
+
+    if sys.argv[1:] != ["--digests"]:
+        sys.exit("usage: python tests/test_envs.py --digests")
+    for name in sorted(TRAJECTORY_CASES):
+        print(f'    "{name}": "{trajectory_digest(*TRAJECTORY_CASES[name])}",')
