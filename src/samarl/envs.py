@@ -26,11 +26,12 @@ movable bodies are the leading ``n_agents`` rows, and the colliders are a
 leading block that holds them; ``step`` reads and writes both as basic
 slices. Every Euclidean distance along the last axis goes through ``_norm``,
 which computes what ``np.linalg.norm(d, axis=-1)`` does, bit for bit,
-without its Python wrapper. The one exception is the prey's distance to an
-obstacle, a ``(..., 1, 2) @ (..., 2, 1)`` product: it reproduces how the
-norm of a lone 2-vector rounds (a BLAS dot, which may fuse its
-multiply-add), and that differs from ``_norm`` in the last bit for some
-vectors.
+without its Python wrapper. The one exception is the scripted prey's
+distance to an obstacle, a ``(..., 1, 2) @ (..., 2, 1)`` product. It keeps
+the rounding of the norm of a lone 2-vector, a BLAS dot that OpenBLAS
+evaluates with a fused multiply-add; that differs from ``_norm`` in the last
+bit for some vectors, so ``_norm`` there would move every predator-prey
+trajectory.
 
 Observations come as one array ``(..., agents of the type, obs dim)`` per
 agent type. The layout of one agent's row, fixed per scenario and agent count:
