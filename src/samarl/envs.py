@@ -55,6 +55,13 @@ class ConfigError(ValueError):
     pass
 
 
+# Must be positive: a negative speed cap, say, flips a velocity every step.
+POSITIVE_FIELDS = ("dt", "contact_stiffness", "contact_margin", "agent_radius", "landmark_radius",
+                   "predator_radius", "prey_radius", "obstacle_radius", "agent_accel",
+                   "predator_accel", "prey_accel", "agent_max_speed", "predator_max_speed",
+                   "prey_max_speed")
+
+
 @dataclass
 class ScenarioConfig:
     kind: str
@@ -100,6 +107,11 @@ class ScenarioConfig:
             raise ConfigError(
                 f"predator-prey needs a 2:1 predator:prey split; "
                 f"{self.n_agents} agents cannot be divided that way")
+        for name in POSITIVE_FIELDS:
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 <= self.damping <= 1.0:
+            raise ConfigError(f"damping must lie in [0, 1], got {self.damping}")
 
     @classmethod
     def coop_nav(cls, n_agents: int, **overrides) -> "ScenarioConfig":

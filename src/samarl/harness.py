@@ -4,6 +4,7 @@ A run writes into its output directory:
 
   config.txt      -- the full run configuration, ``key = value`` per line
   metrics.csv     -- one row per episode (flushed at least every 100)
+  evals.csv       -- one row per in-training evaluation, on disk as it is made
   ckpt_<ep>/      -- periodic checkpoints, plus ckpt_final/
 
 Metrics CSV columns (fixed order):
@@ -235,7 +236,6 @@ def train(cfg: RunConfig) -> Path:
     windows = [deque(maxlen=cfg.smoothing_window) for _ in range(n_types)]
 
     csv_path = out / "metrics.csv"
-    eval_rows: list[str] = []
     start = time.perf_counter()
     with csv_path.open("w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
@@ -262,16 +262,16 @@ def train(cfg: RunConfig) -> Path:
                 if cfg.eval_interval and (episode + 1) % cfg.eval_interval == 0:
                     stats_eval = evaluate_trainer(trainer, cfg.eval_episodes,
                                                   seed=cfg.seed + episode + 1)
-                    eval_rows.append(
-                        f"{episode},{stats_eval['mean'][0]:.6f},"
-                        f"{stats_eval['std'][0]:.6f}")
+                    first = episode + 1 == cfg.eval_interval
+                    with (out / "evals.csv").open("w" if first else "a") as evals:
+                        if first:
+                            evals.write("episode,eval_mean_type0,eval_std_type0\n")
+                        evals.write(f"{episode},{stats_eval['mean'][0]:.6f},"
+                                    f"{stats_eval['std'][0]:.6f}\n")
         except NonFiniteLossError:
             fh.flush()  # keep everything recorded so far for post-mortem
             raise
     trainer.save(out / "ckpt_final", cfg.episodes)
-    if eval_rows:
-        (out / "evals.csv").write_text(
-            "episode,eval_mean_type0,eval_std_type0\n" + "\n".join(eval_rows) + "\n")
     return out
 
 

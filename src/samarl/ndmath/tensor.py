@@ -260,6 +260,11 @@ def _gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return f(x, w, out=_buffer(shape, np.result_type(x, w)))
 
 
+def _product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` in a fresh array, as :func:`_gemm` computes it."""
+    return _outer(x, w) if x.shape[-1] == 1 else x @ w
+
+
 def _empty(shape: tuple[int, ...], dtype) -> np.ndarray:
     """An uninitialised C-contiguous array; a large one is recycled."""
     if math.prod(shape) * np.dtype(dtype).itemsize < RECYCLE_BYTES:
@@ -273,6 +278,17 @@ def _reshaped(x: np.ndarray, shape) -> np.ndarray:
     if x.flags.c_contiguous:
         return x.reshape(shape)
     return _copy(x, x.dtype).reshape(shape)
+
+
+# A forward kernel's (gemm, multiply, empty): recycled buffers for large
+# arrays, judged per array, or plain numpy with no size checks.
+RECYCLING = (_gemm, functools.partial(_ew, np.multiply), _empty)
+FRESH = (_product, np.multiply, np.empty)
+
+
+def allocator(x: np.ndarray) -> tuple:
+    """The arrays of a graph-free forward on ``x``, decided once per call."""
+    return RECYCLING if x.nbytes >= RECYCLE_BYTES else FRESH
 
 
 def _wrap(x, like: Tensor | None = None) -> Tensor:
@@ -454,6 +470,18 @@ def _leaky_grad(g: np.ndarray, sign: np.ndarray, slope: float) -> np.ndarray:
     return scale
 
 
+def linear_kernel(x: np.ndarray, w: np.ndarray, b: np.ndarray, leaky: bool = False,
+                  alloc: tuple = RECYCLING) -> np.ndarray:
+    """The forward of :func:`linear` on arrays, with no shape checks."""
+    gemm, multiply, _ = alloc
+    grouped = w.ndim == 3
+    out = gemm(x if grouped else x.reshape(-1, x.shape[-1]), w)
+    out += b
+    if leaky:
+        np.maximum(out, multiply(out, LEAKY_SLOPE), out=out)
+    return out if grouped else out.reshape(x.shape[:-1] + w.shape[-1:])
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor, leaky: bool = False) -> Tensor:
     """``x @ w + b``, then, if ``leaky``, a leaky ReLU of ``LEAKY_SLOPE``, as
     one op.
@@ -484,12 +512,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, leaky: bool = False) -> Tensor:
     if not ok or xd.shape[-1] != wd.shape[-2]:
         raise ShapeError(f"linear needs (..., D) x (D, K), or (g, B, D) or (B, D) x "
                          f"(g, D, K) + (g, 1, K), got {x.shape} x {w.shape} + {b.shape}")
-    out = _gemm(xd if grouped else xd.reshape(-1, xd.shape[-1]), wd)
-    out += b.data
-    if leaky:
-        np.maximum(out, _ew(np.multiply, out, LEAKY_SLOPE), out=out)
-    if not grouped:
-        out = out.reshape(xd.shape[:-1] + wd.shape[-1:])
+    out = linear_kernel(xd, wd, b.data, leaky)
 
     def build():
         def vjp(g):
@@ -548,12 +571,12 @@ def _softmax_rows(s: np.ndarray) -> np.ndarray:
     n = s.shape[-1]
     flat = s.reshape(-1, n)
     if flat.shape[0] > 8 * n:
-        row_max = flat[:, 0].copy()
+        row_max = flat[:, :1].copy()
         for j in range(1, n):
-            np.maximum(row_max, flat[:, j], out=row_max)
+            np.maximum(row_max, flat[:, j:j + 1], out=row_max)
     else:
-        row_max = flat.max(axis=1)
-    np.subtract(flat, row_max[:, None], out=flat)
+        row_max = np.maximum.reduce(flat, axis=1, keepdims=True)
+    flat -= row_max
     np.exp(flat, out=flat)
     flat /= flat @ _column(n, 1.0, s.dtype)
     return flat.reshape(s.shape)
@@ -600,40 +623,48 @@ def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wout: Tensor,
             f"and an optional (D,) gain and bias, with h*dk divisible by {heads} heads; "
             f"got x {x.shape}, wq {wq.shape}, wk {wk.shape}, wv {wv.shape}, "
             f"wout {wout.shape}, gain {None if ln_gain is None else ln_gain.shape}")
-    batch, n, _ = xd.shape
+    parents = (x, wq, wk, wv, wout) + (() if ln_gain is None else (ln_gain, ln_bias))
+    out, kept = attention_kernel(*(t.data for t in parents), heads=heads)
+    if _grad_enabled and any(t._tracked() for t in parents):
+        return Tensor._from_op(out, parents, _attention_vjp(parents, *kept))
+    return Tensor._from_op(out, (), None)
+
+
+def attention_kernel(x: np.ndarray, wq, wk, wv, wout, ln_gain=None, ln_bias=None, *,
+                     heads: int, alloc: tuple = RECYCLING):
+    """The forward of :func:`attention_block` on arrays, with no shape checks.
+    Returns the output and what the op's vjp keeps: ``(x2, q, v, k_t, p,
+    merged, norm)``."""
+    gemm, multiply, empty = alloc
+    batch, n, dim = x.shape
+    hd = wq.shape[1]
     dk = hd // heads
     rows = batch * n
-    x2 = _reshaped(xd, (rows, dim))
-    q = _gemm(x2, wqd).reshape(batch, n, heads, dk).transpose(0, 2, 1, 3)
-    v = _gemm(x2, wv.data).reshape(batch, n, heads, dk).transpose(0, 2, 1, 3)
+    x2 = _reshaped(x, (rows, dim))
+    q = gemm(x2, wq).reshape(batch, n, heads, dk).transpose(0, 2, 1, 3)
+    v = gemm(x2, wv).reshape(batch, n, heads, dk).transpose(0, 2, 1, 3)
     # keys transposed, (B, h, dk, n), from a GEMM whose rows are features
-    k_t = _gemm(wk.data.T, x2.T).reshape(heads, dk, batch, n).transpose(2, 0, 1, 3)
-    p = _softmax_rows(_gemm(q, k_t))                 # (B, h, n, n)
-    merged = _empty((rows, hd), xd.dtype)
+    k_t = gemm(wk.T, x2.T).reshape(heads, dk, batch, n).transpose(2, 0, 1, 3)
+    p = _softmax_rows(gemm(q, k_t))            # (B, h, n, n)
+    merged = empty((rows, hd), x.dtype)
     np.matmul(p, v, out=merged.reshape(batch, n, heads, dk).transpose(0, 2, 1, 3))
-    out = _gemm(merged, wod)                         # (B*n, D)
-    parents = (x, wq, wk, wv, wout)
+    out = gemm(merged, wout)                   # (B*n, D)
     norm = None
     if ln_gain is not None:
-        parents += (ln_gain, ln_bias)
         # the sum with the residual is centred and scaled in place
         out += x2
         col = _column(dim, 1.0 / dim, out.dtype)
         out -= out @ col
-        xhat, out = out, _ew(np.multiply, out, out)
+        xhat, out = out, multiply(out, out)
         inv = out @ col
         inv += LN_EPS
         np.sqrt(inv, out=inv)
         np.reciprocal(inv, out=inv)
         xhat *= inv
-        np.multiply(xhat, ln_gain.data, out=out)
-        out += ln_bias.data
+        np.multiply(xhat, ln_gain, out=out)
+        out += ln_bias
         norm = (xhat, inv, col)
-    out = out.reshape(xd.shape)
-    if _grad_enabled and any(t._tracked() for t in parents):
-        return Tensor._from_op(out, parents, _attention_vjp(
-            parents, x2, q, v, k_t, p, merged, norm))
-    return Tensor._from_op(out, (), None)
+    return out.reshape(x.shape), (x2, q, v, k_t, p, merged, norm)
 
 
 def _attention_vjp(parents, x2, q, v, k_t, p, merged, norm):

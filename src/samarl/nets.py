@@ -22,6 +22,7 @@ import numpy as np
 
 from . import ndmath as nd
 from .ndmath import Tensor
+from .ndmath.tensor import allocator, attention_kernel, linear_kernel
 
 
 def _uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype,
@@ -121,10 +122,11 @@ class MlpActor(MlpBank):
         (..., act_dim).
         """
         x = obs.reshape(-1, len(self.out.w.data), obs.shape[-1]).swapaxes(0, 1)
+        alloc = allocator(x)
         for layer in self.hidden:
-            x = x @ layer.w.data + layer.b.data
-            x = np.maximum(x, nd.LEAKY_SLOPE * x)
-        out = np.tanh(x @ self.out.w.data + self.out.b.data)
+            x = linear_kernel(x, layer.w.data, layer.b.data, True, alloc)
+        out = linear_kernel(x, self.out.w.data, self.out.b.data, False, alloc)
+        np.tanh(out, out=out)
         return out.swapaxes(0, 1).reshape(obs.shape[:-1] + (self.act_dim,))
 
 
@@ -184,6 +186,12 @@ class SelfAttentionBlock:
         norm = (self.ln_gain, self.ln_bias) if self.residual_norm else (None, None)
         return nd.attention_block(x, self.wq, self.wk, self.wv, self.wout, *norm,
                                   heads=self.heads)
+
+    def forward_array(self, x: np.ndarray, alloc) -> np.ndarray:
+        """``forward`` on an array, graph-free, with no shape checks."""
+        norm = (self.ln_gain.data, self.ln_bias.data) if self.residual_norm else ()
+        return attention_kernel(x, self.wq.data, self.wk.data, self.wv.data, self.wout.data,
+                                *norm, heads=self.heads, alloc=alloc)[0]
 
     def named_parameters(self, prefix: str = ""):
         pairs = [("wq", self.wq), ("wk", self.wk), ("wv", self.wv),
@@ -259,10 +267,15 @@ class AttentionActor:
     def act(self, obs: np.ndarray) -> np.ndarray:
         """Joint actions (..., n, act_dim) for observations (..., n, obs_dim):
         one world state, or one per episode of a lockstep batch."""
-        with nd.no_grad():
-            out = self.forward(Tensor(obs.reshape((-1,) + obs.shape[-2:]),
-                                      dtype=self.embed.w.dtype))
-        return out.data.reshape(obs.shape[:-1] + (self.act_dim,))
+        x = np.asarray(obs, self.embed.w.dtype).reshape((-1,) + obs.shape[-2:])
+        alloc = allocator(x)
+        x = linear_kernel(x, self.embed.w.data, self.embed.b.data, True, alloc)
+        for block in self.blocks:
+            x = block.forward_array(x, alloc)
+        x = linear_kernel(x, self.head_hidden.w.data, self.head_hidden.b.data, True, alloc)
+        out = linear_kernel(x, self.head_out.w.data, self.head_out.b.data, False, alloc)
+        np.tanh(out, out=out)
+        return out.reshape(obs.shape[:-1] + (self.act_dim,))
 
     def named_parameters(self, prefix: str = ""):
         out = self.embed.named_parameters(prefix + "embed.")

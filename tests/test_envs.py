@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from samarl.envs import (
+    POSITIVE_FIELDS,
     PREDATOR_PREY,
     ConfigError,
     ParticleWorld,
@@ -129,6 +130,28 @@ class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(kind="tag", n_agents=3, n_landmarks=3)
+
+    @pytest.mark.parametrize("name", POSITIVE_FIELDS)
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_physics_field_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            ScenarioConfig.coop_nav(1, **{name: value})
+        with pytest.raises(ConfigError, match=name):
+            ScenarioConfig.predator_prey(3, **{name: value})
+
+    @pytest.mark.parametrize("damping", [-0.1, 1.5, float("nan")])
+    def test_damping_outside_unit_interval_rejected(self, damping):
+        with pytest.raises(ConfigError, match="damping"):
+            ScenarioConfig.coop_nav(1, damping=damping)
+
+    @pytest.mark.parametrize("damping", [0.0, 1.0])
+    def test_damping_bounds_accepted(self, damping):
+        assert ScenarioConfig.coop_nav(1, damping=damping).damping == damping
+
+    @pytest.mark.parametrize("make,n", [(ScenarioConfig.coop_nav, n) for n in (1, 3, 5, 8)]
+                             + [(ScenarioConfig.predator_prey, n) for n in (3, 6, 9)])
+    def test_default_configs_build(self, make, n):
+        assert make(n).n_agents == n
 
 
 class TestReset:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from samarl import cli, harness, nets
-from samarl.algo import AlgoKind, TrainConfig, Trainer
+from samarl.algo import AlgoKind, NonFiniteLossError, TrainConfig, Trainer
 from samarl.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from samarl.envs import ConfigError, ParticleWorld, ScenarioConfig
 from samarl.harness import (
@@ -241,6 +241,33 @@ class TestTrainRun:
         with pytest.raises(error):
             train(cfg)
         assert not (tmp_path / "run").exists()
+
+    def test_evaluation_rows_survive_a_failed_run(self, tmp_path, monkeypatch):
+        # the run dies after its first evaluation (episode index 2); the row
+        # must already be on disk
+        original = Trainer.train_episode
+        calls = []
+
+        def failing(trainer):
+            calls.append(None)
+            if len(calls) == 4:
+                raise NonFiniteLossError("injected")
+            return original(trainer)
+
+        monkeypatch.setattr(Trainer, "train_episode", failing)
+        cfg = tiny_run_config(tmp_path, episodes=10, eval_interval=3, eval_episodes=2)
+        with pytest.raises(NonFiniteLossError):
+            train(cfg)
+        lines = (tmp_path / "run" / "evals.csv").read_text().splitlines()
+        assert lines[0] == "episode,eval_mean_type0,eval_std_type0"
+        assert len(lines) == 2 and lines[1].startswith("2,")
+        assert not (tmp_path / "run" / "ckpt_final").exists()
+
+    def test_evaluation_rows_follow_the_interval(self, tmp_path):
+        out = train(tiny_run_config(tmp_path, episodes=7, eval_interval=3, eval_episodes=2))
+        rows = (out / "evals.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["2", "5"]
+        assert all(np.isfinite(float(v)) for row in rows for v in row.split(",")[1:])
 
     def test_predator_prey_reward_columns(self, tmp_path):
         cfg = tiny_run_config(tmp_path, scenario="predator_prey", agents=3,

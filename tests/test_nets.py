@@ -7,7 +7,7 @@ from samarl import ndmath as nd
 from samarl import nets
 from samarl.algo import AlgoKind, Batch, TrainConfig, Trainer
 from samarl.envs import ScenarioConfig, observation_dim
-from samarl.ndmath import Tensor
+from samarl.ndmath import Tensor, tensor
 
 import reference_ops as ref
 from gradcheck import gradient_check
@@ -368,6 +368,53 @@ class TestAttentionActor:
         assert acts.shape == (3, 5, 2)
         for e in range(3):
             assert np.allclose(acts[e], actor.act(obs[e]), rtol=1e-5, atol=1e-7), e
+
+    @staticmethod
+    def _pp9_actor(dtype, seed=46):
+        obs_dim = observation_dim(ScenarioConfig.predator_prey(9), 0)
+        return nets.AttentionActor(obs_dim, 2, rng_for(seed), dtype=dtype), obs_dim
+
+    @staticmethod
+    def _assert_act_is_forward(actor, obs):
+        with nd.no_grad():
+            slow = actor.forward(nd.Tensor(obs.reshape((-1,) + obs.shape[-2:]),
+                                           dtype=actor.embed.w.dtype)).data
+        fast = actor.act(obs)
+        assert fast.dtype == slow.dtype
+        assert fast.tobytes() == slow.reshape(fast.shape).tobytes()
+
+    # batch 1, a 5-episode lockstep batch, and 400 episodes, whose arrays
+    # take recycled buffers
+    @pytest.mark.parametrize("episodes", [None, 5, 400])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_act_bitwise_equals_forward(self, episodes, dtype):
+        actor, obs_dim = self._pp9_actor(dtype)
+        lead = () if episodes is None else (episodes,)
+        for trial in range(3):
+            obs = rng_for(47 + trial).normal(size=lead + (6, obs_dim)).astype(dtype)
+            self._assert_act_is_forward(actor, obs)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_act_reads_live_weights_after_an_adam_step(self, dtype):
+        actor, obs_dim = self._pp9_actor(dtype)
+        params = nets.parameters(actor)
+        optim = nd.Adam(params, lr=1e-2)
+        obs = rng_for(48).normal(size=(5, 6, obs_dim)).astype(dtype)
+        before = actor.act(obs)
+        out = actor.forward(nd.Tensor(obs, dtype=dtype))
+        nd.backward(nd.tsum(nd.mul(out, out)), params)
+        optim.step()  # updates every parameter in place
+        after = actor.act(obs)
+        assert not np.array_equal(before, after)
+        self._assert_act_is_forward(actor, obs)
+        self._assert_act_is_forward(actor, obs[0])
+
+    def test_act_creates_no_tensor(self):
+        actor, obs_dim = self._pp9_actor(np.float32)
+        obs = rng_for(49).normal(size=(6, obs_dim)).astype(np.float32)
+        start = next(tensor._counter)
+        actor.act(obs)
+        assert next(tensor._counter) == start + 1
 
     def test_gradient_check(self):
         actor = nets.AttentionActor(3, 2, rng_for(31), hidden_dim=8, heads=2,
