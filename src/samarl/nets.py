@@ -122,11 +122,10 @@ class MlpActor(MlpBank):
         (..., act_dim).
         """
         x = obs.reshape(-1, len(self.out.w.data), obs.shape[-1]).swapaxes(0, 1)
-        alloc = allocator(x)
         for layer in self.hidden:
-            x = linear_kernel(x, layer.w.data, layer.b.data, True, alloc)
-        out = linear_kernel(x, self.out.w.data, self.out.b.data, False, alloc)
-        np.tanh(out, out=out)
+            x = x @ layer.w.data + layer.b.data
+            x = np.maximum(x, nd.LEAKY_SLOPE * x)
+        out = np.tanh(x @ self.out.w.data + self.out.b.data)
         return out.swapaxes(0, 1).reshape(obs.shape[:-1] + (self.act_dim,))
 
 
