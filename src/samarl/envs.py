@@ -55,13 +55,6 @@ class ConfigError(ValueError):
     pass
 
 
-# Must be positive: a negative speed cap, say, flips a velocity every step.
-POSITIVE_FIELDS = ("dt", "contact_stiffness", "contact_margin", "agent_radius", "landmark_radius",
-                   "predator_radius", "prey_radius", "obstacle_radius", "agent_accel",
-                   "predator_accel", "prey_accel", "agent_max_speed", "predator_max_speed",
-                   "prey_max_speed")
-
-
 @dataclass
 class ScenarioConfig:
     kind: str
@@ -107,7 +100,11 @@ class ScenarioConfig:
             raise ConfigError(
                 f"predator-prey needs a 2:1 predator:prey split; "
                 f"{self.n_agents} agents cannot be divided that way")
-        for name in POSITIVE_FIELDS:
+        # a negative speed cap, say, would flip a velocity every step
+        for name in ("dt", "contact_stiffness", "contact_margin", "agent_radius",
+                     "landmark_radius", "predator_radius", "prey_radius", "obstacle_radius",
+                     "agent_accel", "predator_accel", "prey_accel", "agent_max_speed",
+                     "predator_max_speed", "prey_max_speed"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.damping <= 1.0:

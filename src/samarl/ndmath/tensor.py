@@ -286,9 +286,10 @@ RECYCLING = (_gemm, functools.partial(_ew, np.multiply), _empty)
 FRESH = (_product, np.multiply, np.empty)
 
 
-def allocator(x: np.ndarray) -> tuple:
-    """The arrays of a graph-free forward on ``x``, decided once per call."""
-    return RECYCLING if x.nbytes >= RECYCLE_BYTES else FRESH
+def allocator(x: np.ndarray, width: int) -> tuple:
+    """The arrays of a graph-free forward on ``x``, decided once per call
+    from the size of its widest arrays, ``width`` features per row of ``x``."""
+    return RECYCLING if x.nbytes // x.shape[-1] * width >= RECYCLE_BYTES else FRESH
 
 
 def _wrap(x, like: Tensor | None = None) -> Tensor:

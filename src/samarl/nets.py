@@ -122,10 +122,11 @@ class MlpActor(MlpBank):
         (..., act_dim).
         """
         x = obs.reshape(-1, len(self.out.w.data), obs.shape[-1]).swapaxes(0, 1)
+        alloc = allocator(x, self.hidden_dim)
         for layer in self.hidden:
-            x = x @ layer.w.data + layer.b.data
-            x = np.maximum(x, nd.LEAKY_SLOPE * x)
-        out = np.tanh(x @ self.out.w.data + self.out.b.data)
+            x = linear_kernel(x, layer.w.data, layer.b.data, True, alloc)
+        out = linear_kernel(x, self.out.w.data, self.out.b.data, False, alloc)
+        np.tanh(out, out=out)
         return out.swapaxes(0, 1).reshape(obs.shape[:-1] + (self.act_dim,))
 
 
@@ -185,12 +186,6 @@ class SelfAttentionBlock:
         norm = (self.ln_gain, self.ln_bias) if self.residual_norm else (None, None)
         return nd.attention_block(x, self.wq, self.wk, self.wv, self.wout, *norm,
                                   heads=self.heads)
-
-    def forward_array(self, x: np.ndarray, alloc) -> np.ndarray:
-        """``forward`` on an array, graph-free, with no shape checks."""
-        norm = (self.ln_gain.data, self.ln_bias.data) if self.residual_norm else ()
-        return attention_kernel(x, self.wq.data, self.wk.data, self.wv.data, self.wout.data,
-                                *norm, heads=self.heads, alloc=alloc)[0]
 
     def named_parameters(self, prefix: str = ""):
         pairs = [("wq", self.wq), ("wk", self.wk), ("wv", self.wv),
@@ -267,10 +262,11 @@ class AttentionActor:
         """Joint actions (..., n, act_dim) for observations (..., n, obs_dim):
         one world state, or one per episode of a lockstep batch."""
         x = np.asarray(obs, self.embed.w.dtype).reshape((-1,) + obs.shape[-2:])
-        alloc = allocator(x)
+        alloc = allocator(x, self.embed.w.shape[-1])
         x = linear_kernel(x, self.embed.w.data, self.embed.b.data, True, alloc)
-        for block in self.blocks:
-            x = block.forward_array(x, alloc)
+        for b in self.blocks:  # each with its residual norm
+            x = attention_kernel(x, b.wq.data, b.wk.data, b.wv.data, b.wout.data,
+                                 b.ln_gain.data, b.ln_bias.data, heads=b.heads, alloc=alloc)[0]
         x = linear_kernel(x, self.head_hidden.w.data, self.head_hidden.b.data, True, alloc)
         out = linear_kernel(x, self.head_out.w.data, self.head_out.b.data, False, alloc)
         np.tanh(out, out=out)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from samarl.envs import (
-    POSITIVE_FIELDS,
     PREDATOR_PREY,
     ConfigError,
     ParticleWorld,
@@ -131,7 +130,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(kind="tag", n_agents=3, n_landmarks=3)
 
-    @pytest.mark.parametrize("name", POSITIVE_FIELDS)
+    @pytest.mark.parametrize("name", [
+        "dt", "contact_stiffness", "contact_margin", "agent_radius", "landmark_radius",
+        "predator_radius", "prey_radius", "obstacle_radius", "agent_accel", "predator_accel",
+        "prey_accel", "agent_max_speed", "predator_max_speed", "prey_max_speed"])
     @pytest.mark.parametrize("value", [0.0, -1.0])
     def test_non_positive_physics_field_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
