@@ -113,7 +113,7 @@ class MlpActor(MlpBank):
         return nd.tanh(self._trunk(obs))
 
     def act(self, obs: np.ndarray) -> np.ndarray:
-        """Inference path on raw numpy, used in the rollout hot loop.
+        """Inference on ``forward``'s numpy kernel, used in the rollout hot loop.
 
         Member i of the n-agent bank reads agent i's row of ``obs``
         (..., n, obs_dim), in every leading index (one per episode of a
