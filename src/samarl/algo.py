@@ -133,60 +133,75 @@ class TrainConfig:
         return _DTYPES[self.dtype]
 
 
-@dataclass
-class Transition:
-    """One environment step for the trainable agents."""
-
-    obs: np.ndarray            # (n, obs_dim)
-    act: np.ndarray            # (n, act_dim)
-    rew: np.ndarray            # (n_types,)
-    next_obs: np.ndarray       # (n, obs_dim)
-    done: bool
-
-
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring with uniform, within-batch-unique sampling.
+    """Fixed-capacity FIFO ring of transitions, filled one whole episode at a
+    time, with uniform, within-batch-unique sampling.
 
     The trainable agents share one observation width, so observations are
-    held as one ``(capacity, n, obs_dim)`` array.
+    held as one ``(capacity, n, obs_dim)`` array, each once: the next
+    observation of the transition in slot i is the observation of slot
+    (i + 1) % capacity, written later in the same episode, except for an
+    episode's last transition. Its next observation is a row of
+    ``last_obs``, a ring of ceil(capacity / episode_length) rows, one per
+    episode with a transition still in the buffer; ``last_row`` holds that
+    row for a last transition's slot and -1 for every other slot.
     """
 
     def __init__(self, capacity: int, obs_dims: Sequence[int], act_dim: int,
-                 n_types: int, rng: np.random.Generator):
+                 n_types: int, episode_length: int, rng: np.random.Generator):
         if len(set(obs_dims)) != 1:
             raise ValueError(
                 f"trainable agents need one observation width, got {list(obs_dims)}")
         self.capacity = capacity
+        self.episode_length = episode_length
         self.rng = rng
-        obs_shape = (capacity, len(obs_dims), obs_dims[0])
-        self.obs = np.zeros(obs_shape, dtype=np.float32)
-        self.next_obs = np.zeros(obs_shape, dtype=np.float32)
+        obs_shape = (len(obs_dims), obs_dims[0])
+        self.obs = np.zeros((capacity,) + obs_shape, dtype=np.float32)
+        self.last_obs = np.zeros((-(-capacity // episode_length),) + obs_shape, np.float32)
+        self.last_row = np.full(capacity, -1, dtype=np.int32)
         self.act = np.zeros((capacity, len(obs_dims), act_dim), dtype=np.float32)
         self.rew = np.zeros((capacity, n_types), dtype=np.float32)
         self.done = np.zeros(capacity, dtype=np.float32)
         self.size = 0
         self.cursor = 0
+        self.episodes = 0
 
     def __len__(self) -> int:
         return self.size
 
-    def push(self, tr: Transition) -> None:
-        i = self.cursor
-        self.obs[i] = tr.obs
-        self.next_obs[i] = tr.next_obs
-        self.act[i] = tr.act
-        self.rew[i] = tr.rew
-        self.done[i] = float(tr.done)
-        self.cursor = (i + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
+    def push_episode(self, obs: np.ndarray, act: np.ndarray, rew: np.ndarray,
+                     done: np.ndarray) -> None:
+        """Append one episode of T = ``episode_length`` steps: observations
+        (T+1, n, obs_dim), actions (T, n, act_dim), rewards (T, n_types) and
+        done flags (T,). Slots are written in step order, so the oldest
+        transitions are evicted one by one, as T single pushes would."""
+        steps, cap = self.episode_length, self.capacity
+        want = [(steps + 1,) + self.obs.shape[1:], (steps,) + self.act.shape[1:],
+                (steps,) + self.rew.shape[1:], (steps,)]
+        got = [np.shape(x) for x in (obs, act, rew, done)]
+        if got != want:
+            raise ValueError(f"an episode (obs, act, rew, done) of this buffer "
+                             f"has the shapes {want}, got {got}")
+        first = max(steps - cap, 0)   # steps the episode itself evicts
+        slots = (self.cursor + np.arange(first, steps)) % cap
+        self.obs[slots], self.act[slots] = obs[first:steps], act[first:]
+        self.rew[slots], self.done[slots] = rew[first:], done[first:]
+        self.last_row[slots] = -1
+        self.last_row[slots[-1]] = self.episodes % len(self.last_obs)
+        self.last_obs[self.last_row[slots[-1]]] = obs[steps]
+        self.cursor = (self.cursor + steps) % cap
+        self.size = min(self.size + steps, cap)
+        self.episodes += 1
 
     def sample(self, batch_size: int) -> "Batch":
         if batch_size > self.size:
             raise ValueError(
                 f"cannot sample {batch_size} transitions from a buffer of {self.size}")
         idx = self.rng.choice(self.size, size=batch_size, replace=False)
+        next_obs, row = self.obs[(idx + 1) % self.capacity], self.last_row[idx]
+        next_obs[row >= 0] = self.last_obs[row[row >= 0]]
         return Batch(obs=self.obs[idx], act=self.act[idx], rew=self.rew[idx],
-                     next_obs=self.next_obs[idx], done=self.done[idx])
+                     next_obs=next_obs, done=self.done[idx])
 
 
 @dataclass
@@ -259,6 +274,7 @@ class Trainer:
 
         self.buffer = ReplayBuffer(self.cfg.replay_capacity, obs_dims,
                                    self.act_dim, self.env.n_types,
+                                   scenario.episode_length,
                                    np.random.default_rng(buffer_ss))
         self.obs_dim = obs_dims[0]
         self._build_networks()
@@ -359,7 +375,7 @@ class Trainer:
         RNG stream is left untouched. A batched ``env`` of E episodes steps
         them in lockstep, one actor call per step for all of them, and
         returns (E, n_types); it cannot store, since the replay buffer takes
-        one episode at a time.
+        one episode at a time, pushed whole when it ends.
         """
         if env is None:
             env = self.env
@@ -372,18 +388,20 @@ class Trainer:
         noise = self.cfg.action_noise_std if explore else 0.0
         obs = env.reset()
         totals = np.zeros(env.batch + (env.n_types,))
+        steps = [obs[0]], [], [], []   # observations, actions, rewards, done flags
         for _ in range(self.scenario.episode_length):
             acts = self._trainable_actions(obs[0], noise)
             if self.scenario.kind == PREDATOR_PREY:
                 full = np.concatenate([acts, self._prey_actions(env, obs[1])], axis=-2)
             else:
                 full = acts
-            next_obs, rewards, done, _ = env.step(full)
+            obs, rewards, done, _ = env.step(full)
             if store:
-                self.buffer.push(Transition(obs=obs[0], act=acts, rew=rewards,
-                                            next_obs=next_obs[0], done=done))
+                for seq, item in zip(steps, (obs[0], acts, rewards, done)):
+                    seq.append(item)
             totals += rewards
-            obs = next_obs
+        if store:
+            self.buffer.push_episode(*map(np.array, steps))
         return totals
 
     # -- updates ---------------------------------------------------------------
@@ -461,6 +479,7 @@ class Trainer:
             backward(loss, params=nets.parameters(critic))
             self._clip_and_step(critic, optim)
             losses += member_losses.data.tolist()
+            del diff, member_losses, loss   # no twin's graph outlives its step
         self.critic_updates += 1
         return float(np.mean(losses))
 

@@ -323,17 +323,17 @@ def test_criterion_8_update_timing_trend():
 
 
 def test_criterion_9_infrastructure(tmp_path):
-    from samarl.algo import ReplayBuffer, Transition
+    from samarl.algo import ReplayBuffer
     from samarl.checkpoint import load_checkpoint, save_checkpoint
     from samarl.harness import MetricsRecord, emit_csv
 
     # replay FIFO + within-batch uniqueness
-    buf = ReplayBuffer(4, [2], 2, 1, np.random.default_rng(0))
+    buf = ReplayBuffer(4, [2], 2, 1, 1, np.random.default_rng(0))
     for tag in range(5):
-        buf.push(Transition([np.full(2, tag, np.float32)],
-                            np.zeros((1, 2), np.float32),
-                            np.array([tag], np.float32),
-                            [np.zeros(2, np.float32)], False))
+        buf.push_episode(np.full((2, 1, 2), tag, np.float32),
+                         np.zeros((1, 1, 2), np.float32),
+                         np.array([[tag]], np.float32),
+                         np.zeros(1, bool))
     fifo_ok = len(buf) == 4 and 0.0 not in set(buf.rew[:, 0].tolist())
     batch = buf.sample(4)
     unique_ok = len(set(batch.rew[:, 0].tolist())) == 4

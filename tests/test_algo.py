@@ -1,9 +1,12 @@
 """Trainer mechanics: buffer, scheduler, targets, updates, baseline oracle."""
 
 import copy
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from samarl import ndmath as nd
 from samarl import nets
@@ -14,7 +17,6 @@ from samarl.algo import (
     ReplayBuffer,
     TrainConfig,
     Trainer,
-    Transition,
     soft_update,
     train_step_scheduler,
 )
@@ -32,16 +34,17 @@ def small_cfg(**overrides):
 
 
 def fill_buffer(trainer, count, seed=0):
+    """Push random whole episodes until the buffer holds ``count`` or more
+    transitions."""
     rng = np.random.default_rng(seed)
-    shape = (trainer.n, trainer.obs_dim)
-    for _ in range(count):
-        trainer.buffer.push(Transition(
-            obs=rng.normal(size=shape).astype(np.float32),
-            act=rng.uniform(-1, 1, size=(trainer.n, 2)).astype(np.float32),
-            rew=rng.normal(size=trainer.env.n_types).astype(np.float32),
-            next_obs=rng.normal(size=shape).astype(np.float32),
-            done=bool(rng.random() < 0.2),
-        ))
+    steps, shape = trainer.buffer.episode_length, (trainer.n, trainer.obs_dim)
+    while len(trainer.buffer) < count:
+        trainer.buffer.push_episode(
+            obs=rng.normal(size=(steps + 1,) + shape).astype(np.float32),
+            act=rng.uniform(-1, 1, size=(steps, trainer.n, 2)).astype(np.float32),
+            rew=rng.normal(size=(steps, trainer.env.n_types)).astype(np.float32),
+            done=rng.random(steps) < 0.2,
+        )
 
 
 def snapshot(named):
@@ -145,41 +148,83 @@ class TestTrainConfig:
             TrainConfig(dtype="float16")
 
 
-class TestReplayBuffer:
-    def _buffer(self, capacity=5, seed=0):
-        return ReplayBuffer(capacity, obs_dims=[3], act_dim=2, n_types=1,
-                            rng=np.random.default_rng(seed))
+class TwoArrayBuffer:
+    """Reference: the layout the one-copy buffer replaced, with ``obs`` and
+    ``next_obs`` each held in full and one transition pushed at a time."""
 
-    def _tr(self, tag):
-        return Transition(obs=np.full((1, 3), tag, dtype=np.float32),
-                          act=np.zeros((1, 2), dtype=np.float32),
-                          rew=np.array([tag], dtype=np.float32),
-                          next_obs=np.zeros((1, 3), dtype=np.float32),
-                          done=False)
+    def __init__(self, capacity, n, obs_dim, act_dim, n_types, rng):
+        self.capacity, self.rng, self.size, self.cursor = capacity, rng, 0, 0
+        self.obs = np.zeros((capacity, n, obs_dim), dtype=np.float32)
+        self.next_obs = np.zeros_like(self.obs)
+        self.act = np.zeros((capacity, n, act_dim), dtype=np.float32)
+        self.rew = np.zeros((capacity, n_types), dtype=np.float32)
+        self.done = np.zeros(capacity, dtype=np.float32)
+
+    def push(self, obs, act, rew, next_obs, done):
+        i = self.cursor
+        self.obs[i], self.act[i], self.rew[i] = obs, act, rew
+        self.next_obs[i], self.done[i] = next_obs, float(done)
+        self.cursor = (i + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def sample(self, batch_size):
+        idx = self.rng.choice(self.size, size=batch_size, replace=False)
+        return Batch(obs=self.obs[idx], act=self.act[idx], rew=self.rew[idx],
+                     next_obs=self.next_obs[idx], done=self.done[idx])
+
+
+def random_episode(rng, steps, n=2, obs_dim=3, n_types=2):
+    """One episode as ``push_episode`` takes it, in the dtypes a rollout
+    hands over (float64 observations and rewards, bool done flags)."""
+    return (rng.normal(size=(steps + 1, n, obs_dim)),
+            rng.uniform(-1, 1, size=(steps, n, 2)),
+            rng.normal(size=(steps, n_types)),
+            rng.random(steps) < 0.3)
+
+
+def assert_same_batch(got, want):
+    for field in ("obs", "act", "rew", "next_obs", "done"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+class TestReplayBuffer:
+    def _buffer(self, capacity=5, seed=0, episode_length=1, obs_dims=(3,), n_types=1):
+        return ReplayBuffer(capacity, obs_dims=list(obs_dims), act_dim=2, n_types=n_types,
+                            episode_length=episode_length, rng=np.random.default_rng(seed))
+
+    def _push_tagged(self, buf, tags):
+        """Push ``tags`` as one episode: step t's observation and reward are
+        tags[t], its next observation tags[t] + 1."""
+        tags = np.asarray(tags, dtype=np.float32)
+        obs = np.append(tags, tags[-1] + 1)[:, None, None]
+        buf.push_episode(obs=np.repeat(obs, 3, axis=-1),
+                         act=np.zeros((len(tags), 1, 2), dtype=np.float32),
+                         rew=tags[:, None], done=np.zeros(len(tags), dtype=bool))
 
     def test_fifo_eviction(self):
-        buf = self._buffer(capacity=5)
-        for tag in range(6):
-            buf.push(self._tr(float(tag)))
+        buf = self._buffer(capacity=5, episode_length=3)
+        for first in (0, 3):
+            self._push_tagged(buf, [first, first + 1, first + 2])
         assert len(buf) == 5
         stored = set(buf.rew[:, 0].tolist())
         assert 0.0 not in stored  # oldest evicted
         assert stored == {1.0, 2.0, 3.0, 4.0, 5.0}
 
     def test_sample_shapes_and_bounds(self):
-        buf = self._buffer(capacity=10)
-        for tag in range(7):
-            buf.push(self._tr(float(tag)))
+        buf = self._buffer(capacity=10, episode_length=7)
+        self._push_tagged(buf, range(7))
         batch = buf.sample(4)
         assert batch.obs.shape == batch.next_obs.shape == (4, 1, 3)
         assert batch.act.shape == (4, 1, 2)
         assert np.array_equal(batch.obs[:, 0, 0], batch.rew[:, 0])
+        assert np.array_equal(batch.next_obs[:, 0, 0], batch.rew[:, 0] + 1)
         assert set(batch.rew[:, 0].tolist()) <= {float(t) for t in range(7)}
 
     def test_no_duplicates_within_batch(self):
-        buf = self._buffer(capacity=20)
-        for tag in range(20):
-            buf.push(self._tr(float(tag)))
+        buf = self._buffer(capacity=20, episode_length=4)
+        for first in range(0, 20, 4):
+            self._push_tagged(buf, range(first, first + 4))
         for _ in range(50):
             batch = buf.sample(10)
             tags = batch.rew[:, 0].tolist()
@@ -187,20 +232,19 @@ class TestReplayBuffer:
 
     def test_mixed_observation_widths_rejected(self):
         with pytest.raises(ValueError, match="one observation width"):
-            ReplayBuffer(5, obs_dims=[3, 4], act_dim=2, n_types=1,
-                         rng=np.random.default_rng(0))
+            self._buffer(obs_dims=(3, 4))
 
     def test_underfilled_sampling_rejected(self):
         buf = self._buffer()
-        buf.push(self._tr(1.0))
+        self._push_tagged(buf, [1.0])
         with pytest.raises(ValueError, match="cannot sample"):
             buf.sample(2)
 
     def test_uniformity_chi_square(self):
         m, k, trials = 50, 10, 2000
-        buf = self._buffer(capacity=m, seed=123)
-        for tag in range(m):
-            buf.push(self._tr(float(tag)))
+        buf = self._buffer(capacity=m, seed=123, episode_length=5)
+        for first in range(0, m, 5):
+            self._push_tagged(buf, range(first, first + 5))
         counts = np.zeros(m)
         for _ in range(trials):
             batch = buf.sample(k)
@@ -214,6 +258,64 @@ class TestReplayBuffer:
         chi2 = float(np.sum((counts - expected) ** 2 / (sigma ** 2)))
         # chi-square 0.999 quantile at 49 dof is ~85.35
         assert chi2 < 85.35
+
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=st.integers(1, 40), steps=st.integers(1, 9),
+           episodes=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    @example(capacity=1, steps=3, episodes=4, seed=0, data=None)
+    @example(capacity=7, steps=3, episodes=6, seed=1, data=None)
+    @example(capacity=2, steps=3, episodes=3, seed=2, data=None)
+    @example(capacity=10, steps=4, episodes=5, seed=3, data=None)
+    def test_matches_two_array_layout(self, capacity, steps, episodes, seed, data):
+        # capacities of 1, below the episode length and not a multiple of it
+        # evict transition by transition, exactly as single pushes did
+        rng = np.random.default_rng(seed)
+        buf = self._buffer(capacity, seed, steps, obs_dims=(3, 3), n_types=2)
+        ref = TwoArrayBuffer(capacity, 2, 3, 2, 2, np.random.default_rng(seed))
+        for _ in range(episodes):
+            obs, act, rew, done = random_episode(rng, steps)
+            buf.push_episode(obs, act, rew, done)
+            for t in range(steps):
+                ref.push(obs[t], act[t], rew[t], obs[t + 1], done[t])
+            live = np.arange(ref.size)
+            assert (len(buf), buf.cursor) == (ref.size, ref.cursor)
+            assert np.array_equal(buf.obs[live], ref.obs[live])
+            last = buf.last_row[live]
+            next_obs = np.where((last < 0)[:, None, None], buf.obs[(live + 1) % capacity],
+                                buf.last_obs[last])
+            assert np.array_equal(next_obs, ref.next_obs[live])
+            for field in ("act", "rew", "done"):
+                assert np.array_equal(getattr(buf, field)[live], getattr(ref, field)[live])
+        if len(buf):
+            draws = [data.draw(st.integers(1, len(buf))) if data else len(buf)
+                     for _ in range(3)]
+            for k in draws:
+                assert_same_batch(buf.sample(k), ref.sample(k))
+
+    def test_bad_episode_rejected_before_writing(self):
+        buf = self._buffer(capacity=7, episode_length=3, obs_dims=(3, 3), n_types=2)
+        rng = np.random.default_rng(4)
+        buf.push_episode(*random_episode(rng, 3))
+        fields = ("obs", "last_obs", "last_row", "act", "rew", "done")
+        before = [getattr(buf, f).copy() for f in fields]
+        state = (len(buf), buf.cursor, buf.episodes)
+        obs, act, rew, done = random_episode(rng, 3)
+        bad = [random_episode(rng, 2), random_episode(rng, 4),
+               (obs[:3], act, rew, done), (obs, act[:, :1], rew, done),
+               (obs[..., :2], act, rew, done), (obs, act, rew[:, :1], done),
+               (obs, act, rew, done[:2]), (obs, act[..., :1], rew, done)]
+        for episode in bad:
+            with pytest.raises(ValueError, match="episode"):
+                buf.push_episode(*episode)
+        assert all(np.array_equal(a, getattr(buf, f)) for a, f in zip(before, fields))
+        assert (len(buf), buf.cursor, buf.episodes) == state
+
+    def test_each_observation_stored_once(self):
+        # coop_nav(5) at the default capacity: 83.9 MiB as obs plus next_obs
+        buf = ReplayBuffer(100_000, [22] * 5, 2, 1, 20, np.random.default_rng(0))
+        assert buf.obs.shape == (100_000, 5, 22) and buf.last_obs.shape == (5_000, 5, 22)
+        assert buf.obs.nbytes + buf.last_obs.nbytes + buf.last_row.nbytes <= 46 * 2**20
 
 
 class TestSoftUpdate:
@@ -443,6 +545,25 @@ class TestCriticUpdate:
         batch = manual_batch(trainer)
         with pytest.raises(NonFiniteLossError):
             trainer.critic_update(batch, y=np.full(8, np.nan, dtype=np.float32))
+
+    @pytest.mark.parametrize("kind", [AlgoKind.SA_MATD3, AlgoKind.MATD3])
+    def test_one_twin_graph_alive_at_a_time(self, kind):
+        # twin 1's Q, and the graph that holds it, is gone when twin 2's
+        # forward starts
+        trainer = make_trainer(kind)
+        batch = manual_batch(trainer)
+        y = trainer.compute_target_y(batch)
+        regressed, seen, alive = trainer._regressed_q, [], []
+
+        def spy(critic, obs, act):
+            alive.append([ref() is not None for ref in seen])
+            q = regressed(critic, obs, act)
+            seen.append(weakref.ref(q.data))
+            return q
+
+        trainer._regressed_q = spy
+        trainer.critic_update(batch, y=y)
+        assert alive == [[], [False]]
 
 
 class TestPolicyUpdateOneToAll:

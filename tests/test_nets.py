@@ -5,7 +5,7 @@ import pytest
 
 from samarl import ndmath as nd
 from samarl import nets
-from samarl.algo import AlgoKind, Batch, TrainConfig, Trainer
+from samarl.algo import AlgoKind, TrainConfig, Trainer
 from samarl.envs import ScenarioConfig, observation_dim
 from samarl.ndmath import Tensor, tensor
 
@@ -279,12 +279,13 @@ class TestDoubleCritic:
 
     def _batch(self, trainer, size=5, seed=21):
         rng = rng_for(seed)
-        obs = (size, trainer.n, trainer.obs_dim)
-        return Batch(obs=rng.normal(size=obs).astype(np.float32),
-                     act=rng.uniform(-1, 1, size=(size, trainer.n, 2)).astype(np.float32),
-                     rew=rng.normal(size=(size, 1)).astype(np.float32),
-                     next_obs=rng.normal(size=obs).astype(np.float32),
-                     done=np.zeros(size, dtype=np.float32))
+        steps, obs = trainer.buffer.episode_length, (trainer.n, trainer.obs_dim)
+        trainer.buffer.push_episode(
+            obs=rng.normal(size=(steps + 1,) + obs).astype(np.float32),
+            act=rng.uniform(-1, 1, size=(steps, trainer.n, 2)).astype(np.float32),
+            rew=rng.normal(size=(steps, 1)).astype(np.float32),
+            done=np.zeros(steps, dtype=bool))
+        return trainer.buffer.sample(size)
 
     def _single_twin_targets(self, trainer, batch, twin):
         critics = trainer.target_critics
