@@ -479,7 +479,7 @@ class Trainer:
             backward(loss, params=nets.parameters(critic))
             self._clip_and_step(critic, optim)
             losses += member_losses.data.tolist()
-            del diff, member_losses, loss   # no twin's graph outlives its step
+            del diff, member_losses, loss   # free this twin's graph before the next forward
         self.critic_updates += 1
         return float(np.mean(losses))
 
