@@ -142,9 +142,10 @@ class ReplayBuffer:
     observation of the transition in slot i is the observation of slot
     (i + 1) % capacity, written later in the same episode, except for an
     episode's last transition. Its next observation is a row of
-    ``last_obs``, a ring of ceil(capacity / episode_length) rows, one per
-    episode with a transition still in the buffer; ``last_row`` holds that
-    row for a last transition's slot and -1 for every other slot.
+    ``last_obs``, a ring of rows 1 to ceil(capacity / episode_length), one
+    per episode with a transition still in the buffer; ``last_row`` holds
+    that row for a last transition's slot and 0, the value of memory not yet
+    written, for every other slot.
     """
 
     def __init__(self, capacity: int, obs_dims: Sequence[int], act_dim: int,
@@ -157,14 +158,12 @@ class ReplayBuffer:
         self.rng = rng
         obs_shape = (len(obs_dims), obs_dims[0])
         self.obs = np.zeros((capacity,) + obs_shape, dtype=np.float32)
-        self.last_obs = np.zeros((-(-capacity // episode_length),) + obs_shape, np.float32)
-        self.last_row = np.full(capacity, -1, dtype=np.int32)
+        self.last_obs = np.zeros((1 - (-capacity // episode_length),) + obs_shape, np.float32)
+        self.last_row = np.zeros(capacity, dtype=np.int32)
         self.act = np.zeros((capacity, len(obs_dims), act_dim), dtype=np.float32)
         self.rew = np.zeros((capacity, n_types), dtype=np.float32)
         self.done = np.zeros(capacity, dtype=np.float32)
-        self.size = 0
-        self.cursor = 0
-        self.episodes = 0
+        self.size = self.cursor = self.episodes = 0
 
     def __len__(self) -> int:
         return self.size
@@ -186,9 +185,10 @@ class ReplayBuffer:
         slots = (self.cursor + np.arange(first, steps)) % cap
         self.obs[slots], self.act[slots] = obs[first:steps], act[first:]
         self.rew[slots], self.done[slots] = rew[first:], done[first:]
-        self.last_row[slots] = -1
-        self.last_row[slots[-1]] = self.episodes % len(self.last_obs)
-        self.last_obs[self.last_row[slots[-1]]] = obs[steps]
+        row = 1 + self.episodes % (len(self.last_obs) - 1)
+        self.last_row[slots] = 0
+        self.last_row[slots[-1]] = row
+        self.last_obs[row] = obs[steps]
         self.cursor = (self.cursor + steps) % cap
         self.size = min(self.size + steps, cap)
         self.episodes += 1
@@ -199,7 +199,7 @@ class ReplayBuffer:
                 f"cannot sample {batch_size} transitions from a buffer of {self.size}")
         idx = self.rng.choice(self.size, size=batch_size, replace=False)
         next_obs, row = self.obs[(idx + 1) % self.capacity], self.last_row[idx]
-        next_obs[row >= 0] = self.last_obs[row[row >= 0]]
+        next_obs[row > 0] = self.last_obs[row[row > 0]]
         return Batch(obs=self.obs[idx], act=self.act[idx], rew=self.rew[idx],
                      next_obs=next_obs, done=self.done[idx])
 

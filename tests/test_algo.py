@@ -282,7 +282,7 @@ class TestReplayBuffer:
             assert (len(buf), buf.cursor) == (ref.size, ref.cursor)
             assert np.array_equal(buf.obs[live], ref.obs[live])
             last = buf.last_row[live]
-            next_obs = np.where((last < 0)[:, None, None], buf.obs[(live + 1) % capacity],
+            next_obs = np.where((last == 0)[:, None, None], buf.obs[(live + 1) % capacity],
                                 buf.last_obs[last])
             assert np.array_equal(next_obs, ref.next_obs[live])
             for field in ("act", "rew", "done"):
@@ -314,7 +314,7 @@ class TestReplayBuffer:
     def test_each_observation_stored_once(self):
         # coop_nav(5) at the default capacity: 83.9 MiB as obs plus next_obs
         buf = ReplayBuffer(100_000, [22] * 5, 2, 1, 20, np.random.default_rng(0))
-        assert buf.obs.shape == (100_000, 5, 22) and buf.last_obs.shape == (5_000, 5, 22)
+        assert buf.obs.shape == (100_000, 5, 22) and buf.last_obs.shape == (5_001, 5, 22)
         assert buf.obs.nbytes + buf.last_obs.nbytes + buf.last_row.nbytes <= 46 * 2**20
 
 
