@@ -3,7 +3,8 @@
 One ``Trainer`` class covers the whole algorithm grid, with one data layout
 and one update path: observations travel as one ``(batch, agent, features)``
 array from the replay buffer to the networks, and every critic family is
-read through one function that maps ``(obs, act)`` to per-agent Q values.
+read through one interface: ``q_rows(obs, act)``, the rows it regresses, and
+``policy_q(obs, fresh, stored)``, its part of the policy objective.
 ``AlgoKind`` reads as three switches, one per real difference in the grid:
 
   attention critic -- one shared critic over the agent axis; its per-agent Q
@@ -325,8 +326,9 @@ class Trainer:
 
     @property
     def critic_banks(self) -> list[list]:
-        """``[critics]``: ``critic_banks[0][0]`` is critic #1, where the
-        benchmark's permutation check reads the shared attention critic."""
+        """``[critics]``, kept only because the benchmark's permutation check
+        reads critic #1 as ``critic_banks[0][0]``; everything else reads
+        ``critics[0]``. It goes with the next change to the benchmark."""
         return [self.critics]
 
     def _setup_prey(self, prey_policy) -> None:
@@ -413,17 +415,6 @@ class Trainer:
             return actor.forward(obs)
         return nd.swapaxes(actor.forward(nd.swapaxes(obs, 0, 1)), 0, 1)
 
-    def _regressed_q(self, critic, obs: Tensor, act: Tensor) -> Tensor:
-        """What critic twin ``critic`` regresses, one row per member: total Q
-        (1, B) for the shared attention critic, per-agent Q (n, B) for a bank
-        of MLP critics, which all read the flat concat of every observation
-        and action."""
-        batch = obs.shape[0]
-        if self.kind.attention_critic:
-            return nd.reshape(nets.total_q(critic.forward(obs, act)), (1, batch))
-        return critic.forward(nd.concat([nd.reshape(obs, (batch, -1)),
-                                         nd.reshape(act, (batch, -1))], axis=-1))
-
     def _target_actions(self, next_obs: Tensor) -> np.ndarray:
         """Target-policy actions (B, n, act_dim); double-Q kinds add clipped
         smoothing noise."""
@@ -435,22 +426,19 @@ class Trainer:
         return np.clip(acts, self.cfg.action_low, self.cfg.action_high)
 
     def compute_target_y(self, batch: Batch) -> np.ndarray:
-        """Bellman targets, detached from every main-network parameter.
-
-        Attention kinds return one (B,) array of total-Q targets; MLP kinds
-        return (B, n), column i for agent i's critic.
+        """Bellman targets, detached from every main-network parameter: one
+        row per row of ``q_rows``, (1, B) of total-Q targets for the shared
+        critic, (n, B) for a bank, row i for agent i's critic.
         """
         cfg = self.cfg
         next_obs = Tensor(batch.next_obs, dtype=cfg.np_dtype)
         act = Tensor(self._target_actions(next_obs), dtype=cfg.np_dtype)
         with no_grad():
-            qs = [self._regressed_q(critic, next_obs, act).data
-                  for critic in self.target_critics]
+            qs = [critic.q_rows(next_obs, act).data for critic in self.target_critics]
         q = qs[0] if len(qs) == 1 else np.minimum(*qs)
         r = batch.rew[:, self.reward_type].astype(np.float64)
         cont = cfg.gamma * (1.0 - batch.done.astype(np.float64))
-        y = (r + cont * q).astype(cfg.np_dtype)
-        return y[0] if self.kind.attention_critic else y.T
+        return (r + cont * q).astype(cfg.np_dtype)
 
     def critic_update(self, batch: Batch, y=None) -> float:
         """One Adam step on every critic toward the Bellman targets.
@@ -466,10 +454,10 @@ class Trainer:
             y = self.compute_target_y(batch)
         obs = Tensor(batch.obs, dtype=cfg.np_dtype)
         act = Tensor(batch.act, dtype=cfg.np_dtype)
-        y_rows = Tensor(np.atleast_2d(np.asarray(y).T), dtype=cfg.np_dtype)
+        y_rows = Tensor(np.atleast_2d(y), dtype=cfg.np_dtype)
         losses: list[float] = []
         for critic, optim in zip(self.critics, self.critic_optims):
-            diff = self._regressed_q(critic, obs, act) - y_rows
+            diff = critic.q_rows(obs, act) - y_rows
             member_losses = nd.tmean(nd.mul(diff, diff), axis=-1)
             loss = nd.tsum(member_losses)
             if not np.isfinite(loss.item()):
@@ -483,40 +471,18 @@ class Trainer:
         self.critic_updates += 1
         return float(np.mean(losses))
 
-    def _one_to_one_inputs(self, obs: Tensor, stored: np.ndarray) -> Tensor:
-        """Critic inputs (n, B, flat) of the one-to-one policy step: row block
-        i holds every observation, agent i's fresh action and every other
-        agent's buffer action, mixed by an identity mask (exact, since the
-        masked-out term adds a zero)."""
-        batch, n, act_dim = stored.shape
-        fresh = nd.reshape(self._joint_action(self.actor, obs), (1, batch, n, act_dim))
-        # full-size (broadcast) masks, so that the mixed actions are recycled
-        full = (n, batch, n, act_dim)
-        eye = np.eye(n, dtype=stored.dtype)[:, None, :, None]
-        acts = nd.add(nd.mul(fresh, np.broadcast_to(eye, full)),
-                      nd.mul(Tensor(stored[None]), np.broadcast_to(1 - eye, full)))
-        seen = obs.data.reshape(batch, -1)
-        seen = np.broadcast_to(seen, (n,) + seen.shape)
-        return nd.concat([Tensor(seen, dtype=seen.dtype),
-                          nd.reshape(acts, (n, batch, n * act_dim))], axis=-1)
-
     def policy_update(self, batch: Batch) -> list[float]:
         """Step every policy against critic #1; returns per-actor gradient norms.
 
-        One backward pass over minus the mean total Q. With the attention
-        critic every action is regenerated (one-to-all); with MLP critics
-        critic i sees agent i's regenerated action and everyone else's buffer
-        action (one-to-one), so actor i learns from critic i alone.
+        One backward pass over minus the mean of the critic's ``policy_q``.
+        The attention critic regenerates every action (one-to-all); critic i
+        of an MLP bank sees agent i's regenerated action and everyone else's
+        buffer action (one-to-one), so actor i learns from critic i alone.
         """
         cfg = self.cfg
         obs = Tensor(batch.obs, dtype=cfg.np_dtype)
-        critic = self.critics[0]
-        if self.kind.attention_critic:
-            total = nets.total_q(critic.forward(obs, self._joint_action(self.actor, obs)))
-        else:
-            stored = batch.act.astype(cfg.np_dtype)
-            total = nd.tsum(critic.forward(self._one_to_one_inputs(obs, stored)), axis=0)
-        loss = -nd.tmean(total)
+        fresh = self._joint_action(self.actor, obs)
+        loss = -nd.tmean(self.critics[0].policy_q(obs, fresh, batch.act.astype(cfg.np_dtype)))
         if not np.isfinite(loss.item()):
             raise NonFiniteLossError(f"non-finite policy loss: {loss.item()}")
 

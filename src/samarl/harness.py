@@ -27,7 +27,6 @@ import numpy as np
 from .algo import (
     PREY_ACTOR_PREFIX,
     AlgoKind,
-    NonFiniteLossError,
     TrainConfig,
     Trainer,
 )
@@ -173,11 +172,17 @@ def load_run_config(path, base: RunConfig | None = None) -> RunConfig:
 # -- metrics CSV ------------------------------------------------------------------
 
 def emit_csv(records, path) -> Path:
+    """Write ``records``, any iterable of ``MetricsRecord``, as a metrics CSV:
+    one row as each arrives, flushed every 100 rows. The rows written stay
+    on disk when the iterable raises, as a training run does on a non-finite
+    loss."""
     path = Path(path)
     with path.open("w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in records:
+        for count, rec in enumerate(records, start=1):
             fh.write(rec.to_row() + "\n")
+            if count % 100 == 0:
+                fh.flush()
     return path
 
 
@@ -232,45 +237,37 @@ def train(cfg: RunConfig) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(cfg.to_text())
-    n_types = trainer.env.n_types
-    windows = [deque(maxlen=cfg.smoothing_window) for _ in range(n_types)]
-
-    csv_path = out / "metrics.csv"
+    windows = [deque(maxlen=cfg.smoothing_window) for _ in range(trainer.env.n_types)]
     start = time.perf_counter()
-    with csv_path.open("w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        try:
-            for episode in range(cfg.episodes):
-                rewards, stats = trainer.train_episode()
-                for w, r in zip(windows, rewards):
-                    w.append(float(r))
-                record = MetricsRecord(
-                    episode=episode,
-                    env_steps=(episode + 1) * scenario.episode_length,
-                    wall_s=time.perf_counter() - start,
-                    rewards=[float(r) for r in rewards],
-                    smoothed=[float(np.mean(w)) for w in windows],
-                    critic_loss=stats.get("critic_loss"),
-                    actor_grad_norm=stats.get("actor_grad_norm"),
-                )
-                fh.write(record.to_row() + "\n")
-                if (episode + 1) % 100 == 0:
-                    fh.flush()
-                if cfg.checkpoint_interval and \
-                        (episode + 1) % cfg.checkpoint_interval == 0:
-                    trainer.save(out / f"ckpt_{episode + 1}", episode + 1)
-                if cfg.eval_interval and (episode + 1) % cfg.eval_interval == 0:
-                    stats_eval = evaluate_trainer(trainer, cfg.eval_episodes,
-                                                  seed=cfg.seed + episode + 1)
-                    first = episode + 1 == cfg.eval_interval
-                    with (out / "evals.csv").open("w" if first else "a") as evals:
-                        if first:
-                            evals.write("episode,eval_mean_type0,eval_std_type0\n")
-                        evals.write(f"{episode},{stats_eval['mean'][0]:.6f},"
-                                    f"{stats_eval['std'][0]:.6f}\n")
-        except NonFiniteLossError:
-            fh.flush()  # keep everything recorded so far for post-mortem
-            raise
+
+    def records():
+        # an episode's checkpoint and evaluation follow its metrics row
+        for episode in range(cfg.episodes):
+            rewards, stats = trainer.train_episode()
+            for w, r in zip(windows, rewards):
+                w.append(float(r))
+            yield MetricsRecord(
+                episode=episode,
+                env_steps=(episode + 1) * scenario.episode_length,
+                wall_s=time.perf_counter() - start,
+                rewards=[float(r) for r in rewards],
+                smoothed=[float(np.mean(w)) for w in windows],
+                critic_loss=stats.get("critic_loss"),
+                actor_grad_norm=stats.get("actor_grad_norm"),
+            )
+            if cfg.checkpoint_interval and (episode + 1) % cfg.checkpoint_interval == 0:
+                trainer.save(out / f"ckpt_{episode + 1}", episode + 1)
+            if cfg.eval_interval and (episode + 1) % cfg.eval_interval == 0:
+                stats_eval = evaluate_trainer(trainer, cfg.eval_episodes,
+                                              seed=cfg.seed + episode + 1)
+                first = episode + 1 == cfg.eval_interval
+                with (out / "evals.csv").open("w" if first else "a") as evals:
+                    if first:
+                        evals.write("episode,eval_mean_type0,eval_std_type0\n")
+                    evals.write(f"{episode},{stats_eval['mean'][0]:.6f},"
+                                f"{stats_eval['std'][0]:.6f}\n")
+
+    emit_csv(records(), out / "metrics.csv")
     trainer.save(out / "ckpt_final", cfg.episodes)
     return out
 

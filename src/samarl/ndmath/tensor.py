@@ -99,14 +99,9 @@ class Tensor:
         out.data = data
         out.grad = None
         out._order = next(_counter)
-        if vjp is not None:
-            out.requires_grad = True
-            out._parents = parents
-            out._vjp = vjp
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._vjp = None
+        out.requires_grad = vjp is not None
+        out._parents = parents if vjp is not None else ()
+        out._vjp = vjp
         return out
 
     # -- inspection -----------------------------------------------------------
@@ -393,22 +388,16 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def build():
         def vjp(g):
-            if axis is None:
-                a._accum(np.broadcast_to(g, a.data.shape))
-            elif keepdims:
-                a._accum(np.broadcast_to(g, a.data.shape))
-            else:
-                a._accum(np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
+            kept = g if axis is None or keepdims else np.expand_dims(g, axis)
+            a._accum(np.broadcast_to(kept, a.data.shape))
         return vjp
 
     return _maybe((a,), np.asarray(out), build)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
     s = tsum(a, axis=axis, keepdims=keepdims)
-    return mul(s, 1.0 / float(count))
+    return mul(s, s.data.size / a.data.size)   # the reciprocal of the count, rounded once
 
 
 # -- shape manipulation -------------------------------------------------------
@@ -433,6 +422,18 @@ def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
         return vjp
 
     return _maybe((a,), a.data.swapaxes(ax1, ax2), build)
+
+
+def getitem(a: Tensor, key) -> Tensor:
+    """``a[key]``; the backward adds ``g`` at ``key`` into zeros shaped as ``a``."""
+    def build():
+        def vjp(g):
+            ga = np.zeros_like(a.data)
+            np.add.at(ga, key, g)
+            a._accum(ga, own=True)
+        return vjp
+
+    return _maybe((a,), a.data[key], build)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -489,11 +490,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor, leaky: bool = False) -> Tensor:
 
     A ``(D, K)`` weight takes a ``(K,)`` bias, and every leading axis of ``x``
     folds into one GEMM. A grouped weight ``(g, D, K)`` takes a ``(g, 1, K)``
-    bias: ``x`` is then ``(g, B, D)``, one block of rows per group, or
-    ``(B, D)`` shared by every group, and the output is ``(g, B, K)``. numpy
-    runs one GEMM per group, so group i's output and gradients equal those of
-    a lone ``linear`` on slice i bit for bit; a shared ``x`` takes the sum of
-    the groups' gradients, added in group order.
+    or per-row ``(g, B, K)`` bias: ``x`` is then ``(g, B, D)``, one block of
+    rows per group, or ``(B, D)`` shared by every group, and the output is
+    ``(g, B, K)``. numpy runs one GEMM per group, so group i's output and
+    gradients equal those of a lone ``linear`` on slice i bit for bit; a
+    shared ``x`` takes the sum of the groups' gradients, added in group order.
 
     The bias and the activation are applied in place, so the op keeps only
     its output. The backward reads the activation's mask from the sign of the
@@ -507,12 +508,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor, leaky: bool = False) -> Tensor:
     grouped = wd.ndim == 3
     if grouped:
         ok = (xd.ndim == 2 or (xd.ndim == 3 and len(xd) == len(wd))) \
-            and b.data.shape == (len(wd), 1, wd.shape[2])
+            and b.data.shape in {(len(wd), rows, wd.shape[2]) for rows in (1, xd.shape[-2])}
     else:
         ok = xd.ndim >= 2 and wd.ndim == 2
     if not ok or xd.shape[-1] != wd.shape[-2]:
         raise ShapeError(f"linear needs (..., D) x (D, K), or (g, B, D) or (B, D) x "
-                         f"(g, D, K) + (g, 1, K), got {x.shape} x {w.shape} + {b.shape}")
+                         f"(g, D, K) + (g, 1 or B, K), got {x.shape} x {w.shape} + {b.shape}")
     out = linear_kernel(xd, wd, b.data, leaky)
 
     def build():

@@ -75,12 +75,15 @@ class MlpBank:
         self.out = Linear(dims[-2], dims[-1], rng, dtype, init_bound=out_bound,
                           grouped=True)
 
-    def _trunk(self, x: Tensor) -> Tensor:
+    def _trunk(self, x: Tensor, bias: Tensor | None = None) -> Tensor:
         """Output-layer values (g, B, K) for inputs (g, B, D), member i on
-        block i, or for inputs (B, D) that every member reads."""
-        for layer in self.hidden:
-            x = layer(x, leaky=True)
-        return self.out(x)
+        block i, or for inputs (B, D) that every member reads. A ``bias``
+        (g, B, K) stands in for the first layer's."""
+        for layer in self.hidden + [self.out]:
+            x = nd.linear(x, layer.w, layer.b if bias is None else bias,
+                          leaky=layer is not self.out)
+            bias = None
+        return x
 
     def named_parameters(self, prefix: str = ""):
         out = []
@@ -143,6 +146,28 @@ class MlpCritic(MlpBank):
         """Q (g, B) for inputs (g, B, input_dim) or (B, input_dim)."""
         q = self._trunk(x)  # (g, B, 1)
         return nd.reshape(q, q.shape[:2])
+
+    def q_rows(self, obs: Tensor, act: Tensor) -> Tensor:
+        """Per-agent Q (g, B): every member reads the flat concat of every
+        observation (B, n, d) and action (B, n, a)."""
+        batch = obs.shape[0]
+        return self.forward(nd.concat([nd.reshape(obs, (batch, -1)),
+                                       nd.reshape(act, (batch, -1))], axis=-1))
+
+    def policy_q(self, obs: Tensor, fresh: Tensor, stored: np.ndarray) -> Tensor:
+        """Summed one-to-one Q (B,): member i reads agent i's ``fresh`` action
+        and the other agents' ``stored`` ones, both (B, n, a). Its first layer
+        is ``[obs, stored] W_i + b_i + (fresh_i - stored_i) W_i[agent i's
+        action rows]``, the correction a per-row bias, so the backward reaches
+        actor i through those a rows only."""
+        batch, n, a = stored.shape
+        first = (self.hidden + [self.out])[0]
+        rows = first.w.shape[1] - n * a + a * np.arange(n)[:, None] + np.arange(a)
+        own = nd.getitem(first.w, (np.arange(n)[:, None], rows))  # (n, a, K)
+        bias = nd.linear(nd.swapaxes(fresh - stored, 0, 1), own, first.b)
+        flat = np.concatenate([obs.data.reshape(batch, -1), stored.reshape(batch, -1)], axis=1)
+        q = self._trunk(Tensor(flat, dtype=flat.dtype), bias)  # (n, B, 1)
+        return nd.tsum(nd.reshape(q, q.shape[:2]), axis=0)
 
 
 def stack(members: list):
@@ -222,6 +247,15 @@ class CriticNet:
             x = block.forward(x)
         q = self.q_out(self.q_hidden(x, leaky=True))  # (B, n, 1)
         return nd.reshape(q, q.shape[:2])
+
+    def q_rows(self, obs: Tensor, act: Tensor) -> Tensor:
+        """Total Q (1, B), the one row that the shared critic regresses."""
+        return nd.reshape(total_q(self.forward(obs, act)), (1, obs.shape[0]))
+
+    def policy_q(self, obs: Tensor, fresh: Tensor, stored: np.ndarray) -> Tensor:
+        """Total Q (B,) with every agent's ``fresh`` action (one-to-all);
+        ``stored`` is not read."""
+        return total_q(self.forward(obs, fresh))
 
     def named_parameters(self, prefix: str = ""):
         out = self.embed.named_parameters(prefix + "embed.")

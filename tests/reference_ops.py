@@ -6,6 +6,9 @@ bitwise and gradient tests compare against: a matrix product, a leaky ReLU, a
 softmax over the last axis, a layer norm with and without a residual input,
 and ``attention_block``, the self-attention block as those ops composed. They
 record graphs and recycle large arrays as the package's own ops do.
+
+``one_to_one_policy_q`` is the oracle of ``MlpCritic.policy_q``: the
+one-to-one critic input built whole, as an identity-masked mix.
 """
 
 from __future__ import annotations
@@ -211,3 +214,22 @@ def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wout: Tensor,
     if ln_gain is None:
         return out
     return residual_layer_norm(out, x, ln_gain, ln_bias)
+
+
+def one_to_one_inputs(obs: Tensor, fresh: Tensor, stored: np.ndarray) -> Tensor:
+    """Critic inputs (n, B, n(d+a)) of the one-to-one policy step: row block
+    i holds every observation (B, n, d), agent i's ``fresh`` action and every
+    other agent's ``stored`` one (both (B, n, a)), mixed by an identity mask
+    (exact, since the masked-out term adds a zero)."""
+    batch, n, act_dim = stored.shape
+    eye = np.eye(n, dtype=stored.dtype)[:, None, :, None]
+    acts = nd.add(nd.mul(nd.reshape(fresh, (1, batch, n, act_dim)), eye),
+                  nd.mul(Tensor(stored[None], dtype=stored.dtype), 1 - eye))
+    seen = np.broadcast_to(obs.data.reshape(batch, -1), (n, batch, obs.shape[1] * obs.shape[2]))
+    return nd.concat([Tensor(seen, dtype=seen.dtype),
+                      nd.reshape(acts, (n, batch, n * act_dim))], axis=-1)
+
+
+def one_to_one_policy_q(critic, obs: Tensor, fresh: Tensor, stored: np.ndarray) -> Tensor:
+    """``MlpCritic.policy_q`` on the masked input: the members' Q summed, (B,)."""
+    return nd.tsum(critic.forward(one_to_one_inputs(obs, fresh, stored)), axis=0)

@@ -24,6 +24,8 @@ from samarl.checkpoint import CheckpointError, load_checkpoint
 from samarl.envs import ScenarioConfig
 from samarl.ndmath import Tensor
 
+import reference_ops as ref
+
 
 def small_cfg(**overrides):
     defaults = dict(hidden_dim=8, attention_heads=2, attention_blocks=2,
@@ -52,24 +54,32 @@ def snapshot(named):
 
 
 class ConstantQCritic:
-    """Stub: a fixed output regardless of input; per-agent Q values (B, n) for
-    the shared critic (``forward(obs, act)``), or one value per member (g, B)
-    for a bank of MLP critics (``forward(flat)``)."""
+    """Stub: a fixed output regardless of input, read through the real
+    ``q_rows`` of the shared critic, per-agent Q values (B, n) from
+    ``forward(obs, act)`` summed into one row, or with ``bank`` that of a bank
+    of MLP critics, one value per member (g, B) from ``forward(flat)``."""
 
-    def __init__(self, values):
+    def __init__(self, values, bank=False):
         self.values = np.atleast_1d(np.asarray(values, dtype=np.float32))
+        self.bank = bank
 
     def forward(self, x, act=None):
         if act is None:
             return Tensor(np.repeat(self.values[:, None], x.shape[-2], axis=1))
         return Tensor(np.repeat(self.values[None], x.shape[0], axis=0))
 
+    def q_rows(self, obs, act):
+        return (nets.MlpCritic if self.bank else nets.CriticNet).q_rows(self, obs, act)
+
     def named_parameters(self, prefix=""):
         return []
 
 
 class ActionSumCritic:
-    """Stub: Q_i = sum of agent i's action components (differentiable)."""
+    """Stub: Q_i = sum of agent i's action components (differentiable), read
+    through the shared critic's real ``policy_q``."""
+
+    policy_q = nets.CriticNet.policy_q
 
     def forward(self, obs_t, act_t):
         return nd.tsum(act_t, axis=-1)
@@ -78,18 +88,14 @@ class ActionSumCritic:
         return []
 
 
-class FlatSumBank:
-    """Stub bank of agent critics: member i's Q is ``weights[i]`` times the
-    sum of its flat (observations, actions) input."""
-
-    def __init__(self, weights):
-        self.weights = np.asarray(weights, dtype=np.float32)[:, None]
-
-    def forward(self, flat):
-        return nd.mul(nd.tsum(flat, axis=-1), self.weights)
-
-    def named_parameters(self, prefix=""):
-        return []
+def flat_sum_bank(weights, input_dim):
+    """A bank of linear MLP critics (no hidden layer) whose member i's Q is
+    ``weights[i]`` times the sum of its flat (observations, actions) input."""
+    bank = nets.stack([nets.MlpCritic(input_dim, np.random.default_rng(0), hidden_layers=0)
+                       for _ in weights])
+    bank.out.w.data[...] = np.asarray(weights, dtype=np.float32)[:, None, None]
+    bank.out.b.data[...] = 0.0
+    return bank
 
 
 class TestAlgoKind:
@@ -500,7 +506,7 @@ class TestComputeTargetY:
     def test_baseline_returns_per_agent_targets(self):
         trainer = make_trainer(AlgoKind.MATD3)
         ys = trainer.compute_target_y(manual_batch(trainer))
-        assert isinstance(ys, np.ndarray) and ys.shape == (8, trainer.n)
+        assert isinstance(ys, np.ndarray) and ys.shape == (trainer.n, 8)
 
 
 class TestCriticUpdate:
@@ -510,20 +516,20 @@ class TestCriticUpdate:
         with nd.no_grad():
             obs_t = Tensor(batch.obs)
             act_t = Tensor(batch.act)
-            y = nets.total_q(trainer.critic_banks[0][0].forward(obs_t, act_t)).data
-        before = snapshot(trainer.critic_banks[0][0].named_parameters())
+            y = nets.total_q(trainer.critics[0].forward(obs_t, act_t)).data
+        before = snapshot(trainer.critics[0].named_parameters())
         # feed critic #1's own predictions back as the target
         trainer.critic_update(batch, y=y)
-        after = snapshot(trainer.critic_banks[0][0].named_parameters())
+        after = snapshot(trainer.critics[0].named_parameters())
         for name in before:
             assert np.allclose(before[name], after[name], atol=1e-7), name
 
     def test_both_critics_updated_in_one_call(self):
         trainer = make_trainer(AlgoKind.SA_MATD3)
         batch = manual_batch(trainer)
-        before = [snapshot(c.named_parameters()) for c in trainer.critic_banks[0]]
+        before = [snapshot(c.named_parameters()) for c in trainer.critics]
         trainer.critic_update(batch)
-        for critic, prev in zip(trainer.critic_banks[0], before):
+        for critic, prev in zip(trainer.critics, before):
             after = snapshot(critic.named_parameters())
             assert any(not np.array_equal(prev[k], after[k]) for k in prev)
 
@@ -553,15 +559,18 @@ class TestCriticUpdate:
         trainer = make_trainer(kind)
         batch = manual_batch(trainer)
         y = trainer.compute_target_y(batch)
-        regressed, seen, alive = trainer._regressed_q, [], []
+        seen, alive = [], []
 
-        def spy(critic, obs, act):
-            alive.append([ref() is not None for ref in seen])
-            q = regressed(critic, obs, act)
-            seen.append(weakref.ref(q.data))
-            return q
+        def spy(q_rows):
+            def rows(obs, act):
+                alive.append([ref() is not None for ref in seen])
+                q = q_rows(obs, act)
+                seen.append(weakref.ref(q.data))
+                return q
+            return rows
 
-        trainer._regressed_q = spy
+        for critic in trainer.critics:
+            critic.q_rows = spy(critic.q_rows)
         trainer.critic_update(batch, y=y)
         assert alive == [[], [False]]
 
@@ -588,9 +597,9 @@ class TestPolicyUpdateOneToAll:
 
     def test_critic_parameters_frozen(self):
         trainer = make_trainer(AlgoKind.SA_MATD3)
-        before = snapshot(trainer.critic_banks[0][0].named_parameters())
+        before = snapshot(trainer.critics[0].named_parameters())
         trainer.policy_update(manual_batch(trainer))
-        after = snapshot(trainer.critic_banks[0][0].named_parameters())
+        after = snapshot(trainer.critics[0].named_parameters())
         for name in before:
             assert np.array_equal(before[name], after[name])
 
@@ -619,7 +628,8 @@ class TestPolicyUpdateOneToOne:
         # critic 0 rises with every input, critic 1 ignores its input; critic i
         # sees agent i's fresh action and the buffer action of everyone else
         trainer = make_trainer(AlgoKind.MADDPG, n=2)
-        trainer.critics = [FlatSumBank([1.0, 0.0])]
+        trainer.critics = [flat_sum_bank([1.0, 0.0], 2 * (trainer.obs_dim + 2))]
+        trainer.target_critics = [nets.clone(trainer.critics[0])]
         batch = manual_batch(trainer)
         obs = Tensor(batch.obs.swapaxes(0, 1))
         before = trainer.actor.forward(obs).data.copy()
@@ -647,6 +657,40 @@ class TestPolicyUpdateOneToOne:
         for (name, p), (_, q) in zip(actor.named_parameters(),
                                      trainer.actor.named_parameters()):
             assert np.allclose(p.data, q.data, atol=1e-12), name
+
+
+class TestOneToOneOracle:
+    """``MlpCritic.policy_q`` (split first layer) against the masked
+    formulation of ``reference_ops``: loss and every parameter's gradient,
+    actor and critic, from one full backward each."""
+
+    @staticmethod
+    def _loss_and_grads(trainer, batch, policy_q, params):
+        dtype = trainer.cfg.np_dtype
+        obs = Tensor(batch.obs, dtype=dtype)
+        fresh = trainer._joint_action(trainer.actor, obs)
+        loss = -nd.tmean(policy_q(obs, fresh, batch.act.astype(dtype)))
+        nd.backward(loss)
+        return loss.item(), [p.grad.copy() for p in params]
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("kind", [AlgoKind.MADDPG, AlgoKind.MATD3])
+    def test_policy_q_matches_masked_oracle(self, kind, n, dtype):
+        trainer = make_trainer(kind, n=n, seed=n, dtype=dtype)
+        batch = manual_batch(trainer, batch_size=32, seed=40 + n)
+        critic = trainer.critics[0]
+        params = nets.parameters(trainer.actor) + nets.parameters(critic)
+        loss, grads = self._loss_and_grads(trainer, batch, critic.policy_q, params)
+        want_loss, want_grads = self._loss_and_grads(
+            trainer, batch, lambda *args: ref.one_to_one_policy_q(critic, *args), params)
+        # float64 to 1e-10; float32 within a few roundings of the largest term
+        tol = 1e-10 if dtype == "float64" else 4 * np.finfo(np.float32).eps
+        assert abs(loss - want_loss) <= tol * max(1.0, abs(want_loss))
+        for (name, _), got, want in zip(trainer.actor.named_parameters("actor.") +
+                                        critic.named_parameters("critic."), grads, want_grads):
+            assert np.any(want != 0), name
+            assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want))), name
 
 
 class TestTrainerInvariants:
@@ -697,7 +741,7 @@ class TestTrainerInvariants:
                     * np.minimum(*totals)
                 obs_t = Tensor(batch.obs[:, order])
                 act_t = Tensor(batch.act[:, order])
-                q = nets.total_q(trainer.critic_banks[0][0].forward(obs_t, act_t)).data
+                q = nets.total_q(trainer.critics[0].forward(obs_t, act_t)).data
             return float(np.mean((q - y) ** 2))
 
         def policy_loss(order):
@@ -706,7 +750,7 @@ class TestTrainerInvariants:
                 obs_t = Tensor(batch.obs[:, order])
                 act_t = Tensor(fresh[order].swapaxes(0, 1))
                 return -float(np.mean(
-                    nets.total_q(trainer.critic_banks[0][0].forward(obs_t, act_t)).data))
+                    nets.total_q(trainer.critics[0].forward(obs_t, act_t)).data))
 
         assert critic_loss([0, 1, 2]) == pytest.approx(critic_loss(perm), abs=1e-5)
         assert policy_loss([0, 1, 2]) == pytest.approx(policy_loss(perm), abs=1e-5)

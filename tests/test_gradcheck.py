@@ -54,6 +54,12 @@ PRIMITIVES = [
     ("linear_grouped_shared", lambda rng: _grouped_linear_case(rng, (5, 6), False)),
     ("linear_leaky_grouped", lambda rng: _grouped_linear_case(rng, (3, 5, 6), True)),
     ("linear_leaky_grouped_shared", lambda rng: _grouped_linear_case(rng, (5, 6), True)),
+    # a (g, B, K) bias, one row per input row, as the one-to-one policy step uses
+    ("linear_leaky_grouped_row_bias", lambda rng: _grouped_linear_case(
+        rng, (5, 6), True, bias_rows=5)),
+    # row 0 taken twice: its gradient is the sum of both
+    ("getitem_repeated", lambda rng: _unary_case(
+        rng, lambda t: nd.getitem(t, (np.array([[0], [2], [0]]), np.array([[1, 3]]))), (3, 5))),
     ("residual_layer_norm", lambda rng: _residual_layer_norm_case(rng, (2, 4, 8))),
     ("residual_layer_norm_shared", lambda rng: _residual_shared_case(rng)),
     ("concat", lambda rng: _concat_case(rng)),
@@ -102,10 +108,10 @@ def _linear_case(rng, shape, leaky):
     return lambda: _reduce(nd.linear(x, w, b, leaky)), [x, w, b]
 
 
-def _grouped_linear_case(rng, x_shape, leaky):
+def _grouped_linear_case(rng, x_shape, leaky, bias_rows=1):
     x = _p(rng, x_shape)
     w = _p(rng, (3, x_shape[-1], 4))
-    b = _p(rng, (3, 1, 4))
+    b = _p(rng, (3, bias_rows, 4))
     return lambda: _reduce(nd.linear(x, w, b, leaky)), [x, w, b]
 
 

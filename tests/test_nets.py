@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from samarl import ndmath as nd
 from samarl import nets
@@ -206,6 +208,28 @@ class TestCriticNet:
                             nd.Tensor(act[:, perm], dtype=np.float64)).data
         assert np.allclose(qp, q[:, perm], atol=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 8), heads=st.sampled_from([1, 2, 4]), batch=st.integers(1, 3),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_permutation_property(self, n, heads, batch, seed, data):
+        # per-agent Q permutes with the agents; the total Q that q_rows
+        # returns does not change
+        perm = np.array(data.draw(st.permutations(range(n))))
+        rng = rng_for(seed)
+        critic = nets.CriticNet(5, 2, rng, hidden_dim=8, heads=heads, dtype=np.float64)
+        obs, act = rng.normal(size=(batch, n, 5)), rng.uniform(-1, 1, size=(batch, n, 2))
+
+        def run(method, order):
+            return method(nd.Tensor(obs[:, order], dtype=np.float64),
+                          nd.Tensor(act[:, order], dtype=np.float64)).data
+
+        same = np.arange(n)
+        assert np.allclose(run(critic.forward, perm), run(critic.forward, same)[:, perm],
+                           rtol=1e-10, atol=1e-12)
+        total = run(critic.q_rows, same)
+        assert total.shape == (1, batch)
+        assert np.allclose(run(critic.q_rows, perm), total, rtol=1e-10, atol=1e-12)
+
     def test_positional_bias_breaks_equivariance(self):
         rng = rng_for(15)
         critic = SlotBiasedCritic(5, 2, rng_for(13), hidden_dim=16, heads=2,
@@ -307,10 +331,12 @@ class TestDoubleCritic:
         # agent critics: the minimum is taken per agent
         trainer = self._trainer(AlgoKind.MATD3)
         # twin banks: agent 0's twins give 1 and 4, agent 1's give 3 and 2
-        trainer.target_critics = [ConstantQCritic([1.0, 3.0]), ConstantQCritic([4.0, 2.0])]
+        trainer.target_critics = [ConstantQCritic([1.0, 3.0], bank=True),
+                                  ConstantQCritic([4.0, 2.0], bank=True)]
         batch = self._batch(trainer)
         r = batch.rew[:, :1].astype(np.float64)
-        assert np.allclose(trainer.compute_target_y(batch), r + 0.95 * np.array([1.0, 2.0]))
+        assert np.allclose(trainer.compute_target_y(batch),
+                           (r + 0.95 * np.array([1.0, 2.0])).T)
         # shared critic: the minimum is taken over total Q (5 vs 4), not per agent
         trainer = self._trainer(AlgoKind.SA_MATD3)
         trainer.target_critics = [ConstantQCritic([1.0, 4.0]), ConstantQCritic([2.0, 2.0])]
