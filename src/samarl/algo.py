@@ -29,6 +29,7 @@ come from the scripted flee policy or a loaded prey actor checkpoint.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import weakref
 from dataclasses import dataclass
@@ -43,9 +44,6 @@ from .envs import COOP_NAV, PREDATOR_PREY, ParticleWorld, ScenarioConfig, script
 from .ndmath import Adam, Tensor, backward, clip_grad_norm, no_grad
 
 PREY_ACTOR_PREFIX = "prey_actor."
-# TrainConfig fields that fix the networks' shapes and precision; checkpoints
-# record them as ``train.<key>``
-ARCH_KEYS = ("hidden_dim", "hidden_layers", "attention_heads", "attention_blocks", "dtype")
 
 
 class NonFiniteLossError(RuntimeError):
@@ -132,6 +130,20 @@ class TrainConfig:
     @property
     def np_dtype(self):
         return _DTYPES[self.dtype]
+
+
+# TrainConfig fields that fix the networks' shapes and precision; checkpoints
+# record them as ``train.<key>``
+ARCH_KEYS = ("hidden_dim", "hidden_layers", "attention_heads", "attention_blocks", "dtype")
+
+
+def recorded_train(manifest, base: TrainConfig) -> TrainConfig:
+    """``base`` in the architecture a checkpoint records as ``train.<key>``;
+    without a recorded dtype, in that of its first tensor."""
+    values = {"dtype": next((dtype for _, _, dtype, _ in manifest.entries), base.dtype),
+              **manifest.train}
+    return dataclasses.replace(base, **{key: type(getattr(base, key))(value)
+                                        for key, value in values.items()})
 
 
 class ReplayBuffer:
@@ -333,21 +345,15 @@ class Trainer:
 
     def _setup_prey(self, prey_policy) -> None:
         self.prey_actor = None
-        if self.scenario.kind != PREDATOR_PREY:
-            return
-        if prey_policy == "scripted" or prey_policy is None:
+        if self.scenario.kind != PREDATOR_PREY or prey_policy == "scripted":
             return
         manifest, tensors = load_checkpoint(prey_policy)
         # the prey actor runs in the architecture and precision it was saved
-        # in; a checkpoint that records no architecture takes this trainer's
-        # sizes and the dtype of its tensors
-        arch = manifest.train
-        dtype = arch.get("dtype") or next((t.dtype for t in tensors.values()), np.float32)
+        # in; sizes it does not record are this trainer's
+        arch = recorded_train(manifest, self.cfg)
         actor = nets.MlpActor(self.env.obs_dims[self.n], self.act_dim, self.init_rng,
-                              hidden_dim=int(arch.get("hidden_dim", self.cfg.hidden_dim)),
-                              hidden_layers=int(arch.get("hidden_layers",
-                                                         self.cfg.hidden_layers)),
-                              dtype=np.dtype(dtype))
+                              hidden_dim=arch.hidden_dim, hidden_layers=arch.hidden_layers,
+                              dtype=arch.np_dtype)
         restore_into(actor.member(0), tensors, prefix=PREY_ACTOR_PREFIX)
         self.prey_actor = actor
 
@@ -369,24 +375,23 @@ class Trainer:
             return scripted_prey(env)
         return np.clip(self.prey_actor.act(prey_obs.astype(np.float32)), -1.0, 1.0)
 
-    def run_episode(self, explore: bool = True, store: bool | None = None,
+    def run_episode(self, explore: bool = True,
                     env: ParticleWorld | None = None) -> np.ndarray:
-        """Roll one full episode; returns the per-type summed reward.
+        """Roll one full episode; returns the per-type summed reward. An
+        exploring episode adds action noise and is stored in the buffer.
 
         Pass a dedicated ``env`` for evaluation so the training environment's
         RNG stream is left untouched. A batched ``env`` of E episodes steps
         them in lockstep, one actor call per step for all of them, and
-        returns (E, n_types); it cannot store, since the replay buffer takes
+        returns (E, n_types); it cannot explore, since the replay buffer takes
         one episode at a time, pushed whole when it ends.
         """
         if env is None:
             env = self.env
-        if store is None:
-            store = explore
-        if store and env.batch:
+        if explore and env.batch:
             raise ValueError(
                 f"a lockstep batch of {env.batch[0]} episodes cannot fill the "
-                f"replay buffer; step one episode at a time to store")
+                f"replay buffer; step one episode at a time to explore")
         noise = self.cfg.action_noise_std if explore else 0.0
         obs = env.reset()
         totals = np.zeros(env.batch + (env.n_types,))
@@ -398,28 +403,21 @@ class Trainer:
             else:
                 full = acts
             obs, rewards, done, _ = env.step(full)
-            if store:
+            if explore:
                 for seq, item in zip(steps, (obs[0], acts, rewards, done)):
                     seq.append(item)
             totals += rewards
-        if store:
+        if explore:
             self.buffer.push_episode(*map(np.array, steps))
         return totals
 
     # -- updates ---------------------------------------------------------------
 
-    def _joint_action(self, actor, obs: Tensor) -> Tensor:
-        """Actions (B, n, act_dim) of ``actor`` for observations (B, n, d).
-        An MLP bank reads agent i's observations with member i."""
-        if self.kind.attention_actor:
-            return actor.forward(obs)
-        return nd.swapaxes(actor.forward(nd.swapaxes(obs, 0, 1)), 0, 1)
-
     def _target_actions(self, next_obs: Tensor) -> np.ndarray:
         """Target-policy actions (B, n, act_dim); double-Q kinds add clipped
         smoothing noise."""
         with no_grad():
-            acts = self._joint_action(self.target_actor, next_obs).data
+            acts = self.target_actor.forward(next_obs).data
         if self.kind.double_q and self.cfg.critic_noise_std > 0:
             acts = acts + self.smooth_rng.normal(0.0, self.cfg.critic_noise_std,
                                                  acts.shape)
@@ -440,7 +438,7 @@ class Trainer:
         cont = cfg.gamma * (1.0 - batch.done.astype(np.float64))
         return (r + cont * q).astype(cfg.np_dtype)
 
-    def critic_update(self, batch: Batch, y=None) -> float:
+    def critic_update(self, batch: Batch) -> float:
         """One Adam step on every critic toward the Bellman targets.
 
         Each twin takes one backward pass over the summed MSE losses of its
@@ -450,11 +448,9 @@ class Trainer:
         loss.
         """
         cfg = self.cfg
-        if y is None:
-            y = self.compute_target_y(batch)
+        y_rows = Tensor(self.compute_target_y(batch), dtype=cfg.np_dtype)
         obs = Tensor(batch.obs, dtype=cfg.np_dtype)
         act = Tensor(batch.act, dtype=cfg.np_dtype)
-        y_rows = Tensor(np.atleast_2d(y), dtype=cfg.np_dtype)
         losses: list[float] = []
         for critic, optim in zip(self.critics, self.critic_optims):
             diff = critic.q_rows(obs, act) - y_rows
@@ -481,7 +477,7 @@ class Trainer:
         """
         cfg = self.cfg
         obs = Tensor(batch.obs, dtype=cfg.np_dtype)
-        fresh = self._joint_action(self.actor, obs)
+        fresh = self.actor.forward(obs)
         loss = -nd.tmean(self.critics[0].policy_q(obs, fresh, batch.act.astype(cfg.np_dtype)))
         if not np.isfinite(loss.item()):
             raise NonFiniteLossError(f"non-finite policy loss: {loss.item()}")
@@ -552,6 +548,9 @@ class Trainer:
 
     def restore(self, directory) -> int:
         manifest, tensors = load_checkpoint(directory)
+        if manifest.algo != self.kind.value:
+            raise ValueError(f"checkpoint algorithm '{manifest.algo}' does not match "
+                             f"this trainer's '{self.kind.value}'")
         if manifest.scenario != self.scenario.kind:
             raise ValueError(
                 f"checkpoint scenario '{manifest.scenario}' does not match "

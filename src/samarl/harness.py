@@ -29,6 +29,7 @@ from .algo import (
     AlgoKind,
     TrainConfig,
     Trainer,
+    recorded_train,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .envs import COOP_NAV, PREDATOR_PREY, ParticleWorld, ScenarioConfig
@@ -278,7 +279,7 @@ def evaluate_trainer(trainer: Trainer, episodes: int, seed: int) -> dict:
     """Noise-free rollouts of ``episodes`` episodes, stepped in lockstep on a
     dedicated world; no buffer or net writes."""
     env = ParticleWorld(trainer.scenario, seed=seed, episodes=episodes)
-    arr = trainer.run_episode(explore=False, store=False, env=env)
+    arr = trainer.run_episode(explore=False, env=env)
     return {
         "episodes": episodes,
         "mean": [float(m) for m in arr.mean(axis=0)],
@@ -300,10 +301,7 @@ def evaluate(checkpoint, episodes: int, seed: int, *,
     scenario = RunConfig(scenario=manifest.scenario,
                          agents=manifest.agents).scenario_config()
     if train_cfg is None:
-        mapping = {"train.dtype": next((dtype for _, _, dtype, _ in manifest.entries),
-                                       TrainConfig.dtype)}
-        mapping.update({f"train.{key}": value for key, value in manifest.train.items()})
-        train_cfg = apply_config_mapping(RunConfig(), mapping).train
+        train_cfg = recorded_train(manifest, TrainConfig())
     trainer = Trainer(scenario, kind, train_cfg, seed=seed, prey_policy=prey)
     trainer.restore(checkpoint)
     return evaluate_trainer(trainer, episodes, seed)

@@ -45,7 +45,7 @@ class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
 
-_grad_enabled = True
+_recording = True
 _counter = itertools.count()
 # While a backward pass limited to some parameters runs: the ids of the
 # tensors on a path from its loss to one of them. vjps route gradient only to
@@ -56,17 +56,13 @@ _need: set[int] | None = None
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording inside the block (rollouts, target values)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    global _recording
+    prev = _recording
+    _recording = False
     try:
         yield
     finally:
-        _grad_enabled = prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
+        _recording = prev
 
 
 class Tensor:
@@ -81,8 +77,6 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_order")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data = np.asarray(data, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
@@ -160,9 +154,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def reshape(self, *shape) -> "Tensor":
-        return reshape(self, shape if len(shape) > 1 else shape[0])
 
 
 # -- recycled buffers ---------------------------------------------------------
@@ -318,7 +309,7 @@ def _column(n: int, value: float, dtype: np.dtype) -> np.ndarray:
 def _maybe(parents: Sequence[Tensor], data: np.ndarray,
            vjp_builder: Callable[[], Callable[[np.ndarray], None]]) -> Tensor:
     """Wrap ``data``; attach the vjp only when recording is on and useful."""
-    if _grad_enabled and any(p._tracked() for p in parents):
+    if _recording and any(p._tracked() for p in parents):
         return Tensor._from_op(data, tuple(parents), vjp_builder())
     return Tensor._from_op(data, (), None)
 
@@ -518,24 +509,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor, leaky: bool = False) -> Tensor:
 
     def build():
         def vjp(g):
+            # gz is g, which backward drops after this call, or a fresh array,
+            # so the bias, last to read it, may keep it
             gz = _leaky_grad(g, out, LEAKY_SLOPE) if leaky else g
-            if b._tracked():
-                gb = _unbroadcast(gz, b.data.shape)
-                b._accum(gb, own=gb is not gz)
             if not gz.flags.c_contiguous:
                 gz = _copy(gz, gz.dtype)
-            if w.data.ndim == 3:
-                if x._tracked():
-                    gx = _gemm(gz, w.data.swapaxes(-1, -2))
-                    x._accum(gx if x.data.ndim == 3 else gx.sum(axis=0), own=True)
-                if w._tracked():
-                    w._accum(_gemm(x.data.swapaxes(-1, -2), gz), own=True)
-                return
-            g2 = gz.reshape(-1, out.shape[-1])
-            if x._tracked():
-                x._accum(_gemm(g2, w.data.T).reshape(x.data.shape), own=True)
+            g2 = gz if grouped else gz.reshape(-1, wd.shape[1])  # one GEMM's rows
+            if x._tracked():  # a (B, D) input shared by the groups takes their sum
+                gx = _gemm(g2, wd.swapaxes(-1, -2))
+                gx = gx.sum(axis=0) if gx.ndim > xd.ndim else gx.reshape(xd.shape)
+                x._accum(gx, own=True)
             if w._tracked():
-                w._accum(_gemm(x.data.reshape(-1, w.data.shape[0]).T, g2), own=True)
+                x2 = xd if grouped else xd.reshape(-1, wd.shape[0])
+                w._accum(_gemm(x2.swapaxes(-1, -2), g2), own=True)
+            if b._tracked():
+                b._accum(_unbroadcast(gz, b.data.shape), own=True)
         return vjp
 
     return _maybe((x, w, b), out, build)
@@ -585,11 +573,10 @@ def _softmax_rows(s: np.ndarray) -> np.ndarray:
 
 
 def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wout: Tensor,
-                    ln_gain: Tensor | None = None, ln_bias: Tensor | None = None, *,
-                    heads: int) -> Tensor:
-    """Multi-head self-attention over the middle axis of ``x`` (B, n, D), as
-    one op; then, given ``ln_gain`` and ``ln_bias``, a residual connection and
-    a layer norm over the last axis (epsilon ``LN_EPS``).
+                    ln_gain: Tensor, ln_bias: Tensor, *, heads: int) -> Tensor:
+    """Multi-head self-attention over the middle axis of ``x`` (B, n, D), then
+    a residual connection and a layer norm over the last axis (epsilon
+    ``LN_EPS``) with gain ``ln_gain`` and bias ``ln_bias``, as one op.
 
     ``wq``, ``wk`` and ``wv`` are (D, h*dk) projections whose column blocks
     are the ``heads`` heads, and ``wout`` (h*dk, D) mixes the merged heads.
@@ -615,28 +602,27 @@ def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wout: Tensor,
     """
     xd, wqd, wod = x.data, wq.data, wout.data
     dim, hd = wqd.shape
-    bad_norm = (ln_gain is None) != (ln_bias is None) or (ln_gain is not None and (
-        ln_gain.data.shape != (dim,) or ln_bias.data.shape != (dim,)))
     if xd.ndim != 3 or xd.shape[2] != dim or wk.data.shape != wqd.shape \
             or wv.data.shape != wqd.shape or wod.shape != (hd, dim) \
-            or heads < 1 or hd % heads or bad_norm:
+            or ln_gain.data.shape != (dim,) or ln_bias.data.shape != (dim,) \
+            or heads < 1 or hd % heads:
         raise ShapeError(
             f"attention_block needs x (B, n, D), wq/wk/wv (D, h*dk), wout (h*dk, D) "
-            f"and an optional (D,) gain and bias, with h*dk divisible by {heads} heads; "
+            f"and a (D,) gain and bias, with h*dk divisible by {heads} heads; "
             f"got x {x.shape}, wq {wq.shape}, wk {wk.shape}, wv {wv.shape}, "
-            f"wout {wout.shape}, gain {None if ln_gain is None else ln_gain.shape}")
-    parents = (x, wq, wk, wv, wout) + (() if ln_gain is None else (ln_gain, ln_bias))
+            f"wout {wout.shape}, gain {ln_gain.shape}, bias {ln_bias.shape}")
+    parents = (x, wq, wk, wv, wout, ln_gain, ln_bias)
     out, kept = attention_kernel(*(t.data for t in parents), heads=heads)
-    if _grad_enabled and any(t._tracked() for t in parents):
+    if _recording and any(t._tracked() for t in parents):
         return Tensor._from_op(out, parents, _attention_vjp(parents, *kept))
     return Tensor._from_op(out, (), None)
 
 
-def attention_kernel(x: np.ndarray, wq, wk, wv, wout, ln_gain=None, ln_bias=None, *,
+def attention_kernel(x: np.ndarray, wq, wk, wv, wout, ln_gain, ln_bias, *,
                      heads: int, alloc: tuple = RECYCLING):
     """The forward of :func:`attention_block` on arrays, with no shape checks.
     Returns the output and what the op's vjp keeps: ``(x2, q, v, k_t, p,
-    merged, norm)``."""
+    merged, xhat, inv, col)``."""
     gemm, multiply, empty = alloc
     batch, n, dim = x.shape
     hd = wq.shape[1]
@@ -651,50 +637,44 @@ def attention_kernel(x: np.ndarray, wq, wk, wv, wout, ln_gain=None, ln_bias=None
     merged = empty((rows, hd), x.dtype)
     np.matmul(p, v, out=merged.reshape(batch, n, heads, dk).transpose(0, 2, 1, 3))
     out = gemm(merged, wout)                   # (B*n, D)
-    norm = None
-    if ln_gain is not None:
-        # the sum with the residual is centred and scaled in place
-        out += x2
-        col = _column(dim, 1.0 / dim, out.dtype)
-        out -= out @ col
-        xhat, out = out, multiply(out, out)
-        inv = out @ col
-        inv += LN_EPS
-        np.sqrt(inv, out=inv)
-        np.reciprocal(inv, out=inv)
-        xhat *= inv
-        np.multiply(xhat, ln_gain, out=out)
-        out += ln_bias
-        norm = (xhat, inv, col)
-    return out.reshape(x.shape), (x2, q, v, k_t, p, merged, norm)
+    # the sum with the residual is centred and scaled in place
+    out += x2
+    col = _column(dim, 1.0 / dim, out.dtype)
+    out -= out @ col
+    xhat, out = out, multiply(out, out)
+    inv = out @ col
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, ln_gain, out=out)
+    out += ln_bias
+    return out.reshape(x.shape), (x2, q, v, k_t, p, merged, xhat, inv, col)
 
 
-def _attention_vjp(parents, x2, q, v, k_t, p, merged, norm):
+def _attention_vjp(parents, x2, q, v, k_t, p, merged, xhat, inv, col):
     """The backward of one ``attention_block`` call, over what its forward
     kept."""
-    x, wq, wk, wv, wout = parents[:5]
+    x, wq, wk, wv, wout, gain, bias = parents
     rows, hd = merged.shape
     batch, heads, dk, n = k_t.shape
 
     def vjp(g):
         g = _reshaped(g, (rows, g.shape[-1]))
-        if norm is not None:
-            gain, bias = parents[5:]
-            xhat, inv, col = norm
-            # column sums as GEMMs against a ones row
-            ones = np.ones((1, rows), dtype=g.dtype)
-            if gain._tracked():
-                gain._accum((ones @ _ew(np.multiply, g, xhat)).reshape(-1), own=True)
-            if bias._tracked():
-                bias._accum((ones @ g).reshape(-1), own=True)
-            dz = _ew(np.multiply, g, gain.data)
-            term = _ew(np.multiply, dz, xhat)
-            dz -= dz @ col
-            np.multiply(xhat, term @ col, out=term)
-            dz -= term
-            del term
-            dz *= inv
-            g = dz                                   # the residual's gradient too
+        # column sums as GEMMs against a ones row
+        ones = np.ones((1, rows), dtype=g.dtype)
+        if gain._tracked():
+            gain._accum((ones @ _ew(np.multiply, g, xhat)).reshape(-1), own=True)
+        if bias._tracked():
+            bias._accum((ones @ g).reshape(-1), own=True)
+        dz = _ew(np.multiply, g, gain.data)
+        term = _ew(np.multiply, dz, xhat)
+        dz -= dz @ col
+        np.multiply(xhat, term @ col, out=term)
+        dz -= term
+        del term
+        dz *= inv
+        g = dz                                       # the residual's gradient too
         if wout._tracked():
             wout._accum(_gemm(merged.T, g), own=True)
         if not any(t._tracked() for t in (x, wq, wk, wv)):
@@ -715,8 +695,7 @@ def _attention_vjp(parents, x2, q, v, k_t, p, merged, norm):
         if x._tracked():
             w3 = np.concatenate((wq.data, wv.data, wk.data), axis=1)
             dx = _gemm(dqvk, w3.T)
-            if norm is not None:
-                dx += g
+            dx += g
             x._accum(dx.reshape(x.data.shape), own=True)
         if any(t._tracked() for t in (wq, wk, wv)):
             # one GEMM; each weight's gradient is a view of its column block

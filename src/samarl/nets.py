@@ -3,12 +3,12 @@
 Two families live here. The MLP family (``MlpActor``, ``MlpCritic``) is the
 conventional per-agent setup: each network sees a flat vector. Its n
 per-agent networks live in one bank, stacked on a leading group axis, and
-run as one grouped forward per layer. The attention
-family (``CriticNet``, ``AttentionActor``) consumes a ``[batch, agent,
+run as one grouped forward per layer. The attention family (``CriticNet``,
+``AttentionActor``, on one ``AttentionNet`` trunk) consumes a ``[batch, agent,
 features]`` layout and shares one set of weights across the agent axis; with
 no positional encoding anywhere, permuting the agents permutes the outputs
 and nothing else, which is what makes per-agent credit from a shared critic
-well defined.
+well defined. Every actor's ``forward`` and ``act`` read that layout too.
 
 All weights initialize uniform in +-1/sqrt(fan_in). Networks are plain
 parameter containers: construct with a ``numpy.random.Generator`` and an
@@ -112,8 +112,8 @@ class MlpActor(MlpBank):
                          dtype, out_bound=ACTION_HEAD_INIT)
 
     def forward(self, obs: Tensor) -> Tensor:
-        """Actions (g, B, act_dim) for observations (g, B, obs_dim) or (B, obs_dim)."""
-        return nd.tanh(self._trunk(obs))
+        """Actions (B, n, act_dim) for observations (B, n, obs_dim), member i on agent i."""
+        return nd.swapaxes(nd.tanh(self._trunk(nd.swapaxes(obs, 0, 1))), 0, 1)
 
     def act(self, obs: np.ndarray) -> np.ndarray:
         """Inference on ``forward``'s numpy kernel, used in the rollout hot loop.
@@ -184,33 +184,26 @@ class SelfAttentionBlock:
 
     Scores are the raw bilinear products of queries and keys (no scaling
     term), heads are concatenated and mixed by an output projection, then a
-    residual connection and layer normalization are applied, unless
-    ``residual_norm`` is off. There is no positional encoding: the block
-    commutes with any permutation of the agent axis.
+    residual connection and layer normalization are applied. There is no
+    positional encoding: the block commutes with any permutation of the agent
+    axis.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator, *, heads: int = 4,
-                 head_dim: int | None = None, dtype=np.float32,
-                 residual_norm: bool = True):
-        if head_dim is None:
-            if dim % heads:
-                raise ValueError(f"dim {dim} not divisible by heads {heads}")
-            head_dim = dim // heads
-        self.dim = dim
-        self.heads = heads
-        self.head_dim = head_dim
-        self.residual_norm = residual_norm
-        self.wq = _uniform_init(rng, (dim, heads * head_dim), dim, dtype)
-        self.wk = _uniform_init(rng, (dim, heads * head_dim), dim, dtype)
-        self.wv = _uniform_init(rng, (dim, heads * head_dim), dim, dtype)
-        self.wout = _uniform_init(rng, (heads * head_dim, dim), heads * head_dim, dtype)
+                 dtype=np.float32):
+        if dim % heads:
+            raise ValueError(f"dim {dim} not divisible by heads {heads}")
+        self.heads = heads  # of width dim / heads, so every projection is (dim, dim)
+        self.wq = _uniform_init(rng, (dim, dim), dim, dtype)
+        self.wk = _uniform_init(rng, (dim, dim), dim, dtype)
+        self.wv = _uniform_init(rng, (dim, dim), dim, dtype)
+        self.wout = _uniform_init(rng, (dim, dim), dim, dtype)
         self.ln_gain = Tensor(np.ones(dim), requires_grad=True, dtype=dtype)
         self.ln_bias = Tensor(np.zeros(dim), requires_grad=True, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        norm = (self.ln_gain, self.ln_bias) if self.residual_norm else (None, None)
-        return nd.attention_block(x, self.wq, self.wk, self.wv, self.wout, *norm,
-                                  heads=self.heads)
+        return nd.attention_block(x, self.wq, self.wk, self.wv, self.wout,
+                                  self.ln_gain, self.ln_bias, heads=self.heads)
 
     def named_parameters(self, prefix: str = ""):
         pairs = [("wq", self.wq), ("wk", self.wk), ("wv", self.wv),
@@ -219,7 +212,43 @@ class SelfAttentionBlock:
         return [(prefix + name, t) for name, t in pairs]
 
 
-class CriticNet:
+class AttentionNet:
+    """The attention family's trunk: a position-wise embedding, a stack of
+    self-attention blocks and a two-layer position-wise head, one weight set
+    shared across every agent slot, drawn in that order. ``HEAD`` names the
+    head's two layers in checkpoints; subclasses pass their keyword sizes
+    (``hidden_dim``, ``heads``, ``blocks``, ``dtype``) through."""
+
+    HEAD = ("head_hidden", "head_out")
+
+    def __init__(self, obs_dim: int, act_dim: int, in_dim: int, out_dim: int,
+                 rng: np.random.Generator, *, hidden_dim: int = 64, heads: int = 4,
+                 blocks: int = 2, dtype=np.float32, out_bound: float | None = None):
+        self.obs_dim = obs_dim
+        self.act_dim = act_dim
+        self.embed = Linear(in_dim, hidden_dim, rng, dtype)
+        self.blocks = [SelfAttentionBlock(hidden_dim, rng, heads=heads, dtype=dtype)
+                       for _ in range(blocks)]
+        self.head_hidden = Linear(hidden_dim, hidden_dim, rng, dtype)
+        self.head_out = Linear(hidden_dim, out_dim, rng, dtype, init_bound=out_bound)
+
+    def _trunk(self, x: Tensor) -> Tensor:
+        """Head outputs (B, n, out_dim) for inputs (B, n, in_dim)."""
+        x = self.embed(x, leaky=True)
+        for block in self.blocks:
+            x = block.forward(x)
+        return self.head_out(self.head_hidden(x, leaky=True))
+
+    def named_parameters(self, prefix: str = ""):
+        out = self.embed.named_parameters(prefix + "embed.")
+        for i, block in enumerate(self.blocks):
+            out += block.named_parameters(f"{prefix}blocks.{i}.")
+        for name, layer in zip(self.HEAD, (self.head_hidden, self.head_out)):
+            out += layer.named_parameters(f"{prefix}{name}.")
+        return out
+
+
+class CriticNet(AttentionNet):
     """Shared attention critic: per-agent (obs, action) -> per-agent Q.
 
     One embedding, one attention stack, and one position-wise Q head are
@@ -227,25 +256,16 @@ class CriticNet:
     equivariant under agent permutations.
     """
 
-    def __init__(self, obs_dim: int, act_dim: int, rng: np.random.Generator, *,
-                 hidden_dim: int = 64, heads: int = 4, blocks: int = 2,
-                 dtype=np.float32):
-        self.obs_dim = obs_dim
-        self.act_dim = act_dim
-        self.embed = Linear(obs_dim + act_dim, hidden_dim, rng, dtype)
-        self.blocks = [SelfAttentionBlock(hidden_dim, rng, heads=heads, dtype=dtype)
-                       for _ in range(blocks)]
-        self.q_hidden = Linear(hidden_dim, hidden_dim, rng, dtype)
-        self.q_out = Linear(hidden_dim, 1, rng, dtype)
+    HEAD = ("q_hidden", "q_out")
+
+    def __init__(self, obs_dim: int, act_dim: int, rng: np.random.Generator, **sizes):
+        super().__init__(obs_dim, act_dim, obs_dim + act_dim, 1, rng, **sizes)
 
     def forward(self, obs: Tensor, act: Tensor) -> Tensor:
         if obs.shape[:2] != act.shape[:2]:
             raise nd.ShapeError(
                 f"observation/action agent layouts disagree: {obs.shape} vs {act.shape}")
-        x = self.embed(nd.concat([obs, act], axis=-1), leaky=True)
-        for block in self.blocks:
-            x = block.forward(x)
-        q = self.q_out(self.q_hidden(x, leaky=True))  # (B, n, 1)
+        q = self._trunk(nd.concat([obs, act], axis=-1))  # (B, n, 1)
         return nd.reshape(q, q.shape[:2])
 
     def q_rows(self, obs: Tensor, act: Tensor) -> Tensor:
@@ -257,16 +277,8 @@ class CriticNet:
         ``stored`` is not read."""
         return total_q(self.forward(obs, fresh))
 
-    def named_parameters(self, prefix: str = ""):
-        out = self.embed.named_parameters(prefix + "embed.")
-        for i, block in enumerate(self.blocks):
-            out += block.named_parameters(f"{prefix}blocks.{i}.")
-        out += self.q_hidden.named_parameters(prefix + "q_hidden.")
-        out += self.q_out.named_parameters(prefix + "q_out.")
-        return out
 
-
-class AttentionActor:
+class AttentionActor(AttentionNet):
     """Centralized policy: all observations in, all actions out.
 
     A single weight set embeds each agent's observation, runs the attention
@@ -274,23 +286,13 @@ class AttentionActor:
     is permutation equivariant over agents.
     """
 
-    def __init__(self, obs_dim: int, act_dim: int, rng: np.random.Generator, *,
-                 hidden_dim: int = 64, heads: int = 4, blocks: int = 2,
-                 dtype=np.float32):
-        self.obs_dim = obs_dim
-        self.act_dim = act_dim
-        self.embed = Linear(obs_dim, hidden_dim, rng, dtype)
-        self.blocks = [SelfAttentionBlock(hidden_dim, rng, heads=heads, dtype=dtype)
-                       for _ in range(blocks)]
-        self.head_hidden = Linear(hidden_dim, hidden_dim, rng, dtype)
-        self.head_out = Linear(hidden_dim, act_dim, rng, dtype,
-                               init_bound=ACTION_HEAD_INIT)
+    def __init__(self, obs_dim: int, act_dim: int, rng: np.random.Generator, **sizes):
+        super().__init__(obs_dim, act_dim, obs_dim, act_dim, rng,
+                         out_bound=ACTION_HEAD_INIT, **sizes)
 
     def forward(self, obs: Tensor) -> Tensor:
-        x = self.embed(obs, leaky=True)
-        for block in self.blocks:
-            x = block.forward(x)
-        return nd.tanh(self.head_out(self.head_hidden(x, leaky=True)))
+        """Actions (B, n, act_dim) for observations (B, n, obs_dim)."""
+        return nd.tanh(self._trunk(obs))
 
     def act(self, obs: np.ndarray) -> np.ndarray:
         """Joint actions (..., n, act_dim) for observations (..., n, obs_dim):
@@ -298,21 +300,13 @@ class AttentionActor:
         x = np.asarray(obs, self.embed.w.dtype).reshape((-1,) + obs.shape[-2:])
         alloc = allocator(x, self.embed.w.shape[-1])
         x = linear_kernel(x, self.embed.w.data, self.embed.b.data, True, alloc)
-        for b in self.blocks:  # each with its residual norm
+        for b in self.blocks:
             x = attention_kernel(x, b.wq.data, b.wk.data, b.wv.data, b.wout.data,
                                  b.ln_gain.data, b.ln_bias.data, heads=b.heads, alloc=alloc)[0]
         x = linear_kernel(x, self.head_hidden.w.data, self.head_hidden.b.data, True, alloc)
         out = linear_kernel(x, self.head_out.w.data, self.head_out.b.data, False, alloc)
         np.tanh(out, out=out)
         return out.reshape(obs.shape[:-1] + (self.act_dim,))
-
-    def named_parameters(self, prefix: str = ""):
-        out = self.embed.named_parameters(prefix + "embed.")
-        for i, block in enumerate(self.blocks):
-            out += block.named_parameters(f"{prefix}blocks.{i}.")
-        out += self.head_hidden.named_parameters(prefix + "head_hidden.")
-        out += self.head_out.named_parameters(prefix + "head_out.")
-        return out
 
 
 def total_q(q: Tensor) -> Tensor:

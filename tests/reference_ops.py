@@ -193,8 +193,7 @@ def _normalized(xhat: np.ndarray, col: np.ndarray, inputs: tuple[Tensor, ...],
 
 
 def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wout: Tensor,
-                    ln_gain: Tensor | None = None, ln_bias: Tensor | None = None,
-                    heads: int = 1) -> Tensor:
+                    ln_gain: Tensor, ln_bias: Tensor, heads: int = 1) -> Tensor:
     """``nd.attention_block`` as separate ops: projections, a head split by
     reshape and swapaxes, scores, softmax, weighted values, merged heads,
     output projection, then the residual layer norm."""
@@ -210,10 +209,7 @@ def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wout: Tensor,
     scores = matmul(q, nd.swapaxes(k, -1, -2))            # (B, h, n, n)
     attended = matmul(softmax(scores, axis=-1), v)        # (B, h, n, dk)
     merged = nd.reshape(nd.swapaxes(attended, 1, 2), (batch, n, heads * dk))
-    out = matmul(merged, wout)
-    if ln_gain is None:
-        return out
-    return residual_layer_norm(out, x, ln_gain, ln_bias)
+    return residual_layer_norm(matmul(merged, wout), x, ln_gain, ln_bias)
 
 
 def one_to_one_inputs(obs: Tensor, fresh: Tensor, stored: np.ndarray) -> Tensor:

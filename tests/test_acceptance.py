@@ -53,7 +53,7 @@ def test_criterion_1_gradient_suite():
         lambda: nd.tsum(nd.mul(block.forward(xb), fold)), nets.parameters(block))
 
     actor = nets.MlpActor(6, 2, rng, hidden_dim=8, dtype=np.float64)
-    xo = Tensor(rng.normal(size=(3, 6)), dtype=np.float64)
+    xo = Tensor(rng.normal(size=(3, 1, 6)), dtype=np.float64)
     worst["mlp_actor"] = gradient_check(
         lambda: nd.tsum(nd.mul(actor.forward(xo), actor.forward(xo))),
         nets.parameters(actor))

@@ -22,7 +22,7 @@ from samarl.algo import (
 )
 from samarl.checkpoint import CheckpointError, load_checkpoint
 from samarl.envs import ScenarioConfig
-from samarl.ndmath import Tensor
+from samarl.ndmath import Tensor, tensor
 
 import reference_ops as ref
 
@@ -510,16 +510,17 @@ class TestComputeTargetY:
 
 
 class TestCriticUpdate:
-    def test_exact_fit_leaves_parameters_unchanged(self):
+    def test_exact_fit_leaves_parameters_unchanged(self, monkeypatch):
         trainer = make_trainer(AlgoKind.SA_MATD3)
         batch = manual_batch(trainer)
         with nd.no_grad():
             obs_t = Tensor(batch.obs)
             act_t = Tensor(batch.act)
-            y = nets.total_q(trainer.critics[0].forward(obs_t, act_t)).data
+            y = trainer.critics[0].q_rows(obs_t, act_t).data
         before = snapshot(trainer.critics[0].named_parameters())
         # feed critic #1's own predictions back as the target
-        trainer.critic_update(batch, y=y)
+        monkeypatch.setattr(trainer, "compute_target_y", lambda batch: y)
+        trainer.critic_update(batch)
         after = snapshot(trainer.critics[0].named_parameters())
         for name in before:
             assert np.allclose(before[name], after[name], atol=1e-7), name
@@ -546,11 +547,13 @@ class TestCriticUpdate:
         opt.step()
         assert w.data[0] == pytest.approx(2.0 - 0.01, abs=1e-6)
 
-    def test_non_finite_loss_raises(self):
+    def test_non_finite_loss_raises(self, monkeypatch):
         trainer = make_trainer(AlgoKind.SA_MATD3)
         batch = manual_batch(trainer)
+        monkeypatch.setattr(trainer, "compute_target_y",
+                            lambda batch: np.full((1, 8), np.nan, dtype=np.float32))
         with pytest.raises(NonFiniteLossError):
-            trainer.critic_update(batch, y=np.full(8, np.nan, dtype=np.float32))
+            trainer.critic_update(batch)
 
     @pytest.mark.parametrize("kind", [AlgoKind.SA_MATD3, AlgoKind.MATD3])
     def test_one_twin_graph_alive_at_a_time(self, kind):
@@ -558,7 +561,6 @@ class TestCriticUpdate:
         # forward starts
         trainer = make_trainer(kind)
         batch = manual_batch(trainer)
-        y = trainer.compute_target_y(batch)
         seen, alive = [], []
 
         def spy(q_rows):
@@ -571,7 +573,7 @@ class TestCriticUpdate:
 
         for critic in trainer.critics:
             critic.q_rows = spy(critic.q_rows)
-        trainer.critic_update(batch, y=y)
+        trainer.critic_update(batch)
         assert alive == [[], [False]]
 
 
@@ -587,13 +589,12 @@ class TestPolicyUpdateOneToAll:
         trainer = make_trainer(AlgoKind.SA_MATD3, n=2)
         trainer.critics = [ActionSumCritic(), ActionSumCritic()]
         batch = manual_batch(trainer)
-        obs = Tensor(batch.obs.swapaxes(0, 1))  # agent i's observations in row block i
+        obs = Tensor(batch.obs)
         before = trainer.actor.forward(obs).data.copy()
         for _ in range(30):
             trainer.policy_update(batch)
         after = trainer.actor.forward(obs).data
-        for b, a in zip(before, after):
-            assert np.all(a.mean(axis=0) > b.mean(axis=0))
+        assert np.all(after.mean(axis=0) > before.mean(axis=0))
 
     def test_critic_parameters_frozen(self):
         trainer = make_trainer(AlgoKind.SA_MATD3)
@@ -631,13 +632,27 @@ class TestPolicyUpdateOneToOne:
         trainer.critics = [flat_sum_bank([1.0, 0.0], 2 * (trainer.obs_dim + 2))]
         trainer.target_critics = [nets.clone(trainer.critics[0])]
         batch = manual_batch(trainer)
-        obs = Tensor(batch.obs.swapaxes(0, 1))
+        obs = Tensor(batch.obs)
         before = trainer.actor.forward(obs).data.copy()
         for _ in range(30):
             trainer.policy_update(batch)
         after = trainer.actor.forward(obs).data
-        assert np.all(after[0].mean(axis=0) > before[0].mean(axis=0))
-        assert np.array_equal(after[1], before[1])
+        assert np.all(after[:, 0].mean(axis=0) > before[:, 0].mean(axis=0))
+        assert np.array_equal(after[:, 1], before[:, 1])
+
+    def test_policy_step_copies_no_per_row_bias_gradient(self, monkeypatch):
+        # the split first layer's per-row bias (n, B, hidden) keeps the
+        # gradient its linear computes; what is copied is smaller: the
+        # reductions of the loss and the actions' gradient
+        trainer = make_trainer(AlgoKind.MATD3, n=3)
+        batch = manual_batch(trainer)
+        copied = []
+        copy = tensor._copy
+        monkeypatch.setattr(tensor, "_copy",
+                            lambda g, dtype: copied.append(g.size) or copy(g, dtype))
+        trainer.policy_update(batch)
+        per_row = trainer.n * len(batch.obs) * trainer.cfg.hidden_dim
+        assert copied and max(copied) < per_row
 
     def test_single_agent_equivalence_of_modes(self):
         # with one agent no buffer action is held fixed, so the one-to-one
@@ -647,8 +662,9 @@ class TestPolicyUpdateOneToOne:
         batch = trainer.buffer.sample(16)
         actor = nets.clone(trainer.actor)
         params = nets.parameters(actor)
-        obs = Tensor(batch.obs[:, 0], dtype=np.float64)
-        flat = nd.concat([obs, nd.reshape(actor.forward(obs), (16, 2))], axis=-1)
+        obs = Tensor(batch.obs, dtype=np.float64)
+        flat = nd.concat([nd.reshape(obs, (16, -1)), nd.reshape(actor.forward(obs), (16, 2))],
+                         axis=-1)
         nd.backward(-nd.tmean(trainer.critics[0].forward(flat)), params=params)
         nd.clip_grad_norm([p.grad for p in params], trainer.cfg.grad_clip)
         nd.Adam(params, trainer.cfg.mlp_lr).step()
@@ -668,7 +684,7 @@ class TestOneToOneOracle:
     def _loss_and_grads(trainer, batch, policy_q, params):
         dtype = trainer.cfg.np_dtype
         obs = Tensor(batch.obs, dtype=dtype)
-        fresh = trainer._joint_action(trainer.actor, obs)
+        fresh = trainer.actor.forward(obs)
         loss = -nd.tmean(policy_q(obs, fresh, batch.act.astype(dtype)))
         nd.backward(loss)
         return loss.item(), [p.grad.copy() for p in params]
@@ -731,10 +747,9 @@ class TestTrainerInvariants:
 
         def critic_loss(order):
             with nd.no_grad():
-                tacts = trainer.target_actor.act(
-                    np.ascontiguousarray(batch.next_obs.swapaxes(0, 1)))
+                tacts = trainer.target_actor.act(batch.next_obs)
                 obs_next = Tensor(batch.next_obs[:, order])
-                act_next = Tensor(tacts[order].swapaxes(0, 1).astype(np.float32))
+                act_next = Tensor(tacts[:, order].astype(np.float32))
                 totals = [nets.total_q(c.forward(obs_next, act_next)).data
                           for c in trainer.target_critics]
                 y = batch.rew[:, 0] + trainer.cfg.gamma * (1 - batch.done) \
@@ -746,9 +761,9 @@ class TestTrainerInvariants:
 
         def policy_loss(order):
             with nd.no_grad():
-                fresh = trainer.actor.forward(Tensor(batch.obs.swapaxes(0, 1))).data
+                fresh = trainer.actor.forward(Tensor(batch.obs)).data
                 obs_t = Tensor(batch.obs[:, order])
-                act_t = Tensor(fresh[order].swapaxes(0, 1))
+                act_t = Tensor(fresh[:, order])
                 return -float(np.mean(
                     nets.total_q(trainer.critics[0].forward(obs_t, act_t)).data))
 
@@ -900,6 +915,15 @@ class TestCheckpointFlow:
         default = Trainer(ScenarioConfig.coop_nav(2), AlgoKind.MATD3, seed=0)
         with pytest.raises(CheckpointError, match="'actor.0.hidden.0.w' shape"):
             default.restore(path)
+
+    @pytest.mark.parametrize("saved,other", [(AlgoKind.MATD3, AlgoKind.MADDPG),
+                                             (AlgoKind.SA_MATD3, AlgoKind.SA_MADDPG)])
+    def test_restore_refuses_another_algorithm(self, saved, other, tmp_path):
+        # a twin-critic checkpoint holds every tensor of the one-critic kind,
+        # so only its recorded algorithm tells them apart
+        path = make_trainer(saved).save(tmp_path / "ck", 0)
+        with pytest.raises(ValueError, match=f"'{saved.value}'.*'{other.value}'"):
+            make_trainer(other).restore(path)
 
     def test_scenario_mismatch_rejected(self, tmp_path):
         trainer = make_trainer(AlgoKind.SA_MATD3, n=2)

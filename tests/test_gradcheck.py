@@ -188,18 +188,6 @@ def test_attention_block_gradients(n, heads, batch):
     assert gradient_check(f, params) < 1e-3
 
 
-def test_attention_block_without_norm_gradients():
-    rng = np.random.default_rng(zlib.crc32(b"attention_block-no-norm"))
-    x = _p(rng, (3, 4, 8))
-    weights = [nd.Tensor(rng.uniform(-1, 1, (8, 8)) / np.sqrt(8), requires_grad=True,
-                         dtype=np.float64) for _ in range(4)]
-
-    def f():
-        return _reduce(nd.attention_block(x, *weights, heads=2))
-
-    assert gradient_check(f, [x] + weights) < 1e-3
-
-
 def test_float32_params_rejected():
     p = nd.Tensor([1.0], requires_grad=True)  # float32 default
     with pytest.raises(GradientCheckError, match="float64"):

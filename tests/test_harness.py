@@ -369,7 +369,7 @@ class TestLockstepEvaluation:
 
     def _per_episode(self, trainer, episodes, seed):
         env = ParticleWorld(trainer.scenario, seed=seed)
-        return np.stack([trainer.run_episode(explore=False, store=False, env=env)
+        return np.stack([trainer.run_episode(explore=False, env=env)
                          for _ in range(episodes)])
 
     @pytest.mark.parametrize("algo,scenario", [("dsa-matd3", ScenarioConfig.predator_prey(9)),
@@ -378,7 +378,7 @@ class TestLockstepEvaluation:
         trainer = Trainer(scenario, AlgoKind.parse(algo), TrainConfig(replay_capacity=600),
                           seed=3)
         loop = self._per_episode(trainer, 5, seed=8)
-        lockstep = trainer.run_episode(explore=False, store=False,
+        lockstep = trainer.run_episode(explore=False,
                                        env=ParticleWorld(scenario, seed=8, episodes=5))
         assert lockstep.shape == loop.shape == (5, len(scenario.type_names))
         assert np.allclose(lockstep, loop, rtol=self.TOLERANCE, atol=self.TOLERANCE)
@@ -411,9 +411,8 @@ class TestLockstepEvaluation:
                           TrainConfig(hidden_dim=8, attention_heads=2, batch_size=8,
                                       replay_capacity=400), seed=0)
         env = ParticleWorld(trainer.scenario, seed=1, episodes=2)
-        for kwargs in ({"store": True}, {"explore": True}):
-            with pytest.raises(ValueError, match="one episode at a time"):
-                trainer.run_episode(env=env, **kwargs)
+        with pytest.raises(ValueError, match="one episode at a time"):
+            trainer.run_episode(explore=True, env=env)
         assert len(trainer.buffer) == 0
 
     def test_pp9_eval_matches_benchmark_reference(self):
@@ -439,8 +438,8 @@ class TestPreyDropIn:
         cfg = TrainConfig(hidden_dim=8, attention_heads=2, attention_blocks=1)
         scripted = Trainer(scenario, AlgoKind.SA_MATD3, cfg, seed=2)
         learned = Trainer(scenario, AlgoKind.SA_MATD3, cfg, seed=2, prey_policy=ck)
-        r_scripted = scripted.run_episode(explore=False, store=False)
-        r_learned = learned.run_episode(explore=False, store=False)
+        r_scripted = scripted.run_episode(explore=False)
+        r_learned = learned.run_episode(explore=False)
         assert learned.prey_actor is not None
         assert not np.allclose(r_scripted, r_learned)
 

@@ -20,6 +20,13 @@ def rng_for(seed=0):
     return np.random.default_rng(seed)
 
 
+def numpy_layer_norm(x):
+    """Layer norm over the last axis, gain 1 and bias 0, as attention blocks
+    start out."""
+    centred = x - x.mean(axis=-1, keepdims=True)
+    return centred / np.sqrt(np.mean(centred ** 2, axis=-1, keepdims=True) + tensor.LN_EPS)
+
+
 def zero_params(net):
     for _, p in net.named_parameters():
         p.data[...] = 0.0
@@ -40,7 +47,7 @@ class SlotBiasedCritic(nets.CriticNet):
         x = ref.leaky_relu(self.embed(nd.concat([obs, act], axis=-1))) + self.pos_bias
         for block in self.blocks:
             x = block.forward(x)
-        q = self.q_out(ref.leaky_relu(self.q_hidden(x)))
+        q = self.head_out(ref.leaky_relu(self.head_hidden(x)))
         return nd.reshape(q, q.shape[:2])
 
 
@@ -48,12 +55,12 @@ class TestMlpActor:
     def test_zero_parameters_give_zero_action(self):
         actor = nets.MlpActor(6, 2, rng_for())
         zero_params(actor)
-        obs = nd.Tensor(np.ones((3, 6)))
-        assert np.array_equal(actor.forward(obs).data, np.zeros((1, 3, 2)))
+        obs = nd.Tensor(np.ones((3, 1, 6)))
+        assert np.array_equal(actor.forward(obs).data, np.zeros((3, 1, 2)))
 
     def test_deterministic(self):
         actor = nets.MlpActor(6, 2, rng_for(1))
-        obs = nd.Tensor(rng_for(2).normal(size=(4, 6)))
+        obs = nd.Tensor(rng_for(2).normal(size=(4, 1, 6)))
         a = actor.forward(obs).data
         b = actor.forward(obs).data
         assert np.array_equal(a, b)
@@ -62,7 +69,7 @@ class TestMlpActor:
         rng = rng_for(3)
         for trial in range(5):
             actor = nets.MlpActor(5, 3, rng_for(trial))
-            obs = nd.Tensor(rng.normal(scale=10.0, size=(8, 5)))
+            obs = nd.Tensor(rng.normal(scale=10.0, size=(8, 1, 5)))
             out = actor.forward(obs).data
             assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
@@ -70,7 +77,7 @@ class TestMlpActor:
         actor = nets.MlpActor(7, 2, rng_for(4))
         obs = rng_for(5).normal(size=(7,)).astype(np.float32)
         fast = actor.act(obs)
-        slow = actor.forward(nd.Tensor(obs[None, :])).data[0, 0]
+        slow = actor.forward(nd.Tensor(obs[None, None, :])).data[0, 0]
         assert np.allclose(fast, slow, atol=1e-6)
 
     def test_act_bitwise_equals_forward(self):
@@ -79,14 +86,16 @@ class TestMlpActor:
         actor = nets.MlpActor(obs_dim, 2, rng_for(40))
         rng = rng_for(41)
         for batch in (1, 512):
-            obs = rng.normal(size=(batch, obs_dim)).astype(np.float32)
+            obs = rng.normal(size=(batch, 1, obs_dim)).astype(np.float32)
             with nd.no_grad():
-                slow = actor.forward(nd.Tensor(obs)).data[0]
+                slow = actor.forward(nd.Tensor(obs)).data
             assert np.array_equal(actor.act(obs), slow), batch
 
     def test_bank_act_bitwise_equals_lone_actors(self):
-        # the rollout path: one bank call for n=5 agents against five lone
-        # actors drawn in the same order, each acting on its own row
+        # one bank call for n=5 agents against five lone actors drawn in the
+        # same order, each on its own agent's rows: the rollout's act on one
+        # world state, and forward on a batch of 512, as target actions and
+        # policy steps read it
         obs_dim = observation_dim(ScenarioConfig.coop_nav(5), 0)
         rng = rng_for(42)
         lone = [nets.MlpActor(obs_dim, 2, rng) for _ in range(5)]
@@ -97,8 +106,16 @@ class TestMlpActor:
         for i, actor in enumerate(lone):
             assert np.array_equal(acts[i], actor.act(obs[i])), i
         with nd.no_grad():
-            fresh = bank.forward(nd.Tensor(obs[:, None, :])).data[:, 0]
+            fresh = bank.forward(nd.Tensor(obs[None])).data[0]
         assert np.array_equal(acts, fresh)
+        batch = rng_for(46).normal(size=(512, 5, obs_dim)).astype(np.float32)
+        with nd.no_grad():
+            fresh = bank.forward(nd.Tensor(batch)).data
+            assert fresh.shape == (512, 5, 2)
+            for i, actor in enumerate(lone):
+                alone = actor.forward(nd.Tensor(batch[:, i:i + 1])).data[:, 0]
+                assert np.array_equal(fresh[:, i], alone), i
+        assert np.array_equal(fresh, bank.act(batch))
 
     def test_bank_act_reads_agent_rows_of_every_episode(self):
         # a lockstep batch of 4 episodes: member i acts on agent i of each;
@@ -130,7 +147,7 @@ class TestMlpActor:
 
     def test_gradient_check(self):
         actor = nets.MlpActor(4, 2, rng_for(6), hidden_dim=6, dtype=np.float64)
-        obs = nd.Tensor(rng_for(7).normal(size=(3, 4)), dtype=np.float64)
+        obs = nd.Tensor(rng_for(7).normal(size=(3, 1, 4)), dtype=np.float64)
         params = nets.parameters(actor)
         err = gradient_check(lambda: nd.tsum(nd.mul(actor.forward(obs),
                                                     actor.forward(obs))), params)
@@ -139,14 +156,14 @@ class TestMlpActor:
 
 class TestAttentionBlock:
     def test_single_agent_reduces_to_value_projection(self):
-        # with one row the softmax weight is exactly 1, so att(X) = X @ Wv
+        # with one row the softmax weight is exactly 1, so att(X) = X @ Wv,
+        # and the block returns the layer norm of X + X @ Wv
         rng = rng_for(8)
-        block = nets.SelfAttentionBlock(4, rng, heads=1, residual_norm=False,
-                                        dtype=np.float64)
+        block = nets.SelfAttentionBlock(4, rng, heads=1, dtype=np.float64)
         block.wout.data[...] = np.eye(4)
         x = nd.Tensor(rng.normal(size=(2, 1, 4)), dtype=np.float64)
         out = block.forward(x)
-        expected = x.data @ block.wv.data
+        expected = numpy_layer_norm(x.data + x.data @ block.wv.data)
         assert np.allclose(out.data, expected, atol=1e-12)
 
     def test_permutation_equivariance(self):
@@ -159,18 +176,20 @@ class TestAttentionBlock:
         assert np.allclose(out_p, out[:, perm, :], atol=1e-10)
 
     def test_two_agent_identity_projection_oracle(self):
-        # D=2, identity projections, no residual/norm:
-        # A = X X^T = I, softmax rows [e/(e+1), 1/(e+1)], att = softmax(A) X
-        block = nets.SelfAttentionBlock(2, rng_for(10), heads=1, residual_norm=False,
-                                        dtype=np.float64)
+        # D=3, identity projections, X the first two unit rows:
+        # A = X X^T = I, softmax rows [e/(e+1), 1/(e+1)], att = softmax(A) X,
+        # and the block returns the layer norm of X + att (a 2-wide norm
+        # would map every row to +-1 and hide the softmax values)
+        block = nets.SelfAttentionBlock(3, rng_for(10), heads=1, dtype=np.float64)
         for w in (block.wq, block.wk, block.wv, block.wout):
-            w.data[...] = np.eye(2)
-        x = nd.Tensor(np.eye(2)[None, :, :], dtype=np.float64)
+            w.data[...] = np.eye(3)
+        x = nd.Tensor(np.eye(3)[None, :2, :], dtype=np.float64)
         out = block.forward(x).data[0]
         hi = np.e / (np.e + 1.0)
         lo = 1.0 / (np.e + 1.0)
-        assert np.allclose(out, [[hi, lo], [lo, hi]], atol=1e-12)
-        assert np.allclose(out, [[0.731, 0.269], [0.269, 0.731]], atol=1e-3)
+        att = np.array([[hi, lo, 0.0], [lo, hi, 0.0]])
+        assert np.allclose(att, [[0.731, 0.269, 0.0], [0.269, 0.731, 0.0]], atol=1e-3)
+        assert np.allclose(out, numpy_layer_norm(np.eye(3)[:2] + att), atol=1e-12)
 
     def test_stackable_output_length(self):
         rng = rng_for(11)

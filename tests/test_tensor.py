@@ -194,7 +194,7 @@ class TestNeedGradPruning:
                             for _ in range(5)])
         critic = nets.CriticNet(3, 2, rng, hidden_dim=8, heads=2, blocks=2)
         obs = nd.Tensor(rng.normal(size=(4, 5, 3)))
-        acts = nd.swapaxes(actor.forward(nd.swapaxes(obs, 0, 1)), 0, 1)
+        acts = actor.forward(obs)
         loss = -nd.tmean(nets.total_q(critic.forward(obs, acts)))
         return nets.parameters(actor), nets.parameters(critic), loss
 
@@ -333,6 +333,7 @@ class TestAttentionBlockOp:
         nd.backward(nd.tsum(nd.mul(out, fold)), params=leaves)
         return out.data.copy(), [p.grad.copy() for p in leaves]
 
+    # norm: whether the norm's gain and bias are among the requested leaves
     @pytest.mark.parametrize("norm", [True, False])
     @pytest.mark.parametrize("batch,n,heads", [
         (1, 9, 4), (1, 3, 4), (512, 8, 4), (512, 3, 4),
@@ -343,15 +344,15 @@ class TestAttentionBlockOp:
         block = self._block(rng, heads=heads)
         x = nd.Tensor(rng.normal(size=(batch, n, 64)), requires_grad=True)
         weights = [block.wq, block.wk, block.wv, block.wout]
-        norm_params = [block.ln_gain, block.ln_bias] if norm else []
-        leaves = [x] + weights + norm_params
+        norm_params = [block.ln_gain, block.ln_bias]
+        leaves = [x] + weights + (norm_params if norm else [])
         fold = nd.Tensor(rng.normal(size=(batch, n, 64)))
 
-        def fused(x, wq, wk, wv, wout, *ln):
-            return nd.attention_block(x, wq, wk, wv, wout, *ln, heads=heads)
+        def fused(x, wq, wk, wv, wout, *_):
+            return nd.attention_block(x, wq, wk, wv, wout, *norm_params, heads=heads)
 
-        def composed(x, wq, wk, wv, wout, *ln):
-            return ref.attention_block(x, wq, wk, wv, wout, *ln, heads=heads)
+        def composed(x, wq, wk, wv, wout, *_):
+            return ref.attention_block(x, wq, wk, wv, wout, *norm_params, heads=heads)
 
         out, grads = self._run(fused, leaves, fold)
         want_out, want_grads = self._run(composed, leaves, fold)
@@ -375,7 +376,8 @@ class TestAttentionBlockOp:
     def test_untracked_inputs_record_nothing(self):
         rng = np.random.default_rng(22)
         w = [nd.Tensor(rng.normal(size=(8, 8))) for _ in range(4)]
-        out = nd.attention_block(nd.Tensor(rng.normal(size=(2, 3, 8))), *w, heads=2)
+        out = nd.attention_block(nd.Tensor(rng.normal(size=(2, 3, 8))), *w,
+                                 nd.Tensor(np.ones(8)), nd.Tensor(np.zeros(8)), heads=2)
         assert out._vjp is None and out._parents == ()
 
     @pytest.mark.parametrize("x_shape,w_dim,heads", [
@@ -387,14 +389,18 @@ class TestAttentionBlockOp:
     def test_bad_shapes_raise(self, x_shape, w_dim, heads):
         w = [nd.Tensor(np.zeros((w_dim, 8))) for _ in range(3)]
         wout = nd.Tensor(np.zeros((8, w_dim)))
+        norm = nd.Tensor(np.ones(w_dim)), nd.Tensor(np.zeros(w_dim))
         with pytest.raises(nd.ShapeError):
-            nd.attention_block(nd.Tensor(np.zeros(x_shape)), *w, wout, heads=heads)
+            nd.attention_block(nd.Tensor(np.zeros(x_shape)), *w, wout, *norm, heads=heads)
 
     def test_gain_without_bias_raises(self):
+        # the norm's bias is a required argument, and must be (D,) as the gain
         w = [nd.Tensor(np.zeros((8, 8))) for _ in range(4)]
+        x, gain = nd.Tensor(np.zeros((2, 3, 8))), nd.Tensor(np.ones(8))
+        with pytest.raises(TypeError):
+            nd.attention_block(x, *w, gain, heads=2)
         with pytest.raises(nd.ShapeError):
-            nd.attention_block(nd.Tensor(np.zeros((2, 3, 8))), *w,
-                               nd.Tensor(np.ones(8)), heads=2)
+            nd.attention_block(x, *w, gain, nd.Tensor(np.zeros(4)), heads=2)
 
 
 class TestGemm:
@@ -544,12 +550,14 @@ class TestNoGrad:
         assert not out.requires_grad
 
     def test_flag_restored_after_exception(self):
+        p = nd.Tensor([1.0], requires_grad=True)
         try:
             with nd.no_grad():
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
-        assert nd.grad_enabled()
+        out = nd.mul(p, p)
+        assert out._vjp is not None and out._parents == (p, p)
 
 
 class TestShapeOps:
@@ -566,7 +574,7 @@ class TestShapeOps:
     def test_reshape_swapaxes_roundtrip(self):
         x = nd.Tensor(np.arange(24, dtype=np.float64).reshape(2, 3, 4),
                       requires_grad=True, dtype=np.float64)
-        out = nd.swapaxes(nd.reshape(x, (2, 12)).reshape(2, 3, 4), -1, -2)
+        out = nd.swapaxes(nd.reshape(nd.reshape(x, (2, 12)), (2, 3, 4)), -1, -2)
         nd.backward(nd.tsum(nd.mul(out, out)))
         assert np.allclose(x.grad, 2.0 * x.data)
 
