@@ -514,7 +514,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, leaky: bool = False) -> Tensor:
             gz = _leaky_grad(g, out, LEAKY_SLOPE) if leaky else g
             if not gz.flags.c_contiguous:
                 gz = _copy(gz, gz.dtype)
-            g2 = gz if grouped else gz.reshape(-1, wd.shape[1])  # one GEMM's rows
+            g2 = gz if grouped else gz.reshape(-1, wd.shape[1])  # leading axes fold into rows
             if x._tracked():  # a (B, D) input shared by the groups takes their sum
                 gx = _gemm(g2, wd.swapaxes(-1, -2))
                 gx = gx.sum(axis=0) if gx.ndim > xd.ndim else gx.reshape(xd.shape)
