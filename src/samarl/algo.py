@@ -363,7 +363,7 @@ class Trainer:
         """Joint actions (..., n, act_dim) for observations (..., n, obs_dim),
         one world state or one per episode of a lockstep batch, plus clipped
         noise."""
-        acts = self.actor.act(obs.astype(self.cfg.np_dtype))
+        acts = self.actor.act(obs)
         if noise_std > 0:
             acts = acts + self.explore_rng.normal(0.0, noise_std, acts.shape)
         return np.clip(acts, self.cfg.action_low, self.cfg.action_high)
@@ -373,7 +373,7 @@ class Trainer:
         call of the prey actor on every prey observation of every episode."""
         if self.prey_actor is None:
             return scripted_prey(env)
-        return np.clip(self.prey_actor.act(prey_obs.astype(np.float32)), -1.0, 1.0)
+        return np.clip(self.prey_actor.act(prey_obs), -1.0, 1.0)
 
     def run_episode(self, explore: bool = True,
                     env: ParticleWorld | None = None) -> np.ndarray:

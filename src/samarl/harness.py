@@ -145,11 +145,8 @@ def apply_config_mapping(cfg: RunConfig, mapping: dict[str, str]) -> RunConfig:
     train_kwargs = {f: getattr(cfg.train, f) for f in train_fields}
 
     def convert(current, text, key):
-        kind = type(current)
         try:
-            if kind is bool:
-                return text.lower() in ("1", "true", "yes")
-            return kind(text)
+            return type(current)(text)
         except ValueError:
             raise ConfigFileError(f"cannot parse '{text}' for key '{key}'")
 

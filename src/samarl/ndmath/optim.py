@@ -18,6 +18,9 @@ class NonFiniteGradError(RuntimeError):
 # stacked parameter faults no fresh pages.
 CHUNK = 1 << 14
 
+# Adam's moment decay rates and the denominator's epsilon.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def chunks(*arrays: np.ndarray):
     """Matching flat slices of same-shape ``arrays``, CHUNK elements at most;
@@ -40,15 +43,11 @@ class Adam:
     slice by slice (see ``chunks``).
     """
 
-    def __init__(self, params: Sequence[Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[Tensor], lr: float):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -65,15 +64,15 @@ class Adam:
             grads.append(g)
 
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         for p, m, v, g in zip(self.params, self.m, self.v, grads):
             for pc, mc, vc, gc in chunks(p.data, m, v, g):
-                mc *= self.beta1
-                mc += (1.0 - self.beta1) * gc
-                vc *= self.beta2
-                vc += (1.0 - self.beta2) * (gc * gc)
-                pc -= self.lr * (mc / c1) / (np.sqrt(vc / c2) + self.eps)
+                mc *= BETA1
+                mc += (1.0 - BETA1) * gc
+                vc *= BETA2
+                vc += (1.0 - BETA2) * (gc * gc)
+                pc -= self.lr * (mc / c1) / (np.sqrt(vc / c2) + EPS)
 
 
 def clip_grad_norm(grads: Sequence[np.ndarray], max_norm: float,

@@ -5,9 +5,8 @@ bookkeeping needed for reverse-mode differentiation: every differentiable
 operation records its input tensors and a vector-Jacobian callback on the
 tensor it produces. :func:`backward` collects the records reachable from a
 scalar loss, orders them by creation index (execution order is a valid
-topological order under define-by-run), and replays them in reverse. Given
-the parameters it is asked for, it replays only the records on a path from
-the loss to one of them.
+topological order under define-by-run), and replays in reverse only the
+records on a path from the loss to one of the parameters it is asked for.
 
 The graph is rebuilt on every forward pass, so delayed or alternating update
 schemes never see stale records. Wrap rollout / target-value code in
@@ -47,9 +46,8 @@ class ShapeError(ValueError):
 
 _recording = True
 _counter = itertools.count()
-# While a backward pass limited to some parameters runs: the ids of the
-# tensors on a path from its loss to one of them. vjps route gradient only to
-# these; None means every tracked tensor.
+# While a backward pass runs: the ids of the tensors on a path from its loss
+# to one of its parameters. vjps route gradient only to these.
 _need: set[int] | None = None
 
 
@@ -124,11 +122,12 @@ class Tensor:
     def _tracked(self) -> bool:
         if _need is not None:
             return id(self) in _need
-        return self.requires_grad or self._vjp is not None
+        return self.requires_grad
 
     def _accum(self, g: np.ndarray, own: bool = False) -> None:
-        # Copy on first write unless the caller guarantees ``g`` is a fresh
-        # array: vjp outputs may be views shared between parents.
+        # Copy on first write unless the caller hands ``g`` over, read and
+        # written by no one else: vjp outputs may be views shared between
+        # parents.
         if self.grad is None:
             if own and g.dtype == self.data.dtype:
                 self.grad = g
@@ -307,10 +306,11 @@ def _column(n: int, value: float, dtype: np.dtype) -> np.ndarray:
 
 
 def _maybe(parents: Sequence[Tensor], data: np.ndarray,
-           vjp_builder: Callable[[], Callable[[np.ndarray], None]]) -> Tensor:
-    """Wrap ``data``; attach the vjp only when recording is on and useful."""
+           vjp: Callable[[np.ndarray], None]) -> Tensor:
+    """Wrap ``data``; attach ``vjp`` only when recording is on and useful.
+    Every op records through here."""
     if _recording and any(p._tracked() for p in parents):
-        return Tensor._from_op(data, tuple(parents), vjp_builder())
+        return Tensor._from_op(data, tuple(parents), vjp)
     return Tensor._from_op(data, (), None)
 
 
@@ -319,57 +319,49 @@ def _maybe(parents: Sequence[Tensor], data: np.ndarray,
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b, like=a)
 
-    def build():
-        def vjp(g):
-            if a._tracked():
-                ga = _unbroadcast(g, a.data.shape)
-                a._accum(ga, own=ga is not g)
-            if b._tracked():
-                gb = _unbroadcast(g, b.data.shape)
-                b._accum(gb, own=gb is not g)
-        return vjp
+    def vjp(g):
+        if a._tracked():
+            ga = _unbroadcast(g, a.data.shape)
+            a._accum(ga, own=ga is not g)
+        if b._tracked():
+            gb = _unbroadcast(g, b.data.shape)
+            b._accum(gb, own=gb is not g)
 
-    return _maybe((a, b), _ew(np.add, a.data, b.data), build)
+    return _maybe((a, b), _ew(np.add, a.data, b.data), vjp)
 
 
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b, like=a)
 
-    def build():
-        def vjp(g):
-            if a._tracked():
-                ga = _unbroadcast(g, a.data.shape)
-                a._accum(ga, own=ga is not g)
-            if b._tracked():
-                b._accum(_unbroadcast(_ew(np.negative, g), b.data.shape), own=True)
-        return vjp
+    def vjp(g):
+        # b's share first, so that a may keep g
+        if b._tracked():
+            b._accum(_unbroadcast(_ew(np.negative, g), b.data.shape), own=True)
+        if a._tracked():
+            a._accum(_unbroadcast(g, a.data.shape), own=True)
 
-    return _maybe((a, b), _ew(np.subtract, a.data, b.data), build)
+    return _maybe((a, b), _ew(np.subtract, a.data, b.data), vjp)
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b, like=a)
 
-    def build():
-        def vjp(g):
-            if a._tracked():
-                a._accum(_unbroadcast(_ew(np.multiply, g, b.data), a.data.shape),
-                         own=True)
-            if b._tracked():
-                b._accum(_unbroadcast(_ew(np.multiply, g, a.data), b.data.shape),
-                         own=True)
-        return vjp
+    def vjp(g):
+        if a._tracked():
+            a._accum(_unbroadcast(_ew(np.multiply, g, b.data), a.data.shape),
+                     own=True)
+        if b._tracked():
+            b._accum(_unbroadcast(_ew(np.multiply, g, a.data), b.data.shape),
+                     own=True)
 
-    return _maybe((a, b), _ew(np.multiply, a.data, b.data), build)
+    return _maybe((a, b), _ew(np.multiply, a.data, b.data), vjp)
 
 
 def neg(a: Tensor) -> Tensor:
-    def build():
-        def vjp(g):
-            a._accum(_ew(np.negative, g), own=True)
-        return vjp
+    def vjp(g):
+        a._accum(_ew(np.negative, g), own=True)
 
-    return _maybe((a,), _ew(np.negative, a.data), build)
+    return _maybe((a,), _ew(np.negative, a.data), vjp)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -377,13 +369,11 @@ def neg(a: Tensor) -> Tensor:
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def build():
-        def vjp(g):
-            kept = g if axis is None or keepdims else np.expand_dims(g, axis)
-            a._accum(np.broadcast_to(kept, a.data.shape))
-        return vjp
+    def vjp(g):
+        kept = g if axis is None or keepdims else np.expand_dims(g, axis)
+        a._accum(np.broadcast_to(kept, a.data.shape))
 
-    return _maybe((a,), np.asarray(out), build)
+    return _maybe((a,), np.asarray(out), vjp)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -398,33 +388,27 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # gradient, which ``backward`` drops right after this vjp returns.
 
 def reshape(a: Tensor, shape) -> Tensor:
-    def build():
-        def vjp(g):
-            a._accum(_reshaped(g, a.data.shape), own=True)
-        return vjp
+    def vjp(g):
+        a._accum(_reshaped(g, a.data.shape), own=True)
 
-    return _maybe((a,), _reshaped(a.data, shape), build)
+    return _maybe((a,), _reshaped(a.data, shape), vjp)
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    def build():
-        def vjp(g):
-            a._accum(g.swapaxes(ax1, ax2), own=True)
-        return vjp
+    def vjp(g):
+        a._accum(g.swapaxes(ax1, ax2), own=True)
 
-    return _maybe((a,), a.data.swapaxes(ax1, ax2), build)
+    return _maybe((a,), a.data.swapaxes(ax1, ax2), vjp)
 
 
 def getitem(a: Tensor, key) -> Tensor:
     """``a[key]``; the backward adds ``g`` at ``key`` into zeros shaped as ``a``."""
-    def build():
-        def vjp(g):
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, key, g)
-            a._accum(ga, own=True)
-        return vjp
+    def vjp(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, key, g)
+        a._accum(ga, own=True)
 
-    return _maybe((a,), a.data[key], build)
+    return _maybe((a,), a.data[key], vjp)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -432,19 +416,18 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     widths = [t.data.shape[axis] for t in tensors]
     stops = np.cumsum(widths)
 
-    def build():
-        def vjp(g):
-            pieces = np.split(g, stops[:-1], axis=axis)
-            for t, piece in zip(tensors, pieces):
-                if t._tracked():
-                    t._accum(piece)
-        return vjp
+    def vjp(g):
+        # the pieces are disjoint views of g, so each parent may keep its own
+        pieces = np.split(g, stops[:-1], axis=axis)
+        for t, piece in zip(tensors, pieces):
+            if t._tracked():
+                t._accum(piece, own=True)
 
     arrays = [t.data for t in tensors]
     shape = list(arrays[0].shape)
     shape[axis] = int(stops[-1])
     out = np.concatenate(arrays, axis=axis, out=_empty(tuple(shape), np.result_type(*arrays)))
-    return _maybe(tensors, out, build)
+    return _maybe(tensors, out, vjp)
 
 
 # -- nonlinearities -----------------------------------------------------------
@@ -507,40 +490,36 @@ def linear(x: Tensor, w: Tensor, b: Tensor, leaky: bool = False) -> Tensor:
                          f"(g, D, K) + (g, 1 or B, K), got {x.shape} x {w.shape} + {b.shape}")
     out = linear_kernel(xd, wd, b.data, leaky)
 
-    def build():
-        def vjp(g):
-            # gz is g, which backward drops after this call, or a fresh array,
-            # so the bias, last to read it, may keep it
-            gz = _leaky_grad(g, out, LEAKY_SLOPE) if leaky else g
-            if not gz.flags.c_contiguous:
-                gz = _copy(gz, gz.dtype)
-            g2 = gz if grouped else gz.reshape(-1, wd.shape[1])  # leading axes fold into rows
-            if x._tracked():  # a (B, D) input shared by the groups takes their sum
-                gx = _gemm(g2, wd.swapaxes(-1, -2))
-                gx = gx.sum(axis=0) if gx.ndim > xd.ndim else gx.reshape(xd.shape)
-                x._accum(gx, own=True)
-            if w._tracked():
-                x2 = xd if grouped else xd.reshape(-1, wd.shape[0])
-                w._accum(_gemm(x2.swapaxes(-1, -2), g2), own=True)
-            if b._tracked():
-                b._accum(_unbroadcast(gz, b.data.shape), own=True)
-        return vjp
+    def vjp(g):
+        # gz is g, which backward drops after this call, or a fresh array,
+        # so the bias, last to read it, may keep it
+        gz = _leaky_grad(g, out, LEAKY_SLOPE) if leaky else g
+        if not gz.flags.c_contiguous:
+            gz = _copy(gz, gz.dtype)
+        g2 = gz if grouped else gz.reshape(-1, wd.shape[1])  # leading axes fold into rows
+        if x._tracked():  # a (B, D) input shared by the groups takes their sum
+            gx = _gemm(g2, wd.swapaxes(-1, -2))
+            gx = gx.sum(axis=0) if gx.ndim > xd.ndim else gx.reshape(xd.shape)
+            x._accum(gx, own=True)
+        if w._tracked():
+            x2 = xd if grouped else xd.reshape(-1, wd.shape[0])
+            w._accum(_gemm(x2.swapaxes(-1, -2), g2), own=True)
+        if b._tracked():
+            b._accum(_unbroadcast(gz, b.data.shape), own=True)
 
-    return _maybe((x, w, b), out, build)
+    return _maybe((x, w, b), out, vjp)
 
 
 def tanh(a: Tensor) -> Tensor:
     out = _ew(np.tanh, a.data)
 
-    def build():
-        def vjp(g):
-            ga = _ew(np.multiply, out, out)
-            np.subtract(1.0, ga, out=ga)
-            ga *= g
-            a._accum(ga, own=True)
-        return vjp
+    def vjp(g):
+        ga = _ew(np.multiply, out, out)
+        np.subtract(1.0, ga, out=ga)
+        ga *= g
+        a._accum(ga, own=True)
 
-    return _maybe((a,), out, build)
+    return _maybe((a,), out, vjp)
 
 
 # -- self-attention -----------------------------------------------------------
@@ -598,7 +577,7 @@ def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wout: Tensor,
     The output equals that of the separate ops (projections, head reshapes,
     softmax, products, residual layer norm) bit for bit, wherever the tests
     have checked it; the gradients match theirs within float rounding. Under
-    ``no_grad`` the op keeps nothing and builds no closure.
+    ``no_grad`` the op records nothing.
     """
     xd, wqd, wod = x.data, wq.data, wout.data
     dim, hd = wqd.shape
@@ -613,9 +592,7 @@ def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wout: Tensor,
             f"wout {wout.shape}, gain {ln_gain.shape}, bias {ln_bias.shape}")
     parents = (x, wq, wk, wv, wout, ln_gain, ln_bias)
     out, kept = attention_kernel(*(t.data for t in parents), heads=heads)
-    if _recording and any(t._tracked() for t in parents):
-        return Tensor._from_op(out, parents, _attention_vjp(parents, *kept))
-    return Tensor._from_op(out, (), None)
+    return _maybe(parents, out, _attention_vjp(parents, *kept))
 
 
 def attention_kernel(x: np.ndarray, wq, wk, wv, wout, ln_gain, ln_bias, *,
@@ -709,17 +686,17 @@ def _attention_vjp(parents, x2, q, v, k_t, p, merged, xhat, inv, col):
 
 # -- reverse pass -------------------------------------------------------------
 
-def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> None:
-    """Populate ``grad`` on the leaves reachable from a scalar ``loss``.
+def backward(loss: Tensor, params: Iterable[Tensor]) -> None:
+    """Populate ``grad`` on each of ``params`` from a scalar ``loss``.
 
-    Gradients are fresh per call (previous values on the touched leaves are
-    discarded, not accumulated). When ``params`` is given, only the vjps on a
-    path from the loss to one of them run, so only they get a gradient and
-    every other leaf keeps the one it had; each of them still receives every
-    contribution, in the same order, so its gradient is the same as without
-    ``params``. Any parameter the loss does not reach ends up with an
-    all-zero gradient, so optimizers can consume the full parameter set
-    unconditionally. The graph is left as it was.
+    Gradients are fresh per call (previous values are discarded, not
+    accumulated). Only the vjps on a path from the loss to one of ``params``
+    run, so only they get a gradient and every other leaf keeps the one it
+    had; each of them receives every contribution, in the same order
+    whichever others are asked for, so its gradient does not depend on them.
+    Any parameter the loss does not reach ends up with an all-zero gradient,
+    so optimizers can consume the full parameter set unconditionally. The
+    graph is left as it was.
     """
     global _need
     if loss.data.size != 1:
@@ -738,24 +715,16 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> None:
         stack.extend(t._parents)
     tape.sort(key=lambda t: t._order, reverse=True)
 
-    need = None
-    if params is None:
-        params = []
-        for t in tape:
-            for p in t._parents:
-                if p._vjp is None and p.requires_grad:
-                    p.grad = None
-    else:
-        params = list(params)
-        for p in params:
-            p.grad = None
-        need = {id(p) for p in params if p._tracked()}
-        for t in reversed(tape):  # parents before children
-            if any(id(p) in need for p in t._parents):
-                need.add(id(t))
-        tape = [t for t in tape if id(t) in need]
+    params = list(params)
+    for p in params:
+        p.grad = None
+    need = {id(p) for p in params if p._tracked()}
+    for t in reversed(tape):  # parents before children
+        if any(id(p) in need for p in t._parents):
+            need.add(id(t))
+    tape = [t for t in tape if id(t) in need]
 
-    if need is None or id(loss) in need:
+    if id(loss) in need:
         loss.grad = np.ones_like(loss.data)
     _need = need
     try:

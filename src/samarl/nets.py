@@ -121,10 +121,11 @@ class MlpActor(MlpBank):
         Member i of the n-agent bank reads agent i's row of ``obs``
         (..., n, obs_dim), in every leading index (one per episode of a
         lockstep batch); a lone actor reads every row of ``obs``
-        (..., obs_dim) in one product. Returns actions of shape
-        (..., act_dim).
+        (..., obs_dim) in one product, in the parameters' precision. Returns
+        actions of shape (..., act_dim).
         """
-        x = obs.reshape(-1, len(self.out.w.data), obs.shape[-1]).swapaxes(0, 1)
+        x = np.asarray(obs, self.out.w.dtype)
+        x = x.reshape(-1, len(self.out.w.data), obs.shape[-1]).swapaxes(0, 1)
         alloc = allocator(x, self.hidden_dim)
         for layer in self.hidden:
             x = linear_kernel(x, layer.w.data, layer.b.data, True, alloc)

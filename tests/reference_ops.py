@@ -51,41 +51,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if flat_rhs:
         out = out.reshape(x.shape[:-1] + w.shape[-1:])
 
-    # the vjp reads a.data and b.data: capturing the locals would make them
-    # cells, built on every call, no_grad included
-    def build():
-        def vjp(g):
-            if a._tracked():
-                if flat_rhs:
-                    ga = _gemm(g.reshape(-1, g.shape[-1]), b.data.T)
-                    a._accum(ga.reshape(a.data.shape), own=True)
-                else:
-                    a._accum(_unbroadcast(_gemm(g, b.data.swapaxes(-1, -2)),
-                                          a.data.shape), own=True)
-            if b._tracked():
-                if flat_rhs:
-                    inner = a.data.shape[-1]
-                    gb = _gemm(a.data.reshape(-1, inner).T, g.reshape(-1, g.shape[-1]))
-                    b._accum(gb, own=True)
-                else:
-                    b._accum(_unbroadcast(_gemm(a.data.swapaxes(-1, -2), g),
-                                          b.data.shape), own=True)
-        return vjp
+    def vjp(g):
+        if a._tracked():
+            if flat_rhs:
+                ga = _gemm(g.reshape(-1, g.shape[-1]), b.data.T)
+                a._accum(ga.reshape(a.data.shape), own=True)
+            else:
+                a._accum(_unbroadcast(_gemm(g, b.data.swapaxes(-1, -2)),
+                                      a.data.shape), own=True)
+        if b._tracked():
+            if flat_rhs:
+                inner = a.data.shape[-1]
+                gb = _gemm(a.data.reshape(-1, inner).T, g.reshape(-1, g.shape[-1]))
+                b._accum(gb, own=True)
+            else:
+                b._accum(_unbroadcast(_gemm(a.data.swapaxes(-1, -2), g),
+                                      b.data.shape), own=True)
 
-    return _maybe((a, b), out, build)
+    return _maybe((a, b), out, vjp)
 
 
 def leaky_relu(a: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
     """f(x) = x for x >= 0, slope * x otherwise."""
 
-    def build():
-        def vjp(g):
-            a._accum(_leaky_grad(g, a.data, slope), own=True)
-        return vjp
+    def vjp(g):
+        a._accum(_leaky_grad(g, a.data, slope), own=True)
 
     # max(x, slope*x) equals the two-branch form for any slope < 1
     out = _ew(np.multiply, a.data, slope)
-    return _maybe((a,), np.maximum(a.data, out, out=out), build)
+    return _maybe((a,), np.maximum(a.data, out, out=out), vjp)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -114,15 +108,13 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     out /= out @ ones
     out = out.reshape(x.shape)
 
-    def build():
-        def vjp(g):
-            ga = _ew(np.multiply, g, out)
-            np.subtract(g, _rows(ga, ones), out=ga)
-            ga *= out
-            a._accum(ga, own=True)
-        return vjp
+    def vjp(g):
+        ga = _ew(np.multiply, g, out)
+        np.subtract(g, _rows(ga, ones), out=ga)
+        ga *= out
+        a._accum(ga, own=True)
 
-    return _maybe((a,), out, build)
+    return _maybe((a,), out, vjp)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -168,28 +160,26 @@ def _normalized(xhat: np.ndarray, col: np.ndarray, inputs: tuple[Tensor, ...],
     np.multiply(xhat, gain.data, out=out)
     out += bias.data
 
-    def build():
-        def vjp(g):
-            takers = [t for t in inputs if t._tracked()]
-            if takers:
-                dxhat = _ew(np.multiply, g, gain.data)
-                term = _ew(np.multiply, dxhat, xhat)
-                dxhat -= _rows(dxhat, col)
-                np.multiply(xhat, _rows(term, col), out=term)
-                dxhat -= term
-                del term
-                dxhat *= inv
-                for i, t in enumerate(takers):
-                    t._accum(dxhat, own=i == len(takers) - 1)
-            if gain._tracked():
-                gain._accum(_unbroadcast(_ew(np.multiply, g, xhat), gain.data.shape),
-                            own=True)
-            if bias._tracked():
-                gb = _unbroadcast(g, bias.data.shape)
-                bias._accum(gb, own=gb is not g)
-        return vjp
+    def vjp(g):
+        takers = [t for t in inputs if t._tracked()]
+        if takers:
+            dxhat = _ew(np.multiply, g, gain.data)
+            term = _ew(np.multiply, dxhat, xhat)
+            dxhat -= _rows(dxhat, col)
+            np.multiply(xhat, _rows(term, col), out=term)
+            dxhat -= term
+            del term
+            dxhat *= inv
+            for i, t in enumerate(takers):
+                t._accum(dxhat, own=i == len(takers) - 1)
+        if gain._tracked():
+            gain._accum(_unbroadcast(_ew(np.multiply, g, xhat), gain.data.shape),
+                        own=True)
+        if bias._tracked():
+            gb = _unbroadcast(g, bias.data.shape)
+            bias._accum(gb, own=gb is not g)
 
-    return _maybe((*inputs, gain, bias), out, build)
+    return _maybe((*inputs, gain, bias), out, vjp)
 
 
 def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wout: Tensor,

@@ -640,19 +640,19 @@ class TestPolicyUpdateOneToOne:
         assert np.all(after[:, 0].mean(axis=0) > before[:, 0].mean(axis=0))
         assert np.array_equal(after[:, 1], before[:, 1])
 
-    def test_policy_step_copies_no_per_row_bias_gradient(self, monkeypatch):
+    @pytest.mark.parametrize("kind", [AlgoKind.MATD3, AlgoKind.SA_MATD3, AlgoKind.DSA_MATD3])
+    def test_policy_step_copies_no_per_row_bias_gradient(self, monkeypatch, kind):
         # the split first layer's per-row bias (n, B, hidden) keeps the
-        # gradient its linear computes; what is copied is smaller: the
-        # reductions of the loss and the actions' gradient
-        trainer = make_trainer(AlgoKind.MATD3, n=3)
+        # gradient its linear computes, sub and concat hand the actions'
+        # gradient over; what is copied is tsum's broadcasts, (B,) and (n, B)
+        trainer = make_trainer(kind, n=3)
         batch = manual_batch(trainer)
         copied = []
         copy = tensor._copy
         monkeypatch.setattr(tensor, "_copy",
                             lambda g, dtype: copied.append(g.size) or copy(g, dtype))
         trainer.policy_update(batch)
-        per_row = trainer.n * len(batch.obs) * trainer.cfg.hidden_dim
-        assert copied and max(copied) < per_row
+        assert copied and max(copied) <= trainer.n * len(batch.obs)
 
     def test_single_agent_equivalence_of_modes(self):
         # with one agent no buffer action is held fixed, so the one-to-one
@@ -678,7 +678,7 @@ class TestPolicyUpdateOneToOne:
 class TestOneToOneOracle:
     """``MlpCritic.policy_q`` (split first layer) against the masked
     formulation of ``reference_ops``: loss and every parameter's gradient,
-    actor and critic, from one full backward each."""
+    actor and critic, from one backward over all of them each."""
 
     @staticmethod
     def _loss_and_grads(trainer, batch, policy_q, params):
@@ -686,7 +686,7 @@ class TestOneToOneOracle:
         obs = Tensor(batch.obs, dtype=dtype)
         fresh = trainer.actor.forward(obs)
         loss = -nd.tmean(policy_q(obs, fresh, batch.act.astype(dtype)))
-        nd.backward(loss)
+        nd.backward(loss, params=params)
         return loss.item(), [p.grad.copy() for p in params]
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])

@@ -456,6 +456,19 @@ class TestPreyDropIn:
             assert loaded.data.dtype == np.float64
             assert np.array_equal(loaded.data, saved.data)
 
+    def test_float64_prey_acts_on_float64_observations(self, tmp_path):
+        scenario = ScenarioConfig.predator_prey(3)
+        prey_obs_dim = 4 + 2 * 3 + 2 * 2 + 2 * 2
+        actor = nets.MlpActor(prey_obs_dim, 2, np.random.default_rng(5),
+                              hidden_dim=8, hidden_layers=3, dtype=np.float64)
+        ck = save_prey_actor(tmp_path / "prey", actor, scenario)
+        cfg = TrainConfig(hidden_dim=8, attention_heads=2, attention_blocks=1)
+        trainer = Trainer(scenario, AlgoKind.SA_MATD3, cfg, seed=2, prey_policy=ck)
+        prey_obs = trainer.env.reset()[1]
+        assert prey_obs.dtype == np.float64
+        want = np.clip(trainer.prey_actor.act(prey_obs), -1.0, 1.0)
+        assert np.array_equal(trainer._prey_actions(trainer.env, prey_obs), want)
+
     def test_prey_architecture_comes_from_the_checkpoint(self, tmp_path):
         scenario = ScenarioConfig.predator_prey(3)
         prey_obs_dim = 4 + 2 * 3 + 2 * 2 + 2 * 2

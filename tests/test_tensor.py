@@ -57,7 +57,7 @@ class TestMatmul:
         a = nd.Tensor(np.ones((2, 3)), requires_grad=True)
         b = nd.Tensor(np.ones((3, 2)), requires_grad=True)
         loss = nd.tsum(ref.matmul(a, b))
-        nd.backward(loss)
+        nd.backward(loss, params=[a, b])
         assert a.grad is not None and b.grad is not None
         assert np.allclose(a.grad, 2.0)  # each element feeds 2 outputs
         assert np.allclose(b.grad, 2.0)
@@ -148,12 +148,12 @@ class TestBackward:
     def test_sum_gives_ones(self):
         p = nd.Tensor(np.arange(6, dtype=np.float64).reshape(2, 3), requires_grad=True,
                       dtype=np.float64)
-        nd.backward(nd.tsum(p))
+        nd.backward(nd.tsum(p), params=[p])
         assert np.array_equal(p.grad, np.ones((2, 3)))
 
     def test_analytic_square(self):
         p = nd.Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
-        nd.backward(nd.tsum(nd.mul(p, p)))
+        nd.backward(nd.tsum(nd.mul(p, p)), params=[p])
         assert np.allclose(p.grad, [2.0, 4.0])
 
     def test_unreached_parameter_gets_zero_grad(self):
@@ -166,21 +166,21 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         p = nd.Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
-            nd.backward(nd.mul(p, p))
+            nd.backward(nd.mul(p, p), params=[p])
 
     def test_shared_parameter_accumulates(self):
         # w used twice: loss = sum(w*x) + sum(w*y)
         w = nd.Tensor([2.0, 3.0], requires_grad=True, dtype=np.float64)
         x = nd.Tensor([1.0, 1.0], dtype=np.float64)
         y = nd.Tensor([10.0, 20.0], dtype=np.float64)
-        nd.backward(nd.tsum(nd.mul(w, x)) + nd.tsum(nd.mul(w, y)))
+        nd.backward(nd.tsum(nd.mul(w, x)) + nd.tsum(nd.mul(w, y)), params=[w])
         assert np.allclose(w.grad, [11.0, 21.0])
 
     def test_grads_are_fresh_per_call(self):
         p = nd.Tensor([1.0], requires_grad=True, dtype=np.float64)
-        nd.backward(nd.tsum(nd.mul(p, p)))
+        nd.backward(nd.tsum(nd.mul(p, p)), params=[p])
         first = p.grad.copy()
-        nd.backward(nd.tsum(nd.mul(p, p)))
+        nd.backward(nd.tsum(nd.mul(p, p)), params=[p])
         assert np.array_equal(p.grad, first)  # overwritten, not doubled
 
 
@@ -200,7 +200,7 @@ class TestNeedGradPruning:
 
     def test_requested_grads_equal_full_backward(self):
         actor_params, critic_params, loss = self._policy_loss()
-        nd.backward(loss)
+        nd.backward(loss, params=actor_params + critic_params)
         full = [p.grad for p in actor_params]
         assert all(p.grad is not None for p in critic_params)
         nd.backward(loss, params=actor_params)
@@ -361,18 +361,6 @@ class TestAttentionBlockOp:
             scale = np.abs(want).max()
             assert np.abs(got - want).max() <= self.GRAD_TOLERANCE * scale
 
-    def test_no_grad_records_nothing_and_builds_no_vjp(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a vjp was built")
-
-        monkeypatch.setattr(tensor, "_attention_vjp", refuse)
-        rng = np.random.default_rng(21)
-        block = self._block(rng)
-        x = nd.Tensor(rng.normal(size=(5, 9, 64)), requires_grad=True)
-        with nd.no_grad():
-            out = block.forward(x)
-        assert out._vjp is None and out._parents == () and not out.requires_grad
-
     def test_untracked_inputs_record_nothing(self):
         rng = np.random.default_rng(22)
         w = [nd.Tensor(rng.normal(size=(8, 8))) for _ in range(4)]
@@ -456,7 +444,7 @@ class TestRecycling:
         for _ in range(3):
             out = ref.layer_norm(nd.add(nd.mul(a, a), a), nd.Tensor(np.ones(64)),
                                 nd.Tensor(np.zeros(64)))
-            nd.backward(nd.tsum(ref.softmax(out)))
+            nd.backward(nd.tsum(ref.softmax(out)), params=[a])
         assert np.array_equal(held.data, expected[0])
         assert np.array_equal(view, expected[1])
 
@@ -534,20 +522,52 @@ class TestRecycling:
         critic = nets.CriticNet(10, 2, rng)
         obs = nd.Tensor(rng.normal(size=(1, 9, 10)))
         actor.act(obs.data[0])
-        nd.backward(nd.tmean(nets.total_q(critic.forward(obs, actor.forward(obs)))))
+        nd.backward(nd.tmean(nets.total_q(critic.forward(obs, actor.forward(obs)))),
+                    params=nets.parameters(actor) + nets.parameters(critic))
         # a batch-512 MLP step: its (512, 64) activations are 128 KB
         mlp = nets.MlpCritic(20, rng)
-        nd.backward(nd.tmean(mlp.forward(nd.Tensor(rng.normal(size=(512, 20))))))
+        nd.backward(nd.tmean(mlp.forward(nd.Tensor(rng.normal(size=(512, 20))))),
+                    params=nets.parameters(mlp))
         assert tensor._buffers == {}
 
 
+def _tracked(*shape):
+    return nd.Tensor(np.random.default_rng(len(shape)).normal(size=shape), requires_grad=True)
+
+
+# Every op ``samarl.ndmath`` exports, called on tracked inputs.
+OPS = {
+    "add": lambda: nd.add(_tracked(2, 3), _tracked(3)),
+    "sub": lambda: nd.sub(_tracked(2, 3), _tracked(3)),
+    "mul": lambda: nd.mul(_tracked(2, 3), _tracked(3)),
+    "neg": lambda: nd.neg(_tracked(2, 3)),
+    "tsum": lambda: nd.tsum(_tracked(2, 3), axis=0),
+    "tmean": lambda: nd.tmean(_tracked(2, 3)),
+    "reshape": lambda: nd.reshape(_tracked(2, 3), (3, 2)),
+    "swapaxes": lambda: nd.swapaxes(_tracked(2, 3), 0, 1),
+    "getitem": lambda: nd.getitem(_tracked(2, 3), (slice(None), 1)),
+    "concat": lambda: nd.concat([_tracked(2, 3), _tracked(2, 1)], axis=-1),
+    "linear": lambda: nd.linear(_tracked(2, 3, 4), _tracked(4, 5), _tracked(5), leaky=True),
+    "tanh": lambda: nd.tanh(_tracked(2, 3)),
+    "attention_block": lambda: nd.attention_block(
+        _tracked(2, 3, 8), *(_tracked(8, 8) for _ in range(4)), _tracked(8), _tracked(8),
+        heads=2),
+}
+
+
 class TestNoGrad:
-    def test_no_graph_recorded(self):
-        p = nd.Tensor([1.0], requires_grad=True)
+    def test_every_exported_op_is_covered(self):
+        others = {"DEFAULT_DTYPE", "LEAKY_SLOPE", "Adam", "NonFiniteGradError", "ShapeError",
+                  "Tensor", "backward", "chunks", "clip_grad_norm", "no_grad",
+                  "release_buffers"}
+        assert set(nd.__all__) - others == set(OPS)
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_no_graph_recorded(self, op):
         with nd.no_grad():
-            out = nd.mul(p, p)
-        assert out._vjp is None
-        assert not out.requires_grad
+            out = OPS[op]()
+        assert out._vjp is None and out._parents == () and not out.requires_grad
+        assert OPS[op]()._vjp is not None  # the same call records outside the block
 
     def test_flag_restored_after_exception(self):
         p = nd.Tensor([1.0], requires_grad=True)
@@ -567,7 +587,7 @@ class TestShapeOps:
         out = nd.concat([a, b], axis=-1)
         assert out.shape == (2, 5)
         weights = nd.Tensor(np.arange(10, dtype=np.float64).reshape(2, 5), dtype=np.float64)
-        nd.backward(nd.tsum(nd.mul(out, weights)))
+        nd.backward(nd.tsum(nd.mul(out, weights)), params=[a, b])
         assert np.array_equal(a.grad, [[0, 1], [5, 6]])
         assert np.array_equal(b.grad, [[2, 3, 4], [7, 8, 9]])
 
@@ -575,7 +595,7 @@ class TestShapeOps:
         x = nd.Tensor(np.arange(24, dtype=np.float64).reshape(2, 3, 4),
                       requires_grad=True, dtype=np.float64)
         out = nd.swapaxes(nd.reshape(nd.reshape(x, (2, 12)), (2, 3, 4)), -1, -2)
-        nd.backward(nd.tsum(nd.mul(out, out)))
+        nd.backward(nd.tsum(nd.mul(out, out)), params=[x])
         assert np.allclose(x.grad, 2.0 * x.data)
 
 
@@ -584,7 +604,7 @@ class TestInvariants:
         x = nd.Tensor(np.linspace(-5, 5, 11), requires_grad=True, dtype=np.float64)
         out = nd.tanh(x)
         assert np.all(np.abs(out.data) < 1.0)
-        nd.backward(nd.tsum(out))
+        nd.backward(nd.tsum(out), params=[x])
         assert np.allclose(x.grad, 1.0 - np.tanh(x.data) ** 2)
 
     def test_forward_determinism_is_bitwise(self):
@@ -601,6 +621,6 @@ class TestInvariants:
     def test_broadcast_add_unbroadcasts_gradient(self):
         x = nd.Tensor(np.ones((4, 3)), requires_grad=True, dtype=np.float64)
         bias = nd.Tensor(np.zeros(3), requires_grad=True, dtype=np.float64)
-        nd.backward(nd.tsum(x + bias))
+        nd.backward(nd.tsum(x + bias), params=[x, bias])
         assert bias.grad.shape == (3,)
         assert np.array_equal(bias.grad, [4.0, 4.0, 4.0])
