@@ -359,21 +359,20 @@ class Trainer:
 
     # -- rollout ---------------------------------------------------------------
 
-    def _trainable_actions(self, obs: np.ndarray, noise_std: float) -> np.ndarray:
+    def _trainable_actions(self, obs: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
         """Joint actions (..., n, act_dim) for observations (..., n, obs_dim),
-        one world state or one per episode of a lockstep batch, plus clipped
-        noise."""
+        one world state or one per episode of a lockstep batch, plus ``noise``, clipped."""
         acts = self.actor.act(obs)
-        if noise_std > 0:
-            acts = acts + self.explore_rng.normal(0.0, noise_std, acts.shape)
-        return np.clip(acts, self.cfg.action_low, self.cfg.action_high)
+        if noise is not None:
+            acts = acts + noise
+        return np.minimum(np.maximum(acts, self.cfg.action_low), self.cfg.action_high)
 
     def _prey_actions(self, env: ParticleWorld, prey_obs: np.ndarray) -> np.ndarray:
         """Prey actions (..., prey, act_dim): the scripted flee policy, or one
         call of the prey actor on every prey observation of every episode."""
         if self.prey_actor is None:
             return scripted_prey(env)
-        return np.clip(self.prey_actor.act(prey_obs), -1.0, 1.0)
+        return np.minimum(np.maximum(self.prey_actor.act(prey_obs), -1.0), 1.0)
 
     def run_episode(self, explore: bool = True,
                     env: ParticleWorld | None = None) -> np.ndarray:
@@ -392,12 +391,15 @@ class Trainer:
             raise ValueError(
                 f"a lockstep batch of {env.batch[0]} episodes cannot fill the "
                 f"replay buffer; step one episode at a time to explore")
-        noise = self.cfg.action_noise_std if explore else 0.0
+        std = self.cfg.action_noise_std if explore else 0.0
+        shape = (self.scenario.episode_length, self.n, self.act_dim)
+        # one draw for the episode: the stream of one (n, act_dim) draw per step
+        noise = self.explore_rng.normal(0.0, std, shape) if std > 0 else [None] * shape[0]
         obs = env.reset()
         totals = np.zeros(env.batch + (env.n_types,))
         steps = [obs[0]], [], [], []   # observations, actions, rewards, done flags
-        for _ in range(self.scenario.episode_length):
-            acts = self._trainable_actions(obs[0], noise)
+        for step_noise in noise:
+            acts = self._trainable_actions(obs[0], step_noise)
             if self.scenario.kind == PREDATOR_PREY:
                 full = np.concatenate([acts, self._prey_actions(env, obs[1])], axis=-2)
             else:

@@ -9,6 +9,7 @@ float32 or float64. Saving and re-loading is bit-exact.
 
 from __future__ import annotations
 
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,8 +61,9 @@ def save_checkpoint(directory, named_tensors, *, algo: str, scenario: str,
     """Write ``named_tensors`` (iterable of (name, tensor-or-array)) to ``directory``.
 
     ``train`` maps architecture keys to the values the header records as
-    ``train.<key>``. Every name and dtype is checked before the directory is
-    created.
+    ``train.<key>``. Every name and dtype is checked before anything is
+    written. The files go into a hidden sibling that then replaces
+    ``directory``, so a kill leaves the previous checkpoint or none.
     """
     entries = []
     chunks = []
@@ -90,9 +92,15 @@ def save_checkpoint(directory, named_tensors, *, algo: str, scenario: str,
     for name, shape, dtype, off in entries:
         lines.append(f"tensor {name} {_shape_str(shape)} {dtype} {off}")
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / MANIFEST_FILE).write_text("\n".join(lines) + "\n")
-    (directory / BLOB_FILE).write_bytes(b"".join(chunks))
+    staging, retired = (directory.with_name(f".{directory.name}.{s}") for s in ("new", "old"))
+    staging.mkdir(parents=True, exist_ok=True)   # a killed save may have left it
+    (staging / MANIFEST_FILE).write_text("\n".join(lines) + "\n")
+    (staging / BLOB_FILE).write_bytes(b"".join(chunks))
+    shutil.rmtree(retired, ignore_errors=True)   # likewise
+    if directory.exists():
+        directory.rename(retired)
+    staging.rename(directory)
+    shutil.rmtree(retired, ignore_errors=True)
     return directory
 
 

@@ -205,9 +205,16 @@ class ParticleWorld:
         assert np.array_equal(self.movable, np.arange(self.n_bodies) < n) \
             and c >= n and self.collides[:c].all(), "movable bodies first, then other colliders"
         self._n_colliders = c
+        # per agent type, one row per agent: the bodies of its relative positions
+        # (see _relative), and the opposite type's agents whose velocities it sees
+        agents, static = np.arange(n), np.arange(n, self.n_bodies)
+        self._type_gathers = [
+            (slice(lo, hi), np.array([np.r_[static, np.delete(agents, i)] for i in range(lo, hi)]),
+             [] if seen is None else [np.tile(agents[seen], (hi - lo, 1))])
+            for lo, hi, seen in types]
         # per-world constants of the step. A body never touches itself: on the
         # diagonal, the contact distance floor is infinite, and the coop hit
-        # threshold is zero, which no distance is below.
+        # thresholds cover the pairs of distinct agents, in the gather's order.
         r = self.radius
         self._accel = self.accel[:n, None]
         self._mass = self.mass[:n, None]
@@ -215,7 +222,7 @@ class ParticleWorld:
         self._contact_dmin = r[:c, None] + r[None, :c]
         self._contact_floor = np.where(np.eye(c, dtype=bool), np.inf, 1e-9)
         if cfg.kind == COOP_NAV:
-            self._hit_dmin = np.where(np.eye(n, dtype=bool), 0.0, r[:n, None] + r[None, :n])
+            self._hit_dmin = r[:n, None] + r[self._type_gathers[0][1][:, len(static):]]
         else:
             np_ = cfg.n_predators
             self._hit_dmin = r[:np_, None] + r[None, np_:n]
@@ -223,13 +230,6 @@ class ParticleWorld:
             self._prey_rows = np.ix_(*(np.arange(k) for k in self.batch + (cfg.n_prey,)))
         self.pos = np.zeros(self.batch + (self.n_bodies, 2))
         self.vel = np.zeros(self.batch + (self.n_bodies, 2))
-        # per agent type: every other agent, and the opposite type's agents
-        # whose velocities it sees, one row per agent of the type, in index order
-        agents = np.arange(n)
-        self._type_gathers = [
-            (slice(lo, hi), np.array([np.delete(agents, i) for i in range(lo, hi)]),
-             None if seen is None else np.tile(agents[seen], (hi - lo, 1)))
-            for lo, hi, seen in types]
 
     @property
     def n_types(self) -> int:
@@ -276,13 +276,16 @@ class ParticleWorld:
         vel = self.vel[..., :n, :] * (1.0 - cfg.damping) + force / self._mass * cfg.dt
         speed = _norm(vel)
         cap = self._max_speed
-        vel *= np.divide(cap, speed, out=np.ones_like(speed), where=speed > cap)[..., None]
+        vel *= (cap / np.maximum(speed, cap))[..., None]   # exactly 1.0 under the cap
         self.vel[..., :n, :] = vel
         self.pos[..., :n, :] += vel * cfg.dt
 
         self.t += 1
         done = self.t >= cfg.episode_length
-        return self.observe(), self._rewards(), done, {"clipped_components": n_clipped}
+        rel = self._relative()
+        rewards = _coop_nav_reward(self, rel)[..., None] if cfg.kind == COOP_NAV \
+            else _predator_prey_reward(self, rel)
+        return self._observe(rel), rewards, done, {"clipped_components": n_clipped}
 
     def _contact_forces(self) -> np.ndarray:
         """Soft-spring repulsion with a logistic penetration ramp, on the
@@ -292,7 +295,7 @@ class ParticleWorld:
         delta = p[..., :, None, :] - p[..., None, :, :]
         dist = np.maximum(_norm(delta), self._contact_floor)
         penetration = cfg.contact_margin * np.logaddexp(
-            0.0, -(dist - self._contact_dmin) / cfg.contact_margin)
+            0.0, (self._contact_dmin - dist) / cfg.contact_margin)
         magnitude = cfg.contact_stiffness * penetration / dist
         return np.add.reduce(delta * magnitude[..., None], axis=-2)
 
@@ -301,27 +304,24 @@ class ParticleWorld:
     def observe(self) -> list[np.ndarray]:
         """Observations, one ``(..., agents of the type, obs dim)`` array per
         agent type, gathered for the whole type at once (see module docstring)."""
-        n, pos, vel = self.n_agents, self.pos, self.vel
+        return self._observe(self._relative())
+
+    def _relative(self) -> list[np.ndarray]:
+        """Per agent type ``(..., agents, bodies - 1, 2)``: static bodies, then other agents."""
+        return [self.pos[..., others, :] - self.pos[..., own, None, :]
+                for own, others, _ in self._type_gathers]
+
+    def _observe(self, rel: list[np.ndarray]) -> list[np.ndarray]:
         out = []
-        for own, others, seen in self._type_gathers:
-            me = pos[..., own, None, :]
-            parts = [vel[..., own, :], pos[..., own, :], _flat(pos[..., None, n:, :] - me),
-                     _flat(pos[..., others, :] - me)]
-            if seen is not None:
-                parts.append(_flat(vel[..., seen, :]))
+        for (own, _, seen), r in zip(self._type_gathers, rel):
+            parts = [self.vel[..., own, :], self.pos[..., own, :], _flat(r)]
+            parts += [_flat(self.vel[..., s, :]) for s in seen]
             out.append(np.concatenate(parts, axis=-1))
         return out
 
     @property
     def obs_dims(self) -> list[int]:
         return [observation_dim(self.cfg, i) for i in range(self.n_agents)]
-
-    # -- rewards ---------------------------------------------------------------
-
-    def _rewards(self) -> np.ndarray:
-        if self.cfg.kind == COOP_NAV:
-            return reward_coop_nav(self)[..., None]
-        return reward_predator_prey(self)
 
 
 def _flat(x: np.ndarray) -> np.ndarray:
@@ -342,27 +342,32 @@ def _norm(d: np.ndarray) -> np.ndarray:
 
 def reward_coop_nav(world: ParticleWorld) -> np.ndarray:
     """Joint navigation reward ``(...)``: coverage distance plus collision penalties."""
-    cfg = world.cfg
-    n = world.n_agents
-    agents = world.pos[..., :n, :]
-    landmarks = world.pos[..., n:, :]
-    dists = _norm(agents[..., :, None, :] - landmarks[..., None, :, :])
-    reward = -np.add.reduce(np.minimum.reduce(dists, axis=-2), axis=-1)
-    delta = _norm(agents[..., :, None, :] - agents[..., None, :, :])
-    # counted per agent
-    hits = np.add.reduce(delta < world._hit_dmin, axis=(-2, -1))
-    return reward - cfg.coop_collision_penalty * hits
+    return _coop_nav_reward(world, world._relative())
+
+
+def _coop_nav_reward(world: ParticleWorld, rel: list[np.ndarray]) -> np.ndarray:
+    """``reward_coop_nav`` from ``_relative``'s positions (landmark columns first)."""
+    dists = _norm(rel[0])
+    landmarks = world.n_bodies - world.n_agents
+    reward = -np.add.reduce(np.minimum.reduce(dists[..., :landmarks], axis=-2), axis=-1)
+    # counted per agent, over the columns of the other agents
+    hits = np.add.reduce(dists[..., landmarks:] < world._hit_dmin, axis=(-2, -1))
+    return reward - world.cfg.coop_collision_penalty * hits
 
 
 def reward_predator_prey(world: ParticleWorld) -> np.ndarray:
     """(predator joint reward, prey joint reward), ``(..., 2)``, for the
     current state."""
+    return _predator_prey_reward(world, world._relative())
+
+
+def _predator_prey_reward(world: ParticleWorld, rel: list[np.ndarray]) -> np.ndarray:
+    """``reward_predator_prey`` from ``_relative``'s positions (prey columns last)."""
     cfg = world.cfg
     np_, ny = cfg.n_predators, cfg.n_prey
-    preds = world.pos[..., :np_, :]
     prey = world.pos[..., np_:np_ + ny, :]
-    contacts = np.add.reduce(_norm(preds[..., :, None, :] - prey[..., None, :, :])
-                             < world._hit_dmin, axis=(-2, -1))[..., None]
+    contacts = np.add.reduce(_norm(rel[0][..., -ny:, :]) < world._hit_dmin,
+                             axis=(-2, -1))[..., None]
     penalties = cfg.boundary_penalty_scale * _flat(
         _boundary_penalty(np.abs(prey) / cfg.world_half_width))
     # charged prey by prey and coordinate by coordinate: subtract.reduce is a

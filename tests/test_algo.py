@@ -377,8 +377,8 @@ class TestScheduler:
 
 
 class TestExploration:
-    """Rollout noise (``_trainable_actions``) and target smoothing
-    (``_target_actions``) on the trainer."""
+    """Rollout noise (``_trainable_actions``, ``run_episode``) and target
+    smoothing (``_target_actions``) on the trainer."""
 
     def _trainer(self, kind=AlgoKind.MATD3, n=2, **cfg):
         return make_trainer(kind, n=n, **cfg)
@@ -386,11 +386,20 @@ class TestExploration:
     def _obs(self, trainer, seed=0):
         return np.random.default_rng(seed).normal(size=(trainer.n, trainer.obs_dim))
 
+    @staticmethod
+    def _episode(trainer):
+        """One exploring episode: its stored actions and the noise-free
+        actions of its stored observations, acted on step by step."""
+        trainer.run_episode(explore=True)
+        steps = trainer.buffer.episode_length
+        clean = np.stack([trainer.actor.act(o) for o in trainer.buffer.obs[:steps]])
+        return trainer.buffer.act[:steps], clean
+
     def test_zero_noise_is_exact(self):
         for kind in (AlgoKind.MATD3, AlgoKind.DSA_MATD3):
             trainer = self._trainer(kind)
             obs = self._obs(trainer)
-            out = trainer._trainable_actions(obs, 0.0)
+            out = trainer._trainable_actions(obs, None)
             expected = trainer.actor.act(obs.astype(np.float32))
             assert np.array_equal(out, expected), kind
 
@@ -398,29 +407,32 @@ class TestExploration:
         trainer = self._trainer()
         rng = np.random.default_rng(2)
         for _ in range(50):
-            out = trainer._trainable_actions(rng.normal(size=(2, trainer.obs_dim)), 5.0)
+            out = trainer._trainable_actions(rng.normal(size=(2, trainer.obs_dim)),
+                                             rng.normal(0.0, 5.0, (2, 2)))
             assert np.all(out >= -1) and np.all(out <= 1)
 
     def test_noise_is_one_joint_draw(self):
-        # one (n, act_dim) draw per step, so the exploration stream advances
-        # by the same amount whatever the actor kind
+        # an exploring episode draws its noise in one call, the stream that
+        # one (n, act_dim) draw per step takes, whatever the actor kind
         for kind in (AlgoKind.MATD3, AlgoKind.DSA_MATD3):
-            trainer = self._trainer(kind, n=3)
-            obs = self._obs(trainer, seed=1)
-            clean = trainer._trainable_actions(obs, 0.0)
+            trainer = self._trainer(kind, n=3, action_noise_std=0.1)
             mirror = copy.deepcopy(trainer.explore_rng)
-            noisy = trainer._trainable_actions(obs, 0.1)
-            assert np.array_equal(noisy, np.clip(clean + mirror.normal(0.0, 0.1, (3, 2)),
-                                                 -1.0, 1.0)), kind
+            stored, clean = self._episode(trainer)
+            steps = [np.clip(c + mirror.normal(0.0, 0.1, (3, 2)), -1.0, 1.0) for c in clean]
+            assert np.array_equal(stored, np.array(steps, dtype=np.float32)), kind
             assert trainer.explore_rng.random() == mirror.random()
 
     def test_noise_std_matches_request(self):
         trainer = self._trainer(n=8)
-        obs = np.full((8, trainer.obs_dim), 0.1)
-        clean = trainer._trainable_actions(obs, 0.0)
-        noisy = np.stack([trainer._trainable_actions(obs, 0.002) for _ in range(500)])
-        measured = float(np.std(noisy - clean))
+        noise = [np.subtract(*self._episode(trainer)) for _ in range(20)]
+        measured = float(np.std(noise))
         assert abs(measured - 0.002) / 0.002 < 0.05
+
+    def test_evaluation_draws_no_noise(self):
+        trainer = self._trainer()
+        before = copy.deepcopy(trainer.explore_rng)
+        trainer.run_episode(explore=False)
+        assert trainer.explore_rng.random() == before.random()
 
     def test_smoothed_targets_zero_noise(self):
         trainer = self._trainer(critic_noise_std=0.0)

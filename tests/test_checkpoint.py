@@ -1,5 +1,7 @@
 """Checkpoint manifest + blob round-trip guarantees."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,39 @@ def test_truncated_blob_detected(tmp_path):
     blob.write_bytes(blob.read_bytes()[:-8])
     with pytest.raises(CheckpointError, match="past blob end"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("previous", [False, True], ids=["empty-target", "over-checkpoint"])
+def test_failed_blob_write_leaves_previous_checkpoint_or_none(tmp_path, monkeypatch, previous):
+    def save(episode):
+        actor = nets.MlpActor(3, 2, np.random.default_rng(episode), hidden_dim=4)
+        return save_checkpoint(tmp_path / "ck", actor.named_parameters(), algo="maddpg",
+                               scenario="coop_nav", agents=1, episode=episode)
+
+    def contents():
+        return {f.name: f.read_bytes() for f in (tmp_path / "ck").iterdir()}
+
+    if previous:
+        save(1)
+        before = contents()
+    real_write = Path.write_bytes
+
+    def short_write(path, data):   # half the blob reaches the disk, then the write fails
+        real_write(path, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", short_write)
+    with pytest.raises(OSError, match="disk full"):
+        save(2)
+    monkeypatch.undo()
+    if previous:
+        assert contents() == before
+        assert load_checkpoint(tmp_path / "ck")[0].episode == 1
+    else:
+        assert not (tmp_path / "ck").exists()
+    # the next save completes over what the failed one left, and leaves only itself
+    assert load_checkpoint(save(3))[0].episode == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
 
 
 @pytest.mark.parametrize("old, new", [

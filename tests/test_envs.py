@@ -507,6 +507,38 @@ class TestLockstep:
             assert rewards[e, 1] == loop_prey_reward(cfg, world.radius, pos), e
         assert crowded > 0  # the order of the obstacle terms was compared
 
+    @pytest.mark.parametrize("cfg", [ScenarioConfig.coop_nav(5), ScenarioConfig.predator_prey(9)],
+                             ids=["coop_nav5", "predator_prey9"])
+    @pytest.mark.parametrize("episodes", [None, 3])
+    def test_standalone_observation_and_reward_equal_step(self, cfg, episodes):
+        # step shares one relative-position gather between its observations
+        # and rewards; called alone, they must build the same bytes
+        world = ParticleWorld(cfg, seed=37, episodes=episodes)
+        world.reset()
+        rng = np.random.default_rng(38)
+        world.pos[...] = rng.uniform(-0.4, 0.4, size=world.pos.shape)   # crowded: hits
+        trainable = cfg.n_predators if cfg.kind == PREDATOR_PREY else cfg.n_agents
+        n, np_ = cfg.n_agents, cfg.n_predators
+        touching = 0
+        for t in range(30):
+            acts = rng.uniform(-1.5, 1.5, size=world.batch + (trainable, 2))
+            if cfg.kind == PREDATOR_PREY:
+                acts = np.concatenate([acts, scripted_prey(world)], axis=-2)
+            obs, rewards, _, _ = world.step(acts)
+            for alone, stepped in zip(world.observe(), obs):
+                assert alone.tobytes() == stepped.tobytes(), t
+            if cfg.kind == PREDATOR_PREY:
+                alone = reward_predator_prey(world)
+                pairs = world.pos[..., :np_, None, :] - world.pos[..., None, np_:n, :]
+                radii = world.radius[:np_, None] + world.radius[None, np_:n]
+            else:
+                alone = reward_coop_nav(world)[..., None]
+                pairs = world.pos[..., :n, None, :] - world.pos[..., None, :n, :]
+                radii = np.where(np.eye(n, dtype=bool), 0.0, 2 * cfg.agent_radius)
+            assert alone.tobytes() == rewards.tobytes(), t
+            touching += np.count_nonzero(np.linalg.norm(pairs, axis=-1) < radii)
+        assert touching > 0  # the collision or tag terms were compared
+
     def test_batched_shapes_checked(self):
         world = ParticleWorld(ScenarioConfig.coop_nav(3), seed=34, episodes=2)
         world.reset()

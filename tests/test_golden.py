@@ -3,9 +3,11 @@
 Each run is small enough that critic and policy updates fire within a few
 episodes. The fixture holds, per run, the reward columns and the logged
 ``critic_loss`` and ``actor_grad_norm`` of ``metrics.csv``, and the sum and L2
-norm of every tensor in ``ckpt_final``. A refactor that claims to keep the
-numbers must pass this test unchanged. A change that moves them on purpose
-rewrites the fixture and says why in CHANGES.md:
+norm of every tensor in ``ckpt_final``, compared under ``GOLDEN_TOLERANCE``;
+``PARAMS_DIGESTS`` pins the bytes of each run's ``ckpt_final/params.bin``. A
+refactor that claims to keep the numbers must pass this test unchanged. A
+change that moves them on purpose rewrites the fixture and the digests and
+says why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -13,6 +15,7 @@ The fixture was written with float32 training on x86-64 with OpenBLAS; another
 BLAS may round differently in the last bits.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -21,12 +24,25 @@ import numpy as np
 import pytest
 
 from samarl.algo import TrainConfig
-from samarl.checkpoint import load_checkpoint
+from samarl.checkpoint import BLOB_FILE, load_checkpoint
 from samarl.harness import RunConfig, parse_metrics_csv, train
 
 FIXTURE = Path(__file__).resolve().parent / "golden_runs.json"
 # one tolerance for every stored number, relative and absolute alike
 GOLDEN_TOLERANCE = 1e-5
+
+# SHA-256 of each run's ckpt_final/params.bin. Recorded on x86-64 with numpy
+# 2.4.6 and OpenBLAS 0.3.31; another numpy, BLAS or CPU may round differently
+# in the last bit, and then these digests do not hold there, while the
+# fixture's tolerance may.
+PARAMS_DIGESTS = {
+    "maddpg": "ca494c792c5390eb6e5a3e7a4ff87daaf76031eabc14c332c145f9112863dd86",
+    "matd3": "81b0448cb7a50b582a9594c46669821e8399ff08b69f5e9ecb79d274f3cfd76c",
+    "sa-maddpg": "ade01d2091f4eadbc3ca3042e8e4b38fc651b4bd938aa2e3e7cd2bc6c1931f9f",
+    "sa-matd3": "e8c8d66eb6e4c51bc72800a3f422c78cd4ba4df7b49cfc8ed8abbaba93e92a3f",
+    "dsa-maddpg": "55c6842492122ead4722a36f915f6ca86158c4ed576c319f0635f524ed5beeff",
+    "dsa-matd3": "a019021d425690ab85d0a7d90dc374cc0191d56a91764e5b3971a66598a39bd3",
+}
 
 CASES = [
     ("maddpg", "coop_nav", 3),
@@ -62,8 +78,14 @@ def summarize(run_dir: Path) -> dict:
     }
 
 
-def run_case(algo: str, scenario: str, agents: int, out) -> dict:
-    return summarize(train(golden_config(algo, scenario, agents, out)))
+def params_digest(run_dir: Path) -> str:
+    return hashlib.sha256((run_dir / "ckpt_final" / BLOB_FILE).read_bytes()).hexdigest()
+
+
+def run_case(algo: str, scenario: str, agents: int, out) -> tuple[dict, str]:
+    """The run's fixture entry and the digest of its final parameters."""
+    run_dir = train(golden_config(algo, scenario, agents, out))
+    return summarize(run_dir), params_digest(run_dir)
 
 
 def _close(got, want) -> bool:
@@ -75,7 +97,7 @@ def _close(got, want) -> bool:
 @pytest.mark.parametrize("algo,scenario,agents", CASES)
 def test_golden_run(algo, scenario, agents, tmp_path):
     want = json.loads(FIXTURE.read_text())[algo]
-    got = run_case(algo, scenario, agents, tmp_path / algo)
+    got, digest = run_case(algo, scenario, agents, tmp_path / algo)
     for column in ("rewards", "critic_loss", "actor_grad_norm"):
         assert len(got[column]) == len(want[column]), column
         for episode, (g, w) in enumerate(zip(got[column], want[column])):
@@ -85,12 +107,17 @@ def test_golden_run(algo, scenario, agents, tmp_path):
     assert list(got["params"]) == list(want["params"])
     for name, values in want["params"].items():
         assert _close(got["params"][name], values), f"{name}: {got['params'][name]} vs {values}"
+    assert digest == PARAMS_DIGESTS[algo], "ckpt_final/params.bin is not byte-identical"
 
 
 def write_fixture(scratch: Path) -> None:
+    """Write the fixture and print ``PARAMS_DIGESTS`` for pasting above."""
     runs = {algo: run_case(algo, scenario, agents, scratch / algo)
             for algo, scenario, agents in CASES}
-    FIXTURE.write_text(json.dumps(runs, indent=1) + "\n")
+    FIXTURE.write_text(json.dumps({algo: run[0] for algo, run in runs.items()}, indent=1)
+                       + "\n")
+    for algo, (_, digest) in runs.items():
+        print(f'    "{algo}": "{digest}",')
 
 
 if __name__ == "__main__":
