@@ -40,7 +40,7 @@ import numpy as np
 from . import ndmath as nd
 from . import nets
 from .checkpoint import load_checkpoint, restore_into, save_checkpoint
-from .envs import COOP_NAV, PREDATOR_PREY, ParticleWorld, ScenarioConfig, scripted_prey
+from .envs import COOP_NAV, PREDATOR_PREY, ParticleWorld, ScenarioConfig, _clip_unit, scripted_prey
 from .ndmath import Adam, Tensor, backward, clip_grad_norm, no_grad
 
 PREY_ACTOR_PREFIX = "prey_actor."
@@ -372,7 +372,7 @@ class Trainer:
         call of the prey actor on every prey observation of every episode."""
         if self.prey_actor is None:
             return scripted_prey(env)
-        return np.minimum(np.maximum(self.prey_actor.act(prey_obs), -1.0), 1.0)
+        return _clip_unit(self.prey_actor.act(prey_obs))
 
     def run_episode(self, explore: bool = True,
                     env: ParticleWorld | None = None) -> np.ndarray:

@@ -62,8 +62,8 @@ def save_checkpoint(directory, named_tensors, *, algo: str, scenario: str,
 
     ``train`` maps architecture keys to the values the header records as
     ``train.<key>``. Every name and dtype is checked before anything is
-    written. The files go into a hidden sibling that then replaces
-    ``directory``, so a kill leaves the previous checkpoint or none.
+    written. The files go into a hidden sibling that replaces ``directory``, so
+    a killed process leaves the previous checkpoint or none (no fsync: not an OS crash).
     """
     entries = []
     chunks = []

@@ -100,13 +100,13 @@ class ScenarioConfig:
             raise ConfigError(
                 f"predator-prey needs a 2:1 predator:prey split; "
                 f"{self.n_agents} agents cannot be divided that way")
-        # a negative speed cap, say, would flip a velocity every step
+        # a negative speed cap would flip a velocity every step, an infinite one NaN it
         for name in ("dt", "contact_stiffness", "contact_margin", "agent_radius",
                      "landmark_radius", "predator_radius", "prey_radius", "obstacle_radius",
                      "agent_accel", "predator_accel", "prey_accel", "agent_max_speed",
                      "predator_max_speed", "prey_max_speed"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0.0 <= self.damping <= 1.0:
             raise ConfigError(f"damping must lie in [0, 1], got {self.damping}")
 

@@ -391,9 +391,11 @@ class TestExploration:
         """One exploring episode: its stored actions and the noise-free
         actions of its stored observations, acted on step by step."""
         trainer.run_episode(explore=True)
-        steps = trainer.buffer.episode_length
-        clean = np.stack([trainer.actor.act(o) for o in trainer.buffer.obs[:steps]])
-        return trainer.buffer.act[:steps], clean
+        buffer = trainer.buffer
+        steps = buffer.episode_length
+        rows = (buffer.cursor - steps + np.arange(steps)) % buffer.capacity
+        clean = np.stack([trainer.actor.act(o) for o in buffer.obs[rows]])
+        return buffer.act[rows], clean
 
     def test_zero_noise_is_exact(self):
         for kind in (AlgoKind.MATD3, AlgoKind.DSA_MATD3):
@@ -423,8 +425,10 @@ class TestExploration:
             assert trainer.explore_rng.random() == mirror.random()
 
     def test_noise_std_matches_request(self):
+        # 25 distinct episodes of 20 steps: 25 * 20 * 8 * 2 = 8000 samples
         trainer = self._trainer(n=8)
-        noise = [np.subtract(*self._episode(trainer)) for _ in range(20)]
+        noise = [np.subtract(*self._episode(trainer)) for _ in range(25)]
+        assert len({n.tobytes() for n in noise}) == len(noise)
         measured = float(np.std(noise))
         assert abs(measured - 0.002) / 0.002 < 0.05
 

@@ -134,7 +134,7 @@ class TestConfig:
         "dt", "contact_stiffness", "contact_margin", "agent_radius", "landmark_radius",
         "predator_radius", "prey_radius", "obstacle_radius", "agent_accel", "predator_accel",
         "prey_accel", "agent_max_speed", "predator_max_speed", "prey_max_speed"])
-    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
     def test_non_positive_physics_field_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
             ScenarioConfig.coop_nav(1, **{name: value})
