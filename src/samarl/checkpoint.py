@@ -9,6 +9,7 @@ float32 or float64. Saving and re-loading is bit-exact.
 
 from __future__ import annotations
 
+import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,8 +63,8 @@ def save_checkpoint(directory, named_tensors, *, algo: str, scenario: str,
 
     ``train`` maps architecture keys to the values the header records as
     ``train.<key>``. Every name and dtype is checked before anything is
-    written. The files go into a hidden sibling that replaces ``directory``, so
-    a killed process leaves the previous checkpoint or none (no fsync: not an OS crash).
+    written. The files go into a hidden sibling that replaces ``directory``, all
+    fsync'd, so a killed process or an OS crash leaves the previous checkpoint or none.
     """
     entries = []
     chunks = []
@@ -97,9 +98,17 @@ def save_checkpoint(directory, named_tensors, *, algo: str, scenario: str,
     (staging / MANIFEST_FILE).write_text("\n".join(lines) + "\n")
     (staging / BLOB_FILE).write_bytes(b"".join(chunks))
     shutil.rmtree(retired, ignore_errors=True)   # likewise
+    for name in (MANIFEST_FILE, BLOB_FILE):      # on the disk before the renames
+        with open(staging / name, "rb") as f:
+            os.fsync(f.fileno())
     if directory.exists():
         directory.rename(retired)
     staging.rename(directory)
+    parent = os.open(directory.parent, os.O_RDONLY)   # and the renames after them
+    try:
+        os.fsync(parent)
+    finally:
+        os.close(parent)
     shutil.rmtree(retired, ignore_errors=True)
     return directory
 

@@ -561,18 +561,17 @@ def attention_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wout: Tensor,
     are the ``heads`` heads, and ``wout`` (h*dk, D) mixes the merged heads.
     Scores are raw query-key products (no scaling), softmaxed over keys.
 
-    The per-head products run as one GEMM per (batch, head) inside numpy, on
-    views of unit-stride arrays. None of them pairs a plain left operand with
-    a transposed right one, the pairing numpy's BLAS calls run slowest (about
-    twice the time at n = 8). So the keys come from their own GEMM already
-    transposed, (h*dk, B*n), and the backward keeps the score gradient
-    transposed. Queries and values come from one GEMM each: one GEMM against
-    their joined weights would need the join on every call, which at batch 1
-    costs more than the call it saves. The heads' outputs are written straight
-    into the (B*n, h*dk) input of the output projection, and the query, value
-    and key gradients side by side into one (B*n, 3*h*dk) array, so that one
-    GEMM gives the input's gradient and one the three weights'. Nothing is
-    copied to split or merge heads.
+    Every per-head product is one GEMM per (batch, head) inside numpy, on
+    views of unit-stride arrays, and none pairs a plain left operand with a
+    transposed right one, the pairing numpy's BLAS runs slowest. So the keys
+    come transposed, (B, h*dk, n), from one GEMM per sample, and so does the
+    backward's dA^T, the heads' output gradient; the score gradient stays
+    transposed, and the softmax backward's per-query sums of P * dP are one
+    GEMV in P's row layout. Queries and values come from one GEMM each. The
+    heads' outputs go straight into the (B*n, h*dk) input of the output
+    projection, and the query, value and key gradients into one
+    (B*n, 3*h*dk) array, so one GEMM gives the input's gradient and one the
+    three weights'. Nothing is copied to split or merge heads.
 
     The output equals that of the separate ops (projections, head reshapes,
     softmax, products, residual layer norm) bit for bit, wherever the tests
@@ -608,8 +607,9 @@ def attention_kernel(x: np.ndarray, wq, wk, wv, wout, ln_gain, ln_bias, *,
     x2 = _reshaped(x, (rows, dim))
     q = gemm(x2, wq).reshape(batch, n, heads, dk).transpose(0, 2, 1, 3)
     v = gemm(x2, wv).reshape(batch, n, heads, dk).transpose(0, 2, 1, 3)
-    # keys transposed, (B, h, dk, n), from a GEMM whose rows are features
-    k_t = gemm(wk.T, x2.T).reshape(heads, dk, batch, n).transpose(2, 0, 1, 3)
+    # keys transposed, (B, h, dk, n), from one GEMM per sample
+    k_t = np.matmul(wk.T, x2.reshape(batch, n, dim).swapaxes(1, 2),
+                    out=empty((batch, hd, n), x.dtype)).reshape(batch, heads, dk, n)
     p = _softmax_rows(gemm(q, k_t))            # (B, h, n, n)
     merged = empty((rows, hd), x.dtype)
     np.matmul(p, v, out=merged.reshape(batch, n, heads, dk).transpose(0, 2, 1, 3))
@@ -656,13 +656,14 @@ def _attention_vjp(parents, x2, q, v, k_t, p, merged, xhat, inv, col):
             wout._accum(_gemm(merged.T, g), own=True)
         if not any(t._tracked() for t in (x, wq, wk, wv)):
             return
-        # transposed heads' output gradient, (B, h, dk, n)
-        da_t = _gemm(wout.data, g.T).reshape(heads, dk, batch, n).transpose(2, 0, 1, 3)
+        # transposed heads' output gradient, (B, h, dk, n), one GEMM per sample
+        da_t = np.matmul(wout.data, g.reshape(batch, n, -1).swapaxes(1, 2),
+                         out=_empty((batch, hd, n), g.dtype)).reshape(batch, heads, dk, n)
         ds_t = _gemm(v, da_t)                        # dP^T = V dA^T, (B, h, n, n)
         p_t = p.swapaxes(-1, -2)
-        # dS^T = P^T * (dP^T - r), r the per-query sums of P * dP, taken as
-        # the column sums of P^T * dP^T by a GEMM against a ones row
-        ds_t -= _column(n, 1.0, p.dtype).T @ _ew(np.multiply, p_t, ds_t)
+        # dS^T = P^T * (dP^T - r), r the per-query sums of P * dP: one GEMV in P's layout
+        r = _ew(np.multiply, p, ds_t.swapaxes(-1, -2)).reshape(-1, n) @ _column(n, 1.0, p.dtype)
+        ds_t -= r.reshape(batch, heads, 1, n)
         ds_t *= p_t
         dqvk = _empty((rows, 3 * hd), merged.dtype)
         d_heads = dqvk.reshape(batch, n, 3, heads, dk).transpose(2, 0, 3, 1, 4)

@@ -1,5 +1,6 @@
 """Checkpoint manifest + blob round-trip guarantees."""
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,40 @@ def test_failed_blob_write_leaves_previous_checkpoint_or_none(tmp_path, monkeypa
     # the next save completes over what the failed one left, and leaves only itself
     assert load_checkpoint(save(3))[0].episode == 3
     assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+
+
+@pytest.mark.parametrize("previous", [False, True], ids=["empty-target", "over-checkpoint"])
+def test_files_reach_the_disk_before_the_rename_and_the_rename_after(tmp_path, monkeypatch,
+                                                                    previous):
+    actor = nets.MlpActor(3, 2, np.random.default_rng(9), hidden_dim=4)
+
+    def save():
+        return save_checkpoint(tmp_path / "ck", actor.named_parameters(), algo="maddpg",
+                               scenario="coop_nav", agents=1, episode=0)
+
+    if previous:
+        save()
+    events = []   # ("fsync", inode) or ("rename", source name, target name)
+    real_fsync, real_rename = os.fsync, Path.rename
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def rename(path, target):
+        events.append(("rename", path.name, Path(target).name))
+        return real_rename(path, target)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(Path, "rename", rename)
+    path = save()
+    monkeypatch.undo()
+    # a file keeps its inode through the rename of its directory
+    manifest, blob, parent = (p.stat().st_ino for p in
+                              (path / "manifest.txt", path / "params.bin", tmp_path))
+    renames = [("rename", "ck", ".ck.old")] if previous else []
+    assert events == [("fsync", manifest), ("fsync", blob), *renames,
+                      ("rename", ".ck.new", "ck"), ("fsync", parent)]
 
 
 @pytest.mark.parametrize("old, new", [

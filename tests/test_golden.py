@@ -40,8 +40,8 @@ PARAMS_DIGESTS = {
     "matd3": "81b0448cb7a50b582a9594c46669821e8399ff08b69f5e9ecb79d274f3cfd76c",
     "sa-maddpg": "ade01d2091f4eadbc3ca3042e8e4b38fc651b4bd938aa2e3e7cd2bc6c1931f9f",
     "sa-matd3": "e8c8d66eb6e4c51bc72800a3f422c78cd4ba4df7b49cfc8ed8abbaba93e92a3f",
-    "dsa-maddpg": "55c6842492122ead4722a36f915f6ca86158c4ed576c319f0635f524ed5beeff",
-    "dsa-matd3": "a019021d425690ab85d0a7d90dc374cc0191d56a91764e5b3971a66598a39bd3",
+    "dsa-maddpg": "7b7cd4c37b7ea2b7105aca530fa0741857b8910a290a865f785daef5ad115712",
+    "dsa-matd3": "62c26439441bb0496ec4488fa740f17d65b065f15acc005dd9cb6ab8a0949881",
 }
 
 CASES = [
