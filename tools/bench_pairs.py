@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import platform
 import subprocess
 import sys
 import tempfile
@@ -157,8 +156,9 @@ def main(argv=None) -> None:
         if args.aa:
             aa_runs += run_pairs(aa_sides, workload, list(range(first, first + args.aa)),
                                  args.seconds)
-    meta = dict(runs[0]["meta"]) if runs else {}
-    meta.update(machine=platform.machine(), python=platform.python_version())
+    # the first run's meta, less what differs between runs
+    meta = {k: v for k, v in (runs[0]["meta"] if runs else {}).items()
+            if k not in ("seed", "workload")}
     bench = {
         "label": args.label,
         "command": "python3 perfbench/run.py --workload <w> --seed <s> --seconds "
