@@ -139,6 +139,38 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
+def bench_file(args, parent: str, change: str, runs: list[dict], aa_runs: list[dict]) -> dict:
+    """The BENCH file's content for the runs so far."""
+    done = [w for w in args.workloads if any(r["workload"] == w for r in runs)]
+
+    def block(rs):
+        return {w: summarize([r for r in rs if r["workload"] == w], BENCHMARK["end_to_end"])
+                for w in done}
+
+    def stripped(rs):
+        return [{k: v for k, v in r.items() if k != "meta"} for r in rs]
+
+    bench = {
+        "label": args.label,
+        "command": "python3 perfbench/run.py --workload <w> --seed <s> --seconds "
+                   f"{args.seconds:g} --trace 0, from the root of each export",
+        "parent": parent,
+        "change": change,
+        "pairing": "pair i runs parent first when i is even, change first when odd, "
+                   "both with the same seed",
+        # the first run's meta, less what differs between runs
+        "meta": {k: v for k, v in (runs[0]["meta"] if runs else {}).items()
+                 if k not in ("seed", "workload")},
+        "summary": block(runs),
+        "runs": stripped(runs),
+    }
+    if args.aa:
+        bench["aa"] = {"what": "the parent against a second export of the parent, "
+                               "same pairing and seeds as the first pairs",
+                       "summary": block(aa_runs), "runs": stripped(aa_runs)}
+    return bench
+
+
 def main(argv=None) -> None:
     args = parse_args(argv)
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
@@ -147,6 +179,7 @@ def main(argv=None) -> None:
              "change": export(change, workdir / "change")}
     aa_sides = {"parent": sides["parent"],
                 "change": export(parent, workdir / "parent-copy")} if args.aa else {}
+    out = args.out or ROOT / f"BENCH_{args.label}.json"
     order = [w["name"] for w in BENCHMARK["workloads"]]
     runs, aa_runs = [], []
     for workload in args.workloads:
@@ -156,32 +189,10 @@ def main(argv=None) -> None:
         if args.aa:
             aa_runs += run_pairs(aa_sides, workload, list(range(first, first + args.aa)),
                                  args.seconds)
-    # the first run's meta, less what differs between runs
-    meta = {k: v for k, v in (runs[0]["meta"] if runs else {}).items()
-            if k not in ("seed", "workload")}
-    bench = {
-        "label": args.label,
-        "command": "python3 perfbench/run.py --workload <w> --seed <s> --seconds "
-                   f"{args.seconds:g} --trace 0, from the root of each export",
-        "parent": parent,
-        "change": change,
-        "pairing": "pair i runs parent first when i is even, change first when odd, "
-                   "both with the same seed",
-        "meta": meta,
-        "summary": {w: summarize([r for r in runs if r["workload"] == w],
-                                 BENCHMARK["end_to_end"]) for w in args.workloads},
-        "runs": [{k: v for k, v in r.items() if k != "meta"} for r in runs],
-    }
-    if args.aa:
-        bench["aa"] = {
-            "what": "the parent against a second export of the parent, same pairing",
-            "summary": {w: summarize([r for r in aa_runs if r["workload"] == w],
-                                     BENCHMARK["end_to_end"]) for w in args.workloads},
-            "runs": [{k: v for k, v in r.items() if k != "meta"} for r in aa_runs],
-        }
-    out = args.out or ROOT / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(bench, indent=1) + "\n")
-    print(f"wrote {out}")
+        # written after each workload, so that a stopped run keeps what it measured
+        out.write_text(json.dumps(bench_file(args, parent, change, runs, aa_runs),
+                                  indent=1) + "\n")
+        print(f"wrote {out} ({workload} done)", flush=True)
 
 
 if __name__ == "__main__":
