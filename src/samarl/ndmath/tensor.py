@@ -608,8 +608,7 @@ def attention_kernel(x: np.ndarray, wq, wk, wv, wout, ln_gain, ln_bias, *,
     q = gemm(x2, wq).reshape(batch, n, heads, dk).transpose(0, 2, 1, 3)
     v = gemm(x2, wv).reshape(batch, n, heads, dk).transpose(0, 2, 1, 3)
     # keys transposed, (B, h, dk, n), from one GEMM per sample
-    k_t = np.matmul(wk.T, x2.reshape(batch, n, dim).swapaxes(1, 2),
-                    out=empty((batch, hd, n), x.dtype)).reshape(batch, heads, dk, n)
+    k_t = gemm(wk.T, x2.reshape(batch, n, dim).swapaxes(1, 2)).reshape(batch, heads, dk, n)
     p = _softmax_rows(gemm(q, k_t))            # (B, h, n, n)
     merged = empty((rows, hd), x.dtype)
     np.matmul(p, v, out=merged.reshape(batch, n, heads, dk).transpose(0, 2, 1, 3))
@@ -656,9 +655,9 @@ def _attention_vjp(parents, x2, q, v, k_t, p, merged, xhat, inv, col):
             wout._accum(_gemm(merged.T, g), own=True)
         if not any(t._tracked() for t in (x, wq, wk, wv)):
             return
+        g_t = g.reshape(batch, n, -1).swapaxes(1, 2)
         # transposed heads' output gradient, (B, h, dk, n), one GEMM per sample
-        da_t = np.matmul(wout.data, g.reshape(batch, n, -1).swapaxes(1, 2),
-                         out=_empty((batch, hd, n), g.dtype)).reshape(batch, heads, dk, n)
+        da_t = _gemm(wout.data, g_t).reshape(batch, heads, dk, n)
         ds_t = _gemm(v, da_t)                        # dP^T = V dA^T, (B, h, n, n)
         p_t = p.swapaxes(-1, -2)
         # dS^T = P^T * (dP^T - r), r the per-query sums of P * dP: one GEMV in P's layout

@@ -45,13 +45,13 @@ def test_summary_pairs_runs_and_counts_wins_in_each_direction():
 def test_seeds_and_order_alternate_by_pair(monkeypatch, tmp_path):
     calls = []
 
-    def run_once(checkout, workload, seed, seconds):
+    def run_once(checkout, workload, seed):
         calls.append((checkout.name, seed))
         return {"result": {"metrics": {}}, "derived": [], "meta": {}}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     sides = {"parent": tmp_path / "a", "change": tmp_path / "b"}
-    runs = bench_pairs.run_pairs(sides, "w", [7, 8, 9], 1.0)
+    runs = bench_pairs.run_pairs(sides, "w", [7, 8, 9])
     assert calls == [("a", 7), ("b", 7), ("b", 8), ("a", 8), ("a", 9), ("b", 9)]
     assert [(r["side"], r["pair"]) for r in runs] == [
         ("parent", 0), ("change", 0), ("change", 1), ("parent", 1), ("parent", 2),

@@ -3,27 +3,29 @@
     python3 tools/bench_pairs.py --parent f17138b --change HEAD --label pr17 \\
         --pairs 10 --seed 1721 [--workloads nav8-update ...] [--aa 4]
 
-Each commit is exported with ``git archive`` into its own directory outside
-the tree (``--workdir``, a new temporary directory by default), so neither run
-can read the other's files or this checkout's. For every workload the runner
-runs ``--pairs`` pairs of
+Each commit is exported with ``git archive`` into its own temporary
+directory outside the tree, removed at the end, so neither run can read the
+other's files or this checkout's. For every workload the runner runs
+``--pairs`` pairs of
 
     python3 perfbench/run.py --workload <w> --seed <s> --seconds <t> --trace 0
 
-from the root of each export, one after the other. Pair i runs the parent
-first when i is even and the change first when it is odd, and both runs of a
-pair take the same seed: ``--seed`` + 100 * (the workload's place in
-BENCHMARK.json) + i. ``--aa K`` adds K pairs per workload of the parent
-against a second export of the parent, an A/A control that shows how far two
+from the root of each export, one after the other, with t the
+``run_seconds`` of BENCHMARK.json. Pair i runs the parent first when i is
+even and the change first when it is odd, and both runs of a pair take the
+same seed: ``--seed`` + 100 * (the workload's place in BENCHMARK.json) + i.
+``--aa K`` adds K pairs per workload of the parent against a second export
+of the parent, on the first K seeds: an A/A control that shows how far two
 runs of the same code drift apart on this host. The runner only invokes
 perfbench; it changes nothing under ``perfbench/``.
 
-``BENCH_<label>.json`` holds every run's JSON result line with its printed
-``machine_scale`` and unscaled p50 lines, and a ``summary`` block per workload:
-failed and attempted operations per side, and per end-to-end metric of
-BENCHMARK.json the two medians, the change's percentage, the pairs the change
-won, the parent's interquartile range, the metric's bound and both sides' runs.
-The A/A control, if run, has the same block under ``aa``.
+``BENCH_<label>.json``, at the root of the repo, holds every run's JSON
+result line with its printed ``machine_scale`` and unscaled p50 lines, and a
+``summary`` block per workload: failed and attempted operations per side,
+and per end-to-end metric of BENCHMARK.json the two medians, the change's
+percentage, the pairs the change won, the parent's interquartile range, the
+metric's bound and both sides' runs. The A/A control, if run, has the same
+block under ``aa``. The file is rewritten after each workload.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+SECONDS = BENCHMARK["run_seconds"]
 DERIVED = ("machine_scale", "main_ms.p50.unscaled", "bypass_ms.p50.unscaled")
 
 
@@ -56,11 +59,11 @@ def resolve(commit: str) -> str:
                           check=True, capture_output=True, text=True).stdout.strip()
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One perfbench run: its last stdout line (the JSON result), its derived
     lines named in ``DERIVED`` and its ``meta`` line."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
                           cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -71,14 +74,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"result": json.loads(lines[-1]), "derived": derived, "meta": meta}
 
 
-def run_pairs(sides: dict[str, Path], workload: str, seeds: list[int],
-              seconds: float) -> list[dict]:
+def run_pairs(sides: dict[str, Path], workload: str, seeds: list[int]) -> list[dict]:
     """Alternating pairs: the first side of ``sides`` runs first in even pairs."""
     names = list(sides)
     runs = []
     for pair, seed in enumerate(seeds):
         for side in names if pair % 2 == 0 else names[::-1]:
-            record = run_once(sides[side], workload, seed, seconds)
+            record = run_once(sides[side], workload, seed)
             runs.append({"workload": workload, "seed": seed, "side": side, "pair": pair,
                          **record})
             metrics = record["result"]["metrics"]
@@ -128,14 +130,9 @@ def parse_args(argv):
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="first seed of each workload")
-    parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     parser.add_argument("--workloads", nargs="+", choices=names, default=names)
     parser.add_argument("--aa", type=int, default=0, metavar="K",
                         help="A/A control pairs per workload (parent against parent)")
-    parser.add_argument("--workdir", type=Path, default=None,
-                        help="where the exports go (a new temporary directory by default)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="output path (default: BENCH_<label>.json at the repo root)")
     return parser.parse_args(argv)
 
 
@@ -153,7 +150,7 @@ def bench_file(args, parent: str, change: str, runs: list[dict], aa_runs: list[d
     bench = {
         "label": args.label,
         "command": "python3 perfbench/run.py --workload <w> --seed <s> --seconds "
-                   f"{args.seconds:g} --trace 0, from the root of each export",
+                   f"{SECONDS:g} --trace 0, from the root of each export",
         "parent": parent,
         "change": change,
         "pairing": "pair i runs parent first when i is even, change first when odd, "
@@ -173,26 +170,23 @@ def bench_file(args, parent: str, change: str, runs: list[dict], aa_runs: list[d
 
 def main(argv=None) -> None:
     args = parse_args(argv)
-    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     parent, change = resolve(args.parent), resolve(args.change)
-    sides = {"parent": export(parent, workdir / "parent"),
-             "change": export(change, workdir / "change")}
-    aa_sides = {"parent": sides["parent"],
-                "change": export(parent, workdir / "parent-copy")} if args.aa else {}
-    out = args.out or ROOT / f"BENCH_{args.label}.json"
+    out = ROOT / f"BENCH_{args.label}.json"
     order = [w["name"] for w in BENCHMARK["workloads"]]
     runs, aa_runs = [], []
-    for workload in args.workloads:
-        first = args.seed + 100 * order.index(workload)
-        runs += run_pairs(sides, workload, list(range(first, first + args.pairs)),
-                          args.seconds)
-        if args.aa:
-            aa_runs += run_pairs(aa_sides, workload, list(range(first, first + args.aa)),
-                                 args.seconds)
-        # written after each workload, so that a stopped run keeps what it measured
-        out.write_text(json.dumps(bench_file(args, parent, change, runs, aa_runs),
-                                  indent=1) + "\n")
-        print(f"wrote {out} ({workload} done)", flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as workdir:
+        sides = {"parent": export(parent, Path(workdir) / "parent"),
+                 "change": export(change, Path(workdir) / "change")}
+        aa_sides = {"parent": sides["parent"],
+                    "change": export(parent, Path(workdir) / "parent-copy")}
+        for workload in args.workloads:
+            first = args.seed + 100 * order.index(workload)
+            runs += run_pairs(sides, workload, list(range(first, first + args.pairs)))
+            aa_runs += run_pairs(aa_sides, workload, list(range(first, first + args.aa)))
+            # after each workload, so that a stopped run keeps what it measured
+            out.write_text(json.dumps(bench_file(args, parent, change, runs, aa_runs),
+                                      indent=1) + "\n")
+            print(f"wrote {out} ({workload} done)", flush=True)
 
 
 if __name__ == "__main__":
