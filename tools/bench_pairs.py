@@ -178,7 +178,7 @@ def main(argv=None) -> None:
         sides = {"parent": export(parent, Path(workdir) / "parent"),
                  "change": export(change, Path(workdir) / "change")}
         aa_sides = {"parent": sides["parent"],
-                    "change": export(parent, Path(workdir) / "parent-copy")}
+                    "change": export(parent, Path(workdir) / "parent-copy")} if args.aa else {}
         for workload in args.workloads:
             first = args.seed + 100 * order.index(workload)
             runs += run_pairs(sides, workload, list(range(first, first + args.pairs)))
