@@ -1,6 +1,6 @@
 """Alternating pairs of perfbench runs on two commits, summarised into a BENCH file.
 
-    python3 tools/bench_pairs.py --parent f17138b --change HEAD --label pr17 \\
+    python3 tools/bench_pairs.py --parent main --change HEAD --label mychange \\
         --pairs 10 --seed 1721 [--workloads nav8-update ...] [--aa 4]
 
 Each commit is exported with ``git archive`` into its own temporary
