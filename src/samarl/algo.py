@@ -147,18 +147,17 @@ def recorded_train(manifest, base: TrainConfig) -> TrainConfig:
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring of transitions, filled one whole episode at a
-    time, with uniform, within-batch-unique sampling.
+    """Fixed-capacity FIFO ring of whole episodes, with uniform,
+    within-batch-unique sampling of their transitions.
 
-    The trainable agents share one observation width, so observations are
-    held as one ``(capacity, n, obs_dim)`` array, each once: the next
-    observation of the transition in slot i is the observation of slot
-    (i + 1) % capacity, written later in the same episode, except for an
-    episode's last transition. Its next observation is a row of
-    ``last_obs``, a ring of rows 1 to ceil(capacity / episode_length), one
-    per episode with a transition still in the buffer; ``last_row`` holds
-    that row for a last transition's slot and 0, the value of memory not yet
-    written, for every other slot.
+    The ring holds ``slots = ceil(capacity / T)`` episodes of T =
+    ``episode_length`` steps, so ``capacity`` is rounded up to ``slots * T``
+    and the oldest episode is evicted whole. The trainable agents share one
+    observation width, so each episode's T + 1 observations are stored
+    together, each once, as a row of one ``(slots, T + 1, n, obs_dim)``
+    array; actions, rewards and done flags are flat per-transition arrays.
+    Transition i reads rows i + i // T and i + i // T + 1 of the flat view of
+    ``obs`` as its observation and next observation.
     """
 
     def __init__(self, capacity: int, obs_dims: Sequence[int], act_dim: int,
@@ -166,55 +165,47 @@ class ReplayBuffer:
         if len(set(obs_dims)) != 1:
             raise ValueError(
                 f"trainable agents need one observation width, got {list(obs_dims)}")
-        self.capacity = capacity
+        slots = -(-capacity // episode_length)
+        self.capacity = slots * episode_length
         self.episode_length = episode_length
         self.rng = rng
-        obs_shape = (len(obs_dims), obs_dims[0])
-        self.obs = np.zeros((capacity,) + obs_shape, dtype=np.float32)
-        self.last_obs = np.zeros((1 - (-capacity // episode_length),) + obs_shape, np.float32)
-        self.last_row = np.zeros(capacity, dtype=np.int32)
-        self.act = np.zeros((capacity, len(obs_dims), act_dim), dtype=np.float32)
-        self.rew = np.zeros((capacity, n_types), dtype=np.float32)
-        self.done = np.zeros(capacity, dtype=np.float32)
-        self.size = self.cursor = self.episodes = 0
+        n = len(obs_dims)
+        self.obs = np.zeros((slots, episode_length + 1, n, obs_dims[0]), dtype=np.float32)
+        self.act = np.zeros((self.capacity, n, act_dim), dtype=np.float32)
+        self.rew = np.zeros((self.capacity, n_types), dtype=np.float32)
+        self.done = np.zeros(self.capacity, dtype=np.float32)
+        self.size = self.cursor = 0
 
     def __len__(self) -> int:
         return self.size
 
     def push_episode(self, obs: np.ndarray, act: np.ndarray, rew: np.ndarray,
                      done: np.ndarray) -> None:
-        """Append one episode of T = ``episode_length`` steps: observations
-        (T+1, n, obs_dim), actions (T, n, act_dim), rewards (T, n_types) and
-        done flags (T,). Slots are written in step order, so the oldest
-        transitions are evicted one by one, as T single pushes would."""
-        steps, cap = self.episode_length, self.capacity
-        want = [(steps + 1,) + self.obs.shape[1:], (steps,) + self.act.shape[1:],
+        """Append one episode of T = ``episode_length`` steps, over the oldest
+        one once the ring is full: observations (T+1, n, obs_dim), actions
+        (T, n, act_dim), rewards (T, n_types) and done flags (T,)."""
+        steps = self.episode_length
+        want = [self.obs.shape[1:], (steps,) + self.act.shape[1:],
                 (steps,) + self.rew.shape[1:], (steps,)]
         got = [np.shape(x) for x in (obs, act, rew, done)]
         if got != want:
             raise ValueError(f"an episode (obs, act, rew, done) of this buffer "
                              f"has the shapes {want}, got {got}")
-        first = max(steps - cap, 0)   # steps the episode itself evicts
-        slots = (self.cursor + np.arange(first, steps)) % cap
-        self.obs[slots], self.act[slots] = obs[first:steps], act[first:]
-        self.rew[slots], self.done[slots] = rew[first:], done[first:]
-        row = 1 + self.episodes % (len(self.last_obs) - 1)
-        self.last_row[slots] = 0
-        self.last_row[slots[-1]] = row
-        self.last_obs[row] = obs[steps]
-        self.cursor = (self.cursor + steps) % cap
-        self.size = min(self.size + steps, cap)
-        self.episodes += 1
+        rows = slice(self.cursor, self.cursor + steps)
+        self.obs[self.cursor // steps] = obs
+        self.act[rows], self.rew[rows], self.done[rows] = act, rew, done
+        self.cursor = (self.cursor + steps) % self.capacity
+        self.size = min(self.size + steps, self.capacity)
 
     def sample(self, batch_size: int) -> "Batch":
         if batch_size > self.size:
             raise ValueError(
                 f"cannot sample {batch_size} transitions from a buffer of {self.size}")
         idx = self.rng.choice(self.size, size=batch_size, replace=False)
-        next_obs, row = self.obs[(idx + 1) % self.capacity], self.last_row[idx]
-        next_obs[row > 0] = self.last_obs[row[row > 0]]
-        return Batch(obs=self.obs[idx], act=self.act[idx], rew=self.rew[idx],
-                     next_obs=next_obs, done=self.done[idx])
+        obs = self.obs.reshape(-1, *self.obs.shape[2:])   # one observation a row
+        row = idx + idx // self.episode_length
+        return Batch(obs=obs[row], act=self.act[idx], rew=self.rew[idx],
+                     next_obs=obs[row + 1], done=self.done[idx])
 
 
 @dataclass

@@ -100,11 +100,14 @@ class ScenarioConfig:
             raise ConfigError(
                 f"predator-prey needs a 2:1 predator:prey split; "
                 f"{self.n_agents} agents cannot be divided that way")
-        # a negative speed cap would flip a velocity every step, an infinite one NaN it
+        if self.episode_length < 1:
+            raise ConfigError(f"episode_length must be at least 1, got {self.episode_length}")
+        # a negative speed cap would flip a velocity every step, an infinite one NaN it;
+        # a zero world width NaNs the prey's boundary penalty
         for name in ("dt", "contact_stiffness", "contact_margin", "agent_radius",
                      "landmark_radius", "predator_radius", "prey_radius", "obstacle_radius",
                      "agent_accel", "predator_accel", "prey_accel", "agent_max_speed",
-                     "predator_max_speed", "prey_max_speed"):
+                     "predator_max_speed", "prey_max_speed", "world_half_width"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0.0 <= self.damping <= 1.0:

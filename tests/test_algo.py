@@ -155,8 +155,8 @@ class TestTrainConfig:
 
 
 class TwoArrayBuffer:
-    """Reference: the layout the one-copy buffer replaced, with ``obs`` and
-    ``next_obs`` each held in full and one transition pushed at a time."""
+    """Reference: a ring of single transitions, with ``obs`` and ``next_obs``
+    each held in full and one transition pushed at a time."""
 
     def __init__(self, capacity, n, obs_dim, act_dim, n_types, rng):
         self.capacity, self.rng, self.size, self.cursor = capacity, rng, 0, 0
@@ -209,13 +209,24 @@ class TestReplayBuffer:
                          rew=tags[:, None], done=np.zeros(len(tags), dtype=bool))
 
     def test_fifo_eviction(self):
-        buf = self._buffer(capacity=5, episode_length=3)
-        for first in (0, 3):
+        buf = self._buffer(capacity=6, episode_length=3)
+        for first in (0, 3, 6):
             self._push_tagged(buf, [first, first + 1, first + 2])
-        assert len(buf) == 5
-        stored = set(buf.rew[:, 0].tolist())
-        assert 0.0 not in stored  # oldest evicted
-        assert stored == {1.0, 2.0, 3.0, 4.0, 5.0}
+        assert len(buf) == 6
+        # the oldest episode is evicted, its observations with it
+        assert buf.rew[:, 0].tolist() == [6.0, 7.0, 8.0, 3.0, 4.0, 5.0]
+        assert buf.obs[..., 0, 0].tolist() == [[6.0, 7.0, 8.0, 9.0], [3.0, 4.0, 5.0, 6.0]]
+
+    def test_capacity_rounds_up_to_whole_episodes(self):
+        buf = self._buffer(capacity=7, episode_length=3)
+        assert buf.capacity == 9 and buf.obs.shape == (3, 4, 1, 3)
+        for first in (0, 3, 6):
+            self._push_tagged(buf, [first, first + 1, first + 2])
+        assert len(buf) == 9 and sorted(buf.rew[:, 0].tolist()) == list(range(9))
+        self._push_tagged(buf, [9, 10, 11])
+        assert len(buf) == 9 and sorted(buf.rew[:, 0].tolist()) == list(range(3, 12))
+        batch = buf.sample(9)
+        assert np.array_equal(batch.next_obs[:, 0, 0], batch.rew[:, 0] + 1)
 
     def test_sample_shapes_and_bounds(self):
         buf = self._buffer(capacity=10, episode_length=7)
@@ -266,19 +277,21 @@ class TestReplayBuffer:
         assert chi2 < 85.35
 
     @settings(max_examples=150, deadline=None)
-    @given(capacity=st.integers(1, 40), steps=st.integers(1, 9),
+    @given(k=st.integers(1, 8), steps=st.integers(1, 9),
            episodes=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
            data=st.data())
-    @example(capacity=1, steps=3, episodes=4, seed=0, data=None)
-    @example(capacity=7, steps=3, episodes=6, seed=1, data=None)
-    @example(capacity=2, steps=3, episodes=3, seed=2, data=None)
-    @example(capacity=10, steps=4, episodes=5, seed=3, data=None)
-    def test_matches_two_array_layout(self, capacity, steps, episodes, seed, data):
-        # capacities of 1, below the episode length and not a multiple of it
-        # evict transition by transition, exactly as single pushes did
+    @example(k=1, steps=3, episodes=4, seed=0, data=None)
+    @example(k=2, steps=3, episodes=6, seed=1, data=None)
+    @example(k=3, steps=1, episodes=5, seed=2, data=None)
+    @example(k=2, steps=4, episodes=5, seed=3, data=None)
+    def test_matches_two_array_layout(self, k, steps, episodes, seed, data):
+        # at a capacity of k whole episodes, the ring evicts what k * steps
+        # single pushes would, and draws the same batches
+        capacity = k * steps
         rng = np.random.default_rng(seed)
         buf = self._buffer(capacity, seed, steps, obs_dims=(3, 3), n_types=2)
         ref = TwoArrayBuffer(capacity, 2, 3, 2, 2, np.random.default_rng(seed))
+        assert buf.capacity == capacity and buf.obs.shape == (k, steps + 1, 2, 3)
         for _ in range(episodes):
             obs, act, rew, done = random_episode(rng, steps)
             buf.push_episode(obs, act, rew, done)
@@ -286,11 +299,9 @@ class TestReplayBuffer:
                 ref.push(obs[t], act[t], rew[t], obs[t + 1], done[t])
             live = np.arange(ref.size)
             assert (len(buf), buf.cursor) == (ref.size, ref.cursor)
-            assert np.array_equal(buf.obs[live], ref.obs[live])
-            last = buf.last_row[live]
-            next_obs = np.where((last == 0)[:, None, None], buf.obs[(live + 1) % capacity],
-                                buf.last_obs[last])
-            assert np.array_equal(next_obs, ref.next_obs[live])
+            episode, step = np.divmod(live, steps)
+            assert np.array_equal(buf.obs[episode, step], ref.obs[live])
+            assert np.array_equal(buf.obs[episode, step + 1], ref.next_obs[live])
             for field in ("act", "rew", "done"):
                 assert np.array_equal(getattr(buf, field)[live], getattr(ref, field)[live])
         if len(buf):
@@ -300,12 +311,12 @@ class TestReplayBuffer:
                 assert_same_batch(buf.sample(k), ref.sample(k))
 
     def test_bad_episode_rejected_before_writing(self):
-        buf = self._buffer(capacity=7, episode_length=3, obs_dims=(3, 3), n_types=2)
+        buf = self._buffer(capacity=6, episode_length=3, obs_dims=(3, 3), n_types=2)
         rng = np.random.default_rng(4)
         buf.push_episode(*random_episode(rng, 3))
-        fields = ("obs", "last_obs", "last_row", "act", "rew", "done")
+        fields = ("obs", "act", "rew", "done")
         before = [getattr(buf, f).copy() for f in fields]
-        state = (len(buf), buf.cursor, buf.episodes)
+        state = (len(buf), buf.cursor)
         obs, act, rew, done = random_episode(rng, 3)
         bad = [random_episode(rng, 2), random_episode(rng, 4),
                (obs[:3], act, rew, done), (obs, act[:, :1], rew, done),
@@ -315,13 +326,14 @@ class TestReplayBuffer:
             with pytest.raises(ValueError, match="episode"):
                 buf.push_episode(*episode)
         assert all(np.array_equal(a, getattr(buf, f)) for a, f in zip(before, fields))
-        assert (len(buf), buf.cursor, buf.episodes) == state
+        assert (len(buf), buf.cursor) == state
 
     def test_each_observation_stored_once(self):
-        # coop_nav(5) at the default capacity: 83.9 MiB as obs plus next_obs
+        # coop_nav(5) at the default capacity: 83.9 MiB as obs plus next_obs,
+        # 44.06 MiB as 5000 episodes of 21 observations
         buf = ReplayBuffer(100_000, [22] * 5, 2, 1, 20, np.random.default_rng(0))
-        assert buf.obs.shape == (100_000, 5, 22) and buf.last_obs.shape == (5_001, 5, 22)
-        assert buf.obs.nbytes + buf.last_obs.nbytes + buf.last_row.nbytes <= 46 * 2**20
+        assert buf.obs.shape == (5_000, 21, 5, 22) and buf.capacity == 100_000
+        assert buf.obs.nbytes <= 46 * 2**20
 
 
 class TestSoftUpdate:
@@ -393,9 +405,9 @@ class TestExploration:
         trainer.run_episode(explore=True)
         buffer = trainer.buffer
         steps = buffer.episode_length
-        rows = (buffer.cursor - steps + np.arange(steps)) % buffer.capacity
-        clean = np.stack([trainer.actor.act(o) for o in buffer.obs[rows]])
-        return buffer.act[rows], clean
+        first = (buffer.cursor - steps) % buffer.capacity
+        clean = np.stack([trainer.actor.act(o) for o in buffer.obs[first // steps, :steps]])
+        return buffer.act[first:first + steps], clean
 
     def test_zero_noise_is_exact(self):
         for kind in (AlgoKind.MATD3, AlgoKind.DSA_MATD3):
@@ -789,7 +801,7 @@ class TestTrainerInvariants:
     def test_predator_prey_trains_predators_only(self):
         trainer = make_trainer(AlgoKind.SA_MATD3, n=6, scenario="predator_prey")
         assert trainer.n == 4
-        assert trainer.buffer.obs.shape[1:] == (4, trainer.obs_dim)
+        assert trainer.buffer.obs.shape[1:] == (21, 4, trainer.obs_dim)
         rewards = trainer.run_episode(explore=True)
         assert rewards.shape == (2,)
         assert len(trainer.buffer) == 20

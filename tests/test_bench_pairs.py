@@ -41,6 +41,29 @@ def test_summary_pairs_runs_and_counts_wins_in_each_direction():
     assert ms["parent_runs"] == parent_ms and ms["change_runs"] == change_ms
     assert out["throughput_per_s"]["change_wins"] == 3   # higher is better, same pairs
 
+    assert "main_over_bypass" not in out   # the runs have no bypass operation
+
+
+def test_main_over_bypass_cancels_what_moves_both_operations():
+    # the host slows every parent run by a factor that cancels in the ratio;
+    # the change's main operation is 10% slower per bypass millisecond in
+    # pairs 0 and 1 only
+    slow = [1.0, 1.5, 1.2, 2.0]
+    runs = []
+    for pair, (factor, ratio) in enumerate(zip(slow, [1.1, 1.1, 1.0, 1.0])):
+        for side, main, bypass in (("parent", 20.0 * factor, 10.0 * factor),
+                                   ("change", 20.0 * ratio, 10.0)):
+            run = _run(side, pair, main, 1.0)
+            run["result"]["metrics"]["bypass_ms.p50"] = {"value": bypass}
+            runs.append(run)
+    out = bench_pairs.summarize(runs, METRICS)
+    assert out["main_ms.p50"]["change_wins"] == 3        # raw times: the host's drift
+    block = out["main_over_bypass"]
+    assert block["parent_runs"] == [2.0] * 4 and block["change_runs"] == [2.2, 2.2, 2.0, 2.0]
+    assert block["parent_median"] == 2.0 and block["change_median"] == pytest.approx(2.1)
+    assert block["change_pct"] == pytest.approx(5.0)
+    assert block["change_wins"] == 0 and block["parent_iqr"] == 0.0
+
 
 def test_seeds_and_order_alternate_by_pair(monkeypatch, tmp_path):
     calls = []

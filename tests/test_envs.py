@@ -133,13 +133,21 @@ class TestConfig:
     @pytest.mark.parametrize("name", [
         "dt", "contact_stiffness", "contact_margin", "agent_radius", "landmark_radius",
         "predator_radius", "prey_radius", "obstacle_radius", "agent_accel", "predator_accel",
-        "prey_accel", "agent_max_speed", "predator_max_speed", "prey_max_speed"])
+        "prey_accel", "agent_max_speed", "predator_max_speed", "prey_max_speed",
+        "world_half_width"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
     def test_non_positive_physics_field_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
             ScenarioConfig.coop_nav(1, **{name: value})
         with pytest.raises(ConfigError, match=name):
             ScenarioConfig.predator_prey(3, **{name: value})
+
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_episode_length_below_one_rejected(self, length):
+        with pytest.raises(ConfigError, match="episode_length"):
+            ScenarioConfig.coop_nav(1, episode_length=length)
+        with pytest.raises(ConfigError, match="episode_length"):
+            ScenarioConfig.predator_prey(3, episode_length=length)
 
     @pytest.mark.parametrize("damping", [-0.1, 1.5, float("nan")])
     def test_damping_outside_unit_interval_rejected(self, damping):

@@ -24,7 +24,10 @@ result line with its printed ``machine_scale`` and unscaled p50 lines, and a
 ``summary`` block per workload: failed and attempted operations per side,
 and per end-to-end metric of BENCHMARK.json the two medians, the change's
 percentage, the pairs the change won, the parent's interquartile range, the
-metric's bound and both sides' runs. The A/A control, if run, has the same
+metric's bound and both sides' runs. Its ``main_over_bypass`` entry holds the
+same figures for each run's ``main_ms.p50 / bypass_ms.p50`` (a lower ratio
+wins): both operations run in the same process, so the ratio cancels what
+the host's state does to both alike. The A/A control, if run, has the same
 block under ``aa``. The file is rewritten after each workload.
 """
 
@@ -89,6 +92,23 @@ def run_pairs(sides: dict[str, Path], workload: str, seeds: list[int]) -> list[d
     return runs
 
 
+def compare(parent: list[float], change: list[float], better: str) -> dict:
+    """Both sides' medians, the change's percentage, the pairs it won (by
+    ``better``, "lower" or "higher"), the parent's IQR and both sides' runs."""
+    p, c = np.array(parent, dtype=float), np.array(change, dtype=float)
+    q1, q3 = np.percentile(p, [25, 75])
+    wins = np.less(c, p) if better == "lower" else np.greater(c, p)
+    return {
+        "parent_median": round(float(np.median(p)), 6),
+        "change_median": round(float(np.median(c)), 6),
+        "change_pct": round(100 * (float(np.median(c)) / float(np.median(p)) - 1), 2),
+        "change_wins": int(np.sum(wins)),
+        "parent_iqr": round(float(q3 - q1), 6),
+        "parent_runs": [round(v, 4) for v in p.tolist()],
+        "change_runs": [round(v, 4) for v in c.tolist()],
+    }
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """The ``summary`` block of one workload's runs, paired by ``pair``."""
     by_side = {side: sorted((r for r in runs if r["side"] == side), key=lambda r: r["pair"])
@@ -103,22 +123,18 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                           for s, rs in by_side.items()},
         "correct": {s: all(r["result"]["correct"] for r in rs) for s, rs in by_side.items()},
     }
+
+    def values(rs, name):
+        return [r["result"]["metrics"][name]["value"] for r in rs]
+
     for metric in end_to_end:
         name = metric["name"]
-        values = [[r["result"]["metrics"][name]["value"] for r in rs] for rs in (parent, change)]
-        p, c = (np.array(v, dtype=float) for v in values)
-        better = np.less if metric["better"] == "lower" else np.greater
-        q1, q3 = np.percentile(p, [25, 75])
-        out[name] = {
-            "parent_median": round(float(np.median(p)), 6),
-            "change_median": round(float(np.median(c)), 6),
-            "change_pct": round(100 * (float(np.median(c)) / float(np.median(p)) - 1), 2),
-            "change_wins": int(np.sum(better(c, p))),
-            "parent_iqr": round(float(q3 - q1), 6),
-            "bound_pct": round(100 * metric["bound"], 2),
-            "parent_runs": [round(v, 4) for v in p.tolist()],
-            "change_runs": [round(v, 4) for v in c.tolist()],
-        }
+        out[name] = {**compare(values(parent, name), values(change, name), metric["better"]),
+                     "bound_pct": round(100 * metric["bound"], 2)}
+    if all({"main_ms.p50", "bypass_ms.p50"} <= r["result"]["metrics"].keys() for r in runs):
+        ratios = [np.divide(values(rs, "main_ms.p50"), values(rs, "bypass_ms.p50"))
+                  for rs in (parent, change)]
+        out["main_over_bypass"] = compare(*ratios, "lower")
     return out
 
 
