@@ -307,8 +307,8 @@ class TestReplayBuffer:
         if len(buf):
             draws = [data.draw(st.integers(1, len(buf))) if data else len(buf)
                      for _ in range(3)]
-            for k in draws:
-                assert_same_batch(buf.sample(k), ref.sample(k))
+            for size in draws:
+                assert_same_batch(buf.sample(size), ref.sample(size))
 
     def test_bad_episode_rejected_before_writing(self):
         buf = self._buffer(capacity=6, episode_length=3, obs_dims=(3, 3), n_types=2)

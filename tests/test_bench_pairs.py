@@ -14,8 +14,9 @@ METRICS = [{"name": "main_ms.p50", "better": "lower", "bound": 0.15},
            {"name": "throughput_per_s", "better": "higher", "bound": 0.15}]
 
 
-def _run(side, pair, ms, rate, failed=0):
-    metrics = {"main_ms.p50": {"value": ms}, "throughput_per_s": {"value": rate}}
+def _run(side, pair, ms, rate, failed=0, bypass=1.0):
+    metrics = {"main_ms.p50": {"value": ms}, "throughput_per_s": {"value": rate},
+               "bypass_ms.p50": {"value": bypass}}
     return {"workload": "w", "seed": 100 + pair, "side": side, "pair": pair,
             "result": {"correct": failed == 0, "attempted": 10, "failed": failed,
                        "metrics": metrics}}
@@ -41,8 +42,6 @@ def test_summary_pairs_runs_and_counts_wins_in_each_direction():
     assert ms["parent_runs"] == parent_ms and ms["change_runs"] == change_ms
     assert out["throughput_per_s"]["change_wins"] == 3   # higher is better, same pairs
 
-    assert "main_over_bypass" not in out   # the runs have no bypass operation
-
 
 def test_main_over_bypass_cancels_what_moves_both_operations():
     # the host slows every parent run by a factor that cancels in the ratio;
@@ -53,9 +52,7 @@ def test_main_over_bypass_cancels_what_moves_both_operations():
     for pair, (factor, ratio) in enumerate(zip(slow, [1.1, 1.1, 1.0, 1.0])):
         for side, main, bypass in (("parent", 20.0 * factor, 10.0 * factor),
                                    ("change", 20.0 * ratio, 10.0)):
-            run = _run(side, pair, main, 1.0)
-            run["result"]["metrics"]["bypass_ms.p50"] = {"value": bypass}
-            runs.append(run)
+            runs.append(_run(side, pair, main, 1.0, bypass=bypass))
     out = bench_pairs.summarize(runs, METRICS)
     assert out["main_ms.p50"]["change_wins"] == 3        # raw times: the host's drift
     block = out["main_over_bypass"]
