@@ -1,6 +1,7 @@
 """Trainer mechanics: buffer, scheduler, targets, updates, baseline oracle."""
 
 import copy
+import hashlib
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from samarl import harness
 from samarl import ndmath as nd
 from samarl import nets
 from samarl.algo import (
@@ -959,3 +961,55 @@ class TestCheckpointFlow:
         other = make_trainer(AlgoKind.SA_MATD3, n=6, scenario="predator_prey")
         with pytest.raises(ValueError, match="agents|scenario"):
             other.restore(tmp_path / "ck")
+
+
+def rollout_digest(scenario, kind, cfg):
+    """SHA-256 over a seeded trainer's replay buffer (``obs``, ``act``,
+    ``rew``, ``done``) after 30 exploring episodes, then over the means of a
+    5-episode lockstep evaluation. It covers the actor, the scripted prey, the
+    world's step and the buffer's push together, byte for byte."""
+    trainer = Trainer(scenario, AlgoKind.parse(kind), cfg, seed=0)
+    for _ in range(30):
+        trainer.run_episode(explore=True)
+    digest = hashlib.sha256()
+    buffer = trainer.buffer
+    for array in (buffer.obs, buffer.act, buffer.rew, buffer.done):
+        digest.update(array.tobytes())
+    digest.update(np.array(harness.evaluate_trainer(trainer, 5, seed=0)["mean"]).tobytes())
+    return digest.hexdigest()
+
+
+# The two rollouts the benchmark times (pp9-rollout, and nav5-train's
+# rollout-only episodes), at the default network sizes. Recorded on x86-64
+# with numpy 2.4.6 and OpenBLAS 0.3.31; another numpy, BLAS or CPU may round
+# differently in the last bit, and then these digests do not hold there. A
+# change that moves a rollout's numbers on purpose records new digests and
+# says why in CHANGES.md:
+#
+#     PYTHONPATH=src python tests/test_algo.py --digests
+ROLLOUT_DIGESTS = {
+    "coop_nav5_sa-matd3": "63ed4e49fe21cc0aaf411ca66368435078eac233d7bcfbc0a7be0a59b5243162",
+    "predator_prey9_dsa-matd3": "9634fd4ad767d06b9b2e8faba0860ca7183522379d1628c479c6523c6e2d4c07",
+}
+ROLLOUT_CASES = {
+    "coop_nav5_sa-matd3": (ScenarioConfig.coop_nav(5), "sa-matd3",
+                           TrainConfig(replay_capacity=600)),
+    "predator_prey9_dsa-matd3": (ScenarioConfig.predator_prey(9), "dsa-matd3",
+                                 TrainConfig(replay_capacity=4000)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROLLOUT_CASES))
+def test_rollout_digest(case):
+    """Pins the exploring rollout and the evaluation bit for bit;
+    ``TRAJECTORY_DIGESTS`` in test_envs.py pins the world alone."""
+    assert rollout_digest(*ROLLOUT_CASES[case]) == ROLLOUT_DIGESTS[case]
+
+
+if __name__ == "__main__":
+    import sys
+
+    if sys.argv[1:] != ["--digests"]:
+        sys.exit("usage: python tests/test_algo.py --digests")
+    for name in sorted(ROLLOUT_CASES):
+        print(f'    "{name}": "{rollout_digest(*ROLLOUT_CASES[name])}",')
