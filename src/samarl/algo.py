@@ -112,14 +112,19 @@ class TrainConfig:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
-        for name in ("mlp_lr", "attention_lr", "grad_clip", "batch_size",
-                     "train_frequency", "delay_frequency", "replay_capacity"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.action_noise_std < 0 or self.critic_noise_std < 0:
-            raise ValueError("noise standard deviations must be non-negative")
-        if self.action_low >= self.action_high:
-            raise ValueError("action_low must be below action_high")
+        # NaN fails every comparison, so each check passes only a good value
+        for name in ("hidden_layers", "attention_blocks", "train_start_episodes",
+                     "action_noise_std", "critic_noise_std"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
+        for name in ("mlp_lr", "attention_lr", "grad_clip", "batch_size", "train_frequency",
+                     "delay_frequency", "replay_capacity", "hidden_dim", "attention_heads"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not -np.inf < self.action_low < self.action_high < np.inf:
+            raise ValueError("action bounds must be finite, action_low below action_high")
+        if self.hidden_dim % self.attention_heads:
+            raise ValueError(f"hidden_dim {self.hidden_dim} does not split into heads")
         if self.batch_size > self.replay_capacity:
             raise ValueError(
                 f"batch_size {self.batch_size} exceeds replay_capacity "
@@ -386,16 +391,15 @@ class Trainer:
         shape = (self.scenario.episode_length, self.n, self.act_dim)
         # one draw for the episode: the stream of one (n, act_dim) draw per step
         noise = self.explore_rng.normal(0.0, std, shape) if std > 0 else [None] * shape[0]
+        trainable, prey, step = self._trainable_actions, self._prey_actions, env.step
+        predator_prey = self.scenario.kind == PREDATOR_PREY   # looked up once an episode
         obs = env.reset()
         totals = np.zeros(env.batch + (env.n_types,))
         steps = [obs[0]], [], [], []   # observations, actions, rewards, done flags
         for step_noise in noise:
-            acts = self._trainable_actions(obs[0], step_noise)
-            if self.scenario.kind == PREDATOR_PREY:
-                full = np.concatenate([acts, self._prey_actions(env, obs[1])], axis=-2)
-            else:
-                full = acts
-            obs, rewards, done, _ = env.step(full)
+            acts = trainable(obs[0], step_noise)
+            full = np.concatenate([acts, prey(env, obs[1])], axis=-2) if predator_prey else acts
+            obs, rewards, done, _ = step(full)
             if explore:
                 for seq, item in zip(steps, (obs[0], acts, rewards, done)):
                     seq.append(item)

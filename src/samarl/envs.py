@@ -12,7 +12,8 @@ flee policy so algorithm comparisons see a fixed opponent.
 
 Physics is a semi-implicit Euler step: velocities are damped, accelerated by
 ``action * accel / mass * dt`` plus soft contact forces, capped at each
-body's max speed, and integrated into positions. Everything is float64 and
+body's max speed, and integrated into positions. Every body's mass is 1.0,
+so the step leaves the divide out (x / 1.0 == x). Everything is float64 and
 fully determined by (config, seed, actions).
 
 A world holds one episode, with body arrays of shape ``(bodies, 2)``, or E
@@ -43,6 +44,7 @@ agent type. The layout of one agent's row, fixed per scenario and agent count:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,31 +210,42 @@ class ParticleWorld:
         assert np.array_equal(self.movable, np.arange(self.n_bodies) < n) \
             and c >= n and self.collides[:c].all(), "movable bodies first, then other colliders"
         self._n_colliders = c
-        # per agent type, one row per agent: the bodies of its relative positions
-        # (see _relative), and the opposite type's agents whose velocities it sees
-        agents, static = np.arange(n), np.arange(n, self.n_bodies)
-        self._type_gathers = [
-            (slice(lo, hi), np.array([np.r_[static, np.delete(agents, i)] for i in range(lo, hi)]),
-             [] if seen is None else [np.tile(agents[seen], (hi - lo, 1))])
-            for lo, hi, seen in types]
         # per-world constants of the step. A body never touches itself: on the
         # diagonal, the contact distance floor is infinite, and the coop hit
         # thresholds cover the pairs of distinct agents, in the gather's order.
         r = self.radius
         self._accel = self.accel[:n, None]
-        self._mass = self.mass[:n, None]
         self._max_speed = self.max_speed[:n]
         self._contact_dmin = r[:c, None] + r[None, :c]
         self._contact_floor = np.where(np.eye(c, dtype=bool), np.inf, 1e-9)
-        if cfg.kind == COOP_NAV:
-            self._hit_dmin = r[:n, None] + r[self._type_gathers[0][1][:, len(static):]]
+        # An episode's state is a row of _state: positions, velocities, a zero
+        # pair; pos and vel view it. Per type, an observation is a gather of
+        # _state less another: the own position for a relative one, else the
+        # zeros (x - 0.0 == x), led by the episode axis, so it is C-ordered.
+        bodies, width = self.n_bodies, 4 * self.n_bodies + 2
+        self._state = np.zeros(math.prod(self.batch) * width)
+        rows = self._state.reshape(self.batch + (width,))
+        self.pos = rows[..., :2 * bodies].reshape(self.batch + (bodies, 2))
+        self.vel = rows[..., 2 * bodies:4 * bodies].reshape(self.batch + (bodies, 2))
+        starts = (width * np.arange(len(self._state) // width)).reshape(self.batch + (1, 1))
+        agents, static = np.arange(n), np.arange(n, bodies)
+        self._gathers = []
+        for lo, hi, seen in types:   # pair b is body b's position, bodies + b its velocity
+            own = np.arange(lo, hi)[:, None]
+            others = np.array([np.r_[static, np.delete(agents, i)] for i in range(lo, hi)])
+            shown = own[:, :0] if seen is None else np.tile(agents[seen], (hi - lo, 1))
+            take = np.concatenate([own + bodies, own, others, shown + bodies], axis=1)
+            less = np.full(take.shape, 2 * bodies)
+            less[:, 2:2 + others.shape[1]] = own
+            self._gathers.append([starts + _flat(2 * i[..., None] + np.arange(2))
+                                  for i in (take, less)])
+        if cfg.kind == COOP_NAV:   # others: the one type's
+            self._hit_dmin = r[:n, None] + r[others[:, len(static):]]
         else:
             np_ = cfg.n_predators
             self._hit_dmin = r[:np_, None] + r[None, np_:n]
             # the prey rows, with every episode's, as an open index mesh
             self._prey_rows = np.ix_(*(np.arange(k) for k in self.batch + (cfg.n_prey,)))
-        self.pos = np.zeros(self.batch + (self.n_bodies, 2))
-        self.vel = np.zeros(self.batch + (self.n_bodies, 2))
 
     @property
     def n_types(self) -> int:
@@ -276,7 +289,7 @@ class ParticleWorld:
         n = self.n_agents
         force = clipped * self._accel
         force += self._contact_forces()[..., :n, :]
-        vel = self.vel[..., :n, :] * (1.0 - cfg.damping) + force / self._mass * cfg.dt
+        vel = self.vel[..., :n, :] * (1.0 - cfg.damping) + force * cfg.dt
         speed = _norm(vel)
         cap = self._max_speed
         vel *= (cap / np.maximum(speed, cap))[..., None]   # exactly 1.0 under the cap
@@ -285,10 +298,10 @@ class ParticleWorld:
 
         self.t += 1
         done = self.t >= cfg.episode_length
-        rel = self._relative()
-        rewards = _coop_nav_reward(self, rel)[..., None] if cfg.kind == COOP_NAV \
-            else _predator_prey_reward(self, rel)
-        return self._observe(rel), rewards, done, {"clipped_components": n_clipped}
+        obs = self.observe()
+        rewards = _coop_nav_reward(self, obs[0])[..., None] if cfg.kind == COOP_NAV \
+            else _predator_prey_reward(self, obs[0])
+        return obs, rewards, done, {"clipped_components": n_clipped}
 
     def _contact_forces(self) -> np.ndarray:
         """Soft-spring repulsion with a logistic penetration ramp, on the
@@ -307,20 +320,7 @@ class ParticleWorld:
     def observe(self) -> list[np.ndarray]:
         """Observations, one ``(..., agents of the type, obs dim)`` array per
         agent type, gathered for the whole type at once (see module docstring)."""
-        return self._observe(self._relative())
-
-    def _relative(self) -> list[np.ndarray]:
-        """Per agent type ``(..., agents, bodies - 1, 2)``: static bodies, then other agents."""
-        return [self.pos[..., others, :] - self.pos[..., own, None, :]
-                for own, others, _ in self._type_gathers]
-
-    def _observe(self, rel: list[np.ndarray]) -> list[np.ndarray]:
-        out = []
-        for (own, _, seen), r in zip(self._type_gathers, rel):
-            parts = [self.vel[..., own, :], self.pos[..., own, :], _flat(r)]
-            parts += [_flat(self.vel[..., s, :]) for s in seen]
-            out.append(np.concatenate(parts, axis=-1))
-        return out
+        return [self._state[take] - self._state[less] for take, less in self._gathers]
 
     @property
     def obs_dims(self) -> list[int]:
@@ -345,12 +345,13 @@ def _norm(d: np.ndarray) -> np.ndarray:
 
 def reward_coop_nav(world: ParticleWorld) -> np.ndarray:
     """Joint navigation reward ``(...)``: coverage distance plus collision penalties."""
-    return _coop_nav_reward(world, world._relative())
+    return _coop_nav_reward(world, world.observe()[0])
 
 
-def _coop_nav_reward(world: ParticleWorld, rel: list[np.ndarray]) -> np.ndarray:
-    """``reward_coop_nav`` from ``_relative``'s positions (landmark columns first)."""
-    dists = _norm(rel[0])
+def _coop_nav_reward(world: ParticleWorld, obs: np.ndarray) -> np.ndarray:
+    """``reward_coop_nav`` from the agents' observations, whose relative
+    positions (landmarks first) fill the columns after the first four."""
+    dists = _norm(obs[..., 4:].reshape(obs.shape[:-1] + (-1, 2)))
     landmarks = world.n_bodies - world.n_agents
     reward = -np.add.reduce(np.minimum.reduce(dists[..., :landmarks], axis=-2), axis=-1)
     # counted per agent, over the columns of the other agents
@@ -361,29 +362,32 @@ def _coop_nav_reward(world: ParticleWorld, rel: list[np.ndarray]) -> np.ndarray:
 def reward_predator_prey(world: ParticleWorld) -> np.ndarray:
     """(predator joint reward, prey joint reward), ``(..., 2)``, for the
     current state."""
-    return _predator_prey_reward(world, world._relative())
+    return _predator_prey_reward(world, world.observe()[0])
 
 
-def _predator_prey_reward(world: ParticleWorld, rel: list[np.ndarray]) -> np.ndarray:
-    """``reward_predator_prey`` from ``_relative``'s positions (prey columns last)."""
+def _predator_prey_reward(world: ParticleWorld, obs: np.ndarray) -> np.ndarray:
+    """``reward_predator_prey`` from the predators' observations, which end
+    with the prey's relative positions and then their velocities."""
     cfg = world.cfg
     np_, ny = cfg.n_predators, cfg.n_prey
     prey = world.pos[..., np_:np_ + ny, :]
-    contacts = np.add.reduce(_norm(rel[0][..., -ny:, :]) < world._hit_dmin,
-                             axis=(-2, -1))[..., None]
+    end = obs.shape[-1] - 2 * ny
+    rel = obs[..., end - 2 * ny:end].reshape(obs.shape[:-1] + (ny, 2))
+    contacts = np.add.reduce(_norm(rel) < world._hit_dmin, axis=(-2, -1))[..., None]
     penalties = cfg.boundary_penalty_scale * _flat(
         _boundary_penalty(np.abs(prey) / cfg.world_half_width))
-    # charged prey by prey and coordinate by coordinate: subtract.reduce is a
-    # left fold in index order
-    prey_reward = np.subtract.reduce(
-        np.concatenate([-cfg.tag_reward * contacts, penalties], axis=-1), axis=-1)
-    return np.concatenate([cfg.tag_reward * contacts, prey_reward[..., None]], axis=-1)
+    tags = cfg.tag_reward * contacts
+    # [tags, -tags, penalties] folds into (tags, -tags - penalties): the prey
+    # are charged prey by prey and coordinate by coordinate, as subtract's
+    # reductions are left folds in index order
+    return np.subtract.reduceat(np.concatenate([tags, -tags, penalties], axis=-1), [0, 1],
+                                axis=-1)
 
 
 def _boundary_penalty(v: np.ndarray) -> np.ndarray:
     """Soft ramp on |coordinate| in half-width units; zero inside 0.9."""
     ramp = np.where(v < 1.0, (v - 0.9) * 10.0, np.minimum(np.exp(2.0 * v - 2.0), 10.0))
-    return np.where(v < 0.9, 0.0, ramp)
+    return np.maximum(ramp, 0.0)   # +0 below 0.9, where the ramp is negative
 
 
 def scripted_prey(world: ParticleWorld) -> np.ndarray:
@@ -399,30 +403,32 @@ def scripted_prey(world: ParticleWorld) -> np.ndarray:
         raise ConfigError("scripted prey only exists in the predator-prey scenario")
 
     me = world.pos[..., cfg.n_predators:cfg.n_agents, :]
-    action = np.zeros(me.shape)
+    # per prey, row 0 is its action and the rows below its obstacle pushes
+    terms = np.zeros(me.shape[:-1] + (1 + world.n_bodies - world.n_agents, 2))
+    action = terms[..., 0, :]
 
     deltas = me[..., :, None, :] - world.pos[..., None, : cfg.n_predators, :]
     dists = _norm(deltas)
     nearest = world._prey_rows + (np.argmin(dists, axis=-1),)
     dist = dists[nearest][..., None]
-    away = deltas[nearest]
     flee = (dist <= cfg.prey_sense_range) & (dist > 0)
-    action += np.divide(away, dist, out=np.zeros(me.shape), where=flee)
+    np.divide(deltas[nearest], dist, out=action, where=flee)
 
-    margin = cfg.prey_boundary_margin * cfg.world_half_width
-    excess = np.abs(me) - margin
-    action -= np.where(excess > 0, np.sign(me) * cfg.prey_boundary_gain * excess, 0.0)
+    # signed as the coordinate, +-0 inside the margin: no change to a +0 or nonzero action
+    excess = np.maximum(np.abs(me) - cfg.prey_boundary_margin * cfg.world_half_width, 0.0)
+    action -= np.copysign(cfg.prey_boundary_gain * excess, me)
 
     deltas = me[..., :, None, :] - world.pos[..., None, world.n_agents:, :]
     # squared lengths as one dot product per 2-vector, which rounds as the
-    # norm of a lone vector does (BLAS may fuse its multiply-add)
-    dists = np.sqrt(deltas[..., None, :] @ deltas[..., :, None])[..., 0]
-    near = (dists > 0) & (dists < cfg.prey_obstacle_range)
-    push = np.divide(deltas, dists, out=np.zeros(deltas.shape), where=near) \
-        * cfg.prey_obstacle_gain \
-        * ((cfg.prey_obstacle_range - dists) / cfg.prey_obstacle_range)
-    push = np.where(near, push, 0.0)
-    for k in range(push.shape[-2]):  # obstacle by obstacle, in index order
-        action += push[..., k, :]
-
+    # norm of a lone vector does (BLAS may fuse its multiply-add). In most
+    # steps all are past the float above range**2, so none is in range.
+    squares = deltas[..., None, :] @ deltas[..., :, None]
+    reach = cfg.prey_obstacle_range
+    if squares.min() < math.nextafter(reach * reach, math.inf):
+        dists = np.sqrt(squares)[..., 0]
+        near = (dists > 0) & (dists < reach)
+        push = np.divide(deltas, dists, out=terms[..., 1:, :], where=near)
+        push *= cfg.prey_obstacle_gain
+        push *= np.maximum((reach - dists) / reach, 0.0)   # +0 out of range
+        action = np.add.reduce(terms, axis=-2)   # a left fold, obstacle by obstacle
     return _clip_unit(action)

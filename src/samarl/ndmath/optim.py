@@ -44,7 +44,7 @@ class Adam:
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float):
-        if lr <= 0:
+        if not lr > 0:   # NaN too
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         self.lr = lr
@@ -84,7 +84,7 @@ def clip_grad_norm(grads: Sequence[np.ndarray], max_norm: float,
     bank: each member is clipped on its own slices, bit for bit as if alone,
     and the (g,) array of their norms is returned.
     """
-    if max_norm <= 0:
+    if not max_norm > 0:   # NaN too
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     groups = len(grads[0]) if grouped and grads else 1
     total = np.zeros(groups)

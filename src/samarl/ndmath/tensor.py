@@ -608,7 +608,7 @@ def attention_kernel(x: np.ndarray, wq, wk, wv, wout, ln_gain, ln_bias, *,
     q = gemm(x2, wq).reshape(batch, n, heads, dk).transpose(0, 2, 1, 3)
     v = gemm(x2, wv).reshape(batch, n, heads, dk).transpose(0, 2, 1, 3)
     # keys transposed, (B, h, dk, n), from one GEMM per sample
-    k_t = gemm(wk.T, x2.reshape(batch, n, dim).swapaxes(1, 2)).reshape(batch, heads, dk, n)
+    k_t = gemm(wk.T, x.swapaxes(1, 2)).reshape(batch, heads, dk, n)
     p = _softmax_rows(gemm(q, k_t))            # (B, h, n, n)
     merged = empty((rows, hd), x.dtype)
     np.matmul(p, v, out=merged.reshape(batch, n, heads, dk).transpose(0, 2, 1, 3))

@@ -145,6 +145,27 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**bad)
 
+    @pytest.mark.parametrize("field,value", [
+        ("mlp_lr", np.nan), ("mlp_lr", np.inf), ("attention_lr", np.nan),
+        ("attention_lr", np.inf), ("grad_clip", np.nan), ("grad_clip", np.inf),
+        ("action_noise_std", np.nan), ("action_noise_std", np.inf),
+        ("critic_noise_std", np.nan), ("critic_noise_std", np.inf),
+        ("action_low", np.nan), ("action_low", -np.inf),
+        ("action_high", np.nan), ("action_high", np.inf),
+        ("hidden_dim", 0), ("attention_heads", 0), ("hidden_layers", -1),
+        ("attention_blocks", -1), ("train_start_episodes", -5),
+        ("hidden_dim", 10)])   # 4 heads do not divide it
+    def test_rejects_values_that_break_training(self, field, value):
+        # each would train without noise or clipping, build a network with a
+        # negative depth, or fail only later, when a network is built or updated
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_depths_are_valid(self):
+        cfg = TrainConfig(hidden_layers=0, attention_blocks=0, train_start_episodes=0,
+                          action_noise_std=0.0, critic_noise_std=0.0)
+        assert cfg.hidden_layers == 0 and cfg.attention_blocks == 0
+
     def test_batch_larger_than_buffer_rejected(self):
         # such a run would never draw a batch, so it would never update
         with pytest.raises(ValueError, match="batch_size 1024 exceeds replay_capacity 512"):

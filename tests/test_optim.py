@@ -64,6 +64,12 @@ class TestAdam:
         assert opt.t == 0  # aborted before any state advanced
 
 
+    @pytest.mark.parametrize("lr", [0.0, -0.1, np.nan])
+    def test_rejects_bad_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="learning rate"):
+            Adam([nd.Tensor(np.ones(2), requires_grad=True)], lr=lr)
+
+
 class TestClipGradNorm:
     def test_scales_down_when_over(self):
         g = [np.array([2.0, 0.0])]  # norm 2
@@ -113,6 +119,8 @@ class TestClipGradNorm:
             for g, want in zip(grads, member):
                 assert np.array_equal(g[i], want)
 
-    def test_rejects_bad_max_norm(self):
+    @pytest.mark.parametrize("max_norm", [0.0, -1.0, np.nan])
+    def test_rejects_bad_max_norm(self, max_norm):
+        # a NaN bound would never clip: norms > nan is False
         with pytest.raises(ValueError):
-            clip_grad_norm([np.ones(3)], 0.0)
+            clip_grad_norm([np.ones(3)], max_norm)

@@ -15,9 +15,9 @@ its array arguments (``np.concatenate``, ``np.argmin``); an ndarray method,
 index get or set, or ``.T``; an array made by ``np.zeros``, ``np.empty``,
 ``np.array`` or ``np.asarray``; a draw from the world's or the exploration
 RNG. Calls that numpy makes inside such a call are not counted. The counter
-is an ndarray subclass: the world's body arrays, the replay buffer's arrays
-and every array numpy makes while counting are viewed as it, and every
-count unwraps its operands, so the episodes compute what they compute
+is an ndarray subclass: the world's state arrays, the replay buffer's arrays
+and every array or scalar numpy makes while counting are viewed as it, and
+every count unwraps its operands, so the episodes compute what they compute
 without it, bit for bit.
 """
 
@@ -60,6 +60,8 @@ def _call():
 def _counted(x):
     if isinstance(x, tuple):
         return tuple(map(_counted, x))
+    if isinstance(x, np.generic):   # a reduction's scalar: a 0-d array of it
+        return np.asarray(x).view(Counted)
     return x.view(Counted) if type(x) is np.ndarray else x
 
 
@@ -127,9 +129,11 @@ def counting(trainer: Trainer):
     """Count the numpy calls of ``trainer``'s rollouts inside the block. The
     trainer keeps its counted arrays and generators afterwards."""
     env, buffer = trainer.env, trainer.buffer
-    env.pos, env.vel = env.pos.view(Counted), env.vel.view(Counted)
-    for name in ("obs", "act", "rew", "done"):
-        setattr(buffer, name, getattr(buffer, name).view(Counted))
+    # views share the arrays' memory, so the world's state stays one
+    for owner, names in ((env, ("pos", "vel", "_state")), (buffer, ("obs", "act", "rew", "done"))):
+        for name in names:
+            if name in vars(owner):
+                setattr(owner, name, getattr(owner, name).view(Counted))
     env.rng, trainer.explore_rng = _CountedRng(env.rng), _CountedRng(trainer.explore_rng)
     patches = [(np, name, _counting(getattr(np, name)))
                for name in ("zeros", "empty", "array", "asarray")]
