@@ -429,6 +429,6 @@ def scripted_prey(world: ParticleWorld) -> np.ndarray:
         near = (dists > 0) & (dists < reach)
         push = np.divide(deltas, dists, out=terms[..., 1:, :], where=near)
         push *= cfg.prey_obstacle_gain
-        push *= np.maximum((reach - dists) / reach, 0.0)   # +0 out of range
+        push *= (reach - dists) / reach   # out of range: +-0, which adds nothing
         action = np.add.reduce(terms, axis=-2)   # a left fold, obstacle by obstacle
     return _clip_unit(action)

@@ -119,8 +119,11 @@ class TestClipGradNorm:
             for g, want in zip(grads, member):
                 assert np.array_equal(g[i], want)
 
-    @pytest.mark.parametrize("max_norm", [0.0, -1.0, np.nan])
-    def test_rejects_bad_max_norm(self, max_norm):
-        # a NaN bound would never clip: norms > nan is False
+    def test_rejects_bad_max_norm(self):
         with pytest.raises(ValueError):
-            clip_grad_norm([np.ones(3)], max_norm)
+            clip_grad_norm([np.ones(3)], 0.0)
+
+    def test_rejects_nan_max_norm(self):
+        # a NaN bound would never clip: norms > nan is False
+        with pytest.raises(ValueError, match="max_norm"):
+            clip_grad_norm([np.ones(3)], np.nan)
