@@ -985,16 +985,18 @@ class TestCheckpointFlow:
 
 
 def rollout_digest(scenario, kind, cfg):
-    """SHA-256 over a seeded trainer's replay buffer (``obs``, ``act``,
-    ``rew``, ``done``) after 30 exploring episodes, then over the means of a
-    5-episode lockstep evaluation. It covers the actor, the scripted prey, the
-    world's step and the buffer's push together, byte for byte."""
+    """SHA-256 over a seeded trainer's 30 exploring episodes: each
+    ``run_episode`` return (every agent type's summed reward), then the
+    replay buffer's ``obs``, ``act`` and the trainable type's rewards, then
+    the means of a 5-episode lockstep evaluation. It covers the actor, the
+    scripted prey, the world's step and the buffer's push together, byte for
+    byte."""
     trainer = Trainer(scenario, AlgoKind.parse(kind), cfg, seed=0)
-    for _ in range(30):
-        trainer.run_episode(explore=True)
     digest = hashlib.sha256()
+    for _ in range(30):
+        digest.update(trainer.run_episode(explore=True).tobytes())
     buffer = trainer.buffer
-    for array in (buffer.obs, buffer.act, buffer.rew, buffer.done):
+    for array in (buffer.obs, buffer.act, buffer.rew[:, 0]):
         digest.update(array.tobytes())
     digest.update(np.array(harness.evaluate_trainer(trainer, 5, seed=0)["mean"]).tobytes())
     return digest.hexdigest()
@@ -1009,8 +1011,8 @@ def rollout_digest(scenario, kind, cfg):
 #
 #     PYTHONPATH=src python tests/test_algo.py --digests
 ROLLOUT_DIGESTS = {
-    "coop_nav5_sa-matd3": "63ed4e49fe21cc0aaf411ca66368435078eac233d7bcfbc0a7be0a59b5243162",
-    "predator_prey9_dsa-matd3": "9634fd4ad767d06b9b2e8faba0860ca7183522379d1628c479c6523c6e2d4c07",
+    "coop_nav5_sa-matd3": "d5453ce8d1ef51b4f2f440f81ef6b2ea616a5ea13b5b3214c270d987fd29e709",
+    "predator_prey9_dsa-matd3": "a23b5e4501def37d7a89a633a7edcb942f14c865ab0752c8cd1f4ccbcf98952a",
 }
 ROLLOUT_CASES = {
     "coop_nav5_sa-matd3": (ScenarioConfig.coop_nav(5), "sa-matd3",

@@ -589,12 +589,16 @@ def trajectory_digest(cfg, episodes):
 TRAJECTORY_DIGESTS = {
     "coop_nav5": "e91c671e60a1d3c2e7202eb5e3db71e34d0cfae91f960a06603c5fe20f049661",
     "coop_nav5_x3": "d03f5786aa7804572043206ad7a5eeda7564008ea64c4897e8afd7ef511e7860",
+    "coop_nav9": "e286020471a8485711271c3fbc8f0fec0f83142c45ef895390c5db38a7c1a6a9",
+    "coop_nav9_x3": "f18207c55469a04038ce971e0d33970a208a1c8900cf224bf7a5ae21ff220336",
     "predator_prey9": "f90322a609510ad68b5d251a3f13601974ea2e8cb85efe75e38f7bfb9675e3a9",
     "predator_prey9_x3": "af3a89e81bf9c5b7595323ebb45dedc24dca1634abc635661ce553e2b5cc4e64",
 }
 TRAJECTORY_CASES = {
     "coop_nav5": (ScenarioConfig.coop_nav(5), None),
     "coop_nav5_x3": (ScenarioConfig.coop_nav(5), 3),
+    "coop_nav9": (ScenarioConfig.coop_nav(9), None),
+    "coop_nav9_x3": (ScenarioConfig.coop_nav(9), 3),
     "predator_prey9": (ScenarioConfig.predator_prey(9), None),
     "predator_prey9_x3": (ScenarioConfig.predator_prey(9), 3),
 }
