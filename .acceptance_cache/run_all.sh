@@ -1,13 +1,14 @@
 #!/bin/bash
-# Acceptance learning runs (criteria 6 and 7), criterion-6 runs first.
+# Acceptance learning runs (criteria 6 and 7), criterion-6 runs first, as
+# tests/test_acceptance.py lists them (--runs: one line a run, its name, then
+# scenario, algo, agents, episodes, seed).
 # Runs from the repository root (this script's parent directory) against the
 # source tree, so samarl need not be installed.
 cd "$(dirname "${BASH_SOURCE[0]}")/.." || exit 1
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
 run() {
-  local scenario=$1 algo=$2 n=$3 eps=$4 seed=$5
-  local name="${scenario}_${algo}_n${n}_e${eps}_s${seed}"
+  local name=$1 scenario=$2 algo=$3 n=$4 eps=$5 seed=$6
   local out=".acceptance_cache/${name}"
   if [ -f "${out}/metrics.csv" ] && [ -d "${out}/ckpt_final" ]; then
     echo "skip ${name} (cached)"; return 0
@@ -19,24 +20,6 @@ run() {
   echo "done  ${name} $(date +%H:%M:%S)"
 }
 export -f run
-printf '%s\n' \
-  "coop_nav sa-matd3 3 60000 0" \
-  "coop_nav maddpg 3 60000 0" \
-  "coop_nav sa-matd3 3 60000 1" \
-  "coop_nav maddpg 3 60000 1" \
-  "coop_nav sa-matd3 3 60000 2" \
-  "coop_nav maddpg 3 60000 2" \
-  "coop_nav sa-matd3 5 30000 0" \
-  "coop_nav maddpg 5 30000 0" \
-  "coop_nav sa-matd3 5 30000 1" \
-  "coop_nav maddpg 5 30000 1" \
-  "coop_nav sa-matd3 5 30000 2" \
-  "coop_nav maddpg 5 30000 2" \
-  "coop_nav sa-matd3 5 100000 0" \
-  "coop_nav maddpg 5 100000 0" \
-  "coop_nav sa-matd3 5 100000 1" \
-  "coop_nav maddpg 5 100000 1" \
-  "coop_nav sa-matd3 5 100000 2" \
-  "coop_nav maddpg 5 100000 2" \
-| xargs -P 2 -I{} bash -c 'run {}'
+runs=$(python3 tests/test_acceptance.py --runs) || exit 1
+printf '%s\n' "$runs" | xargs -P 2 -I{} bash -c 'run {}'
 echo "ALL RUNS COMPLETE $(date +%H:%M:%S)"

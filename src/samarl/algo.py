@@ -157,48 +157,41 @@ class ReplayBuffer:
 
     The ring holds ``slots = ceil(capacity / T)`` episodes of T =
     ``episode_length`` steps, so ``capacity`` is rounded up to ``slots * T``
-    and the oldest episode is evicted whole. The trainable agents share one
-    observation width, so each episode's T + 1 observations are stored
-    together, each once, as a row of one ``(slots, T + 1, n, obs_dim)``
-    array; actions, rewards and done flags are flat per-transition arrays.
-    Transition i reads rows i + i // T and i + i // T + 1 of the flat view of
-    ``obs`` as its observation and next observation.
+    and the oldest episode is evicted whole. Each episode's T + 1
+    observations are stored together, each once, as a row of one
+    ``(slots, T + 1, n, obs_dim)`` array; actions and the trainable type's
+    rewards are flat per-transition arrays. Transition i reads rows
+    i + i // T and i + i // T + 1 of the flat view of ``obs`` as its
+    observation and next observation, and is terminal when i % T == T - 1.
     """
 
-    def __init__(self, capacity: int, obs_dims: Sequence[int], act_dim: int,
-                 n_types: int, episode_length: int, rng: np.random.Generator):
-        if len(set(obs_dims)) != 1:
-            raise ValueError(
-                f"trainable agents need one observation width, got {list(obs_dims)}")
+    def __init__(self, capacity: int, n: int, obs_dim: int, act_dim: int,
+                 episode_length: int, rng: np.random.Generator):
         slots = -(-capacity // episode_length)
         self.capacity = slots * episode_length
         self.episode_length = episode_length
         self.rng = rng
-        n = len(obs_dims)
-        self.obs = np.zeros((slots, episode_length + 1, n, obs_dims[0]), dtype=np.float32)
+        self.obs = np.zeros((slots, episode_length + 1, n, obs_dim), dtype=np.float32)
         self.act = np.zeros((self.capacity, n, act_dim), dtype=np.float32)
-        self.rew = np.zeros((self.capacity, n_types), dtype=np.float32)
-        self.done = np.zeros(self.capacity, dtype=np.float32)
+        self.rew = np.zeros(self.capacity, dtype=np.float32)
         self.size = self.cursor = 0
 
     def __len__(self) -> int:
         return self.size
 
-    def push_episode(self, obs: np.ndarray, act: np.ndarray, rew: np.ndarray,
-                     done: np.ndarray) -> None:
+    def push_episode(self, obs: np.ndarray, act: np.ndarray, rew: np.ndarray) -> None:
         """Append one episode of T = ``episode_length`` steps, over the oldest
         one once the ring is full: observations (T+1, n, obs_dim), actions
-        (T, n, act_dim), rewards (T, n_types) and done flags (T,)."""
+        (T, n, act_dim) and the trainable type's rewards (T,)."""
         steps = self.episode_length
-        want = [self.obs.shape[1:], (steps,) + self.act.shape[1:],
-                (steps,) + self.rew.shape[1:], (steps,)]
-        got = [np.shape(x) for x in (obs, act, rew, done)]
+        want = [self.obs.shape[1:], (steps,) + self.act.shape[1:], (steps,)]
+        got = [np.shape(x) for x in (obs, act, rew)]
         if got != want:
-            raise ValueError(f"an episode (obs, act, rew, done) of this buffer "
+            raise ValueError(f"an episode (obs, act, rew) of this buffer "
                              f"has the shapes {want}, got {got}")
         rows = slice(self.cursor, self.cursor + steps)
         self.obs[self.cursor // steps] = obs
-        self.act[rows], self.rew[rows], self.done[rows] = act, rew, done
+        self.act[rows], self.rew[rows] = act, rew
         self.cursor = (self.cursor + steps) % self.capacity
         self.size = min(self.size + steps, self.capacity)
 
@@ -208,16 +201,17 @@ class ReplayBuffer:
                 f"cannot sample {batch_size} transitions from a buffer of {self.size}")
         idx = self.rng.choice(self.size, size=batch_size, replace=False)
         obs = self.obs.reshape(-1, *self.obs.shape[2:])   # one observation a row
-        row = idx + idx // self.episode_length
-        return Batch(obs=obs[row], act=self.act[idx], rew=self.rew[idx],
-                     next_obs=obs[row + 1], done=self.done[idx])
+        steps = self.episode_length
+        row = idx + idx // steps
+        return Batch(obs=obs[row], act=self.act[idx], rew=self.rew[idx], next_obs=obs[row + 1],
+                     done=(idx % steps == steps - 1).astype(np.float32))
 
 
 @dataclass
 class Batch:
     obs: np.ndarray            # (B, n, obs_dim)
     act: np.ndarray            # (B, n, act_dim)
-    rew: np.ndarray            # (B, n_types)
+    rew: np.ndarray            # (B,), the trainable type's
     next_obs: np.ndarray       # (B, n, obs_dim)
     done: np.ndarray           # (B,)
 
@@ -277,15 +271,12 @@ class Trainer:
             self.n = scenario.n_agents
         else:
             self.n = scenario.n_predators
-        obs_dims = self.env.obs_dims[: self.n]
+        self.obs_dim = self.env.obs_dims[0]   # the trainable agents are type 0
         self.act_dim = 2
-        self.reward_type = 0  # trainable agents are always type 0
 
-        self.buffer = ReplayBuffer(self.cfg.replay_capacity, obs_dims,
-                                   self.act_dim, self.env.n_types,
-                                   scenario.episode_length,
+        self.buffer = ReplayBuffer(self.cfg.replay_capacity, self.n, self.obs_dim,
+                                   self.act_dim, scenario.episode_length,
                                    np.random.default_rng(buffer_ss))
-        self.obs_dim = obs_dims[0]
         self._build_networks()
         self._setup_prey(prey_policy)
         self.episodes_seen = 0
@@ -347,7 +338,7 @@ class Trainer:
         # the prey actor runs in the architecture and precision it was saved
         # in; sizes it does not record are this trainer's
         arch = recorded_train(manifest, self.cfg)
-        actor = nets.MlpActor(self.env.obs_dims[self.n], self.act_dim, self.init_rng,
+        actor = nets.MlpActor(self.env.obs_dims[1], self.act_dim, self.init_rng,
                               hidden_dim=arch.hidden_dim, hidden_layers=arch.hidden_layers,
                               dtype=arch.np_dtype)
         restore_into(actor.member(0), tensors, prefix=PREY_ACTOR_PREFIX)
@@ -395,17 +386,18 @@ class Trainer:
         predator_prey = self.scenario.kind == PREDATOR_PREY   # looked up once an episode
         obs = env.reset()
         totals = np.zeros(env.batch + (env.n_types,))
-        steps = [obs[0]], [], [], []   # observations, actions, rewards, done flags
+        steps = [obs[0]], [], []   # observations, actions, rewards
         for step_noise in noise:
             acts = trainable(obs[0], step_noise)
             full = np.concatenate([acts, prey(env, obs[1])], axis=-2) if predator_prey else acts
-            obs, rewards, done, _ = step(full)
+            obs, rewards = step(full)
             if explore:
-                for seq, item in zip(steps, (obs[0], acts, rewards, done)):
+                for seq, item in zip(steps, (obs[0], acts, rewards)):
                     seq.append(item)
             totals += rewards
-        if explore:
-            self.buffer.push_episode(*map(np.array, steps))
+        if explore:   # the buffer keeps the trainable type's rewards
+            obs, acts, rewards = map(np.array, steps)
+            self.buffer.push_episode(obs, acts, rewards[:, 0])
         return totals
 
     # -- updates ---------------------------------------------------------------
@@ -431,7 +423,7 @@ class Trainer:
         with no_grad():
             qs = [critic.q_rows(next_obs, act).data for critic in self.target_critics]
         q = qs[0] if len(qs) == 1 else np.minimum(*qs)
-        r = batch.rew[:, self.reward_type].astype(np.float64)
+        r = batch.rew.astype(np.float64)
         cont = cfg.gamma * (1.0 - batch.done.astype(np.float64))
         return (r + cont * q).astype(cfg.np_dtype)
 

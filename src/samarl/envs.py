@@ -105,13 +105,18 @@ class ScenarioConfig:
         if self.episode_length < 1:
             raise ConfigError(f"episode_length must be at least 1, got {self.episode_length}")
         # a negative speed cap would flip a velocity every step, an infinite one NaN it;
-        # a zero world width NaNs the prey's boundary penalty
+        # a zero world width or obstacle range NaNs the prey's wall penalty or obstacle push
         for name in ("dt", "contact_stiffness", "contact_margin", "agent_radius",
                      "landmark_radius", "predator_radius", "prey_radius", "obstacle_radius",
                      "agent_accel", "predator_accel", "prey_accel", "agent_max_speed",
-                     "predator_max_speed", "prey_max_speed", "world_half_width"):
+                     "predator_max_speed", "prey_max_speed", "world_half_width",
+                     "prey_sense_range", "prey_obstacle_range"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("prey_boundary_margin", "prey_boundary_gain", "prey_obstacle_gain",
+                     "tag_reward", "coop_collision_penalty", "boundary_penalty_scale"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
         if not 0.0 <= self.damping <= 1.0:
             raise ConfigError(f"damping must lie in [0, 1], got {self.damping}")
 
@@ -138,15 +143,6 @@ class ScenarioConfig:
         return ["predators", "prey"]
 
 
-def observation_dim(cfg: ScenarioConfig, agent: int) -> int:
-    """Length of agent ``agent``'s observation vector."""
-    base = 4 + 2 * cfg.n_landmarks + 2 * (cfg.n_agents - 1)
-    if cfg.kind == COOP_NAV:
-        return base
-    opposite = cfg.n_prey if agent < cfg.n_predators else cfg.n_predators
-    return base + 2 * opposite
-
-
 class ParticleWorld:
     """One scenario instance, or ``episodes`` of them in lockstep; owns the
     body arrays and an RNG for resets."""
@@ -158,7 +154,6 @@ class ParticleWorld:
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed if seed is None else seed)
         self.batch = () if episodes is None else (episodes,)
-        self.t = 0
         self.clip_events = 0  # out-of-range action components seen so far, all episodes
         self._build_roster()
 
@@ -270,12 +265,12 @@ class ParticleWorld:
             pos[self.n_agents:] = self.rng.uniform(-0.9 * whw, 0.9 * whw,
                                                    size=(n_static, 2))
         self.vel[:] = 0.0
-        self.t = 0
         return self.observe()
 
-    def step(self, actions) -> tuple[list[np.ndarray], np.ndarray, bool, dict]:
+    def step(self, actions) -> tuple[list[np.ndarray], np.ndarray]:
         """Advance one tick under the given per-agent force commands,
-        ``(..., agents, 2)``; rewards come as ``(..., types)``."""
+        ``(..., agents, 2)``; returns the observations and the rewards,
+        ``(..., types)``. An episode ends where its caller stops stepping."""
         cfg = self.cfg
         acts = np.asarray(actions, dtype=np.float64)
         if acts.shape != self.batch + (self.n_agents, 2):
@@ -283,8 +278,7 @@ class ParticleWorld:
                 f"expected {self.n_agents} force vectors per episode, shape "
                 f"{self.batch + (self.n_agents, 2)}, got shape {acts.shape}")
         clipped = _clip_unit(acts)
-        n_clipped = np.count_nonzero(clipped != acts)
-        self.clip_events += n_clipped
+        self.clip_events += np.count_nonzero(clipped != acts)
 
         n = self.n_agents
         force = clipped * self._accel
@@ -296,12 +290,10 @@ class ParticleWorld:
         self.vel[..., :n, :] = vel
         self.pos[..., :n, :] += vel * cfg.dt
 
-        self.t += 1
-        done = self.t >= cfg.episode_length
         obs = self.observe()
         rewards = _coop_nav_reward(self, obs[0])[..., None] if cfg.kind == COOP_NAV \
             else _predator_prey_reward(self, obs[0])
-        return obs, rewards, done, {"clipped_components": n_clipped}
+        return obs, rewards
 
     def _contact_forces(self) -> np.ndarray:
         """Soft-spring repulsion with a logistic penetration ramp, on the
@@ -324,7 +316,8 @@ class ParticleWorld:
 
     @property
     def obs_dims(self) -> list[int]:
-        return [observation_dim(self.cfg, i) for i in range(self.n_agents)]
+        """Observation width of each agent type."""
+        return [take.shape[-1] for take, _ in self._gathers]
 
 
 def _flat(x: np.ndarray) -> np.ndarray:

@@ -173,10 +173,24 @@ def test_criterion_5_physics_oracle():
 
 # -- criteria 6 and 7: learning experiments (slow) ----------------------------------
 
+# The learning runs: coop_nav at each (agents, episodes) setting, under each
+# algorithm, on each seed. .acceptance_cache/run_all.sh trains the list that
+# ``python tests/test_acceptance.py --runs`` prints.
+LEARNING_SETTINGS = {
+    "n3": (3, 60_000),          # criterion 6
+    "n5_30k": (5, 30_000),      # criterion 6
+    "n5_100k": (5, 100_000),    # criterion 7
+}
+LEARNING_ALGOS = ("sa-matd3", "maddpg")
+LEARNING_SEEDS = (0, 1, 2)
+
+
+def run_name(scenario: str, algo: str, n: int, episodes: int, seed: int) -> str:
+    return f"{scenario}_{algo}_n{n}_e{episodes}_s{seed}"
+
 
 def ensure_run(scenario: str, algo: str, n: int, episodes: int, seed: int) -> Path:
-    name = f"{scenario}_{algo}_n{n}_e{episodes}_s{seed}"
-    out = CACHE / name
+    out = CACHE / run_name(scenario, algo, n, episodes, seed)
     metrics = out / "metrics.csv"
     complete = False
     if metrics.exists() and (out / "ckpt_final").exists():
@@ -185,6 +199,12 @@ def ensure_run(scenario: str, algo: str, n: int, episodes: int, seed: int) -> Pa
         train(RunConfig(scenario=scenario, algo=algo, agents=n, episodes=episodes,
                         seed=seed, out=str(out)))
     return out
+
+
+def seeded_runs(setting: str, algo: str) -> list[Path]:
+    """One finished run of ``algo`` at ``setting`` per seed."""
+    n, episodes = LEARNING_SETTINGS[setting]
+    return [ensure_run("coop_nav", algo, n, episodes, seed) for seed in LEARNING_SEEDS]
 
 
 def final_window_mean(run_dir: Path, window: int = 10_000) -> float:
@@ -201,9 +221,8 @@ def pretrain_mean(run_dir: Path, start: int = 10_000) -> float:
 
 @pytest.mark.slow
 def test_criterion_6_desk_scale_learning():
-    seeds = [0, 1, 2]
-    sa = [ensure_run("coop_nav", "sa-matd3", 3, 60_000, s) for s in seeds]
-    base = [ensure_run("coop_nav", "maddpg", 3, 60_000, s) for s in seeds]
+    sa = seeded_runs("n3", "sa-matd3")
+    base = seeded_runs("n3", "maddpg")
 
     untrained = float(np.mean([pretrain_mean(r) for r in sa]))
     sa_final = float(np.mean([final_window_mean(r) for r in sa]))
@@ -214,8 +233,8 @@ def test_criterion_6_desk_scale_learning():
     improved = sa_final >= halfway
     ordered = sa_final >= maddpg_final
 
-    sa5 = [ensure_run("coop_nav", "sa-matd3", 5, 30_000, s) for s in seeds]
-    base5 = [ensure_run("coop_nav", "maddpg", 5, 30_000, s) for s in seeds]
+    sa5 = seeded_runs("n5_30k", "sa-matd3")
+    base5 = seeded_runs("n5_30k", "maddpg")
     sa5_final = float(np.mean([final_window_mean(r) for r in sa5]))
     maddpg5_final = float(np.mean([final_window_mean(r) for r in base5]))
     ordered5 = sa5_final >= maddpg5_final
@@ -230,11 +249,8 @@ def test_criterion_6_desk_scale_learning():
 
 @pytest.mark.slow
 def test_criterion_7_uneven_learning_margin():
-    seeds = [0, 1, 2]
-    sa = [final_window_mean(ensure_run("coop_nav", "sa-matd3", 5, 100_000, s))
-          for s in seeds]
-    base = [final_window_mean(ensure_run("coop_nav", "maddpg", 5, 100_000, s))
-            for s in seeds]
+    sa = [final_window_mean(r) for r in seeded_runs("n5_100k", "sa-matd3")]
+    base = [final_window_mean(r) for r in seeded_runs("n5_100k", "maddpg")]
     margin = float(np.mean(sa) - np.mean(base))
     spread = max(float(np.std(sa)), float(np.std(base)))
     ok = margin > spread
@@ -328,15 +344,14 @@ def test_criterion_9_infrastructure(tmp_path):
     from samarl.harness import MetricsRecord, emit_csv
 
     # replay FIFO + within-batch uniqueness
-    buf = ReplayBuffer(4, [2], 2, 1, 1, np.random.default_rng(0))
+    buf = ReplayBuffer(4, 1, 2, 2, 1, np.random.default_rng(0))
     for tag in range(5):
         buf.push_episode(np.full((2, 1, 2), tag, np.float32),
                          np.zeros((1, 1, 2), np.float32),
-                         np.array([[tag]], np.float32),
-                         np.zeros(1, bool))
-    fifo_ok = len(buf) == 4 and 0.0 not in set(buf.rew[:, 0].tolist())
+                         np.array([tag], np.float32))
+    fifo_ok = len(buf) == 4 and 0.0 not in set(buf.rew.tolist())
     batch = buf.sample(4)
-    unique_ok = len(set(batch.rew[:, 0].tolist())) == 4
+    unique_ok = len(set(batch.rew.tolist())) == 4
 
     # checkpoint bit-exactness
     actor = nets.MlpActor(5, 2, np.random.default_rng(1))
@@ -368,3 +383,17 @@ def test_criterion_9_infrastructure(tmp_path):
     assert report("criterion 9 (infrastructure)", ok,
                   f"fifo {fifo_ok}, unique-sample {unique_ok}, checkpoint "
                   f"{ck_ok}, csv {csv_ok}, determinism {determinism_ok}")
+
+
+if __name__ == "__main__":
+    import sys
+
+    if sys.argv[1:] != ["--runs"]:
+        sys.exit("usage: python tests/test_acceptance.py --runs")
+    # one line a run: its name, then scenario, algo, agents, episodes, seed;
+    # criterion 6's first, both algorithms of a seed together
+    for n, episodes in LEARNING_SETTINGS.values():
+        for seed in LEARNING_SEEDS:
+            for algo in LEARNING_ALGOS:
+                run = ("coop_nav", algo, n, episodes, seed)
+                print(run_name(*run), *run)

@@ -46,8 +46,7 @@ def fill_buffer(trainer, count, seed=0):
         trainer.buffer.push_episode(
             obs=rng.normal(size=(steps + 1,) + shape).astype(np.float32),
             act=rng.uniform(-1, 1, size=(steps, trainer.n, 2)).astype(np.float32),
-            rew=rng.normal(size=(steps, trainer.env.n_types)).astype(np.float32),
-            done=rng.random(steps) < 0.2,
+            rew=rng.normal(size=steps).astype(np.float32),
         )
 
 
@@ -179,14 +178,15 @@ class TestTrainConfig:
 
 class TwoArrayBuffer:
     """Reference: a ring of single transitions, with ``obs`` and ``next_obs``
-    each held in full and one transition pushed at a time."""
+    each held in full, one transition pushed at a time, and a done flag
+    stored with each."""
 
-    def __init__(self, capacity, n, obs_dim, act_dim, n_types, rng):
+    def __init__(self, capacity, n, obs_dim, act_dim, rng):
         self.capacity, self.rng, self.size, self.cursor = capacity, rng, 0, 0
         self.obs = np.zeros((capacity, n, obs_dim), dtype=np.float32)
         self.next_obs = np.zeros_like(self.obs)
         self.act = np.zeros((capacity, n, act_dim), dtype=np.float32)
-        self.rew = np.zeros((capacity, n_types), dtype=np.float32)
+        self.rew = np.zeros(capacity, dtype=np.float32)
         self.done = np.zeros(capacity, dtype=np.float32)
 
     def push(self, obs, act, rew, next_obs, done):
@@ -202,13 +202,12 @@ class TwoArrayBuffer:
                      next_obs=self.next_obs[idx], done=self.done[idx])
 
 
-def random_episode(rng, steps, n=2, obs_dim=3, n_types=2):
+def random_episode(rng, steps, n=2, obs_dim=3):
     """One episode as ``push_episode`` takes it, in the dtypes a rollout
-    hands over (float64 observations and rewards, bool done flags)."""
+    hands over (float64 observations and rewards)."""
     return (rng.normal(size=(steps + 1, n, obs_dim)),
             rng.uniform(-1, 1, size=(steps, n, 2)),
-            rng.normal(size=(steps, n_types)),
-            rng.random(steps) < 0.3)
+            rng.normal(size=steps))
 
 
 def assert_same_batch(got, want):
@@ -218,8 +217,8 @@ def assert_same_batch(got, want):
 
 
 class TestReplayBuffer:
-    def _buffer(self, capacity=5, seed=0, episode_length=1, obs_dims=(3,), n_types=1):
-        return ReplayBuffer(capacity, obs_dims=list(obs_dims), act_dim=2, n_types=n_types,
+    def _buffer(self, capacity=5, seed=0, episode_length=1, n=1):
+        return ReplayBuffer(capacity, n=n, obs_dim=3, act_dim=2,
                             episode_length=episode_length, rng=np.random.default_rng(seed))
 
     def _push_tagged(self, buf, tags):
@@ -229,7 +228,7 @@ class TestReplayBuffer:
         obs = np.append(tags, tags[-1] + 1)[:, None, None]
         buf.push_episode(obs=np.repeat(obs, 3, axis=-1),
                          act=np.zeros((len(tags), 1, 2), dtype=np.float32),
-                         rew=tags[:, None], done=np.zeros(len(tags), dtype=bool))
+                         rew=tags)
 
     def test_fifo_eviction(self):
         buf = self._buffer(capacity=6, episode_length=3)
@@ -237,7 +236,7 @@ class TestReplayBuffer:
             self._push_tagged(buf, [first, first + 1, first + 2])
         assert len(buf) == 6
         # the oldest episode is evicted, its observations with it
-        assert buf.rew[:, 0].tolist() == [6.0, 7.0, 8.0, 3.0, 4.0, 5.0]
+        assert buf.rew.tolist() == [6.0, 7.0, 8.0, 3.0, 4.0, 5.0]
         assert buf.obs[..., 0, 0].tolist() == [[6.0, 7.0, 8.0, 9.0], [3.0, 4.0, 5.0, 6.0]]
 
     def test_capacity_rounds_up_to_whole_episodes(self):
@@ -245,11 +244,11 @@ class TestReplayBuffer:
         assert buf.capacity == 9 and buf.obs.shape == (3, 4, 1, 3)
         for first in (0, 3, 6):
             self._push_tagged(buf, [first, first + 1, first + 2])
-        assert len(buf) == 9 and sorted(buf.rew[:, 0].tolist()) == list(range(9))
+        assert len(buf) == 9 and sorted(buf.rew.tolist()) == list(range(9))
         self._push_tagged(buf, [9, 10, 11])
-        assert len(buf) == 9 and sorted(buf.rew[:, 0].tolist()) == list(range(3, 12))
+        assert len(buf) == 9 and sorted(buf.rew.tolist()) == list(range(3, 12))
         batch = buf.sample(9)
-        assert np.array_equal(batch.next_obs[:, 0, 0], batch.rew[:, 0] + 1)
+        assert np.array_equal(batch.next_obs[:, 0, 0], batch.rew + 1)
 
     def test_sample_shapes_and_bounds(self):
         buf = self._buffer(capacity=10, episode_length=7)
@@ -257,9 +256,9 @@ class TestReplayBuffer:
         batch = buf.sample(4)
         assert batch.obs.shape == batch.next_obs.shape == (4, 1, 3)
         assert batch.act.shape == (4, 1, 2)
-        assert np.array_equal(batch.obs[:, 0, 0], batch.rew[:, 0])
-        assert np.array_equal(batch.next_obs[:, 0, 0], batch.rew[:, 0] + 1)
-        assert set(batch.rew[:, 0].tolist()) <= {float(t) for t in range(7)}
+        assert np.array_equal(batch.obs[:, 0, 0], batch.rew)
+        assert np.array_equal(batch.next_obs[:, 0, 0], batch.rew + 1)
+        assert set(batch.rew.tolist()) <= {float(t) for t in range(7)}
 
     def test_no_duplicates_within_batch(self):
         buf = self._buffer(capacity=20, episode_length=4)
@@ -267,12 +266,19 @@ class TestReplayBuffer:
             self._push_tagged(buf, range(first, first + 4))
         for _ in range(50):
             batch = buf.sample(10)
-            tags = batch.rew[:, 0].tolist()
+            tags = batch.rew.tolist()
             assert len(set(tags)) == len(tags)
 
-    def test_mixed_observation_widths_rejected(self):
-        with pytest.raises(ValueError, match="one observation width"):
-            self._buffer(obs_dims=(3, 4))
+    def test_done_exactly_at_episode_end(self):
+        # step t of every episode is tagged first + t, first a multiple of T;
+        # only each episode's last step is terminal, also once the ring wraps
+        for capacity, steps in [(9, 3), (7, 3), (5, 1), (8, 4)]:
+            buf = self._buffer(capacity=capacity, episode_length=steps)
+            for first in range(0, 2 * buf.capacity, steps):
+                self._push_tagged(buf, range(first, first + steps))
+            batch = buf.sample(len(buf))
+            assert batch.done.dtype == np.float32
+            assert np.array_equal(batch.done, batch.rew % steps == steps - 1)
 
     def test_underfilled_sampling_rejected(self):
         buf = self._buffer()
@@ -288,7 +294,7 @@ class TestReplayBuffer:
         counts = np.zeros(m)
         for _ in range(trials):
             batch = buf.sample(k)
-            for tag in batch.rew[:, 0]:
+            for tag in batch.rew:
                 counts[int(tag)] += 1
         p = k / m
         expected = trials * p
@@ -312,20 +318,20 @@ class TestReplayBuffer:
         # single pushes would, and draws the same batches
         capacity = k * steps
         rng = np.random.default_rng(seed)
-        buf = self._buffer(capacity, seed, steps, obs_dims=(3, 3), n_types=2)
-        ref = TwoArrayBuffer(capacity, 2, 3, 2, 2, np.random.default_rng(seed))
+        buf = self._buffer(capacity, seed, steps, n=2)
+        ref = TwoArrayBuffer(capacity, 2, 3, 2, np.random.default_rng(seed))
         assert buf.capacity == capacity and buf.obs.shape == (k, steps + 1, 2, 3)
         for _ in range(episodes):
-            obs, act, rew, done = random_episode(rng, steps)
-            buf.push_episode(obs, act, rew, done)
+            obs, act, rew = random_episode(rng, steps)
+            buf.push_episode(obs, act, rew)
             for t in range(steps):
-                ref.push(obs[t], act[t], rew[t], obs[t + 1], done[t])
+                ref.push(obs[t], act[t], rew[t], obs[t + 1], t == steps - 1)
             live = np.arange(ref.size)
             assert (len(buf), buf.cursor) == (ref.size, ref.cursor)
             episode, step = np.divmod(live, steps)
             assert np.array_equal(buf.obs[episode, step], ref.obs[live])
             assert np.array_equal(buf.obs[episode, step + 1], ref.next_obs[live])
-            for field in ("act", "rew", "done"):
+            for field in ("act", "rew"):
                 assert np.array_equal(getattr(buf, field)[live], getattr(ref, field)[live])
         if len(buf):
             draws = [data.draw(st.integers(1, len(buf))) if data else len(buf)
@@ -334,17 +340,17 @@ class TestReplayBuffer:
                 assert_same_batch(buf.sample(size), ref.sample(size))
 
     def test_bad_episode_rejected_before_writing(self):
-        buf = self._buffer(capacity=6, episode_length=3, obs_dims=(3, 3), n_types=2)
+        buf = self._buffer(capacity=6, episode_length=3, n=2)
         rng = np.random.default_rng(4)
         buf.push_episode(*random_episode(rng, 3))
-        fields = ("obs", "act", "rew", "done")
+        fields = ("obs", "act", "rew")
         before = [getattr(buf, f).copy() for f in fields]
         state = (len(buf), buf.cursor)
-        obs, act, rew, done = random_episode(rng, 3)
+        obs, act, rew = random_episode(rng, 3)
         bad = [random_episode(rng, 2), random_episode(rng, 4),
-               (obs[:3], act, rew, done), (obs, act[:, :1], rew, done),
-               (obs[..., :2], act, rew, done), (obs, act, rew[:, :1], done),
-               (obs, act, rew, done[:2]), (obs, act[..., :1], rew, done)]
+               (obs[:3], act, rew), (obs, act[:, :1], rew),
+               (obs[..., :2], act, rew), (obs, act, rew[:2]),
+               (obs, act, rew[:, None]), (obs, act[..., :1], rew)]
         for episode in bad:
             with pytest.raises(ValueError, match="episode"):
                 buf.push_episode(*episode)
@@ -354,7 +360,7 @@ class TestReplayBuffer:
     def test_each_observation_stored_once(self):
         # coop_nav(5) at the default capacity: 83.9 MiB as obs plus next_obs,
         # 44.06 MiB as 5000 episodes of 21 observations
-        buf = ReplayBuffer(100_000, [22] * 5, 2, 1, 20, np.random.default_rng(0))
+        buf = ReplayBuffer(100_000, 5, 22, 2, 20, np.random.default_rng(0))
         assert buf.obs.shape == (5_000, 21, 5, 22) and buf.capacity == 100_000
         assert buf.obs.nbytes <= 46 * 2**20
 
@@ -504,7 +510,7 @@ def make_trainer(kind=AlgoKind.SA_MATD3, n=2, seed=0, scenario="coop_nav", **cfg
 
 def manual_batch(trainer, batch_size=8, seed=11, reward=None, done=None):
     rng = np.random.default_rng(seed)
-    rew = rng.normal(size=(batch_size, trainer.env.n_types)).astype(np.float32)
+    rew = rng.normal(size=batch_size).astype(np.float32)
     if reward is not None:
         rew[:] = reward
     d = np.zeros(batch_size, dtype=np.float32)
@@ -542,7 +548,7 @@ class TestComputeTargetY:
         y = np.asarray(trainer.compute_target_y(batch))
         obs_t = Tensor(batch.next_obs)
         act_t = Tensor(trainer._target_actions(obs_t).astype(np.float32))
-        r = batch.rew[:, 0].astype(np.float64)
+        r = batch.rew.astype(np.float64)
         cont = trainer.cfg.gamma * (1.0 - batch.done.astype(np.float64))
         with nd.no_grad():
             for critic in trainer.target_critics:
@@ -803,7 +809,7 @@ class TestTrainerInvariants:
                 act_next = Tensor(tacts[:, order].astype(np.float32))
                 totals = [nets.total_q(c.forward(obs_next, act_next)).data
                           for c in trainer.target_critics]
-                y = batch.rew[:, 0] + trainer.cfg.gamma * (1 - batch.done) \
+                y = batch.rew + trainer.cfg.gamma * (1 - batch.done) \
                     * np.minimum(*totals)
                 obs_t = Tensor(batch.obs[:, order])
                 act_t = Tensor(batch.act[:, order])
@@ -875,7 +881,7 @@ class TestBaselineRecovery:
         tgt_acts = np.stack([np.tanh(next_obs[j] @ wa[j] + ba[j])
                              for j in range(n)], axis=1)
         x_next = np.concatenate(next_obs + [tgt_acts.reshape(B, -1)], axis=1)
-        r = batch.rew[:, 0].astype(np.float64)
+        r = batch.rew.astype(np.float64)
         cont = gamma * (1.0 - batch.done.astype(np.float64))
         ys = [(r + cont * (x_next @ wc[i] + bc[i]).reshape(-1)) for i in range(n)]
 
@@ -996,7 +1002,7 @@ def rollout_digest(scenario, kind, cfg):
     for _ in range(30):
         digest.update(trainer.run_episode(explore=True).tobytes())
     buffer = trainer.buffer
-    for array in (buffer.obs, buffer.act, buffer.rew[:, 0]):
+    for array in (buffer.obs, buffer.act, buffer.rew):
         digest.update(array.tobytes())
     digest.update(np.array(harness.evaluate_trainer(trainer, 5, seed=0)["mean"]).tobytes())
     return digest.hexdigest()

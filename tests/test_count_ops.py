@@ -38,7 +38,7 @@ def test_counts_every_part_and_leaves_the_rollout_unchanged(scenario, kind):
     assert calls["total"] == pytest.approx(sum(calls[part] for part in count_ops.PARTS))
     assert calls["step"] > 0 and calls["actor"] > 0 and calls["loop"] > 0
     assert (calls["prey"] > 0) == (scenario.n_prey > 0)
-    for name in ("obs", "act", "rew", "done"):
+    for name in ("obs", "act", "rew"):
         assert np.asarray(getattr(counted.buffer, name)).tobytes() == \
             getattr(plain.buffer, name).tobytes(), name
     # numpy's namespace and the trainer's methods are restored

@@ -11,7 +11,6 @@ from samarl.envs import (
     ConfigError,
     ParticleWorld,
     ScenarioConfig,
-    observation_dim,
     reward_coop_nav,
     reward_predator_prey,
     scripted_prey,
@@ -134,13 +133,24 @@ class TestConfig:
         "dt", "contact_stiffness", "contact_margin", "agent_radius", "landmark_radius",
         "predator_radius", "prey_radius", "obstacle_radius", "agent_accel", "predator_accel",
         "prey_accel", "agent_max_speed", "predator_max_speed", "prey_max_speed",
-        "world_half_width"])
+        "world_half_width", "prey_sense_range", "prey_obstacle_range"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
     def test_non_positive_physics_field_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
             ScenarioConfig.coop_nav(1, **{name: value})
         with pytest.raises(ConfigError, match=name):
             ScenarioConfig.predator_prey(3, **{name: value})
+
+    @pytest.mark.parametrize("name", [
+        "prey_boundary_margin", "prey_boundary_gain", "prey_obstacle_gain", "tag_reward",
+        "coop_collision_penalty", "boundary_penalty_scale"])
+    def test_negative_or_non_finite_gain_rejected(self, name):
+        for value in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match=name):
+                ScenarioConfig.coop_nav(1, **{name: value})
+            with pytest.raises(ConfigError, match=name):
+                ScenarioConfig.predator_prey(3, **{name: value})
+        assert getattr(ScenarioConfig.predator_prey(3, **{name: 0.0}), name) == 0.0
 
     @pytest.mark.parametrize("length", [0, -1])
     def test_episode_length_below_one_rejected(self, length):
@@ -195,7 +205,6 @@ class TestReset:
         world.reset()
         assert np.all(np.abs(world.pos) <= 1.0)
         assert np.all(world.vel == 0.0)
-        assert world.t == 0
 
 
 class TestStep:
@@ -229,20 +238,12 @@ class TestStep:
 
     def test_out_of_range_actions_clipped_and_counted(self):
         world = self._single_agent()
-        _, _, _, info = world.step([[4.0, -9.0]])
-        assert info["clipped_components"] == 2
+        world.step([[4.0, -9.0]])
         assert world.clip_events == 2
         # same motion as a fully saturated command
         clean = self._single_agent()
         clean.step([[1.0, -1.0]])
         assert np.array_equal(world.vel, clean.vel)
-
-    def test_done_exactly_at_episode_end(self):
-        world = ParticleWorld(ScenarioConfig.coop_nav(2), seed=3)
-        world.reset()
-        for t in range(20):
-            _, _, done, _ = world.step(np.zeros((2, 2)))
-            assert done == (t == 19)
 
     def test_action_count_checked(self):
         world = ParticleWorld(ScenarioConfig.coop_nav(3), seed=4)
@@ -307,7 +308,7 @@ class TestRewards:
         # the env emits one scalar per type; every agent of the type sees it
         world = ParticleWorld(ScenarioConfig.predator_prey(6), seed=11)
         world.reset()
-        _, rewards, _, _ = world.step(np.zeros((6, 2)))
+        _, rewards = world.step(np.zeros((6, 2)))
         assert rewards.shape == (2,)
 
 
@@ -326,7 +327,9 @@ class TestObservations:
         for cfg in (ScenarioConfig.coop_nav(4), ScenarioConfig.predator_prey(6)):
             world = ParticleWorld(cfg, seed=13)
             # one array per agent type; their rows list the agents in index order
-            obs = [row for rows in world.reset() for row in rows]
+            per_type = world.reset()
+            assert [rows.shape[-1] for rows in per_type] == world.obs_dims
+            obs = [row for rows in per_type for row in rows]
             for i in range(cfg.n_agents):
                 # own velocity and position, landmarks, other agents, and in
                 # predator-prey the opposite type's velocities
@@ -334,7 +337,7 @@ class TestObservations:
                 if cfg.kind == PREDATOR_PREY:
                     opposite = cfg.n_prey if i < cfg.n_predators else cfg.n_predators
                 expected = 4 + 2 * cfg.n_landmarks + 2 * (cfg.n_agents - 1) + 2 * opposite
-                assert expected == observation_dim(cfg, i) == obs[i].shape[0]
+                assert expected == obs[i].shape[0]
 
     def test_joint_full_observability(self):
         # own velocity + position of every agent reconstructs the agent state,
@@ -353,7 +356,7 @@ class TestObservations:
         obs = world.reset()
         sizes = [o.shape[0] for o in obs]
         for _ in range(5):
-            obs, _, _, _ = world.step(np.zeros((6, 2)))
+            obs, _ = world.step(np.zeros((6, 2)))
             assert [o.shape[0] for o in obs] == sizes
 
 
@@ -404,7 +407,7 @@ class TestDeterminismAndOracle:
             world.reset(seed=5)
             chunks = []
             for t in range(20):
-                _, rewards, _, _ = world.step(actions[t])
+                _, rewards = world.step(actions[t])
                 chunks.append(world.pos.tobytes())
                 chunks.append(world.vel.tobytes())
                 chunks.append(rewards.tobytes())
@@ -464,14 +467,13 @@ class TestLockstep:
                 for e, world in enumerate(singles):
                     assert prey[e].tobytes() == scripted_prey(world).tobytes(), (t, e)
                 acts = np.concatenate([acts, prey], axis=1)
-            obs, rewards, done, _ = batched.step(acts)
+            obs, rewards = batched.step(acts)
             assert rewards.shape == (self.EPISODES, batched.n_types)
             for e, world in enumerate(singles):
-                obs_e, rewards_e, done_e, _ = world.step(acts[e])
+                obs_e, rewards_e = world.step(acts[e])
                 assert world.pos.tobytes() == batched.pos[e].tobytes(), (t, e)
                 assert world.vel.tobytes() == batched.vel[e].tobytes(), (t, e)
                 assert rewards_e.tobytes() == rewards[e].tobytes(), (t, e)
-                assert done_e == done
                 for per_type, single in zip(obs, obs_e):
                     assert single.tobytes() == per_type[e].tobytes(), (t, e)
             prey_rewards.append(rewards[..., -1])
@@ -492,7 +494,7 @@ class TestLockstep:
             assert single.pos.tobytes() == batched.pos[e].tobytes(), e
             for per_type, one in zip(obs, obs_e):
                 assert one.tobytes() == per_type[e].tobytes(), e
-        assert np.all(batched.vel == 0.0) and batched.t == 0
+        assert np.all(batched.vel == 0.0)
 
     def test_prey_policy_and_reward_equal_loop_references(self):
         # crowded states: prey near walls, predators and several obstacles
@@ -532,7 +534,7 @@ class TestLockstep:
             acts = rng.uniform(-1.5, 1.5, size=world.batch + (trainable, 2))
             if cfg.kind == PREDATOR_PREY:
                 acts = np.concatenate([acts, scripted_prey(world)], axis=-2)
-            obs, rewards, _, _ = world.step(acts)
+            obs, rewards = world.step(acts)
             for alone, stepped in zip(world.observe(), obs):
                 assert alone.tobytes() == stepped.tobytes(), t
             if cfg.kind == PREDATOR_PREY:
@@ -572,7 +574,7 @@ def trajectory_digest(cfg, episodes):
         acts = rng.uniform(-1.5, 1.5, size=world.batch + (trainable, 2))
         if cfg.kind == PREDATOR_PREY:
             acts = np.concatenate([acts, scripted_prey(world)], axis=-2)
-        observations, rewards, _, _ = world.step(acts)
+        observations, rewards = world.step(acts)
         for array in (world.pos, world.vel, *observations, rewards):
             digest.update(array.tobytes())
     digest.update(np.int64(world.clip_events).tobytes())

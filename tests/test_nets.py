@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from samarl import ndmath as nd
 from samarl import nets
 from samarl.algo import AlgoKind, TrainConfig, Trainer
-from samarl.envs import ScenarioConfig, observation_dim
+from samarl.envs import ParticleWorld, ScenarioConfig
 from samarl.ndmath import Tensor, tensor
 
 import reference_ops as ref
@@ -18,7 +18,6 @@ from test_algo import ConstantQCritic
 
 def rng_for(seed=0):
     return np.random.default_rng(seed)
-
 
 def numpy_layer_norm(x):
     """Layer norm over the last axis, gain 1 and bias 0, as attention blocks
@@ -82,7 +81,7 @@ class TestMlpActor:
 
     def test_act_bitwise_equals_forward(self):
         # rollouts call act; target actions and policy steps call forward
-        obs_dim = observation_dim(ScenarioConfig.coop_nav(5), 0)
+        obs_dim = ParticleWorld(ScenarioConfig.coop_nav(5)).obs_dims[0]
         actor = nets.MlpActor(obs_dim, 2, rng_for(40))
         rng = rng_for(41)
         for batch in (1, 512):
@@ -96,7 +95,7 @@ class TestMlpActor:
         # same order, each on its own agent's rows: the rollout's act on one
         # world state, and forward on a batch of 512, as target actions and
         # policy steps read it
-        obs_dim = observation_dim(ScenarioConfig.coop_nav(5), 0)
+        obs_dim = ParticleWorld(ScenarioConfig.coop_nav(5)).obs_dims[0]
         rng = rng_for(42)
         lone = [nets.MlpActor(obs_dim, 2, rng) for _ in range(5)]
         bank = nets.stack(lone)
@@ -121,7 +120,7 @@ class TestMlpActor:
         # a lockstep batch of 4 episodes: member i acts on agent i of each;
         # an (E, d) product rounds apart from E one-row products in the
         # last float32 bits
-        obs_dim = observation_dim(ScenarioConfig.coop_nav(5), 0)
+        obs_dim = ParticleWorld(ScenarioConfig.coop_nav(5)).obs_dims[0]
         rng = rng_for(44)
         bank = nets.stack([nets.MlpActor(obs_dim, 2, rng) for _ in range(5)])
         obs = rng_for(45).normal(size=(4, 5, obs_dim)).astype(np.float32)
@@ -326,8 +325,7 @@ class TestDoubleCritic:
         trainer.buffer.push_episode(
             obs=rng.normal(size=(steps + 1,) + obs).astype(np.float32),
             act=rng.uniform(-1, 1, size=(steps, trainer.n, 2)).astype(np.float32),
-            rew=rng.normal(size=(steps, 1)).astype(np.float32),
-            done=np.zeros(steps, dtype=bool))
+            rew=rng.normal(size=steps).astype(np.float32))
         return trainer.buffer.sample(size)
 
     def _single_twin_targets(self, trainer, batch, twin):
@@ -353,13 +351,14 @@ class TestDoubleCritic:
         trainer.target_critics = [ConstantQCritic([1.0, 3.0], bank=True),
                                   ConstantQCritic([4.0, 2.0], bank=True)]
         batch = self._batch(trainer)
-        r = batch.rew[:, :1].astype(np.float64)
+        r = batch.rew.astype(np.float64)
+        cont = 0.95 * (1.0 - batch.done)
         assert np.allclose(trainer.compute_target_y(batch),
-                           (r + 0.95 * np.array([1.0, 2.0])).T)
+                           r + cont * np.array([[1.0], [2.0]]))
         # shared critic: the minimum is taken over total Q (5 vs 4), not per agent
         trainer = self._trainer(AlgoKind.SA_MATD3)
         trainer.target_critics = [ConstantQCritic([1.0, 4.0]), ConstantQCritic([2.0, 2.0])]
-        assert np.allclose(trainer.compute_target_y(batch), r[:, 0] + 0.95 * 4.0)
+        assert np.allclose(trainer.compute_target_y(batch), r + cont * 4.0)
 
     def test_min_bounded_by_both(self):
         for kind in (AlgoKind.MATD3, AlgoKind.SA_MATD3, AlgoKind.DSA_MATD3):
@@ -417,7 +416,7 @@ class TestAttentionActor:
 
     @staticmethod
     def _pp9_actor(dtype, seed=46):
-        obs_dim = observation_dim(ScenarioConfig.predator_prey(9), 0)
+        obs_dim = ParticleWorld(ScenarioConfig.predator_prey(9)).obs_dims[0]
         return nets.AttentionActor(obs_dim, 2, rng_for(seed), dtype=dtype), obs_dim
 
     @staticmethod

@@ -130,7 +130,7 @@ def counting(trainer: Trainer):
     trainer keeps its counted arrays and generators afterwards."""
     env, buffer = trainer.env, trainer.buffer
     # views share the arrays' memory, so the world's state stays one
-    for owner, names in ((env, ("pos", "vel", "_state")), (buffer, ("obs", "act", "rew", "done"))):
+    for owner, names in ((env, ("pos", "vel", "_state")), (buffer, ("obs", "act", "rew"))):
         for name in names:
             if name in vars(owner):
                 setattr(owner, name, getattr(owner, name).view(Counted))
