@@ -175,7 +175,7 @@ def test_criterion_5_physics_oracle():
 
 # The learning runs: coop_nav at each (agents, episodes) setting, under each
 # algorithm, on each seed. .acceptance_cache/run_all.sh trains the list that
-# ``python tests/test_acceptance.py --runs`` prints.
+# ``PYTHONPATH=src python tests/test_acceptance.py --runs`` prints.
 LEARNING_SETTINGS = {
     "n3": (3, 60_000),          # criterion 6
     "n5_30k": (5, 30_000),      # criterion 6
@@ -389,7 +389,7 @@ if __name__ == "__main__":
     import sys
 
     if sys.argv[1:] != ["--runs"]:
-        sys.exit("usage: python tests/test_acceptance.py --runs")
+        sys.exit("usage: PYTHONPATH=src python tests/test_acceptance.py --runs")
     # one line a run: its name, then scenario, algo, agents, episodes, seed;
     # criterion 6's first, both algorithms of a seed together
     for n, episodes in LEARNING_SETTINGS.values():

@@ -19,6 +19,7 @@ from test_algo import ConstantQCritic
 def rng_for(seed=0):
     return np.random.default_rng(seed)
 
+
 def numpy_layer_norm(x):
     """Layer norm over the last axis, gain 1 and bias 0, as attention blocks
     start out."""
