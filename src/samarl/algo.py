@@ -98,8 +98,6 @@ class TrainConfig:
     mlp_lr: float = 1e-3
     attention_lr: float = 1e-4
     grad_clip: float = 1.0
-    action_low: float = -1.0
-    action_high: float = 1.0
     replay_capacity: int = 100_000
     hidden_dim: int = 64
     hidden_layers: int = 3
@@ -121,8 +119,6 @@ class TrainConfig:
                      "delay_frequency", "replay_capacity", "hidden_dim", "attention_heads"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not -np.inf < self.action_low < self.action_high < np.inf:
-            raise ValueError("action bounds must be finite, action_low below action_high")
         if self.hidden_dim % self.attention_heads:
             raise ValueError(f"hidden_dim {self.hidden_dim} does not split into heads")
         if self.batch_size > self.replay_capacity:
@@ -332,8 +328,11 @@ class Trainer:
 
     def _setup_prey(self, prey_policy) -> None:
         self.prey_actor = None
-        if self.scenario.kind != PREDATOR_PREY or prey_policy == "scripted":
+        if prey_policy == "scripted":
             return
+        if self.scenario.kind != PREDATOR_PREY:
+            raise ValueError(f"prey policy '{prey_policy}' given, but the "
+                             f"{self.scenario.kind} scenario has no prey")
         manifest, tensors = load_checkpoint(prey_policy)
         # the prey actor runs in the architecture and precision it was saved
         # in; sizes it does not record are this trainer's
@@ -348,11 +347,12 @@ class Trainer:
 
     def _trainable_actions(self, obs: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
         """Joint actions (..., n, act_dim) for observations (..., n, obs_dim),
-        one world state or one per episode of a lockstep batch, plus ``noise``, clipped."""
+        one world state or one per episode of a lockstep batch, plus ``noise``,
+        clipped to the world's action bound."""
         acts = self.actor.act(obs)
         if noise is not None:
             acts = acts + noise
-        return np.minimum(np.maximum(acts, self.cfg.action_low), self.cfg.action_high)
+        return _clip_unit(acts)
 
     def _prey_actions(self, env: ParticleWorld, prey_obs: np.ndarray) -> np.ndarray:
         """Prey actions (..., prey, act_dim): the scripted flee policy, or one
@@ -403,14 +403,14 @@ class Trainer:
     # -- updates ---------------------------------------------------------------
 
     def _target_actions(self, next_obs: Tensor) -> np.ndarray:
-        """Target-policy actions (B, n, act_dim); double-Q kinds add clipped
-        smoothing noise."""
+        """Target-policy actions (B, n, act_dim); double-Q kinds add smoothing
+        noise, and the sum is clipped to the world's action bound."""
         with no_grad():
             acts = self.target_actor.forward(next_obs).data
         if self.kind.double_q and self.cfg.critic_noise_std > 0:
             acts = acts + self.smooth_rng.normal(0.0, self.cfg.critic_noise_std,
                                                  acts.shape)
-        return np.clip(acts, self.cfg.action_low, self.cfg.action_high)
+        return _clip_unit(acts)
 
     def compute_target_y(self, batch: Batch) -> np.ndarray:
         """Bellman targets, detached from every main-network parameter: one
@@ -435,6 +435,11 @@ class Trainer:
         taken over the member's own row of Q; each member is then clipped on
         its own, and the twin takes one Adam step. Returns the mean member
         loss.
+
+        The target networks move only in ``policy_update``, as in TD3, whose
+        target update rides on the delayed policy step. So critic-only updates
+        (the double-Q kinds' delayed steps, or a warm-up) regress against
+        unmoved targets.
         """
         cfg = self.cfg
         y_rows = Tensor(self.compute_target_y(batch), dtype=cfg.np_dtype)

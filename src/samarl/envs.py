@@ -12,9 +12,19 @@ flee policy so algorithm comparisons see a fixed opponent.
 
 Physics is a semi-implicit Euler step: velocities are damped, accelerated by
 ``action * accel / mass * dt`` plus soft contact forces, capped at each
-body's max speed, and integrated into positions. Every body's mass is 1.0,
-so the step leaves the divide out (x / 1.0 == x). Everything is float64 and
-fully determined by (config, seed, actions).
+body's max speed, and integrated into positions. Everything is float64 and
+fully determined by (scenario, seed, actions).
+
+A scenario is its kind, its agent count and its episode length
+(``ScenarioConfig``). Its physics and rewards are fixed at the values of
+MPE, the multi-agent particle environment (Lowe et al., arXiv:1706.02275;
+https://github.com/openai/multiagent-particle-envs): the module constants
+below. Two sets are this module's own: the coop agents' speed cap, which
+MPE's cooperative navigation leaves unset, and the scripted prey's, as MPE
+has no scripted prey. Every body's mass is 1.0, and so are the world's
+half-width, the collision penalty, the boundary penalty scale and the prey's
+obstacle gain, so the step leaves each of their divides and products out
+(x / 1.0 == 1.0 * x == x).
 
 A world holds one episode, with body arrays of shape ``(bodies, 2)``, or E
 episodes stepped in lockstep, with ``(E, bodies, 2)``. One code path serves
@@ -52,6 +62,34 @@ import numpy as np
 COOP_NAV = "coop_nav"
 PREDATOR_PREY = "predator_prey"
 
+# The scenarios' constants (see the module docstring): the world, the
+# contact springs, the rewards, each body type's radius, acceleration and
+# speed cap, and the scripted prey's flee policy
+WORLD_HALF_WIDTH = 1.0
+DT = 0.1
+DAMPING = 0.25
+CONTACT_STIFFNESS = 100.0
+CONTACT_MARGIN = 0.001
+COOP_COLLISION_PENALTY = 1.0
+TAG_REWARD = 10.0
+BOUNDARY_PENALTY_SCALE = 1.0
+AGENT_RADIUS = 0.15
+LANDMARK_RADIUS = 0.05
+PREDATOR_RADIUS = 0.075
+PREY_RADIUS = 0.05
+OBSTACLE_RADIUS = 0.2
+AGENT_ACCEL = 5.0
+AGENT_MAX_SPEED = 2.0
+PREDATOR_ACCEL = 3.0
+PREDATOR_MAX_SPEED = 1.0
+PREY_ACCEL = 4.0
+PREY_MAX_SPEED = 1.3
+PREY_SENSE_RANGE = 1.0
+PREY_BOUNDARY_MARGIN = 0.8
+PREY_BOUNDARY_GAIN = 2.0
+PREY_OBSTACLE_RANGE = 0.3
+PREY_OBSTACLE_GAIN = 1.0
+
 
 class ConfigError(ValueError):
     pass
@@ -59,74 +97,37 @@ class ConfigError(ValueError):
 
 @dataclass
 class ScenarioConfig:
+    """A scenario: its kind, agent count and episode length. The rest is
+    fixed by the module constants."""
+
     kind: str
     n_agents: int
-    n_landmarks: int
-    world_half_width: float = 1.0
-    dt: float = 0.1
-    damping: float = 0.25
-    contact_stiffness: float = 100.0
-    contact_margin: float = 0.001
-    coop_collision_penalty: float = 1.0
-    tag_reward: float = 10.0
-    boundary_penalty_scale: float = 1.0
     episode_length: int = 20
-    agent_radius: float = 0.15
-    landmark_radius: float = 0.05
-    predator_radius: float = 0.075
-    prey_radius: float = 0.05
-    obstacle_radius: float = 0.2
-    agent_accel: float = 5.0
-    agent_max_speed: float = 2.0
-    predator_accel: float = 3.0
-    predator_max_speed: float = 1.0
-    prey_accel: float = 4.0
-    prey_max_speed: float = 1.3
-    prey_sense_range: float = 1.0
-    prey_boundary_margin: float = 0.8
-    prey_boundary_gain: float = 2.0
-    prey_obstacle_range: float = 0.3
-    prey_obstacle_gain: float = 1.0
-    seed: int | None = None
 
     def __post_init__(self):
         if self.kind not in (COOP_NAV, PREDATOR_PREY):
             raise ConfigError(f"unknown scenario kind '{self.kind}'")
         if self.n_agents < 1:
             raise ConfigError(f"need at least one agent, got {self.n_agents}")
-        if self.kind == COOP_NAV and self.n_landmarks != self.n_agents:
-            raise ConfigError(
-                f"cooperative navigation needs landmarks == agents "
-                f"({self.n_landmarks} != {self.n_agents})")
         if self.kind == PREDATOR_PREY and self.n_agents % 3 != 0:
             raise ConfigError(
                 f"predator-prey needs a 2:1 predator:prey split; "
                 f"{self.n_agents} agents cannot be divided that way")
         if self.episode_length < 1:
             raise ConfigError(f"episode_length must be at least 1, got {self.episode_length}")
-        # a negative speed cap would flip a velocity every step, an infinite one NaN it;
-        # a zero world width or obstacle range NaNs the prey's wall penalty or obstacle push
-        for name in ("dt", "contact_stiffness", "contact_margin", "agent_radius",
-                     "landmark_radius", "predator_radius", "prey_radius", "obstacle_radius",
-                     "agent_accel", "predator_accel", "prey_accel", "agent_max_speed",
-                     "predator_max_speed", "prey_max_speed", "world_half_width",
-                     "prey_sense_range", "prey_obstacle_range"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        for name in ("prey_boundary_margin", "prey_boundary_gain", "prey_obstacle_gain",
-                     "tag_reward", "coop_collision_penalty", "boundary_penalty_scale"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
-        if not 0.0 <= self.damping <= 1.0:
-            raise ConfigError(f"damping must lie in [0, 1], got {self.damping}")
 
     @classmethod
     def coop_nav(cls, n_agents: int, **overrides) -> "ScenarioConfig":
-        return cls(kind=COOP_NAV, n_agents=n_agents, n_landmarks=n_agents, **overrides)
+        return cls(COOP_NAV, n_agents, **overrides)
 
     @classmethod
     def predator_prey(cls, n_agents: int, **overrides) -> "ScenarioConfig":
-        return cls(kind=PREDATOR_PREY, n_agents=n_agents, n_landmarks=3, **overrides)
+        return cls(PREDATOR_PREY, n_agents, **overrides)
+
+    @property
+    def n_landmarks(self) -> int:
+        """Landmarks, one per agent, or the 3 obstacles of predator-prey."""
+        return self.n_agents if self.kind == COOP_NAV else 3
 
     @property
     def n_predators(self) -> int:
@@ -152,72 +153,49 @@ class ParticleWorld:
         if episodes is not None and episodes < 1:
             raise ConfigError(f"a lockstep world needs at least one episode, got {episodes}")
         self.cfg = cfg
-        self.rng = np.random.default_rng(cfg.seed if seed is None else seed)
+        self.rng = np.random.default_rng(seed)
         self.batch = () if episodes is None else (episodes,)
         self.clip_events = 0  # out-of-range action components seen so far, all episodes
         self._build_roster()
 
     def _build_roster(self) -> None:
+        """The step's per-world constants, from the scenario's body counts."""
         cfg = self.cfg
-        roles: list[str] = []
-        radius, mass, max_speed, accel, movable, collides = [], [], [], [], [], []
-
-        def push(role, r, ms, acc, mov, col):
-            roles.append(role)
-            radius.append(r)
-            mass.append(1.0)
-            max_speed.append(ms)
-            accel.append(acc)
-            movable.append(mov)
-            collides.append(col)
-
+        n = self.n_agents = cfg.n_agents
+        bodies = self.n_bodies = n + cfg.n_landmarks
+        # per block of bodies, in body order: the movable blocks' counts,
+        # accel and speed caps, and the colliding blocks' counts and radii.
+        # The colliders lead, as landmarks do not collide. A hit is a contact
+        # of two agents, or of a predator and a prey.
         if cfg.kind == COOP_NAV:
-            for _ in range(cfg.n_agents):
-                push("agent", cfg.agent_radius, cfg.agent_max_speed, cfg.agent_accel,
-                     True, True)
-            for _ in range(cfg.n_landmarks):
-                push("landmark", cfg.landmark_radius, 0.0, 0.0, False, False)
+            movable = colliders = [n]
+            accel, max_speed, radius = [AGENT_ACCEL], [AGENT_MAX_SPEED], [AGENT_RADIUS]
+            self._hit_dmin = AGENT_RADIUS + AGENT_RADIUS
             # per agent type: its agents, and the agents whose velocities it sees
-            types = [(0, cfg.n_agents, None)]
+            types = [(0, n, None)]
         else:
-            for _ in range(cfg.n_predators):
-                push("predator", cfg.predator_radius, cfg.predator_max_speed,
-                     cfg.predator_accel, True, True)
-            for _ in range(cfg.n_prey):
-                push("prey", cfg.prey_radius, cfg.prey_max_speed, cfg.prey_accel,
-                     True, True)
-            for _ in range(cfg.n_landmarks):
-                push("obstacle", cfg.obstacle_radius, 0.0, 0.0, False, True)
-            predators, prey = (0, cfg.n_predators), (cfg.n_predators, cfg.n_agents)
+            np_ = cfg.n_predators
+            movable, colliders = [np_, cfg.n_prey], [np_, cfg.n_prey, cfg.n_landmarks]
+            accel, max_speed = [PREDATOR_ACCEL, PREY_ACCEL], [PREDATOR_MAX_SPEED, PREY_MAX_SPEED]
+            radius = [PREDATOR_RADIUS, PREY_RADIUS, OBSTACLE_RADIUS]
+            self._hit_dmin = PREDATOR_RADIUS + PREY_RADIUS
+            predators, prey = (0, np_), (np_, n)
             types = [(*predators, slice(*prey)), (*prey, slice(*predators))]
-
-        self.roles = roles
-        self.n_bodies = len(roles)
-        self.n_agents = cfg.n_agents
-        self.radius = np.array(radius)
-        self.mass = np.array(mass)
-        self.max_speed = np.array(max_speed)
-        self.accel = np.array(accel)
-        self.movable = np.array(movable)
-        self.collides = np.array(collides)
-        n, c = self.n_agents, int(self.collides.sum())
-        # step reads the movable bodies and the colliders as leading blocks
-        assert np.array_equal(self.movable, np.arange(self.n_bodies) < n) \
-            and c >= n and self.collides[:c].all(), "movable bodies first, then other colliders"
-        self._n_colliders = c
-        # per-world constants of the step. A body never touches itself: on the
-        # diagonal, the contact distance floor is infinite, and the coop hit
-        # thresholds cover the pairs of distinct agents, in the gather's order.
-        r = self.radius
-        self._accel = self.accel[:n, None]
-        self._max_speed = self.max_speed[:n]
-        self._contact_dmin = r[:c, None] + r[None, :c]
+            # the prey rows, with every episode's, as an open index mesh
+            self._prey_rows = np.ix_(*(np.arange(k) for k in self.batch + (cfg.n_prey,)))
+        self._accel = np.repeat(accel, movable)[:, None]
+        self._max_speed = np.repeat(max_speed, movable)
+        r = np.repeat(radius, colliders)
+        self._n_colliders = c = len(r)
+        # A body never touches itself: on the diagonal, the contact distance
+        # floor is infinite.
+        self._contact_dmin = r[:, None] + r[None, :]
         self._contact_floor = np.where(np.eye(c, dtype=bool), np.inf, 1e-9)
         # An episode's state is a row of _state: positions, velocities, a zero
         # pair; pos and vel view it. Per type, an observation is a gather of
         # _state less another: the own position for a relative one, else the
         # zeros (x - 0.0 == x), led by the episode axis, so it is C-ordered.
-        bodies, width = self.n_bodies, 4 * self.n_bodies + 2
+        width = 4 * bodies + 2
         self._state = np.zeros(math.prod(self.batch) * width)
         rows = self._state.reshape(self.batch + (width,))
         self.pos = rows[..., :2 * bodies].reshape(self.batch + (bodies, 2))
@@ -234,13 +212,6 @@ class ParticleWorld:
             less[:, 2:2 + others.shape[1]] = own
             self._gathers.append([starts + _flat(2 * i[..., None] + np.arange(2))
                                   for i in (take, less)])
-        if cfg.kind == COOP_NAV:   # others: the one type's
-            self._hit_dmin = r[:n, None] + r[others[:, len(static):]]
-        else:
-            np_ = cfg.n_predators
-            self._hit_dmin = r[:np_, None] + r[None, np_:n]
-            # the prey rows, with every episode's, as an open index mesh
-            self._prey_rows = np.ix_(*(np.arange(k) for k in self.batch + (cfg.n_prey,)))
 
     @property
     def n_types(self) -> int:
@@ -256,7 +227,7 @@ class ParticleWorld:
         """
         if seed is not None:
             self.rng = np.random.default_rng(seed)
-        whw = self.cfg.world_half_width
+        whw = WORLD_HALF_WIDTH
         n_static = self.n_bodies - self.n_agents
         for episode in np.ndindex(self.batch):
             pos = self.pos[episode]
@@ -271,7 +242,6 @@ class ParticleWorld:
         """Advance one tick under the given per-agent force commands,
         ``(..., agents, 2)``; returns the observations and the rewards,
         ``(..., types)``. An episode ends where its caller stops stepping."""
-        cfg = self.cfg
         acts = np.asarray(actions, dtype=np.float64)
         if acts.shape != self.batch + (self.n_agents, 2):
             raise ValueError(
@@ -283,28 +253,27 @@ class ParticleWorld:
         n = self.n_agents
         force = clipped * self._accel
         force += self._contact_forces()[..., :n, :]
-        vel = self.vel[..., :n, :] * (1.0 - cfg.damping) + force * cfg.dt
+        vel = self.vel[..., :n, :] * (1.0 - DAMPING) + force * DT
         speed = _norm(vel)
         cap = self._max_speed
         vel *= (cap / np.maximum(speed, cap))[..., None]   # exactly 1.0 under the cap
         self.vel[..., :n, :] = vel
-        self.pos[..., :n, :] += vel * cfg.dt
+        self.pos[..., :n, :] += vel * DT
 
         obs = self.observe()
-        rewards = _coop_nav_reward(self, obs[0])[..., None] if cfg.kind == COOP_NAV \
-            else _predator_prey_reward(self, obs[0])
+        rewards = coop_nav_reward(self, obs[0])[..., None] if self.cfg.kind == COOP_NAV \
+            else predator_prey_reward(self, obs[0])
         return obs, rewards
 
     def _contact_forces(self) -> np.ndarray:
         """Soft-spring repulsion with a logistic penetration ramp, on the
         collider block: ``(..., colliders, 2)``."""
-        cfg = self.cfg
         p = self.pos[..., : self._n_colliders, :]
         delta = p[..., :, None, :] - p[..., None, :, :]
         dist = np.maximum(_norm(delta), self._contact_floor)
-        penetration = cfg.contact_margin * np.logaddexp(
-            0.0, (self._contact_dmin - dist) / cfg.contact_margin)
-        magnitude = cfg.contact_stiffness * penetration / dist
+        penetration = CONTACT_MARGIN * np.logaddexp(
+            0.0, (self._contact_dmin - dist) / CONTACT_MARGIN)
+        magnitude = CONTACT_STIFFNESS * penetration / dist
         return np.add.reduce(delta * magnitude[..., None], axis=-2)
 
     # -- observations ----------------------------------------------------------
@@ -336,40 +305,32 @@ def _norm(d: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(d * d, axis=-1))
 
 
-def reward_coop_nav(world: ParticleWorld) -> np.ndarray:
-    """Joint navigation reward ``(...)``: coverage distance plus collision penalties."""
-    return _coop_nav_reward(world, world.observe()[0])
-
-
-def _coop_nav_reward(world: ParticleWorld, obs: np.ndarray) -> np.ndarray:
-    """``reward_coop_nav`` from the agents' observations, whose relative
-    positions (landmarks first) fill the columns after the first four."""
+def coop_nav_reward(world: ParticleWorld, obs: np.ndarray) -> np.ndarray:
+    """Joint navigation reward ``(...)``, coverage distance plus collision
+    penalties, from the agents' observations, whose relative positions
+    (landmarks first) fill the columns after the first four."""
     dists = _norm(obs[..., 4:].reshape(obs.shape[:-1] + (-1, 2)))
     landmarks = world.n_bodies - world.n_agents
     reward = -np.add.reduce(np.minimum.reduce(dists[..., :landmarks], axis=-2), axis=-1)
-    # counted per agent, over the columns of the other agents
+    # counted per agent, over the columns of the other agents; each costs
+    # COOP_COLLISION_PENALTY, 1.0
     hits = np.add.reduce(dists[..., landmarks:] < world._hit_dmin, axis=(-2, -1))
-    return reward - world.cfg.coop_collision_penalty * hits
+    return reward - hits
 
 
-def reward_predator_prey(world: ParticleWorld) -> np.ndarray:
-    """(predator joint reward, prey joint reward), ``(..., 2)``, for the
-    current state."""
-    return _predator_prey_reward(world, world.observe()[0])
-
-
-def _predator_prey_reward(world: ParticleWorld, obs: np.ndarray) -> np.ndarray:
-    """``reward_predator_prey`` from the predators' observations, which end
-    with the prey's relative positions and then their velocities."""
-    cfg = world.cfg
-    np_, ny = cfg.n_predators, cfg.n_prey
+def predator_prey_reward(world: ParticleWorld, obs: np.ndarray) -> np.ndarray:
+    """(predator joint reward, prey joint reward), ``(..., 2)``, from the
+    predators' observations, which end with the prey's relative positions
+    and then their velocities."""
+    np_, ny = world.cfg.n_predators, world.cfg.n_prey
     prey = world.pos[..., np_:np_ + ny, :]
     end = obs.shape[-1] - 2 * ny
     rel = obs[..., end - 2 * ny:end].reshape(obs.shape[:-1] + (ny, 2))
     contacts = np.add.reduce(_norm(rel) < world._hit_dmin, axis=(-2, -1))[..., None]
-    penalties = cfg.boundary_penalty_scale * _flat(
-        _boundary_penalty(np.abs(prey) / cfg.world_half_width))
-    tags = cfg.tag_reward * contacts
+    # |coordinate| is in half-widths, and the penalties are at their scale,
+    # as WORLD_HALF_WIDTH and BOUNDARY_PENALTY_SCALE are 1.0
+    penalties = _flat(_boundary_penalty(np.abs(prey)))
+    tags = TAG_REWARD * contacts
     # [tags, -tags, penalties] folds into (tags, -tags - penalties): the prey
     # are charged prey by prey and coordinate by coordinate, as subtract's
     # reductions are left folds in index order
@@ -404,24 +365,24 @@ def scripted_prey(world: ParticleWorld) -> np.ndarray:
     dists = _norm(deltas)
     nearest = world._prey_rows + (np.argmin(dists, axis=-1),)
     dist = dists[nearest][..., None]
-    flee = (dist <= cfg.prey_sense_range) & (dist > 0)
+    flee = (dist <= PREY_SENSE_RANGE) & (dist > 0)
     np.divide(deltas[nearest], dist, out=action, where=flee)
 
     # signed as the coordinate, +-0 inside the margin: no change to a +0 or nonzero action
-    excess = np.maximum(np.abs(me) - cfg.prey_boundary_margin * cfg.world_half_width, 0.0)
-    action -= np.copysign(cfg.prey_boundary_gain * excess, me)
+    excess = np.maximum(np.abs(me) - PREY_BOUNDARY_MARGIN * WORLD_HALF_WIDTH, 0.0)
+    action -= np.copysign(PREY_BOUNDARY_GAIN * excess, me)
 
     deltas = me[..., :, None, :] - world.pos[..., None, world.n_agents:, :]
     # squared lengths as one dot product per 2-vector, which rounds as the
     # norm of a lone vector does (BLAS may fuse its multiply-add). In most
     # steps all are past the float above range**2, so none is in range.
     squares = deltas[..., None, :] @ deltas[..., :, None]
-    reach = cfg.prey_obstacle_range
+    reach = PREY_OBSTACLE_RANGE
     if squares.min() < math.nextafter(reach * reach, math.inf):
         dists = np.sqrt(squares)[..., 0]
         near = (dists > 0) & (dists < reach)
         push = np.divide(deltas, dists, out=terms[..., 1:, :], where=near)
-        push *= cfg.prey_obstacle_gain
-        push *= (reach - dists) / reach   # out of range: +-0, which adds nothing
+        # times PREY_OBSTACLE_GAIN, 1.0; out of range: +-0, which adds nothing
+        push *= (reach - dists) / reach
         action = np.add.reduce(terms, axis=-2)   # a left fold, obstacle by obstacle
     return _clip_unit(action)

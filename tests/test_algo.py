@@ -138,8 +138,7 @@ class TestTrainConfig:
         assert cfg.attention_heads == 4
 
     @pytest.mark.parametrize("bad", [dict(gamma=1.5), dict(tau=0.0),
-                                     dict(mlp_lr=-1.0), dict(action_noise_std=-0.1),
-                                     dict(action_low=1.0, action_high=-1.0)])
+                                     dict(mlp_lr=-1.0), dict(action_noise_std=-0.1)])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
@@ -149,8 +148,6 @@ class TestTrainConfig:
         ("attention_lr", np.inf), ("grad_clip", np.nan), ("grad_clip", np.inf),
         ("action_noise_std", np.nan), ("action_noise_std", np.inf),
         ("critic_noise_std", np.nan), ("critic_noise_std", np.inf),
-        ("action_low", np.nan), ("action_low", -np.inf),
-        ("action_high", np.nan), ("action_high", np.inf),
         ("hidden_dim", 0), ("attention_heads", 0), ("hidden_layers", -1),
         ("attention_blocks", -1), ("train_start_episodes", -5),
         ("hidden_dim", 10)])   # 4 heads do not divide it

@@ -64,9 +64,11 @@ class TestConfigFile:
 
     def test_unknown_train_key_is_hard_error(self, tmp_path):
         path = tmp_path / "c.txt"
-        path.write_text("train.gama = 0.9\n")
-        with pytest.raises(ConfigFileError, match="unknown config key"):
-            load_run_config(path)
+        # the action bound is the world's, +-1, and no setting
+        for text in ("train.gama = 0.9\n", "train.action_low = -2.0\n"):
+            path.write_text(text)
+            with pytest.raises(ConfigFileError, match="unknown config key"):
+                load_run_config(path)
 
     def test_nested_train_override(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -233,7 +235,8 @@ class TestTrainRun:
         (dict(scenario="predator_prey", agents=4), ConfigError),
         (dict(algo="qmix"), ValueError),
         (dict(scenario="predator_prey", prey="no_such_checkpoint"), CheckpointError),
-    ], ids=["agents", "algo", "prey"])
+        (dict(scenario="coop_nav", prey="no_such_checkpoint"), ValueError),
+    ], ids=["agents", "algo", "prey", "prey-without-prey"])
     def test_bad_run_leaves_no_directory(self, bad, error, tmp_path):
         if "prey" in bad:
             bad["prey"] = str(tmp_path / bad["prey"])
@@ -500,6 +503,16 @@ class TestPreyDropIn:
         for (_, saved), (_, loaded) in zip(actor.named_parameters(),
                                            trainer.prey_actor.named_parameters()):
             assert np.array_equal(loaded.data, saved.data)
+
+
+    def test_prey_policy_refused_without_prey(self, tmp_path):
+        # coop_nav has no prey, so a prey checkpoint would go unused
+        ck = str(tmp_path / "no_such_checkpoint")
+        with pytest.raises(ValueError, match="has no prey"):
+            Trainer(ScenarioConfig.coop_nav(3), AlgoKind.MADDPG, prey_policy=ck)
+        out = train(tiny_run_config(tmp_path, episodes=2, checkpoint_interval=0))
+        with pytest.raises(ValueError, match="has no prey"):
+            evaluate(out / "ckpt_final", episodes=1, seed=0, prey=ck)
 
 
 class TestPlot:
