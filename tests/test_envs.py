@@ -7,6 +7,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from samarl import envs
 from samarl.envs import (
     AGENT_ACCEL,
     AGENT_MAX_SPEED,
@@ -167,6 +168,34 @@ class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(kind="tag", n_agents=3)
+
+    # the physics is fixed: no config can carry a value, and each constant
+    # keeps the sign the step needs
+    @pytest.mark.parametrize("name", [
+        "dt", "contact_stiffness", "contact_margin", "agent_radius", "landmark_radius",
+        "predator_radius", "prey_radius", "obstacle_radius", "agent_accel", "predator_accel",
+        "prey_accel", "agent_max_speed", "predator_max_speed", "prey_max_speed",
+        "world_half_width", "prey_sense_range", "prey_obstacle_range"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+    def test_non_positive_physics_field_rejected(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            ScenarioConfig.coop_nav(1, **{name: value})
+        with pytest.raises(TypeError, match=name):
+            ScenarioConfig.predator_prey(3, **{name: value})
+        constant = getattr(envs, name.upper())
+        assert math.isfinite(constant) and constant > 0
+
+    @pytest.mark.parametrize("name", [
+        "prey_boundary_margin", "prey_boundary_gain", "prey_obstacle_gain", "tag_reward",
+        "coop_collision_penalty", "boundary_penalty_scale"])
+    def test_negative_or_non_finite_gain_rejected(self, name):
+        for value in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(TypeError, match=name):
+                ScenarioConfig.coop_nav(1, **{name: value})
+            with pytest.raises(TypeError, match=name):
+                ScenarioConfig.predator_prey(3, **{name: value})
+        constant = getattr(envs, name.upper())
+        assert math.isfinite(constant) and constant >= 0
 
     @pytest.mark.parametrize("length", [0, -1])
     def test_episode_length_below_one_rejected(self, length):
