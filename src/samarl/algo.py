@@ -39,7 +39,7 @@ import numpy as np
 
 from . import ndmath as nd
 from . import nets
-from .checkpoint import load_checkpoint, restore_into, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, restore_into, save_checkpoint
 from .envs import COOP_NAV, PREDATOR_PREY, ParticleWorld, ScenarioConfig, _clip_unit, scripted_prey
 from .ndmath import Adam, Tensor, backward, clip_grad_norm, no_grad
 
@@ -138,13 +138,23 @@ class TrainConfig:
 ARCH_KEYS = ("hidden_dim", "hidden_layers", "attention_heads", "attention_blocks", "dtype")
 
 
-def recorded_train(manifest, base: TrainConfig) -> TrainConfig:
-    """``base`` in the architecture a checkpoint records as ``train.<key>``;
-    without a recorded dtype, in that of its first tensor."""
-    values = {"dtype": next((dtype for _, _, dtype, _ in manifest.entries), base.dtype),
-              **manifest.train}
-    return dataclasses.replace(base, **{key: type(getattr(base, key))(value)
-                                        for key, value in values.items()})
+def recorded_train(manifest, base: TrainConfig, checkpoint) -> TrainConfig:
+    """``base`` in the architecture that the manifest of ``checkpoint``
+    records as ``train.<key>``; a key outside ``ARCH_KEYS`` or a value that
+    does not parse is a CheckpointError."""
+    values = {}
+    for key, value in manifest.train.items():
+        if key not in ARCH_KEYS:
+            raise CheckpointError(f"checkpoint {checkpoint}: unknown key 'train.{key}'")
+        try:
+            values[key] = type(getattr(base, key))(value)
+        except ValueError:
+            raise CheckpointError(
+                f"checkpoint {checkpoint}: train.{key} '{value}' does not parse") from None
+    try:
+        return dataclasses.replace(base, **values)
+    except ValueError as err:
+        raise CheckpointError(f"checkpoint {checkpoint}: {err}") from None
 
 
 class ReplayBuffer:
@@ -336,11 +346,11 @@ class Trainer:
         manifest, tensors = load_checkpoint(prey_policy)
         # the prey actor runs in the architecture and precision it was saved
         # in; sizes it does not record are this trainer's
-        arch = recorded_train(manifest, self.cfg)
+        arch = recorded_train(manifest, self.cfg, prey_policy)
         actor = nets.MlpActor(self.env.obs_dims[1], self.act_dim, self.init_rng,
                               hidden_dim=arch.hidden_dim, hidden_layers=arch.hidden_layers,
                               dtype=arch.np_dtype)
-        restore_into(actor.member(0), tensors, prefix=PREY_ACTOR_PREFIX)
+        restore_into(actor.named_parameters(PREY_ACTOR_PREFIX), tensors)
         self.prey_actor = actor
 
     # -- rollout ---------------------------------------------------------------
@@ -518,20 +528,11 @@ class Trainer:
     # -- persistence -----------------------------------------------------------
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        """Every main-network parameter under its checkpoint name. A bank's
-        members are listed one by one, as views of their slices, named and
-        shaped as when every agent had a network of its own."""
-        if self.kind.attention_actor:
-            out = self.actor.named_parameters("attention_actor.")
-        else:
-            out = [pair for i in range(self.n)
-                   for pair in self.actor.member(i, f"actor.{i}.")]
-        if self.kind.attention_critic:
-            for j, critic in enumerate(self.critics):
-                out += critic.named_parameters(f"shared_critic.{j + 1}.")
-        else:
-            out += [pair for i in range(self.n) for j, critic in enumerate(self.critics)
-                    for pair in critic.member(i, f"agent_critic.{i}.{j + 1}.")]
+        """Every main-network parameter under its checkpoint name, as the
+        network holds it: a bank's are stacked over its members."""
+        out = self.actor.named_parameters("actor.")
+        for twin, critic in enumerate(self.critics):
+            out += critic.named_parameters(f"critic.{twin}.")
         return out
 
     def save(self, directory, episode: int):
@@ -553,11 +554,12 @@ class Trainer:
             raise ValueError(
                 f"checkpoint has {manifest.agents} agents, scenario has "
                 f"{self.scenario.n_agents}")
-        for key, value in manifest.train.items():
-            if value != str(getattr(self.cfg, key)):
+        recorded = recorded_train(manifest, self.cfg, directory)
+        for key in ARCH_KEYS:
+            if getattr(recorded, key) != getattr(self.cfg, key):
                 raise ValueError(
-                    f"checkpoint was trained with train.{key} = {value}, this "
-                    f"trainer has {getattr(self.cfg, key)}")
+                    f"checkpoint was trained with train.{key} = {getattr(recorded, key)}, "
+                    f"this trainer has {getattr(self.cfg, key)}")
         restore_into(self.named_parameters(), tensors)
         self._sync_targets()
         return manifest.episode

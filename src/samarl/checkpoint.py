@@ -18,7 +18,7 @@ import numpy as np
 
 MANIFEST_FILE = "manifest.txt"
 BLOB_FILE = "params.bin"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 # manifest dtype name -> little-endian blob encoding
 BLOB_DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
 
@@ -35,8 +35,7 @@ class CheckpointManifest:
     agents: int
     episode: int
     entries: list[tuple[str, tuple[int, ...], str, int]]
-    # the run's ``train.<key>`` architecture values, as written; empty for
-    # checkpoints saved before they were recorded
+    # the run's ``train.<key>`` architecture values, as written
     train: dict[str, str]
 
 
@@ -174,15 +173,14 @@ def load_checkpoint(directory) -> tuple[CheckpointManifest, dict[str, np.ndarray
     return manifest, tensors
 
 
-def restore_into(named_params, tensors: dict[str, np.ndarray], prefix: str = "") -> None:
+def restore_into(named_params, tensors: dict[str, np.ndarray]) -> None:
     """Copy checkpoint arrays into (name, parameter) pairs by name.
 
     Every name must be present with the parameter's shape and dtype: a
     different dtype would silently change the precision a restored network
     runs in.
     """
-    for name, param in named_params:
-        key = prefix + name
+    for key, param in named_params:
         if key not in tensors:
             raise CheckpointError(f"checkpoint is missing tensor '{key}'")
         arr = tensors[key]

@@ -43,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--episodes", type=int, default=100)
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--prey", default="scripted")
-    ev.add_argument("--config", help="config file; the network sizes and dtype "
-                                     "default to those the checkpoint records")
 
     pl = sub.add_parser("plot", help="render learning curves from metrics CSVs")
     pl.add_argument("csvs", nargs="+", help="metrics.csv paths")
@@ -76,11 +74,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "eval":
-        train_cfg = None
-        if args.config:
-            train_cfg = load_run_config(args.config).train
-        stats = evaluate(args.checkpoint, args.episodes, args.seed,
-                         train_cfg=train_cfg, prey=args.prey)
+        stats = evaluate(args.checkpoint, args.episodes, args.seed, prey=args.prey)
         for i, (mean, std) in enumerate(zip(stats["mean"], stats["std"])):
             print(f"type{i}: mean episode reward {mean:.4f} +- {std:.4f} "
                   f"over {stats['episodes']} episodes")

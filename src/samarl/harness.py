@@ -284,30 +284,24 @@ def evaluate_trainer(trainer: Trainer, episodes: int, seed: int) -> dict:
     }
 
 
-def evaluate(checkpoint, episodes: int, seed: int, *,
-             train_cfg: TrainConfig | None = None,
-             prey: str = "scripted") -> dict:
-    """Evaluate a saved checkpoint; statistics are per agent type.
-
-    Without ``train_cfg`` the networks take the architecture the checkpoint
-    records. A checkpoint that records none takes the default sizes and the
-    dtype of its tensors.
-    """
+def evaluate(checkpoint, episodes: int, seed: int, *, prey: str = "scripted") -> dict:
+    """Evaluate a saved checkpoint in the architecture its manifest records;
+    statistics are per agent type."""
     manifest, _ = load_checkpoint(checkpoint)
     kind = AlgoKind.parse(manifest.algo)
     scenario = RunConfig(scenario=manifest.scenario,
                          agents=manifest.agents).scenario_config()
-    if train_cfg is None:
-        train_cfg = recorded_train(manifest, TrainConfig())
-    trainer = Trainer(scenario, kind, train_cfg, seed=seed, prey_policy=prey)
+    trainer = Trainer(scenario, kind, recorded_train(manifest, TrainConfig(), checkpoint),
+                      seed=seed, prey_policy=prey)
     trainer.restore(checkpoint)
     return evaluate_trainer(trainer, episodes, seed)
 
 
 def save_prey_actor(directory, actor, scenario: ScenarioConfig) -> Path:
-    """Write member 0 of an ``MlpActor`` as a prey-policy checkpoint usable
-    via ``prey=<path>``; the manifest records the actor's architecture."""
-    return save_checkpoint(directory, actor.member(0, PREY_ACTOR_PREFIX),
+    """Write the whole of a one-member ``MlpActor``, as ``MlpActor(...)``
+    builds it, as a prey-policy checkpoint usable via ``prey=<path>``; the
+    manifest records the actor's architecture."""
+    return save_checkpoint(directory, actor.named_parameters(PREY_ACTOR_PREFIX),
                            algo="prey-actor", scenario=scenario.kind,
                            agents=scenario.n_agents, episode=0,
                            train={"hidden_dim": actor.hidden_dim,

@@ -91,13 +91,6 @@ class MlpBank:
             out += layer.named_parameters(f"{prefix}hidden.{i}.")
         return out + self.out.named_parameters(prefix + "out.")
 
-    def member(self, i: int, prefix: str = ""):
-        """Member ``i`` as a lone network's parameters, the way checkpoints
-        store it: views of its slices under the same names, with ``(D, K)``
-        weights and ``(K,)`` biases."""
-        return [(name, Tensor(p.data[i, 0] if name.endswith("b") else p.data[i],
-                              dtype=p.dtype)) for name, p in self.named_parameters(prefix)]
-
 
 class MlpActor(MlpBank):
     """Per-agent deterministic policies: observation vector -> tanh action,

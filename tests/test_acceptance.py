@@ -23,7 +23,7 @@ from samarl.ndmath import Tensor
 from gradcheck import gradient_check
 
 from test_algo import TestBaselineRecovery, small_cfg
-from test_envs import scalar_physics_oracle
+from test_envs import body_table, scalar_physics_oracle
 from test_nets import SlotBiasedCritic
 
 CACHE = Path(__file__).resolve().parent.parent / ".acceptance_cache"
@@ -140,19 +140,43 @@ def test_criterion_4_scheduler_arithmetic():
 
 # -- criterion 5: physics oracle ----------------------------------------------------
 
-def test_criterion_5_physics_oracle():
-    cfg = ScenarioConfig.predator_prey(3)
-    world = ParticleWorld(cfg, seed=2)
-    world.reset(seed=11)
-    rng = np.random.default_rng(3)
-    worst = 0.0
+# a pair of bodies is in near contact when its gap is under this
+NEAR_CONTACT = 0.005
+
+
+def _oracle_run(cfg, world_seed, reset_seed, action_seed):
+    """The worst deviation of 100 steps from the scalar oracle, and how many
+    of the states they read hold a predator-prey and a prey-obstacle near
+    contact, whose forces the oracle then checks."""
+    world = ParticleWorld(cfg, seed=world_seed)
+    world.reset(seed=reset_seed)
+    rng = np.random.default_rng(action_seed)
+    radii = np.array([body.radius for body in body_table(cfg)])
+    block = np.repeat([0, 1, 2], [cfg.n_predators, cfg.n_prey, cfg.n_landmarks])
+    worst, prey_contacts, obstacle_contacts = 0.0, 0, 0
     for _ in range(100):
-        actions = rng.uniform(-1.5, 1.5, size=(3, 2))
+        gap = np.linalg.norm(world.pos[:, None] - world.pos[None], axis=-1) \
+            - (radii[:, None] + radii[None])
+        near = gap < NEAR_CONTACT
+        prey_contacts += bool(near[np.ix_(block == 0, block == 1)].any())
+        obstacle_contacts += bool(near[np.ix_(block == 1, block == 2)].any())
+        actions = rng.uniform(-1.5, 1.5, size=(cfg.n_agents, 2))
         exp_pos, exp_vel = scalar_physics_oracle(cfg, world, actions)
         world.step(actions)
         worst = max(worst,
                     float(np.max(np.abs(world.pos - exp_pos))),
                     float(np.max(np.abs(world.vel - exp_vel))))
+    return worst, prey_contacts, obstacle_contacts
+
+
+def test_criterion_5_physics_oracle():
+    # predator_prey(3) on these seeds touches only obstacles with predators;
+    # predator_prey(9) on tier-1's seeds brings prey into contact too
+    cfg = ScenarioConfig.predator_prey(3)
+    worst, _, _ = _oracle_run(cfg, 2, 11, 3)
+    worst9, prey_contacts, obstacle_contacts = _oracle_run(
+        ScenarioConfig.predator_prey(9), 18, 42, 19)
+    worst = max(worst, worst9)
 
     def replay():
         w = ParticleWorld(cfg, seed=2)
@@ -165,9 +189,11 @@ def test_criterion_5_physics_oracle():
         return b"".join(blobs)
 
     bitwise = replay() == replay()
-    ok = worst < 1e-9 and bitwise
+    ok = worst < 1e-9 and bitwise and prey_contacts > 0 and obstacle_contacts > 0
     assert report("criterion 5 (physics oracle)", ok,
-                  f"max deviation {worst:.2e} over 100 steps; bitwise replay "
+                  f"max deviation {worst:.2e} over 100 steps each of predator_prey(3) "
+                  f"and (9); (9) steps in near contact: predator-prey {prey_contacts}, "
+                  f"prey-obstacle {obstacle_contacts}; bitwise replay "
                   f"{'ok' if bitwise else 'BROKEN'}")
 
 

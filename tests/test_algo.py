@@ -671,13 +671,13 @@ class TestPolicyUpdateOneToOne:
         trainer = make_trainer(AlgoKind.MADDPG, n=2)
         trainer.critics[0].out.w.data[1] = 0.0
         batch = manual_batch(trainer)
-        before = [snapshot(trainer.actor.member(i)) for i in range(2)]
+        before = snapshot(trainer.actor.named_parameters())
         norms = trainer.policy_update(batch)
-        after = [snapshot(trainer.actor.member(i)) for i in range(2)]
+        after = snapshot(trainer.actor.named_parameters())
         assert norms[0] > 0 and norms[1] == 0
-        assert any(not np.array_equal(before[0][k], after[0][k]) for k in before[0])
-        for k in before[1]:
-            assert np.array_equal(before[1][k], after[1][k])
+        assert any(not np.array_equal(before[k][0], after[k][0]) for k in before)
+        for k in before:
+            assert np.array_equal(before[k][1], after[k][1])
 
     def test_stub_critic_moves_only_agent_i(self):
         # critic 0 rises with every input, critic 1 ignores its input; critic i
@@ -775,14 +775,26 @@ class TestTrainerInvariants:
             for k, v in mains:
                 np.minimum(lo[k], v.data, out=lo[k])
                 np.maximum(hi[k], v.data, out=hi[k])
-        target_named = []
-        for j, critic in enumerate(trainer.target_critics):
-            target_named += critic.named_parameters(f"shared_critic.{j + 1}.")
-        for i in range(trainer.n):
-            target_named += trainer.target_actor.member(i, f"actor.{i}.")
+        target_named = trainer.target_actor.named_parameters("actor.")
+        for twin, critic in enumerate(trainer.target_critics):
+            target_named += critic.named_parameters(f"critic.{twin}.")
         for k, v in target_named:
             assert np.all(v.data >= lo[k] - 1e-6), k
             assert np.all(v.data <= hi[k] + 1e-6), k
+
+    @pytest.mark.parametrize("kind", list(AlgoKind))
+    def test_named_parameters_are_the_live_parameters(self, kind):
+        # checkpoints and watchers read the very tensors the optimizers step,
+        # so each carries its gradient after a critic and a policy update
+        scenario = "predator_prey" if kind.name.startswith("DSA") else "coop_nav"
+        trainer = make_trainer(kind, n=6 if scenario == "predator_prey" else 3,
+                               scenario=scenario)
+        named = [p for _, p in trainer.named_parameters()]
+        live = [p for net in [trainer.actor, *trainer.critics] for p in nets.parameters(net)]
+        assert len(named) == len(live)
+        assert {id(p) for p in named} == {id(p) for p in live}
+        trainer.update_from_batch(manual_batch(trainer), do_policy=True)
+        assert all(p.grad is not None for p in named)
 
     def test_no_gradient_reaches_targets(self):
         trainer = make_trainer(AlgoKind.SA_MATD3)
@@ -935,7 +947,7 @@ class TestCheckpointFlow:
 
     @staticmethod
     def _strip_architecture(path):
-        # a checkpoint saved before the manifest recorded the architecture
+        # a manifest that records no architecture
         manifest = path / "manifest.txt"
         lines = manifest.read_text().splitlines(keepends=True)
         manifest.write_text("".join(l for l in lines if not l.startswith("train.")))
@@ -962,12 +974,12 @@ class TestCheckpointFlow:
             other.restore(path)
 
     def test_restore_checks_tensor_shapes(self, tmp_path):
-        # per-agent names address slices of the banks: a tensor of the wrong
-        # shape is refused by name, not by a numpy broadcast error
+        # a bank's stacked tensor of the wrong shape is refused by name, not
+        # by a numpy broadcast error
         path = make_trainer(AlgoKind.MATD3).save(tmp_path / "ck", 0)
         self._strip_architecture(path)
         default = Trainer(ScenarioConfig.coop_nav(2), AlgoKind.MATD3, seed=0)
-        with pytest.raises(CheckpointError, match="'actor.0.hidden.0.w' shape"):
+        with pytest.raises(CheckpointError, match="'actor.hidden.0.w' shape"):
             default.restore(path)
 
     @pytest.mark.parametrize("saved,other", [(AlgoKind.MATD3, AlgoKind.MADDPG),

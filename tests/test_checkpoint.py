@@ -190,7 +190,7 @@ def test_files_reach_the_disk_before_the_rename_and_the_rename_after(tmp_path, m
 
 
 @pytest.mark.parametrize("old, new", [
-    ("format-version 1", "format-version 1.0"),
+    ("format-version 2", "format-version 2.0"),
     ("agents 1", "agents one"),
     (" 1x3x4 float32 ", " 1x3.5x4 float32 "),
     (" float32 0\n", " float32 0x10\n"),
@@ -206,4 +206,15 @@ def test_bad_manifest_integer_names_its_line(tmp_path, old, new):
     manifest.write_text(text.replace(old, new, 1))
     lineno = text[:text.index(old) + 1].count("\n") + 1
     with pytest.raises(CheckpointError, match=f"manifest line {lineno}: "):
+        load_checkpoint(path)
+
+
+def test_version_1_checkpoint_is_refused(tmp_path):
+    # version 1 stored each bank member as a network of its own
+    actor = nets.MlpActor(3, 2, np.random.default_rng(8), hidden_dim=4)
+    path = save_checkpoint(tmp_path / "ck", actor.named_parameters(), algo="maddpg",
+                           scenario="coop_nav", agents=1, episode=0)
+    manifest = path / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("format-version 2", "format-version 1", 1))
+    with pytest.raises(CheckpointError, match="unsupported checkpoint format version 1"):
         load_checkpoint(path)

@@ -36,10 +36,10 @@ GOLDEN_TOLERANCE = 1e-5
 # in the last bit, and then these digests do not hold there, while the
 # fixture's tolerance may.
 PARAMS_DIGESTS = {
-    "maddpg": "ca494c792c5390eb6e5a3e7a4ff87daaf76031eabc14c332c145f9112863dd86",
-    "matd3": "81b0448cb7a50b582a9594c46669821e8399ff08b69f5e9ecb79d274f3cfd76c",
-    "sa-maddpg": "ade01d2091f4eadbc3ca3042e8e4b38fc651b4bd938aa2e3e7cd2bc6c1931f9f",
-    "sa-matd3": "e8c8d66eb6e4c51bc72800a3f422c78cd4ba4df7b49cfc8ed8abbaba93e92a3f",
+    "maddpg": "1986e932bf8416a3f3b3c2d96be6c31a9bc4c386c62f1e984071a1c6ffd8d4c6",
+    "matd3": "751fabe0d43618d66582c01bd9aa489bf631f62b0b95123b9128bdbaa6b61047",
+    "sa-maddpg": "c8a7cc903bd181ceb4524d7d7d7b25fdce048602c037dabb77143566fe273b07",
+    "sa-matd3": "f111e50ae92a80745f47c467937b56aec3fa899b8957c3c01227c42c5eae4fa0",
     "dsa-maddpg": "7b7cd4c37b7ea2b7105aca530fa0741857b8910a290a865f785daef5ad115712",
     "dsa-matd3": "62c26439441bb0496ec4488fa740f17d65b065f15acc005dd9cb6ab8a0949881",
 }

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -286,16 +287,13 @@ class TestEvaluate:
 
     def test_same_seed_identical_stats(self, tmp_path):
         out = self._run(tmp_path)
-        a = evaluate(out / "ckpt_final", episodes=5, seed=9,
-                     train_cfg=tiny_run_config(tmp_path).train)
-        b = evaluate(out / "ckpt_final", episodes=5, seed=9,
-                     train_cfg=tiny_run_config(tmp_path).train)
+        a = evaluate(out / "ckpt_final", episodes=5, seed=9)
+        b = evaluate(out / "ckpt_final", episodes=5, seed=9)
         assert a == b
 
     def test_untrained_coop_nav_reward_is_negative(self, tmp_path):
         out = self._run(tmp_path)
-        stats = evaluate(out / "ckpt_final", episodes=5, seed=1,
-                         train_cfg=tiny_run_config(tmp_path).train)
+        stats = evaluate(out / "ckpt_final", episodes=5, seed=1)
         assert stats["mean"][0] < 0.0
 
     def test_checkpoint_equals_in_memory_bitwise(self, tmp_path):
@@ -306,12 +304,10 @@ class TestEvaluate:
             trainer.train_episode()
         trainer.save(tmp_path / "ck", episode=12)
         in_memory = evaluate_trainer(trainer, episodes=4, seed=77)
-        from_disk = evaluate(tmp_path / "ck", episodes=4, seed=77,
-                             train_cfg=cfg.train)
+        from_disk = evaluate(tmp_path / "ck", episodes=4, seed=77)
         assert in_memory == from_disk
 
     def _float64_run(self, tmp_path):
-        # default network sizes, so that evaluate needs no train_cfg
         cfg = tiny_run_config(tmp_path, algo="matd3", episodes=2,
                               train=TrainConfig(dtype="float64"))
         return cfg, train(cfg) / "ckpt_final"
@@ -330,8 +326,27 @@ class TestEvaluate:
                               train=dataclasses.replace(tiny_run_config(tmp_path).train,
                                                         attention_heads=8))
         ck = train(cfg) / "ckpt_final"
-        assert evaluate(ck, episodes=2, seed=3) == evaluate(ck, episodes=2, seed=3,
-                                                            train_cfg=cfg.train)
+        trainer = Trainer(cfg.scenario_config(), AlgoKind.DSA_MATD3, cfg.train, seed=3)
+        trainer.restore(ck)
+        assert evaluate(ck, episodes=2, seed=3) == evaluate_trainer(trainer, episodes=2,
+                                                                    seed=3)
+
+    @pytest.mark.parametrize("old,new,match", [
+        ("train.hidden_dim ", "train.widht ", "unknown key 'train.widht'"),
+        ("train.hidden_dim 8", "train.hidden_dim eight", "train.hidden_dim 'eight' does not parse"),
+        ("train.dtype float32", "train.dtype float16", "dtype must be one of"),
+    ], ids=["unknown-key", "bad-value", "invalid-value"])
+    def test_bad_architecture_line_names_key_and_checkpoint(self, tmp_path, old, new, match):
+        cfg = tiny_run_config(tmp_path, episodes=2)
+        ck = train(cfg) / "ckpt_final"
+        manifest = ck / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(old, new, 1))
+        match = f"checkpoint {re.escape(str(ck))}: {match}"
+        with pytest.raises(CheckpointError, match=match):
+            evaluate(ck, episodes=1, seed=0)
+        trainer = Trainer(cfg.scenario_config(), AlgoKind.parse(cfg.algo), cfg.train, seed=0)
+        with pytest.raises(CheckpointError, match=match):
+            trainer.restore(ck)
 
     def test_float64_checkpoint_refused_by_float32_trainer(self, tmp_path):
         cfg, ck = self._float64_run(tmp_path)
@@ -341,7 +356,7 @@ class TestEvaluate:
 
     def test_unknown_scenario_rejected_before_building(self, tmp_path, monkeypatch):
         actor = nets.MlpActor(4, 2, np.random.default_rng(0))
-        ck = save_checkpoint(tmp_path / "ck", actor.named_parameters("actor.0."),
+        ck = save_checkpoint(tmp_path / "ck", actor.named_parameters("actor."),
                              algo="maddpg", scenario="tag", agents=3, episode=0)
 
         def no_trainer(*args, **kwargs):
@@ -489,20 +504,36 @@ class TestPreyDropIn:
         assert np.all(np.isfinite(evaluate_trainer(trainer, episodes=2, seed=1)["mean"]))
 
     def test_prey_checkpoint_without_architecture_takes_trainer_sizes(self, tmp_path):
-        # as written before prey checkpoints recorded their architecture
+        # a manifest without ``train.<key>`` lines: the default sizes (64 wide,
+        # 3 hidden layers) would not fit these tensors
         scenario = ScenarioConfig.predator_prey(3)
         prey_obs_dim = 4 + 2 * 3 + 2 * 2 + 2 * 2
         actor = nets.MlpActor(prey_obs_dim, 2, np.random.default_rng(5),
                               hidden_dim=8, hidden_layers=2)
-        ck = save_checkpoint(tmp_path / "prey", actor.member(0, "prey_actor."),
+        ck = save_checkpoint(tmp_path / "prey", actor.named_parameters("prey_actor."),
                              algo="prey-actor", scenario=scenario.kind,
                              agents=scenario.n_agents, episode=0)
+        assert load_checkpoint(ck)[0].train == {}
         cfg = TrainConfig(hidden_dim=8, hidden_layers=2, attention_heads=2,
                           attention_blocks=1)
         trainer = Trainer(scenario, AlgoKind.SA_MATD3, cfg, seed=2, prey_policy=ck)
+        assert trainer.prey_actor.hidden_dim == 8 and len(trainer.prey_actor.hidden) == 2
         for (_, saved), (_, loaded) in zip(actor.named_parameters(),
                                            trainer.prey_actor.named_parameters()):
             assert np.array_equal(loaded.data, saved.data)
+
+    def test_prey_checkpoint_of_a_bank_is_refused(self, tmp_path):
+        # every prey runs the one actor: a bank of two does not fit it
+        scenario = ScenarioConfig.predator_prey(3)
+        prey_obs_dim = 4 + 2 * 3 + 2 * 2 + 2 * 2
+        rng = np.random.default_rng(5)
+        bank = nets.stack([nets.MlpActor(prey_obs_dim, 2, rng, hidden_dim=8)
+                           for _ in range(2)])
+        ck = save_prey_actor(tmp_path / "prey", bank, scenario)
+        cfg = TrainConfig(hidden_dim=8, attention_heads=2, attention_blocks=1)
+        with pytest.raises(CheckpointError,
+                           match=r"'prey_actor.hidden.0.w' shape \(2, 18, 8\)"):
+            Trainer(scenario, AlgoKind.SA_MATD3, cfg, seed=2, prey_policy=ck)
 
 
     def test_prey_policy_refused_without_prey(self, tmp_path):
@@ -594,8 +625,7 @@ class TestCli:
             assert code == 0
 
         code = cli.main(["eval", "--checkpoint", str(out_a / "ckpt_final"),
-                         "--episodes", "3", "--seed", "2",
-                         "--config", str(config)])
+                         "--episodes", "3", "--seed", "2"])
         assert code == 0
         assert "mean episode reward" in capsys.readouterr().out
 

@@ -130,21 +130,6 @@ class TestMlpActor:
         for e in range(4):
             assert np.allclose(acts[e], bank.act(obs[e]), rtol=1e-5, atol=1e-7), e
 
-    def test_member_views_name_and_shape_a_lone_actor(self):
-        lone = [nets.MlpActor(6, 2, rng_for(44), hidden_dim=8) for _ in range(3)]
-        bank = nets.stack(lone)
-        for i, actor in enumerate(lone):
-            member = bank.member(i)
-            assert [(k, p.shape) for k, p in member] == \
-                [(k, p.shape[1:] if k.endswith("w") else p.shape[2:])
-                 for k, p in actor.named_parameters()]
-            for (_, view), (_, p) in zip(member, actor.named_parameters()):
-                assert np.array_equal(view.data, p.data.reshape(view.shape))
-        # writing through a view writes the bank
-        bank.member(1)[0][1].data[...] = 7.0
-        assert np.all(bank.hidden[0].w.data[1] == 7.0)
-        assert not np.any(bank.hidden[0].w.data[[0, 2]] == 7.0)
-
     def test_gradient_check(self):
         actor = nets.MlpActor(4, 2, rng_for(6), hidden_dim=6, dtype=np.float64)
         obs = nd.Tensor(rng_for(7).normal(size=(3, 1, 4)), dtype=np.float64)
