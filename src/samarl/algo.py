@@ -364,11 +364,11 @@ class Trainer:
             acts = acts + noise
         return _clip_unit(acts)
 
-    def _prey_actions(self, env: ParticleWorld, prey_obs: np.ndarray) -> np.ndarray:
-        """Prey actions (..., prey, act_dim): the scripted flee policy, or one
-        call of the prey actor on every prey observation of every episode."""
+    def _prey_actions(self, prey_obs: np.ndarray) -> np.ndarray:
+        """Prey actions (..., prey, act_dim) from the prey observations of
+        every episode: the scripted flee policy, or one prey actor call."""
         if self.prey_actor is None:
-            return scripted_prey(env)
+            return scripted_prey(prey_obs, self.scenario.n_predators)
         return _clip_unit(self.prey_actor.act(prey_obs))
 
     def run_episode(self, explore: bool = True,
@@ -399,7 +399,7 @@ class Trainer:
         steps = [obs[0]], [], []   # observations, actions, rewards
         for step_noise in noise:
             acts = trainable(obs[0], step_noise)
-            full = np.concatenate([acts, prey(env, obs[1])], axis=-2) if predator_prey else acts
+            full = np.concatenate([acts, prey(obs[1])], axis=-2) if predator_prey else acts
             obs, rewards = step(full)
             if explore:
                 for seq, item in zip(steps, (obs[0], acts, rewards)):
@@ -542,7 +542,10 @@ class Trainer:
                                train={key: getattr(self.cfg, key) for key in ARCH_KEYS})
 
     def restore(self, directory) -> int:
-        manifest, tensors = load_checkpoint(directory)
+        return self.restore_from(directory, *load_checkpoint(directory))
+
+    def restore_from(self, directory, manifest, tensors) -> int:
+        """``restore`` from a checkpoint already loaded from ``directory``."""
         if manifest.algo != self.kind.value:
             raise ValueError(f"checkpoint algorithm '{manifest.algo}' does not match "
                              f"this trainer's '{self.kind.value}'")

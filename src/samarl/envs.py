@@ -37,12 +37,7 @@ movable bodies are the leading ``n_agents`` rows, and the colliders are a
 leading block that holds them; ``step`` reads and writes both as basic
 slices. Every Euclidean distance along the last axis goes through ``_norm``,
 which computes what ``np.linalg.norm(d, axis=-1)`` does, bit for bit,
-without its Python wrapper. The one exception is the scripted prey's
-distance to an obstacle, a ``(..., 1, 2) @ (..., 2, 1)`` product. It keeps
-the rounding of the norm of a lone 2-vector, a BLAS dot that OpenBLAS
-evaluates with a fused multiply-add; that differs from ``_norm`` in the last
-bit for some vectors, so ``_norm`` there would move every predator-prey
-trajectory.
+without its Python wrapper.
 
 Observations come as one array ``(..., agents of the type, obs dim)`` per
 agent type. The layout of one agent's row, fixed per scenario and agent count:
@@ -89,6 +84,7 @@ PREY_BOUNDARY_MARGIN = 0.8
 PREY_BOUNDARY_GAIN = 2.0
 PREY_OBSTACLE_RANGE = 0.3
 PREY_OBSTACLE_GAIN = 1.0
+N_OBSTACLES = 3
 
 
 class ConfigError(ValueError):
@@ -127,7 +123,7 @@ class ScenarioConfig:
     @property
     def n_landmarks(self) -> int:
         """Landmarks, one per agent, or the 3 obstacles of predator-prey."""
-        return self.n_agents if self.kind == COOP_NAV else 3
+        return self.n_agents if self.kind == COOP_NAV else N_OBSTACLES
 
     @property
     def n_predators(self) -> int:
@@ -181,8 +177,6 @@ class ParticleWorld:
             self._hit_dmin = PREDATOR_RADIUS + PREY_RADIUS
             predators, prey = (0, np_), (np_, n)
             types = [(*predators, slice(*prey)), (*prey, slice(*predators))]
-            # the prey rows, with every episode's, as an open index mesh
-            self._prey_rows = np.ix_(*(np.arange(k) for k in self.batch + (cfg.n_prey,)))
         self._accel = np.repeat(accel, movable)[:, None]
         self._max_speed = np.repeat(max_speed, movable)
         r = np.repeat(radius, colliders)
@@ -344,44 +338,44 @@ def _boundary_penalty(v: np.ndarray) -> np.ndarray:
     return np.maximum(ramp, 0.0)   # +0 below 0.9, where the ramp is negative
 
 
-def scripted_prey(world: ParticleWorld) -> np.ndarray:
+def scripted_prey(prey_obs: np.ndarray, n_predators: int) -> np.ndarray:
     """Deterministic flee policy standing in for a pre-trained prey: actions
-    ``(..., prey, 2)`` for every prey.
+    ``(..., prey, 2)`` from the prey observations ``(..., prey, obs dim)``.
 
     Runs away from the nearest predator inside the sensing range, blended
     with an inward push near walls and repulsion from nearby obstacles. With
     no predator in range the policy stays put (modulo wall/obstacle terms).
     """
-    cfg = world.cfg
-    if cfg.kind != PREDATOR_PREY:
-        raise ConfigError("scripted prey only exists in the predator-prey scenario")
-
-    me = world.pos[..., cfg.n_predators:cfg.n_agents, :]
+    # a prey's row: 4 own columns, 3 obstacles, the agents, predator velocities
+    if n_predators % 2 or prey_obs.shape[-2:] != (n_predators // 2, 8 + 5 * n_predators):
+        raise ConfigError(f"scripted prey acts on predator-prey prey observations; got shape "
+                          f"{prey_obs.shape} for {n_predators} predators")
+    me = prey_obs[..., 2:4]
+    # to the obstacles, then the predators: the stored ``other - me``, negated exactly
+    k = N_OBSTACLES + n_predators
+    deltas = -prey_obs[..., 4:4 + 2 * k].reshape(me.shape[:-1] + (k, 2))
+    dists = _norm(deltas)
     # per prey, row 0 is its action and the rows below its obstacle pushes
-    terms = np.zeros(me.shape[:-1] + (1 + world.n_bodies - world.n_agents, 2))
+    terms = np.zeros(me.shape[:-1] + (1 + N_OBSTACLES, 2))
     action = terms[..., 0, :]
 
-    deltas = me[..., :, None, :] - world.pos[..., None, : cfg.n_predators, :]
-    dists = _norm(deltas)
-    nearest = world._prey_rows + (np.argmin(dists, axis=-1),)
-    dist = dists[nearest][..., None]
+    chased = dists[..., N_OBSTACLES:]
+    dist = chased.min(axis=-1, keepdims=True)
+    # the nearest predator's row of the flat (prey, k, 2) offsets
+    rows = np.arange(N_OBSTACLES, chased.size // n_predators * k, k).reshape(dist.shape[:-1])
+    away = deltas.reshape(-1, 2)[rows + chased.argmin(axis=-1)]
     flee = (dist <= PREY_SENSE_RANGE) & (dist > 0)
-    np.divide(deltas[nearest], dist, out=action, where=flee)
+    np.divide(away, dist, out=action, where=flee)
 
     # signed as the coordinate, +-0 inside the margin: no change to a +0 or nonzero action
     excess = np.maximum(np.abs(me) - PREY_BOUNDARY_MARGIN * WORLD_HALF_WIDTH, 0.0)
     action -= np.copysign(PREY_BOUNDARY_GAIN * excess, me)
 
-    deltas = me[..., :, None, :] - world.pos[..., None, world.n_agents:, :]
-    # squared lengths as one dot product per 2-vector, which rounds as the
-    # norm of a lone vector does (BLAS may fuse its multiply-add). In most
-    # steps all are past the float above range**2, so none is in range.
-    squares = deltas[..., None, :] @ deltas[..., :, None]
+    dists = dists[..., :N_OBSTACLES, None]
     reach = PREY_OBSTACLE_RANGE
-    if squares.min() < math.nextafter(reach * reach, math.inf):
-        dists = np.sqrt(squares)[..., 0]
+    if dists.min() < reach:   # in most steps no prey is in range of an obstacle
         near = (dists > 0) & (dists < reach)
-        push = np.divide(deltas, dists, out=terms[..., 1:, :], where=near)
+        push = np.divide(deltas[..., :N_OBSTACLES, :], dists, out=terms[..., 1:, :], where=near)
         # times PREY_OBSTACLE_GAIN, 1.0; out of range: +-0, which adds nothing
         push *= (reach - dists) / reach
         action = np.add.reduce(terms, axis=-2)   # a left fold, obstacle by obstacle

@@ -287,20 +287,22 @@ def evaluate_trainer(trainer: Trainer, episodes: int, seed: int) -> dict:
 def evaluate(checkpoint, episodes: int, seed: int, *, prey: str = "scripted") -> dict:
     """Evaluate a saved checkpoint in the architecture its manifest records;
     statistics are per agent type."""
-    manifest, _ = load_checkpoint(checkpoint)
+    manifest, tensors = load_checkpoint(checkpoint)
     kind = AlgoKind.parse(manifest.algo)
-    scenario = RunConfig(scenario=manifest.scenario,
-                         agents=manifest.agents).scenario_config()
+    scenario = RunConfig(scenario=manifest.scenario, agents=manifest.agents).scenario_config()
     trainer = Trainer(scenario, kind, recorded_train(manifest, TrainConfig(), checkpoint),
                       seed=seed, prey_policy=prey)
-    trainer.restore(checkpoint)
+    trainer.restore_from(checkpoint, manifest, tensors)
     return evaluate_trainer(trainer, episodes, seed)
 
 
 def save_prey_actor(directory, actor, scenario: ScenarioConfig) -> Path:
     """Write the whole of a one-member ``MlpActor``, as ``MlpActor(...)``
     builds it, as a prey-policy checkpoint usable via ``prey=<path>``; the
-    manifest records the actor's architecture."""
+    manifest records the actor's architecture. A bank of several is refused:
+    every prey runs the one actor."""
+    if len(actor.out.w.data) != 1:
+        raise ValueError(f"a prey checkpoint holds one actor, got {len(actor.out.w.data)}")
     return save_checkpoint(directory, actor.named_parameters(PREY_ACTOR_PREFIX),
                            algo="prey-actor", scenario=scenario.kind,
                            agents=scenario.n_agents, episode=0,

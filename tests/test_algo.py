@@ -1027,7 +1027,7 @@ def rollout_digest(scenario, kind, cfg):
 #     PYTHONPATH=src python tests/test_algo.py --digests
 ROLLOUT_DIGESTS = {
     "coop_nav5_sa-matd3": "d5453ce8d1ef51b4f2f440f81ef6b2ea616a5ea13b5b3214c270d987fd29e709",
-    "predator_prey9_dsa-matd3": "a23b5e4501def37d7a89a633a7edcb942f14c865ab0752c8cd1f4ccbcf98952a",
+    "predator_prey9_dsa-matd3": "7ee578e6d14ad3fe535730085a9292899fc53187bac0f9a95af879ff929c9014",
 }
 ROLLOUT_CASES = {
     "coop_nav5_sa-matd3": (ScenarioConfig.coop_nav(5), "sa-matd3",

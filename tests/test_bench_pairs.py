@@ -76,3 +76,42 @@ def test_seeds_and_order_alternate_by_pair(monkeypatch, tmp_path):
     assert [(r["side"], r["pair"]) for r in runs] == [
         ("parent", 0), ("change", 0), ("change", 1), ("parent", 1), ("parent", 2),
         ("change", 2)]
+
+
+@pytest.mark.parametrize("change,shown", [
+    ([9.0] * 10, True),                        # wins all 10, beyond the parent's IQR
+    ([9.0] * 9 + [10.2], True),                # a tie counts for neither side: 9 wins
+    ([9.0] * 8 + [9.8, 10.2], False),          # 8 wins and two ties
+    ([9.0] * 8 + [11.0, 11.0], False),         # 8 wins
+    ([9.9] * 10, False),                       # 10 wins, inside the parent's IQR
+], ids=["all", "nine-and-a-tie", "eight-and-two-ties", "eight", "inside-iqr"])
+def test_gain_shown_needs_nine_of_ten_pairs_beyond_the_parent_iqr(change, shown):
+    parent = [9.8, 10.2] * 5   # median 10.0, IQR 0.4
+    assert bench_pairs.verdicts(parent, change, "lower", 0.15)["gain_shown"] is shown
+    # the same pairs with higher better, as rates
+    rates = [-v for v in parent], [-v for v in change]
+    assert bench_pairs.verdicts(*rates, "higher", 0.15)["gain_shown"] is shown
+
+
+@pytest.mark.parametrize("parent,change,better,verdict", [
+    ([9.9, 10.1] * 5, [10.5] * 10, "lower", "no"),          # 5% worse, bound 15%
+    ([9.9, 10.1] * 5, [12.0] * 10, "lower", "yes"),         # 20% worse
+    ([9.9, 10.1] * 5, [8.0] * 10, "higher", "yes"),         # 20% fewer per second
+    ([8.0, 12.0] * 5, [10.5] * 10, "lower", "unresolved"),  # parent IQR 40%
+    ([8.0, 12.0] * 5, [7.5] * 10, "lower", "no"),           # ... but every run beats it
+    ([8.0, 12.0] * 5, [12.5] * 10, "higher", "no"),
+], ids=["within", "worse", "worse-higher", "wide-parent", "wide-parent-beaten",
+        "wide-parent-beaten-higher"])
+def test_regression_verdict(parent, change, better, verdict):
+    assert bench_pairs.verdicts(parent, change, better, 0.15)["regression"] == verdict
+
+
+def test_summary_holds_the_verdicts_per_metric():
+    runs = [_run(side, i, ms, 100.0) for i in range(10)
+            for side, ms in (("parent", 10.0 + 0.1 * (i % 2)), ("change", 9.0))]
+    out = bench_pairs.summarize(runs, METRICS)
+    assert out["main_ms.p50"]["gain_shown"] is True
+    assert out["main_ms.p50"]["regression"] == "no"
+    assert out["throughput_per_s"]["gain_shown"] is False    # every pair a tie
+    assert out["throughput_per_s"]["regression"] == "no"
+    assert "gain_shown" not in out["main_over_bypass"]

@@ -3,6 +3,7 @@
 import hashlib
 import math
 from collections import namedtuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ def loop_scripted_prey(cfg, pos, prey_index):
             action[axis] -= np.sign(me[axis]) * PREY_BOUNDARY_GAIN * excess
     for obstacle in pos[cfg.n_agents:]:
         delta = me - obstacle
-        d = float(np.linalg.norm(delta))
+        d = math.sqrt(delta[0] * delta[0] + delta[1] * delta[1])
         if 0 < d < PREY_OBSTACLE_RANGE:
             action += (delta / d) * PREY_OBSTACLE_GAIN * (
                 (PREY_OBSTACLE_RANGE - d) / PREY_OBSTACLE_RANGE)
@@ -410,14 +411,14 @@ class TestScriptedPrey:
         world = self._world()
         world.pos[2] = [0.0, 0.0]
         world.pos[:2] = [[-0.5, 0.0], [-0.9, -0.9]]
-        (action,) = scripted_prey(world)
+        (action,) = scripted_prey(world.observe()[1], 2)
         assert action == pytest.approx([1.0, 0.0], abs=1e-9)
 
     def test_boundary_repulsion_shrinks_push(self):
         world = self._world()
         world.pos[2] = [1.0, 0.0]
         world.pos[:2] = [[0.5, 0.0], [-0.9, -0.9]]
-        (action,) = scripted_prey(world)
+        (action,) = scripted_prey(world.observe()[1], 2)
         assert action[0] < 1.0
         assert action[0] > 0.0  # still fleeing, just tempered
 
@@ -425,14 +426,42 @@ class TestScriptedPrey:
         world = self._world()
         world.pos[2] = [0.0, 0.0]
         world.pos[:2] = [[-0.9, -0.9], [0.9, -0.9]]  # > 1.0 away
-        (action,) = scripted_prey(world)
+        (action,) = scripted_prey(world.observe()[1], 2)
         assert np.array_equal(action, [0.0, 0.0])
+
+    def test_obstacle_distance_rounds_elementwise(self):
+        # an offset (x, y) in obstacle range whose length rounds differently
+        # elementwise, sqrt(x*x + y*y), and fused, y*y added to the rounded
+        # x*x with one rounding, as x86-64 OpenBLAS's dot of (x, y) with itself
+        # computes it; the policy measures it elementwise, as every distance
+        def push(delta, square):   # the action of a prey that only this obstacle moves
+            d = math.sqrt(square)
+            reach = PREY_OBSTACLE_RANGE
+            return np.clip(delta / d * PREY_OBSTACLE_GAIN * ((reach - d) / reach), -1.0, 1.0)
+
+        rng = np.random.default_rng(25)
+        while True:
+            x, y = delta = rng.uniform(-0.2, 0.2, size=2)
+            fused = float(Fraction(y) * Fraction(y) + Fraction(x * x))
+            elementwise = push(delta, x * x + y * y)
+            if elementwise.tobytes() != push(delta, fused).tobytes():
+                break
+        world = self._world()
+        world.pos[:3] = [[-0.9, -0.9], [0.9, 0.9], [0.0, 0.0]]   # no predator in range
+        world.pos[3] = -delta   # observed as -delta - 0.0, negated back to delta exactly
+        (action,) = scripted_prey(world.observe()[1], 2)
+        assert action.tobytes() == elementwise.tobytes()
+        assert action.tobytes() == loop_scripted_prey(world.cfg, world.pos, 2).tobytes()
 
     def test_only_valid_for_prey(self):
         world = ParticleWorld(ScenarioConfig.coop_nav(3), seed=16)
-        world.reset()
         with pytest.raises(ConfigError, match="predator-prey"):
-            scripted_prey(world)
+            scripted_prey(world.reset()[0], 2)
+        predators, prey = self._world().observe()
+        with pytest.raises(ConfigError, match="predator-prey"):
+            scripted_prey(predators, 2)
+        with pytest.raises(ConfigError, match="predator-prey"):
+            scripted_prey(prey, 3)
 
 
 class TestDeterminismAndOracle:
@@ -507,9 +536,10 @@ class TestLockstep:
             # beyond [-1, 1], so that clipping is exercised too
             acts = rng.uniform(-1.5, 1.5, size=(self.EPISODES, trainable, 2))
             if cfg.kind == PREDATOR_PREY:
-                prey = scripted_prey(batched)
+                prey = scripted_prey(batched.observe()[1], cfg.n_predators)
                 for e, world in enumerate(singles):
-                    assert prey[e].tobytes() == scripted_prey(world).tobytes(), (t, e)
+                    single = scripted_prey(world.observe()[1], cfg.n_predators)
+                    assert prey[e].tobytes() == single.tobytes(), (t, e)
                 acts = np.concatenate([acts, prey], axis=1)
             obs, rewards = batched.step(acts)
             assert rewards.shape == (self.EPISODES, batched.n_types)
@@ -549,8 +579,9 @@ class TestLockstep:
         world.pos[...] = rng.uniform(-1.2, 1.2, size=world.pos.shape)
         world.pos[:, cfg.n_agents:] = world.pos[:, cfg.n_predators:cfg.n_agents] \
             + rng.uniform(-0.3, 0.3, size=(500, cfg.n_landmarks, 2))
-        actions = scripted_prey(world)
-        rewards = predator_prey_reward(world, world.observe()[0])
+        predators, prey_obs = world.observe()
+        actions = scripted_prey(prey_obs, cfg.n_predators)
+        rewards = predator_prey_reward(world, predators)
         crowded = 0
         for e, pos in enumerate(world.pos):
             for j, prey in enumerate(range(cfg.n_predators, cfg.n_agents)):
@@ -577,7 +608,8 @@ class TestLockstep:
         for t in range(30):
             acts = rng.uniform(-1.5, 1.5, size=world.batch + (trainable, 2))
             if cfg.kind == PREDATOR_PREY:
-                acts = np.concatenate([acts, scripted_prey(world)], axis=-2)
+                prey = scripted_prey(world.observe()[1], np_)
+                acts = np.concatenate([acts, prey], axis=-2)
             obs, rewards = world.step(acts)
             for alone, stepped in zip(world.observe(), obs):
                 assert alone.tobytes() == stepped.tobytes(), t
@@ -613,11 +645,13 @@ def trajectory_digest(cfg, episodes):
     digest = hashlib.sha256()
     for t in range(60):
         if t % 20 == 0:
-            for obs in world.reset():
+            observations = world.reset()
+            for obs in observations:
                 digest.update(obs.tobytes())
         acts = rng.uniform(-1.5, 1.5, size=world.batch + (trainable, 2))
         if cfg.kind == PREDATOR_PREY:
-            acts = np.concatenate([acts, scripted_prey(world)], axis=-2)
+            prey = scripted_prey(observations[1], cfg.n_predators)
+            acts = np.concatenate([acts, prey], axis=-2)
         observations, rewards = world.step(acts)
         for array in (world.pos, world.vel, *observations, rewards):
             digest.update(array.tobytes())
@@ -626,10 +660,9 @@ def trajectory_digest(cfg, episodes):
 
 
 # Recorded on x86-64 with numpy 2.4.6 and OpenBLAS 0.3.31. Another numpy, BLAS
-# or CPU may round differently in the last bit (the prey's obstacle distance
-# is a BLAS product), and then these digests do not hold there. A change that
-# moves the world's numbers on purpose records new digests and says why in
-# CHANGES.md:
+# or CPU may round differently in the last bit, and then these digests do not
+# hold there. A change that moves the world's numbers on purpose records new
+# digests and says why in CHANGES.md:
 #
 #     PYTHONPATH=src python tests/test_envs.py --digests
 TRAJECTORY_DIGESTS = {
@@ -637,8 +670,8 @@ TRAJECTORY_DIGESTS = {
     "coop_nav5_x3": "d03f5786aa7804572043206ad7a5eeda7564008ea64c4897e8afd7ef511e7860",
     "coop_nav9": "e286020471a8485711271c3fbc8f0fec0f83142c45ef895390c5db38a7c1a6a9",
     "coop_nav9_x3": "f18207c55469a04038ce971e0d33970a208a1c8900cf224bf7a5ae21ff220336",
-    "predator_prey9": "f90322a609510ad68b5d251a3f13601974ea2e8cb85efe75e38f7bfb9675e3a9",
-    "predator_prey9_x3": "af3a89e81bf9c5b7595323ebb45dedc24dca1634abc635661ce553e2b5cc4e64",
+    "predator_prey9": "aadfe0b766ff6f3c3d72700c3efca85447619cbf1ec83a5dda6f55def1643747",
+    "predator_prey9_x3": "e433b170f126196121d200e170be667cf5b5d330d5b2c7ec5411508364afb55c",
 }
 TRAJECTORY_CASES = {
     "coop_nav5": (ScenarioConfig.coop_nav(5), None),

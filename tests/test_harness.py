@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from samarl import cli, harness, nets
+from samarl import algo, cli, harness, nets
 from samarl.algo import AlgoKind, NonFiniteLossError, TrainConfig, Trainer
 from samarl.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from samarl.envs import ConfigError, ParticleWorld, ScenarioConfig
@@ -312,6 +312,23 @@ class TestEvaluate:
                               train=TrainConfig(dtype="float64"))
         return cfg, train(cfg) / "ckpt_final"
 
+    def test_loads_the_checkpoint_once(self, tmp_path, monkeypatch):
+        cfg = tiny_run_config(tmp_path, episodes=2)
+        ck = train(cfg) / "ckpt_final"
+        trainer = Trainer(cfg.scenario_config(), AlgoKind.parse(cfg.algo), cfg.train, seed=4)
+        trainer.restore(ck)
+        want = evaluate_trainer(trainer, episodes=3, seed=4)
+        loads = []
+
+        def counted(directory):
+            loads.append(directory)
+            return load_checkpoint(directory)
+
+        monkeypatch.setattr(harness, "load_checkpoint", counted)
+        monkeypatch.setattr(algo, "load_checkpoint", counted)
+        assert evaluate(ck, episodes=3, seed=4) == want
+        assert loads == [ck]
+
     def test_float64_checkpoint_evaluates_in_float64(self, tmp_path):
         cfg, ck = self._float64_run(tmp_path)
         trainer = Trainer(cfg.scenario_config(), AlgoKind.MATD3, cfg.train, seed=5)
@@ -485,7 +502,7 @@ class TestPreyDropIn:
         prey_obs = trainer.env.reset()[1]
         assert prey_obs.dtype == np.float64
         want = np.clip(trainer.prey_actor.act(prey_obs), -1.0, 1.0)
-        assert np.array_equal(trainer._prey_actions(trainer.env, prey_obs), want)
+        assert np.array_equal(trainer._prey_actions(prey_obs), want)
 
     def test_prey_architecture_comes_from_the_checkpoint(self, tmp_path):
         scenario = ScenarioConfig.predator_prey(3)
@@ -529,12 +546,23 @@ class TestPreyDropIn:
         rng = np.random.default_rng(5)
         bank = nets.stack([nets.MlpActor(prey_obs_dim, 2, rng, hidden_dim=8)
                            for _ in range(2)])
-        ck = save_prey_actor(tmp_path / "prey", bank, scenario)
+        ck = save_checkpoint(tmp_path / "prey", bank.named_parameters("prey_actor."),
+                             algo="prey-actor", scenario=scenario.kind,
+                             agents=scenario.n_agents, episode=0)
         cfg = TrainConfig(hidden_dim=8, attention_heads=2, attention_blocks=1)
         with pytest.raises(CheckpointError,
                            match=r"'prey_actor.hidden.0.w' shape \(2, 18, 8\)"):
             Trainer(scenario, AlgoKind.SA_MATD3, cfg, seed=2, prey_policy=ck)
 
+
+    def test_prey_bank_refused_before_writing(self, tmp_path):
+        prey_obs_dim = 4 + 2 * 3 + 2 * 2 + 2 * 2
+        rng = np.random.default_rng(5)
+        bank = nets.stack([nets.MlpActor(prey_obs_dim, 2, rng, hidden_dim=8)
+                           for _ in range(2)])
+        with pytest.raises(ValueError, match="one actor, got 2"):
+            save_prey_actor(tmp_path / "prey", bank, ScenarioConfig.predator_prey(3))
+        assert list(tmp_path.iterdir()) == []
 
     def test_prey_policy_refused_without_prey(self, tmp_path):
         # coop_nav has no prey, so a prey checkpoint would go unused

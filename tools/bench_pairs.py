@@ -24,7 +24,13 @@ result line with its printed ``machine_scale`` and unscaled p50 lines, and a
 ``summary`` block per workload: failed and attempted operations per side,
 and per end-to-end metric of BENCHMARK.json the two medians, the change's
 percentage, the pairs the change won, the parent's interquartile range, the
-metric's bound and both sides' runs. Its ``main_over_bypass`` entry holds the
+metric's bound, both sides' runs and two verdicts. ``gain_shown`` holds when
+the change wins at least 9 of 10 pairs (a tie counts for neither side) and
+its median beats the parent's by more than the parent's IQR. ``regression``
+reads "yes" when the change's median is worse than the parent's by more than
+the bound, "unresolved" when the parent's IQR exceeds the bound (both as a
+share of the parent's median) unless every change run beats every parent
+run, and "no" otherwise. Its ``main_over_bypass`` entry holds the
 same figures for each run's ``main_ms.p50 / bypass_ms.p50`` (a lower ratio
 wins): both operations run in the same process, so the ratio cancels what
 the host's state does to both alike. It reads the code only for a change
@@ -110,6 +116,24 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def verdicts(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """``gain_shown`` and ``regression`` of a metric whose ``better`` is
+    "lower" or "higher" and whose ``bound`` is a fraction (module docstring)."""
+    p, c = np.array(parent, dtype=float), np.array(change, dtype=float)
+    if better == "higher":   # measure both as lower-is-better
+        p, c = -p, -c
+    wins = int(np.sum(c < p))
+    q1, q3 = np.percentile(p, [25, 75])
+    gain = float(np.median(p) - np.median(c))   # > 0 when the change is better
+    scale = bound * abs(float(np.median(p)))
+    if q3 - q1 > scale and not c.max() < p.min():
+        regression = "unresolved"
+    else:
+        regression = "yes" if -gain > scale else "no"
+    return {"gain_shown": bool(wins >= 0.9 * len(p) and gain > q3 - q1),
+            "regression": regression}
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """The ``summary`` block of one workload's runs, paired by ``pair``."""
     by_side = {side: sorted((r for r in runs if r["side"] == side), key=lambda r: r["pair"])
@@ -130,8 +154,10 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
 
     for metric in end_to_end:
         name = metric["name"]
-        out[name] = {**compare(values(parent, name), values(change, name), metric["better"]),
-                     "bound_pct": round(100 * metric["bound"], 2)}
+        sides = values(parent, name), values(change, name)
+        out[name] = {**compare(*sides, metric["better"]),
+                     "bound_pct": round(100 * metric["bound"], 2),
+                     **verdicts(*sides, metric["better"], metric["bound"])}
     ratios = [np.divide(values(rs, "main_ms.p50"), values(rs, "bypass_ms.p50"))
               for rs in (parent, change)]
     out["main_over_bypass"] = compare(*ratios, "lower")
