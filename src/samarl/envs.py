@@ -346,8 +346,8 @@ def scripted_prey(prey_obs: np.ndarray, n_predators: int) -> np.ndarray:
     with an inward push near walls and repulsion from nearby obstacles. With
     no predator in range the policy stays put (modulo wall/obstacle terms).
     """
-    # a prey's row: 4 own columns, 3 obstacles, the agents, predator velocities
-    if n_predators % 2 or prey_obs.shape[-2:] != (n_predators // 2, 8 + 5 * n_predators):
+    # a prey's row: 4 own columns, 3 obstacles, the other agents, predator velocities
+    if prey_obs.shape[-2:] != (n_predators // 2, 8 + 5 * n_predators):
         raise ConfigError(f"scripted prey acts on predator-prey prey observations; got shape "
                           f"{prey_obs.shape} for {n_predators} predators")
     me = prey_obs[..., 2:4]
@@ -362,7 +362,7 @@ def scripted_prey(prey_obs: np.ndarray, n_predators: int) -> np.ndarray:
     chased = dists[..., N_OBSTACLES:]
     dist = chased.min(axis=-1, keepdims=True)
     # the nearest predator's row of the flat (prey, k, 2) offsets
-    rows = np.arange(N_OBSTACLES, chased.size // n_predators * k, k).reshape(dist.shape[:-1])
+    rows = np.arange(N_OBSTACLES, dist.size * k, k).reshape(dist.shape[:-1])
     away = deltas.reshape(-1, 2)[rows + chased.argmin(axis=-1)]
     flee = (dist <= PREY_SENSE_RANGE) & (dist > 0)
     np.divide(away, dist, out=action, where=flee)
