@@ -250,6 +250,21 @@ def train_step_scheduler(episode: int, cfg: TrainConfig,
     return True, ordinal % cfg.delay_frequency == 0
 
 
+def save_prey_actor(directory, actor, scenario: ScenarioConfig):
+    """Write the whole of a one-member ``MlpActor``, as ``MlpActor(...)``
+    builds it, as a prey-policy checkpoint usable via ``prey=<path>``; the
+    manifest records the actor's architecture. A bank of several is refused:
+    every prey runs the one actor."""
+    if len(actor.out.w.data) != 1:
+        raise ValueError(f"a prey checkpoint holds one actor, got {len(actor.out.w.data)}")
+    return save_checkpoint(directory, actor.named_parameters(PREY_ACTOR_PREFIX),
+                           algo="prey-actor", scenario=scenario.kind,
+                           agents=scenario.n_agents, episode=0,
+                           train={"hidden_dim": actor.hidden_dim,
+                                  "hidden_layers": len(actor.hidden),
+                                  "dtype": np.dtype(actor.out.w.dtype).name})
+
+
 class Trainer:
     """One algorithm bound to one scenario; owns networks, buffer, and RNGs.
 
@@ -357,19 +372,18 @@ class Trainer:
 
     def _trainable_actions(self, obs: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
         """Joint actions (..., n, act_dim) for observations (..., n, obs_dim),
-        one world state or one per episode of a lockstep batch, plus ``noise``,
-        clipped to the world's action bound."""
+        one world state or one per episode of a lockstep batch. The actor's
+        tanh keeps them in the world's action bound; plus ``noise``, they are
+        clipped to it."""
         acts = self.actor.act(obs)
-        if noise is not None:
-            acts = acts + noise
-        return _clip_unit(acts)
+        return acts if noise is None else _clip_unit(acts + noise)
 
     def _prey_actions(self, prey_obs: np.ndarray) -> np.ndarray:
         """Prey actions (..., prey, act_dim) from the prey observations of
         every episode: the scripted flee policy, or one prey actor call."""
         if self.prey_actor is None:
             return scripted_prey(prey_obs, self.scenario.n_predators)
-        return _clip_unit(self.prey_actor.act(prey_obs))
+        return self.prey_actor.act(prey_obs)
 
     def run_episode(self, explore: bool = True,
                     env: ParticleWorld | None = None) -> np.ndarray:
@@ -541,32 +555,19 @@ class Trainer:
                                agents=self.scenario.n_agents, episode=episode,
                                train={key: getattr(self.cfg, key) for key in ARCH_KEYS})
 
-    def restore(self, directory) -> int:
-        return self.restore_from(directory, *load_checkpoint(directory))
-
-    def restore_from(self, directory, manifest, tensors) -> int:
-        """``restore`` from a checkpoint already loaded from ``directory``."""
-        if manifest.algo != self.kind.value:
-            raise ValueError(f"checkpoint algorithm '{manifest.algo}' does not match "
-                             f"this trainer's '{self.kind.value}'")
-        if manifest.scenario != self.scenario.kind:
-            raise ValueError(
-                f"checkpoint scenario '{manifest.scenario}' does not match "
-                f"'{self.scenario.kind}'")
-        if manifest.agents != self.scenario.n_agents:
-            raise ValueError(
-                f"checkpoint has {manifest.agents} agents, scenario has "
-                f"{self.scenario.n_agents}")
-        recorded = recorded_train(manifest, self.cfg, directory)
-        for key in ARCH_KEYS:
-            if getattr(recorded, key) != getattr(self.cfg, key):
-                raise ValueError(
-                    f"checkpoint was trained with train.{key} = {getattr(recorded, key)}, "
-                    f"this trainer has {getattr(self.cfg, key)}")
-        restore_into(self.named_parameters(), tensors)
-        self._sync_targets()
-        return manifest.episode
-
-    def _sync_targets(self) -> None:
-        for tgt, main in self._target_pairs():
+    @classmethod
+    def from_checkpoint(cls, directory, *, seed: int = 0,
+                        prey_policy: str = "scripted") -> "Trainer":
+        """The trainer that ``save`` wrote to ``directory``: its scenario,
+        algorithm and recorded architecture (``TrainConfig``'s defaults for
+        the rest), every main and target network holding the saved
+        parameters."""
+        manifest, tensors = load_checkpoint(directory)
+        scenario = ScenarioConfig(manifest.scenario, manifest.agents)
+        kind = AlgoKind.parse(manifest.algo)
+        trainer = cls(scenario, kind, recorded_train(manifest, TrainConfig(), directory),
+                      seed=seed, prey_policy=prey_policy)
+        restore_into(trainer.named_parameters(), tensors)
+        for tgt, main in trainer._target_pairs():
             nets.copy_params(tgt, main)
+        return trainer

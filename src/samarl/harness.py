@@ -24,14 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algo import (
-    PREY_ACTOR_PREFIX,
-    AlgoKind,
-    TrainConfig,
-    Trainer,
-    recorded_train,
-)
-from .checkpoint import load_checkpoint, save_checkpoint
+from .algo import AlgoKind, TrainConfig, Trainer
 from .envs import COOP_NAV, PREDATOR_PREY, ParticleWorld, ScenarioConfig
 
 CSV_COLUMNS = ["episode", "env_steps", "wall_s", "reward_type0", "reward_type1",
@@ -287,28 +280,8 @@ def evaluate_trainer(trainer: Trainer, episodes: int, seed: int) -> dict:
 def evaluate(checkpoint, episodes: int, seed: int, *, prey: str = "scripted") -> dict:
     """Evaluate a saved checkpoint in the architecture its manifest records;
     statistics are per agent type."""
-    manifest, tensors = load_checkpoint(checkpoint)
-    kind = AlgoKind.parse(manifest.algo)
-    scenario = RunConfig(scenario=manifest.scenario, agents=manifest.agents).scenario_config()
-    trainer = Trainer(scenario, kind, recorded_train(manifest, TrainConfig(), checkpoint),
-                      seed=seed, prey_policy=prey)
-    trainer.restore_from(checkpoint, manifest, tensors)
-    return evaluate_trainer(trainer, episodes, seed)
-
-
-def save_prey_actor(directory, actor, scenario: ScenarioConfig) -> Path:
-    """Write the whole of a one-member ``MlpActor``, as ``MlpActor(...)``
-    builds it, as a prey-policy checkpoint usable via ``prey=<path>``; the
-    manifest records the actor's architecture. A bank of several is refused:
-    every prey runs the one actor."""
-    if len(actor.out.w.data) != 1:
-        raise ValueError(f"a prey checkpoint holds one actor, got {len(actor.out.w.data)}")
-    return save_checkpoint(directory, actor.named_parameters(PREY_ACTOR_PREFIX),
-                           algo="prey-actor", scenario=scenario.kind,
-                           agents=scenario.n_agents, episode=0,
-                           train={"hidden_dim": actor.hidden_dim,
-                                  "hidden_layers": len(actor.hidden),
-                                  "dtype": np.dtype(actor.out.w.dtype).name})
+    return evaluate_trainer(Trainer.from_checkpoint(checkpoint, seed=seed, prey_policy=prey),
+                            episodes, seed)
 
 
 # -- plotting -----------------------------------------------------------------------
@@ -340,8 +313,10 @@ def emit_plot(csv_paths, out_path, window: int = 1000) -> Path:
     def panel(x0, xlabel, xs_of):
         parts.append(f'<rect x="{x0}" y="{margin}" width="{panel_w}" '
                      f'height="{panel_h}" fill="none" stroke="black"/>')
-        xs_all = np.concatenate([xs_of(s) for s in series]) if series else np.array([0.0])
-        ys_all = np.concatenate([s[3] for s in series]) if series else np.array([0.0])
+        # no rows at all (no files, or header-only ones): empty panels
+        empty = not any(s[1].size for s in series)
+        xs_all = np.zeros(1) if empty else np.concatenate([xs_of(s) for s in series])
+        ys_all = np.zeros(1) if empty else np.concatenate([s[3] for s in series])
         x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
         y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
         if x_hi == x_lo:

@@ -937,13 +937,30 @@ class TestCheckpointFlow:
     def test_save_restore_round_trip(self, tmp_path):
         trainer = make_trainer(AlgoKind.SA_MATD3, n=2, seed=3)
         trainer.save(tmp_path / "ck", episode=42)
-        other = make_trainer(AlgoKind.SA_MATD3, n=2, seed=99)
-        episode = other.restore(tmp_path / "ck")
-        assert episode == 42
+        assert load_checkpoint(tmp_path / "ck")[0].episode == 42
+        other = Trainer.from_checkpoint(tmp_path / "ck", seed=99)
         for (ka, pa), (kb, pb) in zip(trainer.named_parameters(),
                                       other.named_parameters()):
             assert ka == kb
             assert np.array_equal(pa.data, pb.data)
+
+    @pytest.mark.parametrize("kind", list(AlgoKind), ids=lambda k: k.value)
+    def test_from_checkpoint_rebuilds_the_saving_trainer(self, kind, tmp_path):
+        scenario = "predator_prey" if kind.attention_actor else "coop_nav"
+        saving = make_trainer(kind, n=3, seed=3, scenario=scenario)
+        for _ in range(2):   # updates move every main network off its init
+            saving.train_episode()
+        assert saving.critic_updates and saving.policy_updates
+        path = saving.save(tmp_path / "ck", episode=2)
+        trainer = Trainer.from_checkpoint(path, seed=8)
+        assert (trainer.kind, trainer.scenario) == (kind, saving.scenario)
+        assert [(k, p.data.dtype, p.data.tobytes()) for k, p in trainer.named_parameters()] \
+            == [(k, p.data.dtype, p.data.tobytes()) for k, p in saving.named_parameters()]
+        for target, main in trainer._target_pairs():
+            for (_, t), (_, m) in zip(target.named_parameters(), main.named_parameters()):
+                assert np.array_equal(t.data, m.data)
+        assert harness.evaluate(path, episodes=3, seed=5) \
+            == harness.evaluate_trainer(saving, episodes=3, seed=5)
 
     @staticmethod
     def _strip_architecture(path):
@@ -959,44 +976,22 @@ class TestCheckpointFlow:
         assert manifest.train == {"hidden_dim": "8", "hidden_layers": "3",
                                   "attention_heads": "2", "attention_blocks": "2",
                                   "dtype": "float32"}
+        # a manifest without the keys still restores, in the default architecture
+        default = Trainer(ScenarioConfig.coop_nav(2), AlgoKind.SA_MATD3, seed=0)
+        path = default.save(tmp_path / "default", episode=0)
         self._strip_architecture(path)
         assert load_checkpoint(path)[0].train == {}
-        other = make_trainer(AlgoKind.SA_MATD3, n=2, seed=5)
-        other.restore(path)  # a manifest without the keys still restores
+        other = Trainer.from_checkpoint(path, seed=5)
         assert all(np.array_equal(a.data, b.data) for (_, a), (_, b) in
-                   zip(trainer.named_parameters(), other.named_parameters()))
-
-    def test_restore_refuses_another_architecture(self, tmp_path):
-        # 8 heads and 4 heads have the same tensor shapes at hidden width 8
-        path = make_trainer(AlgoKind.SA_MATD3, attention_heads=8).save(tmp_path / "ck", 0)
-        other = make_trainer(AlgoKind.SA_MATD3, attention_heads=4)
-        with pytest.raises(ValueError, match="train.attention_heads = 8"):
-            other.restore(path)
+                   zip(default.named_parameters(), other.named_parameters()))
 
     def test_restore_checks_tensor_shapes(self, tmp_path):
         # a bank's stacked tensor of the wrong shape is refused by name, not
         # by a numpy broadcast error
         path = make_trainer(AlgoKind.MATD3).save(tmp_path / "ck", 0)
         self._strip_architecture(path)
-        default = Trainer(ScenarioConfig.coop_nav(2), AlgoKind.MATD3, seed=0)
         with pytest.raises(CheckpointError, match="'actor.hidden.0.w' shape"):
-            default.restore(path)
-
-    @pytest.mark.parametrize("saved,other", [(AlgoKind.MATD3, AlgoKind.MADDPG),
-                                             (AlgoKind.SA_MATD3, AlgoKind.SA_MADDPG)])
-    def test_restore_refuses_another_algorithm(self, saved, other, tmp_path):
-        # a twin-critic checkpoint holds every tensor of the one-critic kind,
-        # so only its recorded algorithm tells them apart
-        path = make_trainer(saved).save(tmp_path / "ck", 0)
-        with pytest.raises(ValueError, match=f"'{saved.value}'.*'{other.value}'"):
-            make_trainer(other).restore(path)
-
-    def test_scenario_mismatch_rejected(self, tmp_path):
-        trainer = make_trainer(AlgoKind.SA_MATD3, n=2)
-        trainer.save(tmp_path / "ck", episode=0)
-        other = make_trainer(AlgoKind.SA_MATD3, n=6, scenario="predator_prey")
-        with pytest.raises(ValueError, match="agents|scenario"):
-            other.restore(tmp_path / "ck")
+            Trainer.from_checkpoint(path)
 
 
 def rollout_digest(scenario, kind, cfg):

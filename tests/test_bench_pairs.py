@@ -1,6 +1,7 @@
 """tools/bench_pairs.py's summary block, on made-up runs (no benchmark is run)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -115,3 +116,73 @@ def test_summary_holds_the_verdicts_per_metric():
     assert out["throughput_per_s"]["gain_shown"] is False    # every pair a tie
     assert out["throughput_per_s"]["regression"] == "no"
     assert "gain_shown" not in out["main_over_bypass"]
+
+
+def _failed(side, pair, code=1):
+    return {"workload": "w", "seed": 100 + pair, "side": side, "pair": pair,
+            "exit_code": code, "stderr_tail": "Traceback ..."}
+
+
+def test_failed_run_keeps_exit_code_and_stderr_tail(monkeypatch, tmp_path):
+    class Proc:
+        returncode, stdout, stderr = 3, "", "x" * 1000 + "y" * 2000
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: Proc())
+    assert bench_pairs.run_once(tmp_path, "w", 7) == {"exit_code": 3, "stderr_tail": "y" * 2000}
+
+
+def test_failed_run_does_not_stop_the_pairs(monkeypatch, tmp_path):
+    def run_once(checkout, workload, seed):
+        if (checkout.name, seed) == ("b", 8):
+            return {"exit_code": 1, "stderr_tail": "boom"}
+        return {"result": {"metrics": {}}, "derived": [], "meta": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    runs, sizes = [], []
+    out = bench_pairs.run_pairs({"parent": tmp_path / "a", "change": tmp_path / "b"}, "w",
+                                [7, 8, 9], runs, lambda: sizes.append(len(runs)))
+    assert out is runs and sizes == [2, 4, 6]
+    assert runs[2] == {"workload": "w", "seed": 8, "side": "change", "pair": 1,
+                       "exit_code": 1, "stderr_tail": "boom"}
+
+
+def test_summary_leaves_out_pairs_with_a_failed_run():
+    runs = [_run(side, i, 10.0 + i, 100.0) for i in (0, 2) for side in ("parent", "change")]
+    runs += [_run("parent", 1, 50.0, 1.0), _failed("change", 1), _failed("parent", 3)]
+    out = bench_pairs.summarize(runs, METRICS)
+    assert out["pairs"] == 2 and out["seeds"] == "100-102"
+    assert out["failed_runs"] == {"parent": 1, "change": 1}
+    assert out["main_ms.p50"]["parent_runs"] == [10.0, 12.0]
+    # a workload with no complete pair yet has counts and no metrics
+    out = bench_pairs.summarize([_run("parent", 0, 10.0, 1.0), _failed("change", 0)], METRICS)
+    assert out["pairs"] == 0 and out["failed_runs"] == {"parent": 0, "change": 1}
+    assert "main_ms.p50" not in out
+
+
+def test_bench_file_is_rewritten_after_every_pair(monkeypatch, tmp_path):
+    # the first nav8-update run fails; every later pair and workload still runs
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "resolve", lambda commit: commit)
+    monkeypatch.setattr(bench_pairs, "export", lambda commit, directory: directory)
+    bench = tmp_path / "BENCH_t.json"
+    seen = []
+
+    def run_once(checkout, workload, seed):
+        seen.append(len(json.loads(bench.read_text())["runs"]) if bench.exists() else 0)
+        if not seen[1:]:
+            return {"exit_code": 2, "stderr_tail": "killed"}
+        metrics = {m["name"]: {"value": 1.0} for m in bench_pairs.BENCHMARK["end_to_end"]}
+        return {"result": {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics},
+                "derived": [], "meta": {"host": "h"}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    bench_pairs.main(["--parent", "p", "--change", "c", "--label", "t", "--pairs", "2",
+                      "--seed", "1", "--workloads", "nav8-update", "pp9-rollout"])
+    assert seen == [0, 0, 2, 2, 4, 4, 6, 6]
+    written = json.loads(bench.read_text())
+    assert [r.get("exit_code") for r in written["runs"]] == [2] + [None] * 7
+    assert written["runs"][0]["stderr_tail"] == "killed"
+    assert written["meta"] == {"host": "h"}
+    assert written["summary"]["nav8-update"]["pairs"] == 1
+    assert written["summary"]["nav8-update"]["failed_runs"] == {"parent": 1, "change": 0}
+    assert written["summary"]["pp9-rollout"]["pairs"] == 2

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from samarl import algo, cli, harness, nets
-from samarl.algo import AlgoKind, NonFiniteLossError, TrainConfig, Trainer
+from samarl import algo, cli, nets
+from samarl.algo import AlgoKind, NonFiniteLossError, TrainConfig, Trainer, save_prey_actor
 from samarl.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from samarl.envs import ConfigError, ParticleWorld, ScenarioConfig
 from samarl.harness import (
@@ -27,7 +27,6 @@ from samarl.harness import (
     parse_config_file,
     parse_metrics_csv,
     rolling_mean,
-    save_prey_actor,
     train,
 )
 
@@ -224,10 +223,9 @@ class TestTrainRun:
             tiny_run_config(tmp_path).train, dtype="float64"))
         out = train(cfg)
         assert any(r.critic_loss is not None for r in parse_metrics_csv(out / "metrics.csv"))
-        trainer = Trainer(cfg.scenario_config(), AlgoKind.parse(cfg.algo), cfg.train,
-                          seed=1)
-        assert trainer.restore(out / "ckpt_final") == cfg.episodes
-        _, tensors = load_checkpoint(out / "ckpt_final")
+        trainer = Trainer.from_checkpoint(out / "ckpt_final", seed=1)
+        manifest, tensors = load_checkpoint(out / "ckpt_final")
+        assert manifest.episode == cfg.episodes
         for name, param in trainer.named_parameters():
             assert param.data.dtype == np.float64
             assert param.data.tobytes() == tensors[name].tobytes(), name
@@ -315,24 +313,34 @@ class TestEvaluate:
     def test_loads_the_checkpoint_once(self, tmp_path, monkeypatch):
         cfg = tiny_run_config(tmp_path, episodes=2)
         ck = train(cfg) / "ckpt_final"
-        trainer = Trainer(cfg.scenario_config(), AlgoKind.parse(cfg.algo), cfg.train, seed=4)
-        trainer.restore(ck)
-        want = evaluate_trainer(trainer, episodes=3, seed=4)
+        want = evaluate_trainer(Trainer.from_checkpoint(ck, seed=4), episodes=3, seed=4)
         loads = []
 
         def counted(directory):
             loads.append(directory)
             return load_checkpoint(directory)
 
-        monkeypatch.setattr(harness, "load_checkpoint", counted)
         monkeypatch.setattr(algo, "load_checkpoint", counted)
         assert evaluate(ck, episodes=3, seed=4) == want
         assert loads == [ck]
 
+    def test_reads_the_architecture_once(self, tmp_path, monkeypatch):
+        ck = train(tiny_run_config(tmp_path, episodes=2)) / "ckpt_final"
+        reads = []
+
+        def counted(manifest, base, checkpoint):
+            reads.append(checkpoint)
+            return recorded_train(manifest, base, checkpoint)
+
+        recorded_train = algo.recorded_train
+        monkeypatch.setattr(algo, "recorded_train", counted)
+        evaluate(ck, episodes=1, seed=0)
+        assert reads == [ck]
+
     def test_float64_checkpoint_evaluates_in_float64(self, tmp_path):
         cfg, ck = self._float64_run(tmp_path)
-        trainer = Trainer(cfg.scenario_config(), AlgoKind.MATD3, cfg.train, seed=5)
-        trainer.restore(ck)
+        trainer = Trainer.from_checkpoint(ck, seed=5)
+        assert trainer.cfg.np_dtype == np.float64
         assert evaluate(ck, episodes=3, seed=5) == evaluate_trainer(trainer, episodes=3,
                                                                     seed=5)
 
@@ -343,8 +351,8 @@ class TestEvaluate:
                               train=dataclasses.replace(tiny_run_config(tmp_path).train,
                                                         attention_heads=8))
         ck = train(cfg) / "ckpt_final"
-        trainer = Trainer(cfg.scenario_config(), AlgoKind.DSA_MATD3, cfg.train, seed=3)
-        trainer.restore(ck)
+        trainer = Trainer.from_checkpoint(ck, seed=3)
+        assert (trainer.cfg.hidden_dim, trainer.cfg.attention_heads) == (8, 8)
         assert evaluate(ck, episodes=2, seed=3) == evaluate_trainer(trainer, episodes=2,
                                                                     seed=3)
 
@@ -361,26 +369,40 @@ class TestEvaluate:
         match = f"checkpoint {re.escape(str(ck))}: {match}"
         with pytest.raises(CheckpointError, match=match):
             evaluate(ck, episodes=1, seed=0)
-        trainer = Trainer(cfg.scenario_config(), AlgoKind.parse(cfg.algo), cfg.train, seed=0)
         with pytest.raises(CheckpointError, match=match):
-            trainer.restore(ck)
+            Trainer.from_checkpoint(ck)
 
     def test_float64_checkpoint_refused_by_float32_trainer(self, tmp_path):
-        cfg, ck = self._float64_run(tmp_path)
-        trainer = Trainer(cfg.scenario_config(), AlgoKind.MATD3, TrainConfig(), seed=5)
-        with pytest.raises(ValueError, match="float64.*float32"):
-            trainer.restore(ck)
+        # a manifest whose train.dtype line disagrees with its tensors: the
+        # float32 trainer it builds refuses them by dtype
+        _, ck = self._float64_run(tmp_path)
+        manifest = ck / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("train.dtype float64",
+                                                         "train.dtype float32", 1))
+        with pytest.raises(ValueError, match="'actor.hidden.0.w' is float64.*float32"):
+            evaluate(ck, episodes=1, seed=0)
+
+    @staticmethod
+    def _refuse_networks(monkeypatch):
+        def no_networks(trainer):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(Trainer, "_build_networks", no_networks)
 
     def test_unknown_scenario_rejected_before_building(self, tmp_path, monkeypatch):
         actor = nets.MlpActor(4, 2, np.random.default_rng(0))
         ck = save_checkpoint(tmp_path / "ck", actor.named_parameters("actor."),
                              algo="maddpg", scenario="tag", agents=3, episode=0)
+        self._refuse_networks(monkeypatch)
+        with pytest.raises(ConfigError, match="unknown scenario kind 'tag'"):
+            evaluate(ck, episodes=1, seed=0)
 
-        def no_trainer(*args, **kwargs):
-            raise AssertionError("a Trainer was built")
-
-        monkeypatch.setattr(harness, "Trainer", no_trainer)
-        with pytest.raises(ConfigFileError, match="unknown scenario 'tag'"):
+    def test_unknown_algorithm_rejected_before_building(self, tmp_path, monkeypatch):
+        actor = nets.MlpActor(4, 2, np.random.default_rng(0))
+        ck = save_checkpoint(tmp_path / "ck", actor.named_parameters("actor."),
+                             algo="qmix", scenario="coop_nav", agents=3, episode=0)
+        self._refuse_networks(monkeypatch)
+        with pytest.raises(ValueError, match="unknown algorithm 'qmix'"):
             evaluate(ck, episodes=1, seed=0)
 
     def test_no_training_side_effects(self, tmp_path):
@@ -610,6 +632,16 @@ class TestPlot:
         bad.write_text("nope\n1,2,3\n")
         with pytest.raises(ValueError, match="bad header"):
             emit_plot([bad], tmp_path / "out.svg")
+
+    def test_header_only_csv_draws_empty_panels(self, tmp_path):
+        # the metrics file of a run whose first episode raised
+        run_dir = tmp_path / "died"
+        run_dir.mkdir()
+        csv = emit_csv([], run_dir / "metrics.csv")
+        svg = emit_plot([csv], tmp_path / "out.svg").read_text()
+        assert svg.count("<polyline") == 0
+        assert svg.count('fill="none" stroke="black"') == 2
+        assert ">died</text>" in svg
 
 
 class TestCompare:

@@ -35,7 +35,13 @@ same figures for each run's ``main_ms.p50 / bypass_ms.p50`` (a lower ratio
 wins): both operations run in the same process, so the ratio cancels what
 the host's state does to both alike. It reads the code only for a change
 that leaves the bypass operation alone. The A/A control, if run, has the same
-block under ``aa``. The file is rewritten after each workload.
+block under ``aa``.
+
+The file is rewritten after every pair, so a stopped runner keeps what it
+measured. A perfbench run that exits non-zero, or prints nothing, is kept
+in ``runs`` with its exit code and the tail of its stderr, and the runner
+goes on; its pair is left out of the summary, which counts such runs per
+side under ``failed_runs``.
 """
 
 from __future__ import annotations
@@ -71,31 +77,36 @@ def resolve(commit: str) -> str:
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One perfbench run: its last stdout line (the JSON result), its derived
-    lines named in ``DERIVED`` and its ``meta`` line."""
+    lines named in ``DERIVED`` and its ``meta`` line; or, for a run that
+    fails, its exit code and the tail of its stderr."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
                           cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{workload} seed {seed} in {checkout} exited {proc.returncode}:\n"
-                           f"{proc.stderr[-2000:]}")
+        return {"exit_code": proc.returncode, "stderr_tail": proc.stderr[-2000:]}
     meta = next((json.loads(line[5:]) for line in lines if line.startswith("meta ")), {})
     derived = [line.strip() for line in lines if line.strip().split(" ")[0] in DERIVED]
     return {"result": json.loads(lines[-1]), "derived": derived, "meta": meta}
 
 
-def run_pairs(sides: dict[str, Path], workload: str, seeds: list[int]) -> list[dict]:
-    """Alternating pairs: the first side of ``sides`` runs first in even pairs."""
+def run_pairs(sides: dict[str, Path], workload: str, seeds: list[int],
+              runs: list | None = None, after_pair=lambda: None) -> list[dict]:
+    """Alternating pairs: the first side of ``sides`` runs first in even pairs.
+    Each run is appended to ``runs`` (a new list by default), which is
+    returned, and ``after_pair`` is called once each pair is done."""
     names = list(sides)
-    runs = []
+    runs = [] if runs is None else runs
     for pair, seed in enumerate(seeds):
         for side in names if pair % 2 == 0 else names[::-1]:
             record = run_once(sides[side], workload, seed)
             runs.append({"workload": workload, "seed": seed, "side": side, "pair": pair,
                          **record})
-            metrics = record["result"]["metrics"]
-            print(f"{workload} pair {pair} seed {seed} {side}: " + ", ".join(
-                f"{k} {v['value']:.4g}" for k, v in metrics.items()), flush=True)
+            outcome = (", ".join(f"{k} {v['value']:.4g}"
+                                 for k, v in record["result"]["metrics"].items())
+                       if "result" in record else f"exited {record['exit_code']}")
+            print(f"{workload} pair {pair} seed {seed} {side}: {outcome}", flush=True)
+        after_pair()
     return runs
 
 
@@ -135,19 +146,27 @@ def verdicts(parent: list[float], change: list[float], better: str, bound: float
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """The ``summary`` block of one workload's runs, paired by ``pair``."""
-    by_side = {side: sorted((r for r in runs if r["side"] == side), key=lambda r: r["pair"])
-               for side in ("parent", "change")}
+    """The ``summary`` block of one workload's runs, paired by ``pair``; a
+    pair with a failed run on either side is left out."""
+    sides = ("parent", "change")
+    complete = set.intersection(*({r["pair"] for r in runs if r["side"] == s and "result" in r}
+                                  for s in sides))
+    by_side = {side: sorted((r for r in runs if r["side"] == side and r["pair"] in complete),
+                            key=lambda r: r["pair"]) for side in sides}
     parent, change = by_side["parent"], by_side["change"]
     seeds = [r["seed"] for r in parent]
     out = {
         "pairs": len(parent),
         "seeds": f"{min(seeds)}-{max(seeds)}" if seeds else "",
+        "failed_runs": {s: sum(r["side"] == s and "result" not in r for r in runs)
+                        for s in sides},
         "failed_ops": {s: sum(r["result"]["failed"] for r in rs) for s, rs in by_side.items()},
         "attempted_ops": {s: sum(r["result"]["attempted"] for r in rs)
                           for s, rs in by_side.items()},
         "correct": {s: all(r["result"]["correct"] for r in rs) for s, rs in by_side.items()},
     }
+    if not parent:
+        return out
 
     def values(rs, name):
         return [r["result"]["metrics"][name]["value"] for r in rs]
@@ -197,8 +216,8 @@ def bench_file(args, parent: str, change: str, runs: list[dict], aa_runs: list[d
         "change": change,
         "pairing": "pair i runs parent first when i is even, change first when odd, "
                    "both with the same seed",
-        # the first run's meta, less what differs between runs
-        "meta": {k: v for k, v in (runs[0]["meta"] if runs else {}).items()
+        # the first measured run's meta, less what differs between runs
+        "meta": {k: v for k, v in next((r["meta"] for r in runs if "meta" in r), {}).items()
                  if k not in ("seed", "workload")},
         "summary": block(runs),
         "runs": stripped(runs),
@@ -216,6 +235,11 @@ def main(argv=None) -> None:
     out = ROOT / f"BENCH_{args.label}.json"
     order = [w["name"] for w in BENCHMARK["workloads"]]
     runs, aa_runs = [], []
+
+    def write():
+        out.write_text(json.dumps(bench_file(args, parent, change, runs, aa_runs),
+                                  indent=1) + "\n")
+
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as workdir:
         sides = {"parent": export(parent, Path(workdir) / "parent"),
                  "change": export(change, Path(workdir) / "change")}
@@ -223,11 +247,8 @@ def main(argv=None) -> None:
                     "change": export(parent, Path(workdir) / "parent-copy")} if args.aa else {}
         for workload in args.workloads:
             first = args.seed + 100 * order.index(workload)
-            runs += run_pairs(sides, workload, list(range(first, first + args.pairs)))
-            aa_runs += run_pairs(aa_sides, workload, list(range(first, first + args.aa)))
-            # after each workload, so that a stopped run keeps what it measured
-            out.write_text(json.dumps(bench_file(args, parent, change, runs, aa_runs),
-                                      indent=1) + "\n")
+            run_pairs(sides, workload, list(range(first, first + args.pairs)), runs, write)
+            run_pairs(aa_sides, workload, list(range(first, first + args.aa)), aa_runs, write)
             print(f"wrote {out} ({workload} done)", flush=True)
 
 
