@@ -72,7 +72,8 @@ def test_seeds_and_order_alternate_by_pair(monkeypatch, tmp_path):
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     sides = {"parent": tmp_path / "a", "change": tmp_path / "b"}
-    runs = bench_pairs.run_pairs(sides, "w", [7, 8, 9])
+    runs = []
+    bench_pairs.run_pairs(sides, "w", [7, 8, 9], runs, lambda: None)
     assert calls == [("a", 7), ("b", 7), ("b", 8), ("a", 8), ("a", 9), ("b", 9)]
     assert [(r["side"], r["pair"]) for r in runs] == [
         ("parent", 0), ("change", 0), ("change", 1), ("parent", 1), ("parent", 2),
@@ -139,9 +140,9 @@ def test_failed_run_does_not_stop_the_pairs(monkeypatch, tmp_path):
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     runs, sizes = [], []
-    out = bench_pairs.run_pairs({"parent": tmp_path / "a", "change": tmp_path / "b"}, "w",
-                                [7, 8, 9], runs, lambda: sizes.append(len(runs)))
-    assert out is runs and sizes == [2, 4, 6]
+    bench_pairs.run_pairs({"parent": tmp_path / "a", "change": tmp_path / "b"}, "w",
+                          [7, 8, 9], runs, lambda: sizes.append(len(runs)))
+    assert sizes == [2, 4, 6]
     assert runs[2] == {"workload": "w", "seed": 8, "side": "change", "pair": 1,
                        "exit_code": 1, "stderr_tail": "boom"}
 

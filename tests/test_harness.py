@@ -326,13 +326,12 @@ class TestEvaluate:
 
     def test_reads_the_architecture_once(self, tmp_path, monkeypatch):
         ck = train(tiny_run_config(tmp_path, episodes=2)) / "ckpt_final"
-        reads = []
+        reads, recorded_train = [], algo.recorded_train
 
         def counted(manifest, base, checkpoint):
             reads.append(checkpoint)
             return recorded_train(manifest, base, checkpoint)
 
-        recorded_train = algo.recorded_train
         monkeypatch.setattr(algo, "recorded_train", counted)
         evaluate(ck, episodes=1, seed=0)
         assert reads == [ck]

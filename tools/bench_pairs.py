@@ -90,13 +90,12 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     return {"result": json.loads(lines[-1]), "derived": derived, "meta": meta}
 
 
-def run_pairs(sides: dict[str, Path], workload: str, seeds: list[int],
-              runs: list | None = None, after_pair=lambda: None) -> list[dict]:
+def run_pairs(sides: dict[str, Path], workload: str, seeds: list[int], runs: list,
+              after_pair) -> None:
     """Alternating pairs: the first side of ``sides`` runs first in even pairs.
-    Each run is appended to ``runs`` (a new list by default), which is
-    returned, and ``after_pair`` is called once each pair is done."""
+    Each run is appended to ``runs`` as it ends, and ``after_pair()`` is
+    called once each pair is done."""
     names = list(sides)
-    runs = [] if runs is None else runs
     for pair, seed in enumerate(seeds):
         for side in names if pair % 2 == 0 else names[::-1]:
             record = run_once(sides[side], workload, seed)
@@ -107,7 +106,6 @@ def run_pairs(sides: dict[str, Path], workload: str, seeds: list[int],
                        if "result" in record else f"exited {record['exit_code']}")
             print(f"{workload} pair {pair} seed {seed} {side}: {outcome}", flush=True)
         after_pair()
-    return runs
 
 
 def compare(parent: list[float], change: list[float], better: str) -> dict:
