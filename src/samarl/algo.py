@@ -133,28 +133,23 @@ class TrainConfig:
         return _DTYPES[self.dtype]
 
 
-# TrainConfig fields that fix the networks' shapes and precision; checkpoints
-# record them as ``train.<key>``
-ARCH_KEYS = ("hidden_dim", "hidden_layers", "attention_heads", "attention_blocks", "dtype")
-
-
-def recorded_train(manifest, base: TrainConfig, checkpoint) -> TrainConfig:
-    """``base`` in the architecture that the manifest of ``checkpoint``
-    records as ``train.<key>``; a key outside ``ARCH_KEYS`` or a value that
-    does not parse is a CheckpointError."""
+def config_from_text(base, texts: dict[str, str], prefix: str = ""):
+    """``base``, a config dataclass, with each field that ``texts`` names set
+    to its text parsed as the type of the field's value in ``base``; ``base``'s
+    checks run on the result. Errors name a key as ``prefix`` + field: a key
+    that is no field (a nested config is none), or a text that does not
+    parse, is a ValueError."""
+    fields = {f.name for f in dataclasses.fields(base)
+              if not dataclasses.is_dataclass(getattr(base, f.name))}
     values = {}
-    for key, value in manifest.train.items():
-        if key not in ARCH_KEYS:
-            raise CheckpointError(f"checkpoint {checkpoint}: unknown key 'train.{key}'")
+    for name, text in texts.items():
+        if name not in fields:
+            raise ValueError(f"unknown key '{prefix}{name}'")
         try:
-            values[key] = type(getattr(base, key))(value)
+            values[name] = type(getattr(base, name))(text)
         except ValueError:
-            raise CheckpointError(
-                f"checkpoint {checkpoint}: train.{key} '{value}' does not parse") from None
-    try:
-        return dataclasses.replace(base, **values)
-    except ValueError as err:
-        raise CheckpointError(f"checkpoint {checkpoint}: {err}") from None
+            raise ValueError(f"{prefix}{name} '{text}' does not parse") from None
+    return dataclasses.replace(base, **values)
 
 
 class ReplayBuffer:
@@ -361,7 +356,10 @@ class Trainer:
         manifest, tensors = load_checkpoint(prey_policy)
         # the prey actor runs in the architecture and precision it was saved
         # in; sizes it does not record are this trainer's
-        arch = recorded_train(manifest, self.cfg, prey_policy)
+        try:
+            arch = config_from_text(self.cfg, manifest.train, "train.")
+        except ValueError as err:
+            raise CheckpointError(f"checkpoint {prey_policy}: {err}") from None
         actor = nets.MlpActor(self.env.obs_dims[1], self.act_dim, self.init_rng,
                               hidden_dim=arch.hidden_dim, hidden_layers=arch.hidden_layers,
                               dtype=arch.np_dtype)
@@ -553,20 +551,23 @@ class Trainer:
         return save_checkpoint(directory, self.named_parameters(),
                                algo=self.kind.value, scenario=self.scenario.kind,
                                agents=self.scenario.n_agents, episode=episode,
-                               train={key: getattr(self.cfg, key) for key in ARCH_KEYS})
+                               train=dataclasses.asdict(self.cfg))
 
     @classmethod
     def from_checkpoint(cls, directory, *, seed: int = 0,
                         prey_policy: str = "scripted") -> "Trainer":
         """The trainer that ``save`` wrote to ``directory``: its scenario,
-        algorithm and recorded architecture (``TrainConfig``'s defaults for
-        the rest), every main and target network holding the saved
+        algorithm and ``TrainConfig`` (the defaults for any field the manifest
+        does not record), every main and target network holding the saved
         parameters."""
         manifest, tensors = load_checkpoint(directory)
         scenario = ScenarioConfig(manifest.scenario, manifest.agents)
         kind = AlgoKind.parse(manifest.algo)
-        trainer = cls(scenario, kind, recorded_train(manifest, TrainConfig(), directory),
-                      seed=seed, prey_policy=prey_policy)
+        try:
+            cfg = config_from_text(TrainConfig(), manifest.train, "train.")
+        except ValueError as err:
+            raise CheckpointError(f"checkpoint {directory}: {err}") from None
+        trainer = cls(scenario, kind, cfg, seed=seed, prey_policy=prey_policy)
         restore_into(trainer.named_parameters(), tensors)
         for tgt, main in trainer._target_pairs():
             nets.copy_params(tgt, main)

@@ -35,7 +35,7 @@ class CheckpointManifest:
     agents: int
     episode: int
     entries: list[tuple[str, tuple[int, ...], str, int]]
-    # the run's ``train.<key>`` architecture values, as written
+    # the run's ``train.<key>`` values, as written
     train: dict[str, str]
 
 
@@ -60,7 +60,7 @@ def save_checkpoint(directory, named_tensors, *, algo: str, scenario: str,
                     agents: int, episode: int, train: dict | None = None) -> Path:
     """Write ``named_tensors`` (iterable of (name, tensor-or-array)) to ``directory``.
 
-    ``train`` maps architecture keys to the values the header records as
+    ``train`` maps config fields to the values the header records as
     ``train.<key>``. Every name and dtype is checked before anything is
     written. The files go into a hidden sibling that replaces ``directory``, all
     fsync'd, so a killed process or an OS crash leaves the previous checkpoint or none.
@@ -119,8 +119,8 @@ def load_checkpoint(directory) -> tuple[CheckpointManifest, dict[str, np.ndarray
     if not manifest_path.exists() or not blob_path.exists():
         raise CheckpointError(f"no checkpoint at {directory}")
 
-    header: dict[str, str] = {}
-    numbers: dict[str, int] = {}
+    # each header key once, the numbers among them parsed
+    header: dict[str, str | int] = {}
     entries: list[tuple[str, tuple[int, ...], str, int]] = []
     for lineno, line in enumerate(manifest_path.read_text().splitlines(), start=1):
         line = line.strip()
@@ -133,14 +133,16 @@ def load_checkpoint(directory) -> tuple[CheckpointManifest, dict[str, np.ndarray
             dims = () if parts[2] == "scalar" else parts[2].split("x")
             shape = tuple(_natural(d, lineno, line) for d in dims)
             entries.append((parts[1], shape, parts[3], _natural(parts[4], lineno, line)))
-        elif len(parts) == 2 and parts[0] in ("format-version", "agents", "episode"):
-            numbers[parts[0]] = _natural(parts[1], lineno, line)
+        elif len(parts) == 2 and parts[0] in header:
+            raise CheckpointError(f"manifest line {lineno} repeats '{parts[0]}': '{line}'")
         elif len(parts) == 2:
-            header[parts[0]] = parts[1]
+            key, value = parts
+            number = key in ("format-version", "agents", "episode")
+            header[key] = _natural(value, lineno, line) if number else value
         else:
             raise CheckpointError(f"malformed manifest line {lineno}: '{line}'")
 
-    version = numbers.get("format-version", -1)
+    version = header.get("format-version", -1)
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format version {version}")
 
@@ -164,8 +166,8 @@ def load_checkpoint(directory) -> tuple[CheckpointManifest, dict[str, np.ndarray
         version=version,
         algo=header.get("algo", ""),
         scenario=header.get("scenario", ""),
-        agents=numbers.get("agents", 0),
-        episode=numbers.get("episode", 0),
+        agents=header.get("agents", 0),
+        episode=header.get("episode", 0),
         entries=entries,
         train={key[len("train."):]: value for key, value in header.items()
                if key.startswith("train.")},

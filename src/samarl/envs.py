@@ -15,13 +15,13 @@ Physics is a semi-implicit Euler step: velocities are damped, accelerated by
 body's max speed, and integrated into positions. Everything is float64 and
 fully determined by (scenario, seed, actions).
 
-A scenario is its kind, its agent count and its episode length
-(``ScenarioConfig``). Its physics and rewards are fixed at the values of
-MPE, the multi-agent particle environment (Lowe et al., arXiv:1706.02275;
-https://github.com/openai/multiagent-particle-envs): the module constants
-below. Two sets are this module's own: the coop agents' speed cap, which
-MPE's cooperative navigation leaves unset, and the scripted prey's, as MPE
-has no scripted prey. Every body's mass is 1.0, and so are the world's
+A scenario is its kind and its agent count (``ScenarioConfig``). Every
+episode runs ``EPISODE_LENGTH`` = 20 steps. The physics and rewards are
+fixed at the values of MPE, the multi-agent particle environment (Lowe et
+al., arXiv:1706.02275; https://github.com/openai/multiagent-particle-envs):
+the module constants below. Two sets are this module's own: the coop
+agents' speed cap, which MPE's cooperative navigation leaves unset, and the
+scripted prey's, as MPE has no scripted prey. Every body's mass is 1.0, and so are the world's
 half-width, the collision penalty, the boundary penalty scale and the prey's
 obstacle gain, so the step leaves each of their divides and products out
 (x / 1.0 == 1.0 * x == x).
@@ -57,9 +57,10 @@ import numpy as np
 COOP_NAV = "coop_nav"
 PREDATOR_PREY = "predator_prey"
 
-# The scenarios' constants (see the module docstring): the world, the
-# contact springs, the rewards, each body type's radius, acceleration and
-# speed cap, and the scripted prey's flee policy
+# The scenarios' constants (see the module docstring): the episode's steps,
+# the world, the contact springs, the rewards, each body type's radius,
+# acceleration and speed cap, and the scripted prey's flee policy
+EPISODE_LENGTH = 20
 WORLD_HALF_WIDTH = 1.0
 DT = 0.1
 DAMPING = 0.25
@@ -93,12 +94,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class ScenarioConfig:
-    """A scenario: its kind, agent count and episode length. The rest is
-    fixed by the module constants."""
+    """A scenario: its kind and agent count. The rest is fixed by the module
+    constants."""
 
     kind: str
     n_agents: int
-    episode_length: int = 20
 
     def __post_init__(self):
         if self.kind not in (COOP_NAV, PREDATOR_PREY):
@@ -109,16 +109,19 @@ class ScenarioConfig:
             raise ConfigError(
                 f"predator-prey needs a 2:1 predator:prey split; "
                 f"{self.n_agents} agents cannot be divided that way")
-        if self.episode_length < 1:
-            raise ConfigError(f"episode_length must be at least 1, got {self.episode_length}")
 
     @classmethod
-    def coop_nav(cls, n_agents: int, **overrides) -> "ScenarioConfig":
-        return cls(COOP_NAV, n_agents, **overrides)
+    def coop_nav(cls, n_agents: int) -> "ScenarioConfig":
+        return cls(COOP_NAV, n_agents)
 
     @classmethod
-    def predator_prey(cls, n_agents: int, **overrides) -> "ScenarioConfig":
-        return cls(PREDATOR_PREY, n_agents, **overrides)
+    def predator_prey(cls, n_agents: int) -> "ScenarioConfig":
+        return cls(PREDATOR_PREY, n_agents)
+
+    @property
+    def episode_length(self) -> int:
+        """Steps in an episode: ``EPISODE_LENGTH`` in every scenario."""
+        return EPISODE_LENGTH
 
     @property
     def n_landmarks(self) -> int:

@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .algo import AlgoKind, TrainConfig, Trainer
-from .envs import COOP_NAV, PREDATOR_PREY, ParticleWorld, ScenarioConfig
+from .algo import AlgoKind, TrainConfig, Trainer, config_from_text
+from .envs import ParticleWorld, ScenarioConfig
 
 CSV_COLUMNS = ["episode", "env_steps", "wall_s", "reward_type0", "reward_type1",
                "smoothed_type0", "smoothed_type1", "critic_loss",
@@ -72,11 +72,7 @@ class RunConfig:
                 f"got {self.eval_episodes}")
 
     def scenario_config(self) -> ScenarioConfig:
-        if self.scenario == COOP_NAV:
-            return ScenarioConfig.coop_nav(self.agents)
-        if self.scenario == PREDATOR_PREY:
-            return ScenarioConfig.predator_prey(self.agents)
-        raise ConfigFileError(f"unknown scenario '{self.scenario}'")
+        return ScenarioConfig(self.scenario, self.agents)
 
     def to_text(self) -> str:
         lines = []
@@ -131,29 +127,16 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def apply_config_mapping(cfg: RunConfig, mapping: dict[str, str]) -> RunConfig:
-    """Apply overrides onto a RunConfig; unknown keys are hard errors."""
-    run_fields = {f.name for f in dataclasses.fields(RunConfig)} - {"train"}
-    train_fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    run_kwargs = {f: getattr(cfg, f) for f in run_fields}
-    train_kwargs = {f: getattr(cfg.train, f) for f in train_fields}
-
-    def convert(current, text, key):
-        try:
-            return type(current)(text)
-        except ValueError:
-            raise ConfigFileError(f"cannot parse '{text}' for key '{key}'")
-
-    for key, value in mapping.items():
-        if key.startswith("train."):
-            name = key[len("train."):]
-            if name not in train_fields:
-                raise ConfigFileError(f"unknown config key '{key}'")
-            train_kwargs[name] = convert(train_kwargs[name], value, key)
-        elif key in run_fields:
-            run_kwargs[key] = convert(run_kwargs[key], value, key)
-        else:
-            raise ConfigFileError(f"unknown config key '{key}'")
-    return RunConfig(train=TrainConfig(**train_kwargs), **run_kwargs)
+    """Apply overrides onto a RunConfig, ``train.<field>`` keys onto its
+    TrainConfig; an unknown key or a value that does not parse is a
+    ConfigFileError."""
+    train = {k[len("train."):]: v for k, v in mapping.items() if k.startswith("train.")}
+    run = {k: v for k, v in mapping.items() if not k.startswith("train.")}
+    try:
+        return dataclasses.replace(config_from_text(cfg, run),
+                                   train=config_from_text(cfg.train, train, "train."))
+    except ValueError as err:
+        raise ConfigFileError(str(err)) from None
 
 
 def load_run_config(path, base: RunConfig | None = None) -> RunConfig:

@@ -1,6 +1,7 @@
 """Trainer mechanics: buffer, scheduler, targets, updates, baseline oracle."""
 
 import copy
+import dataclasses
 import hashlib
 import weakref
 
@@ -497,6 +498,10 @@ class TestExploration:
                               plain.target_actor.act(next_obs[:, 0]))
 
 
+# the TrainConfig fields that fix the networks' shapes and precision
+ARCHITECTURE = ("hidden_dim", "hidden_layers", "attention_heads", "attention_blocks", "dtype")
+
+
 def make_trainer(kind=AlgoKind.SA_MATD3, n=2, seed=0, scenario="coop_nav", **cfg_over):
     if scenario == "coop_nav":
         scen = ScenarioConfig.coop_nav(n)
@@ -953,7 +958,8 @@ class TestCheckpointFlow:
         assert saving.critic_updates and saving.policy_updates
         path = saving.save(tmp_path / "ck", episode=2)
         trainer = Trainer.from_checkpoint(path, seed=8)
-        assert (trainer.kind, trainer.scenario) == (kind, saving.scenario)
+        assert (trainer.kind, trainer.scenario, trainer.cfg) \
+            == (kind, saving.scenario, saving.cfg)
         assert [(k, p.data.dtype, p.data.tobytes()) for k, p in trainer.named_parameters()] \
             == [(k, p.data.dtype, p.data.tobytes()) for k, p in saving.named_parameters()]
         for target, main in trainer._target_pairs():
@@ -973,9 +979,12 @@ class TestCheckpointFlow:
         trainer = make_trainer(AlgoKind.SA_MATD3, n=2)
         path = trainer.save(tmp_path / "ck", episode=0)
         manifest, _ = load_checkpoint(path)
-        assert manifest.train == {"hidden_dim": "8", "hidden_layers": "3",
-                                  "attention_heads": "2", "attention_blocks": "2",
-                                  "dtype": "float32"}
+        # the whole TrainConfig, in field order, the architecture among it
+        assert list(manifest.train) == [f.name for f in dataclasses.fields(TrainConfig)]
+        assert {key: manifest.train[key] for key in ARCHITECTURE} == {
+            "hidden_dim": "8", "hidden_layers": "3", "attention_heads": "2",
+            "attention_blocks": "2", "dtype": "float32"}
+        assert (manifest.train["batch_size"], manifest.train["gamma"]) == ("16", "0.95")
         # a manifest without the keys still restores, in the default architecture
         default = Trainer(ScenarioConfig.coop_nav(2), AlgoKind.SA_MATD3, seed=0)
         path = default.save(tmp_path / "default", episode=0)
@@ -984,6 +993,39 @@ class TestCheckpointFlow:
         other = Trainer.from_checkpoint(path, seed=5)
         assert all(np.array_equal(a.data, b.data) for (_, a), (_, b) in
                    zip(default.named_parameters(), other.named_parameters()))
+
+    def test_from_checkpoint_rebuilds_every_train_config_field(self, tmp_path):
+        cfg = TrainConfig(gamma=0.5, tau=0.2, batch_size=64, train_start_episodes=7,
+                          train_frequency=3, delay_frequency=4, action_noise_std=0.3,
+                          critic_noise_std=0.1 + 0.2,   # 0.30000000000000004 in full
+                          mlp_lr=2e-3, attention_lr=3e-5, grad_clip=0.5,
+                          replay_capacity=640, hidden_dim=12, hidden_layers=2,
+                          attention_heads=3, attention_blocks=1, dtype="float64")
+        default = TrainConfig()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name)
+                   for f in dataclasses.fields(TrainConfig))
+        path = Trainer(ScenarioConfig.coop_nav(2), AlgoKind.SA_MATD3, cfg, seed=1).save(
+            tmp_path / "ck", episode=0)
+        assert Trainer.from_checkpoint(path).cfg == cfg
+
+    def test_architecture_only_manifest_loads_with_defaults(self, tmp_path):
+        # a version-2 manifest as first written: ``train.<key>`` lines for the
+        # architecture only
+        saving = make_trainer(AlgoKind.SA_MATD3, n=3, seed=3)
+        for _ in range(2):
+            saving.train_episode()
+        path = saving.save(tmp_path / "ck", episode=2)
+        assert load_checkpoint(path)[0].train["batch_size"] == "16"
+        manifest = path / "manifest.txt"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(l for l in lines if not l.startswith("train.")
+                                    or l.split()[0][len("train."):] in ARCHITECTURE))
+        assert list(load_checkpoint(path)[0].train) == list(ARCHITECTURE)
+        trainer = Trainer.from_checkpoint(path, seed=4)
+        assert trainer.cfg == TrainConfig(**{k: getattr(saving.cfg, k) for k in ARCHITECTURE})
+        assert trainer.cfg.batch_size == 512 != saving.cfg.batch_size
+        assert harness.evaluate(path, episodes=3, seed=5) \
+            == harness.evaluate_trainer(saving, episodes=3, seed=5)
 
     def test_restore_checks_tensor_shapes(self, tmp_path):
         # a bank's stacked tensor of the wrong shape is refused by name, not

@@ -89,10 +89,10 @@ def test_seeds_and_order_alternate_by_pair(monkeypatch, tmp_path):
 ], ids=["all", "nine-and-a-tie", "eight-and-two-ties", "eight", "inside-iqr"])
 def test_gain_shown_needs_nine_of_ten_pairs_beyond_the_parent_iqr(change, shown):
     parent = [9.8, 10.2] * 5   # median 10.0, IQR 0.4
-    assert bench_pairs.verdicts(parent, change, "lower", 0.15)["gain_shown"] is shown
+    assert bench_pairs.compare(parent, change, "lower", 0.15)["gain_shown"] is shown
     # the same pairs with higher better, as rates
     rates = [-v for v in parent], [-v for v in change]
-    assert bench_pairs.verdicts(*rates, "higher", 0.15)["gain_shown"] is shown
+    assert bench_pairs.compare(*rates, "higher", 0.15)["gain_shown"] is shown
 
 
 @pytest.mark.parametrize("parent,change,better,verdict", [
@@ -105,7 +105,7 @@ def test_gain_shown_needs_nine_of_ten_pairs_beyond_the_parent_iqr(change, shown)
 ], ids=["within", "worse", "worse-higher", "wide-parent", "wide-parent-beaten",
         "wide-parent-beaten-higher"])
 def test_regression_verdict(parent, change, better, verdict):
-    assert bench_pairs.verdicts(parent, change, better, 0.15)["regression"] == verdict
+    assert bench_pairs.compare(parent, change, better, 0.15)["regression"] == verdict
 
 
 def test_summary_holds_the_verdicts_per_metric():

@@ -1,6 +1,7 @@
 """Checkpoint manifest + blob round-trip guarantees."""
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -217,4 +218,27 @@ def test_version_1_checkpoint_is_refused(tmp_path):
     manifest = path / "manifest.txt"
     manifest.write_text(manifest.read_text().replace("format-version 2", "format-version 1", 1))
     with pytest.raises(CheckpointError, match="unsupported checkpoint format version 1"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("line, repeat", [
+    ("format-version 2", "format-version 2"),
+    ("algo maddpg", "algo matd3"),
+    ("scenario coop_nav", "scenario predator_prey"),
+    ("agents 1", "agents 3"),
+    ("episode 0", "episode 7"),
+    ("train.hidden_dim 4", "train.hidden_dim 8"),
+], ids=["version", "algo", "scenario", "agents", "episode", "train"])
+def test_repeated_header_line_is_refused(tmp_path, line, repeat):
+    # no copy of a header line wins over another
+    actor = nets.MlpActor(3, 2, np.random.default_rng(8), hidden_dim=4)
+    path = save_checkpoint(tmp_path / "ck", actor.named_parameters(), algo="maddpg",
+                           scenario="coop_nav", agents=1, episode=0,
+                           train={"hidden_dim": 4})
+    manifest = path / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    at = lines.index(line) + 1
+    manifest.write_text("\n".join(lines[:at] + [repeat] + lines[at:]) + "\n")
+    key = re.escape(line.split()[0])
+    with pytest.raises(CheckpointError, match=f"manifest line {at + 1} repeats '{key}'"):
         load_checkpoint(path)

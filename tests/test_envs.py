@@ -170,13 +170,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(kind="tag", n_agents=3)
 
-    # the physics is fixed: no config can carry a value, and each constant
-    # keeps the sign the step needs
+    # the physics and the episode length are fixed: no config can carry a
+    # value, and each constant keeps the sign the step needs
     @pytest.mark.parametrize("name", [
         "dt", "contact_stiffness", "contact_margin", "agent_radius", "landmark_radius",
         "predator_radius", "prey_radius", "obstacle_radius", "agent_accel", "predator_accel",
         "prey_accel", "agent_max_speed", "predator_max_speed", "prey_max_speed",
-        "world_half_width", "prey_sense_range", "prey_obstacle_range"])
+        "world_half_width", "prey_sense_range", "prey_obstacle_range", "episode_length"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
     def test_non_positive_physics_field_rejected(self, name, value):
         with pytest.raises(TypeError, match=name):
@@ -197,13 +197,6 @@ class TestConfig:
                 ScenarioConfig.predator_prey(3, **{name: value})
         constant = getattr(envs, name.upper())
         assert math.isfinite(constant) and constant >= 0
-
-    @pytest.mark.parametrize("length", [0, -1])
-    def test_episode_length_below_one_rejected(self, length):
-        with pytest.raises(ConfigError, match="episode_length"):
-            ScenarioConfig.coop_nav(1, episode_length=length)
-        with pytest.raises(ConfigError, match="episode_length"):
-            ScenarioConfig.predator_prey(3, episode_length=length)
 
     @pytest.mark.parametrize("make,n", [(ScenarioConfig.coop_nav, n) for n in (1, 3, 5, 8)]
                              + [(ScenarioConfig.predator_prey, n) for n in (3, 6, 9)])

@@ -59,16 +59,29 @@ class TestConfigFile:
     def test_unknown_key_is_hard_error(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("agnets = 5\n")
-        with pytest.raises(ConfigFileError, match="unknown config key 'agnets'"):
+        with pytest.raises(ConfigFileError, match="unknown key 'agnets'"):
             load_run_config(path)
 
     def test_unknown_train_key_is_hard_error(self, tmp_path):
         path = tmp_path / "c.txt"
-        # the action bound is the world's, +-1, and no setting
-        for text in ("train.gama = 0.9\n", "train.action_low = -2.0\n"):
-            path.write_text(text)
-            with pytest.raises(ConfigFileError, match="unknown config key"):
+        # the action bound is the world's, +-1, and no setting; the nested
+        # config itself is no key
+        for key in ("train.gama", "train.action_low", "train"):
+            path.write_text(f"{key} = 0.9\n")
+            with pytest.raises(ConfigFileError, match=f"unknown key '{re.escape(key)}'"):
                 load_run_config(path)
+
+    @pytest.mark.parametrize("text,match", [
+        ("agents = three", "agents 'three' does not parse"),
+        ("train.hidden_dim = eight", "train.hidden_dim 'eight' does not parse"),
+        ("train.batch_size = 1e3", "train.batch_size '1e3' does not parse"),
+    ], ids=["run", "train", "int-as-float"])
+    def test_value_that_does_not_parse_is_hard_error(self, tmp_path, text, match):
+        # the wording a checkpoint manifest's lines get too
+        path = tmp_path / "c.txt"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigFileError, match=match):
+            load_run_config(path)
 
     def test_nested_train_override(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -232,10 +245,11 @@ class TestTrainRun:
 
     @pytest.mark.parametrize("bad,error", [
         (dict(scenario="predator_prey", agents=4), ConfigError),
+        (dict(scenario="tag"), ConfigError),
         (dict(algo="qmix"), ValueError),
         (dict(scenario="predator_prey", prey="no_such_checkpoint"), CheckpointError),
         (dict(scenario="coop_nav", prey="no_such_checkpoint"), ValueError),
-    ], ids=["agents", "algo", "prey", "prey-without-prey"])
+    ], ids=["agents", "scenario", "algo", "prey", "prey-without-prey"])
     def test_bad_run_leaves_no_directory(self, bad, error, tmp_path):
         if "prey" in bad:
             bad["prey"] = str(tmp_path / bad["prey"])
@@ -326,15 +340,15 @@ class TestEvaluate:
 
     def test_reads_the_architecture_once(self, tmp_path, monkeypatch):
         ck = train(tiny_run_config(tmp_path, episodes=2)) / "ckpt_final"
-        reads, recorded_train = [], algo.recorded_train
+        reads, config_from_text = [], algo.config_from_text
 
-        def counted(manifest, base, checkpoint):
-            reads.append(checkpoint)
-            return recorded_train(manifest, base, checkpoint)
+        def counted(base, texts, prefix=""):
+            reads.append(dict(texts))
+            return config_from_text(base, texts, prefix)
 
-        monkeypatch.setattr(algo, "recorded_train", counted)
+        monkeypatch.setattr(algo, "config_from_text", counted)
         evaluate(ck, episodes=1, seed=0)
-        assert reads == [ck]
+        assert reads == [load_checkpoint(ck)[0].train]
 
     def test_float64_checkpoint_evaluates_in_float64(self, tmp_path):
         cfg, ck = self._float64_run(tmp_path)

@@ -108,38 +108,36 @@ def run_pairs(sides: dict[str, Path], workload: str, seeds: list[int], runs: lis
         after_pair()
 
 
-def compare(parent: list[float], change: list[float], better: str) -> dict:
+def compare(parent: list[float], change: list[float], better: str,
+            bound: float | None = None) -> dict:
     """Both sides' medians, the change's percentage, the pairs it won (by
-    ``better``, "lower" or "higher"), the parent's IQR and both sides' runs."""
+    ``better``, "lower" or "higher"), the parent's IQR and both sides' runs;
+    given a ``bound``, a fraction, also ``bound_pct`` and the two verdicts
+    that follow from those figures (module docstring)."""
     p, c = np.array(parent, dtype=float), np.array(change, dtype=float)
+    sign = 1.0 if better == "lower" else -1.0   # so that > 0 favours the change
     q1, q3 = np.percentile(p, [25, 75])
-    wins = np.less(c, p) if better == "lower" else np.greater(c, p)
-    return {
+    iqr = float(q3 - q1)
+    wins = int(np.sum(sign * (p - c) > 0))
+    out = {
         "parent_median": round(float(np.median(p)), 6),
         "change_median": round(float(np.median(c)), 6),
         "change_pct": round(100 * (float(np.median(c)) / float(np.median(p)) - 1), 2),
-        "change_wins": int(np.sum(wins)),
-        "parent_iqr": round(float(q3 - q1), 6),
+        "change_wins": wins,
+        "parent_iqr": round(iqr, 6),
         "parent_runs": [round(v, 4) for v in p.tolist()],
         "change_runs": [round(v, 4) for v in c.tolist()],
     }
-
-
-def verdicts(parent: list[float], change: list[float], better: str, bound: float) -> dict:
-    """``gain_shown`` and ``regression`` of a metric whose ``better`` is
-    "lower" or "higher" and whose ``bound`` is a fraction (module docstring)."""
-    p, c = np.array(parent, dtype=float), np.array(change, dtype=float)
-    if better == "higher":   # measure both as lower-is-better
-        p, c = -p, -c
-    wins = int(np.sum(c < p))
-    q1, q3 = np.percentile(p, [25, 75])
-    gain = float(np.median(p) - np.median(c))   # > 0 when the change is better
+    if bound is None:
+        return out
+    gain = sign * float(np.median(p) - np.median(c))
     scale = bound * abs(float(np.median(p)))
-    if q3 - q1 > scale and not c.max() < p.min():
+    if iqr > scale and not np.all(sign * np.subtract.outer(p, c) > 0):
         regression = "unresolved"
     else:
         regression = "yes" if -gain > scale else "no"
-    return {"gain_shown": bool(wins >= 0.9 * len(p) and gain > q3 - q1),
+    return {**out, "bound_pct": round(100 * bound, 2),
+            "gain_shown": bool(wins >= 0.9 * len(p) and gain > iqr),
             "regression": regression}
 
 
@@ -171,10 +169,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
 
     for metric in end_to_end:
         name = metric["name"]
-        sides = values(parent, name), values(change, name)
-        out[name] = {**compare(*sides, metric["better"]),
-                     "bound_pct": round(100 * metric["bound"], 2),
-                     **verdicts(*sides, metric["better"], metric["bound"])}
+        out[name] = compare(values(parent, name), values(change, name), metric["better"],
+                            metric["bound"])
     ratios = [np.divide(values(rs, "main_ms.p50"), values(rs, "bypass_ms.p50"))
               for rs in (parent, change)]
     out["main_over_bypass"] = compare(*ratios, "lower")
