@@ -261,7 +261,7 @@ def evaluate_trainer(trainer: Trainer, episodes: int, seed: int) -> dict:
 
 
 def evaluate(checkpoint, episodes: int, seed: int, *, prey: str = "scripted") -> dict:
-    """Evaluate a saved checkpoint in the architecture its manifest records;
+    """Evaluate a saved checkpoint in the TrainConfig its manifest records;
     statistics are per agent type."""
     return evaluate_trainer(Trainer.from_checkpoint(checkpoint, seed=seed, prey_policy=prey),
                             episodes, seed)
